@@ -1,29 +1,34 @@
-"""Cycle-exactness of the optimised pipelines vs the reference scan.
+"""Cycle-exactness of the production pipeline vs the reference scan.
 
-Two performance reworks are pinned bit-exact here: the event-driven
-issue scheduler (``scheduler="event"`` vs the ``"scan"`` reference) and
-the fused columnar dispatch stage (``dispatch="columnar"`` vs the
-``"object"`` reference) — each compared against the retained unfused
-implementations across schemes, machines and ablation families.
-
-
-The event-driven wakeup/select path (pending-operand counters, ready
-sets, completion calendar — ``scheduler="event"``, the default) is a
-pure performance rework: it must produce *bit-identical* results to the
-retained full-scan reference (``scheduler="scan"``), cycle for cycle,
-on every scheme and machine.  These tests pin that equivalence on the
-smoke-suite workloads across the full scheme registry, every Table 2
-machine, the FIFO window organisation, and the ablation families —
-including the zero-latency bypass edge case, where a copy completes in
-the very cycle it issues and its remote consumer must become selectable
-within the same cycle.
+The machine has one production pipeline — event-driven wakeup/select
+(``scheduler="event"``, the default) feeding and fed by the fused
+dispatch, commit and fetch loops — and one reference oracle,
+``scheduler="scan"``: a full window re-scan every cycle behind the
+unfused single-instruction dispatch helper.  The event path is a pure
+performance rework: it must produce *bit-identical* results to the
+oracle, cycle for cycle, on every scheme and machine.  These tests pin
+that equivalence on the smoke-suite workloads across the full scheme
+registry, every Table 2 machine, the FIFO window organisation, and the
+ablation families — including the zero-latency bypass edge case, where
+a copy completes in the very cycle it issues and its remote consumer
+must become selectable within the same cycle.
 
 ``SimResult`` equality covers every statistic the model reports: IPC
 and cycle counts, copies created/issued/critical, the ready-count
 balance histogram, replication, ROB/IQ occupancy averages, stall
 tallies and per-class commit counts — so any scheduling divergence,
 even one that leaves IPC unchanged, fails here.
+
+Commit and fetch are shared by both schedulers, so event == scan cannot
+see a change to them.  Every grid row's event result is therefore also
+pinned to a digest in ``golden/simresults.json``; rewrite that file
+with ``golden/regenerate.py`` only for an intended timing change.
 """
+
+import hashlib
+import json
+import os
+from dataclasses import asdict
 
 import pytest
 
@@ -37,17 +42,74 @@ from repro.workloads import workload
 N_INSTRUCTIONS = 800
 WARMUP = 200
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "simresults.json")
 
-def run_with(scheduler, bench, scheme_name, machine_name, dispatch=None):
+BENCHES = ("gcc", "pchase-heavy")
+
+#: Each registered machine under a compatible scheme.
+MACHINE_ROWS = (
+    ("naive", "baseline"),
+    ("naive", "upper-bound"),
+    ("fifo", "clustered-fifo"),
+    ("general-balance", "clustered"),
+)
+
+#: Parametric families under general-balance, including the
+#: wakeup-sensitive corners.
+ABLATION_MACHINES = (
+    # Zero-latency bypass: a copy completes the cycle it issues; its
+    # remote consumer must wake within the same cycle.
+    "bypass-latency-0",
+    "bypass-latency-3",
+    # One bypass port: copies stay ready-but-unissuable across cycles,
+    # exercising ready-set retention.
+    "bypass-ports-1",
+    # Tiny windows: dispatch stalls on full queues, for consumers *and*
+    # their copies.
+    "iq-8",
+    "iq-2",
+    # Deep windows: the issue-bound regime the event scheduler is built
+    # for.
+    "deep-window-256",
+)
+
+#: FIFO windows on the bypass corners: same-cycle copy wakeups and
+#: blocked copies meet heads exposed mid-selection.
+FIFO_MACHINES = ("bypass-latency-0", "bypass-ports-1")
+
+#: Every (bench, scheme, machine) point the tests below run; the
+#: golden file holds one digest per row.
+GRID = (
+    [(b, s, "clustered") for b in BENCHES for s in available_schemes()]
+    + [("gcc", s, m) for s, m in MACHINE_ROWS]
+    + [(b, "general-balance", m) for b in BENCHES for m in ABLATION_MACHINES]
+    + [(b, "fifo", m) for b in BENCHES for m in FIFO_MACHINES]
+)
+
+
+def run_with(scheduler, bench, scheme_name, machine_name):
     wl = workload(bench, seed=0)
     config = machine_config(machine_name)
     scheme = make_steering(scheme_name)
     if getattr(scheme, "requires_fifo_issue", False) and not config.fifo_issue:
         config = config.with_fifo_issue()
-    processor = Processor(
-        wl, config, scheme, scheduler=scheduler, dispatch=dispatch
-    )
+    processor = Processor(wl, config, scheme, scheduler=scheduler)
     return processor.run(N_INSTRUCTIONS, warmup=WARMUP)
+
+
+def digest(result) -> str:
+    """Stable hash over every :class:`SimResult` field."""
+    text = json.dumps(asdict(result), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+
+
+def golden_key(bench, scheme_name, machine_name) -> str:
+    return f"{bench}/{scheme_name}/{machine_name}"
+
+
+def load_golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def assert_equivalent(bench, scheme_name, machine_name):
@@ -59,30 +121,12 @@ def assert_equivalent(bench, scheme_name, machine_name):
         f"ipc {event.ipc} vs {scan.ipc}, cycles {event.cycles} vs "
         f"{scan.cycles}"
     )
-
-
-def assert_dispatch_equivalent(bench, scheme_name, machine_name):
-    """Columnar dispatch must match the object path *and* the scan oracle."""
-    columnar = run_with(
-        "event", bench, scheme_name, machine_name, dispatch="columnar"
-    )
-    obj = run_with(
-        "event", bench, scheme_name, machine_name, dispatch="object"
-    )
-    oracle = run_with(
-        "scan", bench, scheme_name, machine_name, dispatch="object"
-    )
-    assert columnar == obj, (
-        f"columnar dispatch diverged from the object path for "
-        f"({bench}, {scheme_name}, {machine_name}): "
-        f"ipc {columnar.ipc} vs {obj.ipc}, cycles {columnar.cycles} vs "
-        f"{obj.cycles}"
-    )
-    assert columnar == oracle, (
-        f"columnar dispatch diverged from the scan oracle for "
-        f"({bench}, {scheme_name}, {machine_name}): "
-        f"ipc {columnar.ipc} vs {oracle.ipc}, cycles {columnar.cycles} "
-        f"vs {oracle.cycles}"
+    key = golden_key(bench, scheme_name, machine_name)
+    pinned = load_golden().get(key)
+    assert pinned is not None, f"no golden digest for {key}"
+    assert digest(event) == pinned, (
+        f"{key} no longer matches its golden SimResult digest "
+        f"(ipc {event.ipc}, cycles {event.cycles})"
     )
 
 
@@ -90,7 +134,7 @@ class TestEverySchemeOnClustered:
     """All registered schemes on the Table 2 clustered machine."""
 
     @pytest.mark.parametrize("scheme_name", available_schemes())
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
+    @pytest.mark.parametrize("bench", BENCHES)
     def test_scheme_equivalent(self, bench, scheme_name):
         assert_equivalent(bench, scheme_name, "clustered")
 
@@ -98,15 +142,7 @@ class TestEverySchemeOnClustered:
 class TestEveryMachine:
     """Each registered machine under a compatible scheme."""
 
-    @pytest.mark.parametrize(
-        "scheme_name,machine_name",
-        [
-            ("naive", "baseline"),
-            ("naive", "upper-bound"),
-            ("fifo", "clustered-fifo"),
-            ("general-balance", "clustered"),
-        ],
-    )
+    @pytest.mark.parametrize("scheme_name,machine_name", MACHINE_ROWS)
     def test_machine_equivalent(self, scheme_name, machine_name):
         assert_equivalent("gcc", scheme_name, machine_name)
 
@@ -114,112 +150,20 @@ class TestEveryMachine:
 class TestAblationFamilies:
     """Parametric families, including the wakeup-sensitive corners."""
 
-    @pytest.mark.parametrize(
-        "machine_name",
-        [
-            # Zero-latency bypass: a copy completes the cycle it issues;
-            # its remote consumer must wake within the same cycle.
-            "bypass-latency-0",
-            "bypass-latency-3",
-            # One bypass port: copies stay ready-but-unissuable across
-            # cycles, exercising ready-set retention.
-            "bypass-ports-1",
-            # Tiny windows: dispatch stalls on full queues.
-            "iq-8",
-            # Deep windows: the issue-bound regime the event scheduler
-            # is built for.
-            "deep-window-256",
-        ],
-    )
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
+    @pytest.mark.parametrize("machine_name", ABLATION_MACHINES)
+    @pytest.mark.parametrize("bench", BENCHES)
     def test_family_equivalent(self, bench, machine_name):
         assert_equivalent(bench, "general-balance", machine_name)
 
-
-class TestColumnarDispatchEverySchemeOnClustered:
-    """Columnar dispatch pinned bit-exact for every scheme (Table 2)."""
-
-    @pytest.mark.parametrize("scheme_name", available_schemes())
-    def test_scheme_dispatch_equivalent(self, scheme_name):
-        assert_dispatch_equivalent("gcc", scheme_name, "clustered")
+    @pytest.mark.parametrize("machine_name", FIFO_MACHINES)
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_fifo_family_equivalent(self, bench, machine_name):
+        assert_equivalent(bench, "fifo", machine_name)
 
 
-class TestColumnarDispatchEveryMachine:
-    """Columnar dispatch across machine shapes, incl. FIFO fallback."""
-
-    @pytest.mark.parametrize(
-        "scheme_name,machine_name",
-        [
-            ("naive", "baseline"),
-            ("naive", "upper-bound"),
-            # FIFO windows route through the object dispatch loop even
-            # in columnar mode; this pins that the routing is sound.
-            ("fifo", "clustered-fifo"),
-            ("general-balance", "clustered"),
-        ],
-    )
-    def test_machine_dispatch_equivalent(self, scheme_name, machine_name):
-        assert_dispatch_equivalent("gcc", scheme_name, machine_name)
-
-
-class TestColumnarDispatchAblations:
-    """Ablation corners for the fused dispatch loop.
-
-    ``bypass-latency-0`` exercises same-cycle copy wakeup through the
-    inline window insert; ``iq-2`` exercises the fused loop's stall
-    paths (window reservation for consumers *and* their copies);
-    ``deep-window-256`` exercises the issue-bound regime where the
-    fused insert feeds long ready lists.
-    """
-
-    @pytest.mark.parametrize(
-        "machine_name",
-        ["bypass-latency-0", "iq-2", "deep-window-256"],
-    )
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
-    def test_ablation_dispatch_equivalent(self, bench, machine_name):
-        assert_dispatch_equivalent(bench, "general-balance", machine_name)
-
-
-class TestDispatchSelection:
-    def test_unknown_dispatch_rejected(self):
-        from repro.errors import SimulationError
-        from repro.pipeline.config import ProcessorConfig
-
-        with pytest.raises(SimulationError):
-            Processor(
-                workload("gcc", seed=0),
-                ProcessorConfig.default(),
-                make_steering("naive"),
-                dispatch="vectorised",
-            )
-
-    def test_env_override_selects_object(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
-        monkeypatch.setenv("REPRO_DISPATCH", "object")
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
-        )
-        assert processor.dispatch_mode == "object"
-
-    def test_dispatch_modes_registry(self):
-        from repro.pipeline.processor import DISPATCH_MODES
-
-        assert DISPATCH_MODES == ("columnar", "object")
-
-    def test_columnar_is_default(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
-        )
-        assert processor.dispatch_mode == "columnar"
+class TestGolden:
+    def test_golden_covers_exactly_the_grid(self):
+        assert set(load_golden()) == {golden_key(*row) for row in GRID}
 
 
 class TestSchedulerSelection:

@@ -21,12 +21,10 @@ Each point records instructions/sec for both schedulers (best over
 the CI perf gate leans on; the absolute numbers chart the trajectory on
 comparable hardware.
 
-A second family of points times the **dispatch** rework the same way:
-the fused columnar dispatch loop (``dispatch="columnar"``, the default)
-against the retained per-object reference (``dispatch="object"``), both
-under the event scheduler, with ``speedup_vs_object`` as the portable
-ratio.  These points carry ``"columnar"``/``"object"`` rows instead of
-``"event"``/``"scan"`` and are tagged ``"kind": "dispatch"``.
+The scan reference also takes the unfused single-instruction dispatch
+helper, so ``speedup_vs_scan`` charges the fused dispatch loop's gain
+to the event side as well as the scheduler's.  Per-stage costs of the
+production pipeline are measured by ``perfbench/`` instead.
 
 Each point keeps the raw per-repeat ``seconds`` vectors alongside the
 summary stats, so the perf ledger (``repro-sim perf record`` reads this
@@ -60,15 +58,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_INSTRUCTIONS = 8000
 WARMUP = 1000
 
-#: Dispatch points time a longer window and take at least 9 repeats:
-#: the columnar-vs-object ratio is a steady-state hot-loop property —
-#: at 8k instructions fixed per-run setup (processor construction,
-#: first-touch of the pinned columns) dilutes it, and best-of-few is
-#: noise-sensitive on shared runners.  The point records its own
-#: ``n_instructions``.
-DISPATCH_N_INSTRUCTIONS = 30000
-DISPATCH_MIN_REPEAT = 9
-
 #: The issue-bound machine: per-cluster window / ROB scaled until the
 #: issue stage dominates runtime (see the deep-window registry family).
 ISSUE_BOUND_MACHINE = "deep-window-512"
@@ -90,23 +79,7 @@ def build_grid():
     return grid
 
 
-#: (bench, scheme, machine) grid for the columnar-vs-object dispatch
-#: points: the Table 2 clustered machine across the smoke suite's
-#: benches (dispatch dominates there — shallow windows keep issue
-#: cheap), plus one issue-bound point to show the fused loop holds up
-#: when dispatch is *not* the bottleneck.
-def build_dispatch_grid():
-    from repro.scenarios import get_suite
-
-    smoke = get_suite("smoke")
-    grid = [
-        (bench, "general-balance", "clustered") for bench in smoke.benches
-    ]
-    grid.append(("gcc", "general-balance", ISSUE_BOUND_MACHINE))
-    return grid
-
-
-def time_point(bench, scheme, machine, scheduler, repeat, dispatch=None,
+def time_point(bench, scheme, machine, scheduler, repeat,
                n_instructions=N_INSTRUCTIONS):
     """Best/mean/std wall-clock seconds over *repeat* timed runs."""
     wl = workload(bench, seed=0)  # cached: charges generation once
@@ -116,9 +89,7 @@ def time_point(bench, scheme, machine, scheduler, repeat, dispatch=None,
         steering = make_steering(scheme)
         if getattr(steering, "requires_fifo_issue", False):
             config = config.with_fifo_issue()
-        processor = Processor(
-            wl, config, steering, scheduler=scheduler, dispatch=dispatch
-        )
+        processor = Processor(wl, config, steering, scheduler=scheduler)
         start = time.perf_counter()
         processor.run(n_instructions, warmup=WARMUP)
         times.append(time.perf_counter() - start)
@@ -139,41 +110,6 @@ def _summary_rows(times, n_instructions, repeat):
         ),
         "instr_per_sec": round(n_instructions / min(times), 1),
     }
-
-
-def time_dispatch_point(bench, scheme, machine, repeat, n_instructions):
-    """Interleaved columnar/object timing for one dispatch point.
-
-    The repeats alternate between the two dispatch modes so slow host
-    drift (thermal, co-tenant load) cancels out of the ratio instead of
-    biasing whichever block ran second; one untimed run first
-    materialises the trace window, so no timed repeat pays the workload
-    generator.
-    """
-    wl = workload(bench, seed=0)
-    modes = ("columnar", "object")
-    times = {mode: [] for mode in modes}
-
-    def one_run(dispatch, timed):
-        config = machine_config(machine)
-        steering = make_steering(scheme)
-        if getattr(steering, "requires_fifo_issue", False):
-            config = config.with_fifo_issue()
-        processor = Processor(
-            wl, config, steering, scheduler="event", dispatch=dispatch
-        )
-        start = time.perf_counter()
-        processor.run(n_instructions, warmup=WARMUP)
-        if timed:
-            times[dispatch].append(time.perf_counter() - start)
-
-    one_run("columnar", timed=False)  # materialise the trace window
-    for _ in range(repeat):
-        for mode in modes:
-            one_run(mode, timed=True)
-    return tuple(
-        _summary_rows(times[mode], n_instructions, repeat) for mode in modes
-    )
 
 
 def main(argv=None) -> int:
@@ -211,37 +147,8 @@ def main(argv=None) -> int:
             f"speedup={speedup:4.2f}x"
         )
 
-    dispatch_repeat = max(args.repeat, DISPATCH_MIN_REPEAT)
-    for bench, scheme, machine in build_dispatch_grid():
-        columnar, obj = time_dispatch_point(
-            bench, scheme, machine, dispatch_repeat,
-            DISPATCH_N_INSTRUCTIONS,
-        )
-        speedup = columnar["instr_per_sec"] / obj["instr_per_sec"]
-        points.append(
-            {
-                "bench": bench,
-                "scheme": scheme,
-                "machine": machine,
-                "kind": "dispatch",
-                "n_instructions": DISPATCH_N_INSTRUCTIONS,
-                "columnar": columnar,
-                "object": obj,
-                "speedup_vs_object": round(speedup, 3),
-            }
-        )
-        print(
-            f"dispatch    {bench:>14s} {scheme:<16s} {machine:<15s} "
-            f"columnar={columnar['instr_per_sec']:>8.0f} i/s  "
-            f"object={obj['instr_per_sec']:>8.0f} i/s  "
-            f"speedup={speedup:4.2f}x"
-        )
-
     issue_bound_speedups = [
         p["speedup_vs_scan"] for p in points if p.get("issue_bound")
-    ]
-    dispatch_speedups = [
-        p["speedup_vs_object"] for p in points if "speedup_vs_object" in p
     ]
     document = {
         "benchmark": "core-scheduler",
@@ -253,12 +160,7 @@ def main(argv=None) -> int:
         "points": points,
         "summary": {
             "max_issue_bound_speedup": max(issue_bound_speedups),
-            "min_speedup": min(
-                p["speedup_vs_scan"] for p in points
-                if "speedup_vs_scan" in p
-            ),
-            "max_dispatch_speedup": max(dispatch_speedups),
-            "min_dispatch_speedup": min(dispatch_speedups),
+            "min_speedup": min(p["speedup_vs_scan"] for p in points),
         },
     }
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -3,10 +3,10 @@
 
 The steering interface (:class:`repro.SteeringScheme`) is the paper's
 hardware block of Figure 1; anything implementing
-``choose_cluster(self, ctx, dyn)`` over the documented
+``choose_cluster(self, ctx, dyn)`` (and optionally
+``on_dispatch(self, ctx, dyn, cluster)``) over the documented
 :class:`~repro.core.steering.context.SteeringContext` read-view can be
-simulated (legacy ``choose(self, dyn, machine)`` still works for one
-more release, with a deprecation warning).  This example builds a
+simulated.  This example builds a
 "sticky affinity" scheme — follow the operands, but flip to the other
 cluster only after K consecutive imbalanced cycles — registers it, and
 races it against the paper's general balance steering.

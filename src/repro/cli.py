@@ -215,18 +215,14 @@ def _cmd_machines(args: argparse.Namespace) -> int:
 
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
-    from .core.steering import scheme_api
-
     # schemes list
     print("steering schemes:")
     for name in available_schemes():
-        print(f"  {name} [{scheme_api(name)}]: {scheme_description(name)}")
+        print(f"  {name}: {scheme_description(name)}")
     print(
         "\ncontract: a scheme implements choose_cluster(self, ctx, dyn) "
         "and on_dispatch(self, ctx, dyn, cluster)\nover the documented "
-        "SteeringContext read-view (repro.core.steering.SteeringContext).\n"
-        "[legacy] marks schemes still on choose(self, dyn, machine), "
-        "bridged for one more release\nwith a DeprecationWarning."
+        "SteeringContext read-view (repro.core.steering.SteeringContext)."
     )
     return 0
 

@@ -7,9 +7,8 @@ from .base import (
     affinity_cluster,
     least_loaded,
     operand_presence,
-    resolve_steering_hooks,
 )
-from .context import SteeringContext, context_for
+from .context import SteeringContext
 from .extensions import (
     AffinityOnlySteering,
     BalanceOnlySteering,
@@ -25,7 +24,6 @@ from .registry import (
     available_schemes,
     make_steering,
     register_scheme,
-    scheme_api,
     scheme_description,
 )
 from .slice_balance import SliceBalanceSteering
@@ -39,9 +37,7 @@ __all__ = [
     "affinity_cluster",
     "least_loaded",
     "operand_presence",
-    "resolve_steering_hooks",
     "SteeringContext",
-    "context_for",
     "AffinityOnlySteering",
     "BalanceOnlySteering",
     "PrimaryClusterSteering",
@@ -54,7 +50,6 @@ __all__ = [
     "available_schemes",
     "make_steering",
     "register_scheme",
-    "scheme_api",
     "scheme_description",
     "SliceBalanceSteering",
     "BrSliceSteering",

@@ -20,22 +20,13 @@ The context is the documented read surface (presence masks, IQ
 occupancy, ready counts, the dispatch batch, the steering-decision
 memo); see :mod:`repro.core.steering.context`.
 
-**Legacy shim (one release):** schemes written against the pre-context
-API — ``choose(self, dyn, machine)`` and ``on_dispatch(self, dyn,
-cluster)`` — keep working through the base-class bridges below, with a
-one-time :class:`DeprecationWarning` per class.  Migrate by renaming
-``choose`` to ``choose_cluster(self, ctx, dyn)`` and widening
-``on_dispatch`` to ``(self, ctx, dyn, cluster)``; the helpers in this
-module accept a context wherever they accepted a machine.
-
 Helper functions shared by several schemes (operand affinity, least
 loaded cluster) live here too.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Set, Tuple
+from typing import Tuple
 
 from ...isa import DynInst
 
@@ -43,29 +34,6 @@ from ...isa import DynInst
 INT_CLUSTER = 0
 #: Cluster index of the FP cluster (FP units, simple-int capable).
 FP_CLUSTER = 1
-
-#: Scheme classes already warned about a legacy method (warn once each).
-_WARNED_LEGACY: Set[Tuple[type, str]] = set()
-
-
-def warn_legacy(cls: type, method: str) -> None:
-    """One-time deprecation warning for a legacy-signature override."""
-    key = (cls, method)
-    if key in _WARNED_LEGACY:
-        return
-    _WARNED_LEGACY.add(key)
-    replacement = (
-        "choose_cluster(self, ctx, dyn)"
-        if method == "choose"
-        else "on_dispatch(self, ctx, dyn, cluster)"
-    )
-    warnings.warn(
-        f"{cls.__name__}.{method} uses the legacy steering signature; "
-        f"implement {replacement} over a SteeringContext instead "
-        f"(the compatibility shim will be removed next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class SteeringScheme:
@@ -87,41 +55,14 @@ class SteeringScheme:
     def choose_cluster(self, ctx, dyn: DynInst) -> int:
         """Pick the cluster (0 or 1) for a steerable instruction.
 
-        *ctx* is the :class:`SteeringContext` read-view.  The base
-        implementation bridges to a legacy :meth:`choose` override when
-        one exists (with a one-time deprecation warning).
+        *ctx* is the :class:`SteeringContext` read-view.
         """
-        cls = type(self)
-        if cls.choose is SteeringScheme.choose:
-            raise NotImplementedError(
-                f"{cls.__name__} implements neither choose_cluster nor "
-                f"the legacy choose"
-            )
-        warn_legacy(cls, "choose")
-        return self.choose(dyn, ctx.machine if ctx.machine is not None else ctx)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement choose_cluster"
+        )
 
     def on_dispatch(self, ctx, dyn: DynInst, cluster: int) -> None:
         """Observe a dispatched instruction (forced ones included)."""
-
-    # ------------------------------------------------------------------
-    # Legacy entry point (callers migrating from the pre-context API)
-    # ------------------------------------------------------------------
-    def choose(self, dyn: DynInst, machine) -> int:
-        """Legacy call surface: delegates to :meth:`choose_cluster`.
-
-        Retained so pre-context callers (``scheme.choose(dyn, machine)``)
-        keep working against migrated schemes; new code should build or
-        reuse a :class:`SteeringContext` and call :meth:`choose_cluster`.
-        """
-        cls = type(self)
-        if cls.choose_cluster is SteeringScheme.choose_cluster:
-            raise NotImplementedError(
-                f"{cls.__name__} implements neither choose_cluster nor "
-                f"the legacy choose"
-            )
-        from .context import context_for
-
-        return self.choose_cluster(context_for(machine), dyn)
 
     def on_cycle(self, machine) -> None:
         """Observe the end of a cycle (ready counts are up to date)."""
@@ -131,58 +72,6 @@ class SteeringScheme:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def resolve_steering_hooks(scheme: SteeringScheme):
-    """``(choose_cluster, on_dispatch)`` callables for the hot path.
-
-    The processor resolves the scheme's entry points once at reset: a
-    migrated scheme's bound methods are used directly; legacy overrides
-    are wrapped in adapters (and warned about once) so the dispatch loop
-    always calls the uniform ``fn(ctx, dyn[, cluster])`` shape with no
-    per-instruction introspection.
-    """
-    cls = type(scheme)
-    if cls.choose_cluster is not SteeringScheme.choose_cluster:
-        choose_fn = scheme.choose_cluster
-    elif cls.choose is not SteeringScheme.choose:
-        warn_legacy(cls, "choose")
-        legacy_choose = scheme.choose
-
-        def choose_fn(ctx, dyn, _choose=legacy_choose):
-            return _choose(dyn, ctx.machine)
-
-    else:
-        raise NotImplementedError(
-            f"{cls.__name__} implements neither choose_cluster nor the "
-            f"legacy choose"
-        )
-    dispatch_override = cls.on_dispatch
-    if dispatch_override is SteeringScheme.on_dispatch:
-        dispatch_fn = scheme.on_dispatch
-    else:
-        import inspect
-
-        params = [
-            p
-            for p in inspect.signature(dispatch_override).parameters.values()
-            if p.kind
-            in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-        ]
-        has_varargs = any(
-            p.kind is p.VAR_POSITIONAL for p in params
-        )
-        # New signature: (self, ctx, dyn, cluster) = 4 positionals.
-        if has_varargs or len(params) >= 4:
-            dispatch_fn = scheme.on_dispatch
-        else:
-            warn_legacy(cls, "on_dispatch")
-            legacy_dispatch = scheme.on_dispatch
-
-            def dispatch_fn(ctx, dyn, cluster, _hook=legacy_dispatch):
-                _hook(dyn, cluster)
-
-    return choose_fn, dispatch_fn
 
 
 def operand_presence(dyn: DynInst, machine) -> Tuple[int, int]:

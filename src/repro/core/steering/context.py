@@ -27,7 +27,7 @@ documented surface passed to :meth:`SteeringScheme.choose_cluster` and
     :mod:`repro.telemetry.metrics` as ``steering.memo.hits`` /
     ``steering.memo.misses`` at the end of each run.
 ``machine``
-    Escape hatch to the full processor (legacy schemes, stats access).
+    Escape hatch to the full processor (stats access).
 
 The context wraps any machine-like object (including the lightweight
 fakes unit tests use), so scheme code and the helpers in
@@ -120,17 +120,3 @@ class SteeringContext:
     def __repr__(self) -> str:
         return f"<SteeringContext over {self.machine!r}>"
 
-
-def context_for(machine) -> SteeringContext:
-    """The machine's steering context, building a transient one if needed.
-
-    Real processors create and pin their context at construction; this
-    helper serves the legacy call paths (``scheme.choose(dyn, machine)``
-    with a bare machine or test fake) that need a context on the fly.
-    """
-    if isinstance(machine, SteeringContext):
-        return machine
-    ctx = getattr(machine, "_steer_ctx", None)
-    if ctx is not None:
-        return ctx
-    return SteeringContext(machine)

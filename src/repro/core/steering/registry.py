@@ -77,22 +77,6 @@ def scheme_description(name: str) -> str:
     return doc.strip().splitlines()[0] if doc.strip() else ""
 
 
-def scheme_api(name: str) -> str:
-    """Which steering interface the scheme implements.
-
-    ``"context"`` — the batch API: ``choose_cluster(self, ctx, dyn)``
-    over a :class:`~repro.core.steering.context.SteeringContext`
-    read-view.  ``"legacy"`` — the deprecated per-instruction
-    ``choose(self, dyn, machine)`` signature, bridged for one more
-    release with a :class:`DeprecationWarning`.
-    """
-    scheme = make_steering(name)
-    cls = type(scheme)
-    if cls.choose_cluster is not SteeringScheme.choose_cluster:
-        return "context"
-    return "legacy"
-
-
 def make_steering(name: str) -> SteeringScheme:
     """Instantiate the scheme registered under *name*."""
     try:

@@ -16,59 +16,44 @@ committed path, subject to:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..isa import DynInst
 from ..memory import MemoryHierarchy
-from ..workloads.columns import CONDITIONAL, CONTROL, TAKEN
-from ..workloads.trace import TraceRecord
+from ..workloads.columns import CONDITIONAL, CONTROL, TAKEN, TraceColumns
 from .predictors import CombinedPredictor
 
 
 class FetchUnit:
-    """Produces DynInst groups from the trace oracle."""
+    """Produces DynInst groups from the trace oracle's columns.
+
+    The committed path arrives as a
+    :class:`~repro.workloads.columns.TraceColumns` set; the unit indexes
+    its parallel arrays directly, so array indexing and packed-flag tests
+    replace per-record iterator calls and attribute chains.
+    """
 
     def __init__(
         self,
-        trace: Iterator[TraceRecord],
+        columns: TraceColumns,
         hierarchy: MemoryHierarchy,
         predictor: CombinedPredictor,
         fetch_width: int = 8,
         redirect_penalty: int = 1,
-        columns=None,
     ) -> None:
-        self.trace = trace
+        self.columns = columns
         self.hierarchy = hierarchy
         self.predictor = predictor
         self.fetch_width = fetch_width
         self.redirect_penalty = redirect_penalty
-        #: Columnar fast path: when a TraceColumns set is supplied the
-        #: unit indexes its parallel arrays directly (no record iterator,
-        #: no per-record peek/pop calls) with identical semantics.
-        self._columns = columns
-        if columns is not None:
-            # Skip the per-cycle mode dispatch in :meth:`fetch`.
-            self.fetch = self._fetch_columnar  # type: ignore[method-assign]
         self._col_pos = 0
         self._seq = 0
-        self._pending: Optional[TraceRecord] = None
         self._icache_stall_until = -1
         self._stalling_branch: Optional[DynInst] = None
         self._last_line = -1
         self.fetched = 0
         self.icache_stall_cycles = 0
         self.mispredict_stall_cycles = 0
-
-    # ------------------------------------------------------------------
-    def _peek(self) -> TraceRecord:
-        if self._pending is None:
-            self._pending = next(self.trace)
-        return self._pending
-
-    def _pop(self) -> TraceRecord:
-        record = self._peek()
-        self._pending = None
-        return record
 
     def next_seq(self) -> int:
         """Allocate a global sequence number (also used for copies)."""
@@ -80,72 +65,10 @@ class FetchUnit:
     def fetch(self, cycle: int, budget: int) -> List[DynInst]:
         """Fetch up to ``min(budget, fetch_width)`` instructions.
 
-        Returns the fetched group (possibly empty while stalled).
-        """
-        if self._columns is not None:
-            return self._fetch_columnar(cycle, budget)
-        if self._stalling_branch is not None:
-            branch = self._stalling_branch
-            if branch.complete_cycle < 0 or cycle <= (
-                branch.complete_cycle + self.redirect_penalty
-            ):
-                self.mispredict_stall_cycles += 1
-                return []
-            self._stalling_branch = None
-            self._last_line = -1  # redirect refetches the target line
-        if cycle < self._icache_stall_until:
-            self.icache_stall_cycles += 1
-            return []
-
-        group: List[DynInst] = []
-        limit = min(budget, self.fetch_width)
-        line_bytes = self.hierarchy.l1i.line_bytes
-        while len(group) < limit:
-            record = self._peek()
-            line = record.inst.pc // line_bytes
-            if line != self._last_line:
-                latency = self.hierarchy.ifetch_latency(record.inst.pc)
-                self._last_line = line
-                if latency > self.hierarchy.timing.l1_hit:
-                    # Line is being filled; deliver what we have and stall.
-                    self._icache_stall_until = cycle + latency
-                    break
-            record = self._pop()
-            dyn = DynInst(
-                self.next_seq(),
-                record.inst,
-                taken=record.taken,
-                mem_addr=record.mem_addr,
-            )
-            dyn.fetch_cycle = cycle
-            group.append(dyn)
-            self.fetched += 1
-            if record.inst.is_control:
-                if record.inst.is_conditional:
-                    prediction = self.predictor.predict_and_update(
-                        record.inst.pc, record.taken
-                    )
-                    dyn.pred_taken = prediction
-                    if prediction != record.taken:
-                        dyn.mispredicted = True
-                        self._stalling_branch = dyn
-                        break
-                else:
-                    # Unconditional jumps: BTB assumed to hit.
-                    dyn.pred_taken = True
-                if record.taken:
-                    break  # a taken branch ends the fetch group
-        return group
-
-    def _fetch_columnar(self, cycle: int, budget: int) -> List[DynInst]:
-        """:meth:`fetch` over a ``TraceColumns`` set (bit-exact fast path).
-
-        Every decision point mirrors the record loop above — including
-        the timing of the out-of-records :class:`ScenarioError` (raised
-        when a record is *peeked*, before the line check) — so the two
-        paths produce identical cycle-for-cycle behaviour.  The win is
-        structural: array indexing and packed-flag tests replace the
-        per-record iterator calls and attribute chains.
+        Returns the fetched group (possibly empty while stalled).  Running
+        past the end of a frozen trace raises
+        :class:`~repro.errors.ScenarioError` when the next record is
+        needed, before its I-cache line is checked.
         """
         if self._stalling_branch is not None:
             branch = self._stalling_branch
@@ -160,7 +83,7 @@ class FetchUnit:
             self.icache_stall_cycles += 1
             return []
 
-        cols = self._columns
+        cols = self.columns
         hierarchy = self.hierarchy
         line_bytes = hierarchy.l1i.line_bytes
         insts = cols.insts

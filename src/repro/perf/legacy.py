@@ -45,22 +45,12 @@ def load(path: str) -> dict:
 def core_metrics(baseline: dict, fresh: dict, gate_absolute: bool
                  ) -> Iterator[Metric]:
     def by_point(doc):
-        # Dispatch points (columnar/object rows) share (bench, scheme,
-        # machine) with scheduler points, so the kind joins the key.
         return {
-            (p["bench"], p["scheme"], p["machine"],
-             p.get("kind", "scheduler")): p
+            (p["bench"], p["scheme"], p["machine"]): p
             for p in doc["points"]
         }
 
     def rows(name, point):
-        if "columnar" in point:
-            return (
-                (f"{name} dispatch speedup_vs_object",
-                 point["speedup_vs_object"], True),
-                (f"{name} columnar instr/s",
-                 point["columnar"]["instr_per_sec"], gate_absolute),
-            )
         return (
             (f"{name} speedup_vs_scan", point["speedup_vs_scan"], True),
             (f"{name} event instr/s",
@@ -70,14 +60,10 @@ def core_metrics(baseline: dict, fresh: dict, gate_absolute: bool
     base_points, fresh_points = by_point(baseline), by_point(fresh)
     for key, base in sorted(base_points.items()):
         new = fresh_points.get(key)
-        name = "/".join(key[:3])
+        name = "/".join(key)
         if new is None:
-            ratio_key = (
-                "speedup_vs_object" if "columnar" in base
-                else "speedup_vs_scan"
-            )
             yield (f"{name} [missing from fresh run]",
-                   base[ratio_key], 0.0, True)
+                   base["speedup_vs_scan"], 0.0, True)
             continue
         for (label, base_value, gated), (_, new_value, _unused) in zip(
             rows(name, base), rows(name, new)
@@ -86,7 +72,7 @@ def core_metrics(baseline: dict, fresh: dict, gate_absolute: bool
     for key, new in sorted(fresh_points.items()):
         if key in base_points:
             continue
-        label, value, _ = rows("/".join(key[:3]), new)[0]
+        label, value, _ = rows("/".join(key), new)[0]
         yield (f"{label} [new in fresh run]", 0.0, value, False)
 
 

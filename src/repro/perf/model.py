@@ -218,15 +218,15 @@ def _seconds_samples(row: dict) -> Optional[Tuple[float, ...]]:
     return None
 
 
-def _ratio_and_throughput(point, fast_key, slow_key, ratio_key,
-                          n_instructions):
-    """Paired ratio samples + absolute instr/s for one A/B point.
+def _ratio_and_throughput(point, n_instructions):
+    """Paired ratio samples + absolute instr/s for one event/scan point.
 
-    Per-repeat ratio samples pair the two variants' i-th timed runs
+    Per-repeat ratio samples pair the two schedulers' i-th timed runs
     (both run on the same host, so each pair cancels hardware); the
-    fast variant's absolute instr/sec rides along for same-host charts.
+    event scheduler's absolute instr/sec rides along for same-host
+    charts.
     """
-    fast, slow = point[fast_key], point[slow_key]
+    fast, slow = point["event"], point["scan"]
     fast_secs = _seconds_samples(fast)
     slow_secs = _seconds_samples(slow)
     if fast_secs and slow_secs and len(fast_secs) == len(slow_secs):
@@ -234,7 +234,7 @@ def _ratio_and_throughput(point, fast_key, slow_key, ratio_key,
             s / f for f, s in zip(fast_secs, slow_secs)
         )
     else:
-        ratio_samples = (float(point[ratio_key]),)
+        ratio_samples = (float(point["speedup_vs_scan"]),)
     if fast_secs and n_instructions:
         ips_samples = tuple(n_instructions / s for s in fast_secs)
     else:
@@ -245,39 +245,17 @@ def _ratio_and_throughput(point, fast_key, slow_key, ratio_key,
 def _core_profile(document: dict) -> Profile:
     """Convert a ``BENCH_core.json`` document (legacy v0) to a profile.
 
-    Two point shapes convert: scheduler points (``event``/``scan`` rows,
-    ``speedup_vs_scan``) and dispatch points (``columnar``/``object``
-    rows, ``speedup_vs_object``).  Per point, the A/B ratio is the
-    machine-portable gated metric and the optimised variant's absolute
-    instr/sec is recorded as an ``absolute`` metric (gated only on
-    same-host runs).
+    Per point (``event``/``scan`` rows, ``speedup_vs_scan``), the A/B
+    ratio is the machine-portable gated metric and the event scheduler's
+    absolute instr/sec is recorded as an ``absolute`` metric (gated only
+    on same-host runs).
     """
     n_instructions = document.get("n_instructions", 0)
     metrics = []
     for point in document.get("points", ()):
         name = f"{point['bench']}/{point['scheme']}/{point['machine']}"
-        if "columnar" in point:
-            ratio_samples, ips_samples = _ratio_and_throughput(
-                point, "columnar", "object", "speedup_vs_object",
-                point.get("n_instructions", n_instructions),
-            )
-            metrics.append(Metric(
-                label=f"{name} dispatch speedup_vs_object",
-                samples=ratio_samples,
-                unit="ratio",
-                direction="higher",
-                gate="gated",
-            ))
-            metrics.append(Metric(
-                label=f"{name} columnar instr/s",
-                samples=ips_samples,
-                unit="instr/s",
-                direction="higher",
-                gate="absolute",
-            ))
-            continue
         ratio_samples, ips_samples = _ratio_and_throughput(
-            point, "event", "scan", "speedup_vs_scan", n_instructions
+            point, n_instructions
         )
         metrics.append(Metric(
             label=f"{name} speedup_vs_scan",

@@ -11,18 +11,28 @@ Stage evaluation order within :meth:`step` is reverse pipeline order
 cycle-driven simulator model same-cycle hand-offs without double-advancing
 an instruction in one cycle.
 
-Two issue schedulers implement identical timing semantics:
+There is one pipeline.  Fetch indexes the trace's columns, commit
+retires from the ROB, and the fused dispatch loop steers and renames in
+one pass.  Two issue schedulers implement identical timing semantics:
 
-* ``event`` (default) — event-driven wakeup/select.  Window entries
-  carry pending-operand counters, producers carry consumer lists, and a
-  completion calendar (:mod:`repro.pipeline.wakeup`) wakes consumers on
-  the cycle their last operand completes; the issue stage walks only the
-  per-queue ready sets.  Work per cycle is proportional to completions
-  and ready instructions, not window size x operands.
-* ``scan`` — the reference implementation: re-scan every window entry
-  and re-poll every provider's ``complete_cycle`` each cycle.  Retained
-  so the equivalence suite can assert the event path is cycle-for-cycle
-  identical, and selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
+* ``event`` (default, production) — event-driven wakeup/select.  Window
+  entries carry pending-operand counters, producers carry consumer
+  lists, and a completion calendar (:mod:`repro.pipeline.wakeup`) wakes
+  consumers on the cycle their last operand completes; the issue stage
+  walks only the per-queue ready views.  Work per cycle is proportional
+  to completions and ready instructions, not window size x operands.
+  It serves both window organisations: :class:`IssueQueue` and the
+  FIFO collections of §3.9.
+* ``scan`` — the reference oracle: re-scan every window entry and
+  re-poll every provider's ``complete_cycle`` each cycle, behind the
+  unfused single-instruction dispatch helper
+  (:meth:`Processor._dispatch_one_slow`).  Retained so the equivalence
+  suite can assert the event path is cycle-for-cycle identical, and
+  selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
+
+The fused dispatch loop inlines :class:`IssueQueue` insertion, so
+FIFO-window machines hand every steered instruction to the unfused
+helper, which owns FIFO placement; the scan oracle does the same.
 """
 
 from __future__ import annotations
@@ -32,11 +42,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from ..cluster import BypassNetwork, FifoIssueQueue, FUPool, IssueQueue
-from ..core.steering import (
-    SteeringContext,
-    SteeringScheme,
-    resolve_steering_hooks,
-)
+from ..core.steering import SteeringContext, SteeringScheme
 from ..errors import SimulationError, SteeringError
 from ..frontend import CombinedPredictor, FetchUnit
 from ..isa import DynInst, InstrClass, make_copy_inst
@@ -60,17 +66,6 @@ _DEADLOCK_LIMIT = 20000
 #: Issue-scheduler implementations (see module docstring).
 SCHEDULERS = ("event", "scan")
 
-#: Dispatch-stage implementations.  ``columnar`` (default) runs the fused
-#: batch loop over the map table's flat presence masks; ``object`` is the
-#: reference per-instruction plan/feasible/reserve/rename sequence,
-#: retained as the equivalence oracle and selectable via
-#: ``REPRO_DISPATCH=object``.  FIFO-window machines always take the
-#: object path (the fused loop inlines :class:`IssueQueue` internals).
-DISPATCH_MODES = ("columnar", "object")
-
-#: Outcomes of the unfused single-instruction dispatch helper.
-_OK, _STALL_REGS, _STALL_IQ = 0, 1, 2
-
 #: Enum-name cache: ``InstrClass.X.name`` resolves through a descriptor
 #: on every access; the commit loop pays that per instruction otherwise.
 _CLS_NAMES = {c: c.name for c in InstrClass}
@@ -85,7 +80,6 @@ class Processor:
         config: ProcessorConfig,
         steering,
         scheduler: Optional[str] = None,
-        dispatch: Optional[str] = None,
     ) -> None:
         self.workload = workload
         self.config = config
@@ -100,15 +94,6 @@ class Processor:
         self.scheduler = scheduler
         self._event_driven = scheduler == "event"
         self._calendar = WakeupCalendar(self._on_ready)
-        if dispatch is None:
-            dispatch = os.environ.get("REPRO_DISPATCH") or "columnar"
-        if dispatch not in DISPATCH_MODES:
-            raise SimulationError(
-                f"unknown dispatch mode {dispatch!r}; choose from "
-                f"{DISPATCH_MODES}"
-            )
-        self.dispatch_mode = dispatch
-        self._columnar = dispatch == "columnar"
 
         timing = MemoryTiming(
             l1_hit=1,
@@ -141,14 +126,11 @@ class Processor:
         )
         self.predictor = CombinedPredictor()
         self.fetch_unit = FetchUnit(
-            workload.trace(),
+            workload.shared_trace().columns(),
             self.hierarchy,
             self.predictor,
             fetch_width=config.fetch_width,
             redirect_penalty=config.redirect_penalty,
-            columns=(
-                workload.shared_trace().columns() if self._columnar else None
-            ),
         )
         self.map_table = MapTable()
         self.free_lists = make_free_lists(
@@ -199,11 +181,13 @@ class Processor:
         self._issue_stage = (
             self._issue_event if self._event_driven else self._issue_scan
         )
+        # FIFO windows and the scan oracle dispatch every instruction
+        # through the unfused reference helper (see module docstring).
+        self._unfused_dispatch = config.fifo_issue or not self._event_driven
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
-        self._choose_fn, self._on_dispatch_fn = resolve_steering_hooks(
-            steering
-        )
+        self._choose_fn = steering.choose_cluster
+        self._on_dispatch_fn = steering.on_dispatch
         # Schemes that keep the base no-op hooks are skipped entirely
         # (the commit/cycle loops would otherwise pay a bound-method call
         # per instruction/cycle for nothing).
@@ -218,16 +202,6 @@ class Processor:
             if scheme_cls.on_cycle is not SteeringScheme.on_cycle
             else None
         )
-        self._dispatch_stage = (
-            self._dispatch_columnar
-            if self._columnar and not config.fifo_issue
-            else self._dispatch
-        )
-        self._commit_stage = (
-            self._commit_columnar if self._columnar else self._commit
-        )
-        if self._columnar and self._event_driven and not config.fifo_issue:
-            self._issue_stage = self._issue_event_columnar
         # Every steerable instruction class reduces to "has a simple ALU"
         # in FUPool.supports; when both clusters have one, the per-
         # instruction capability check in the fused loop is a no-op.
@@ -310,34 +284,12 @@ class Processor:
         self.cycle = cycle + 1
 
     # ------------------------------------------------------------------
-    def _commit(self, cycle: int) -> None:
-        budget = self.config.retire_width
-        rob = self.rob
-        while budget and not rob.empty:
-            head = rob.head
-            cc = head.complete_cycle
-            if cc < 0 or cc > cycle:
-                break
-            if head.cls is InstrClass.STORE:
-                if not self.lsq.commit_store(head, cycle):
-                    break  # no D-cache port this cycle
-            elif head.cls is InstrClass.LOAD:
-                self.lsq.retire_load(head)
-            self.renamer.release_at_commit(head)
-            head.commit_cycle = cycle
-            self.stats.on_commit(head)
-            if self._on_commit_hook is not None:
-                self._on_commit_hook(head)
-            rob.pop()
-            self._last_commit_cycle = cycle
-            budget -= 1
+    def _commit_stage(self, cycle: int) -> None:
+        """Retire up to ``retire_width`` completed instructions in order.
 
-    def _commit_columnar(self, cycle: int) -> None:
-        """:meth:`_commit` with the per-instruction call tree flattened.
-
-        Same retire semantics; the free-list release and the statistics
-        update are inlined so the commit loop touches each instruction
-        once instead of crossing three helper boundaries per retire.
+        The free-list release and the statistics update are inlined so
+        the loop touches each instruction once instead of crossing three
+        helper boundaries per retire.
         """
         rob_entries = self.rob._entries
         if not rob_entries:
@@ -404,84 +356,17 @@ class Processor:
             dyn.complete_cycle = complete_cycle
 
     def _issue_event(self, cycle: int) -> None:
-        """Issue from the per-queue ready sets (no window scan).
+        """Issue from the per-queue ready views (no window scan).
 
         The calendar fires first, so every instruction whose last operand
-        completes at *cycle* is in its queue's ready set before
-        selection; candidates are snapshotted per cluster in age order,
-        exactly the readiness the reference scan would observe.
-        """
-        self._calendar.fire(cycle)
-        ready_counts = [0, 0]
-        bypass = self.bypass
-        stats = self.stats
-        for cluster in (0, 1):
-            iq = self.iqs[cluster]
-            # The live ready list, oldest first.  Within this cluster's
-            # turn it only shrinks (via issue_ready): same-cluster heads
-            # exposed by an issue are deferred to the next cycle, and
-            # same-cycle wakeups (zero-latency bypasses) always target
-            # the *other* cluster — so an index walk is safe and touches
-            # only the entries the select logic actually considers.
-            ready = iq.ready_view()
-            n_ready = len(ready)
-            ready_counts[cluster] = n_ready
-            if not n_ready:
-                continue
-            width = self.config.clusters[cluster].issue_width
-            fu = self.fus[cluster]
-            issued = 0
-            index = 0
-            while index < len(ready) and issued < width:
-                dyn = ready[index][1]
-                if dyn.is_copy:
-                    if not bypass.claim(cycle, cluster):
-                        index += 1
-                        continue
-                    dyn.issue_cycle = cycle
-                    dyn.issued = True
-                    # A zero-latency bypass completes *this* cycle: the
-                    # calendar then wakes the remote consumer at once,
-                    # in time for the other cluster's selection below —
-                    # the same visibility the in-order scan provides.
-                    self._complete(dyn, cycle + bypass.latency, cycle)
-                    stats.copies_issued += 1
-                    iq.issue_ready(index)
-                    issued += 1
-                    continue
-                if not fu.can_issue(dyn, cycle):
-                    index += 1
-                    continue
-                fu.issue(dyn, cycle)
-                dyn.issue_cycle = cycle
-                dyn.issued = True
-                cls = dyn.cls
-                if cls is InstrClass.LOAD:
-                    # complete_cycle is set by the disambiguation queue,
-                    # which parks the load until its address is ready.
-                    dyn.ea_done_cycle = cycle + 1
-                    self.lsq.queue_address(dyn, cycle + 1)
-                elif cls is InstrClass.STORE:
-                    dyn.ea_done_cycle = cycle + 1
-                    self._complete(dyn, cycle + 1, cycle)
-                else:
-                    self._complete(dyn, cycle + dyn.inst.latency, cycle)
-                self._mark_critical_copies(dyn, cycle)
-                iq.issue_ready(index)
-                issued += 1
-        self.ready_counts = ready_counts
-
-    def _issue_event_columnar(self, cycle: int) -> None:
-        """:meth:`_issue_event` with the common-case call tree flattened.
-
-        Identical selection semantics; the simple-ALU accounting, ready-
-        list removal and completion routing are inlined for the classes
-        that dominate the mix (simple int, branch, load, store, copy).
-        Complex-integer and FP instructions sync the local ALU mirror and
-        take the reference :class:`~repro.cluster.FUPool` calls.  Only
-        installed on :class:`~repro.cluster.IssueQueue` windows — FIFO
-        collections keep the reference stage (their removal path defers
-        exposed heads).
+        completes at *cycle* is in its queue's ready view before
+        selection; candidates are walked per cluster in age order,
+        exactly the readiness the reference scan would observe.  The
+        simple-ALU accounting and completion routing are inlined for the
+        classes that dominate the mix (simple int, branch, load, store,
+        copy); complex-integer and FP instructions sync the local ALU
+        mirror and take the reference :class:`~repro.cluster.FUPool`
+        calls.
         """
         calendar = self._calendar
         calendar.fire(cycle)
@@ -496,7 +381,13 @@ class Processor:
         store = InstrClass.STORE
         for cluster in (0, 1):
             iq = self.iqs[cluster]
-            ready = iq._ready
+            # The live ready list, oldest first.  Within this cluster's
+            # turn it only shrinks (via issue_ready): a FIFO head exposed
+            # by an issue is deferred to the next cycle, and same-cycle
+            # wakeups (zero-latency bypasses) always target the *other*
+            # cluster — so an index walk is safe and touches only the
+            # entries the select logic actually considers.
+            ready = iq.ready_view()
             n_ready = len(ready)
             ready_counts[cluster] = n_ready
             if not n_ready:
@@ -511,7 +402,7 @@ class Processor:
                 fu._fp_complex_used = 0
             simple_used = fu._simple_used
             n_simple = fu.n_simple
-            entries = iq._entries
+            issue_ready = iq.issue_ready
             issued = 0
             index = 0
             while index < len(ready) and issued < width:
@@ -522,10 +413,13 @@ class Processor:
                         continue
                     dyn.issue_cycle = cycle
                     dyn.issued = True
+                    # A zero-latency bypass completes *this* cycle: the
+                    # calendar then wakes the remote consumer at once,
+                    # in time for the other cluster's selection below —
+                    # the same visibility the in-order scan provides.
                     calendar.complete(dyn, cycle + bypass.latency, cycle)
                     stats.copies_issued += 1
-                    del ready[index]
-                    del entries[dyn.seq]
+                    issue_ready(index)
                     issued += 1
                     continue
                 cls = dyn.cls
@@ -568,8 +462,7 @@ class Processor:
                         dyn.complete_cycle = cc
                 if dyn.copy_srcs:
                     self._mark_critical_copies(dyn, cycle)
-                del ready[index]
-                del entries[dyn.seq]
+                issue_ready(index)
                 issued += 1
             fu._simple_used = simple_used
         self.ready_counts = ready_counts
@@ -656,60 +549,21 @@ class Processor:
                 self.stats.critical_copies += 1
 
     # ------------------------------------------------------------------
-    def _steer(self, dyn: DynInst) -> int:
-        cls = dyn.cls
-        if cls is InstrClass.COMPLEX_INT:
-            return 0
-        if cls is InstrClass.FP:
-            return 1
-        cluster = self._choose_fn(self._steer_ctx, dyn)
-        if cluster not in (0, 1):
-            raise SteeringError(
-                f"scheme {getattr(self.steering, 'name', '?')!r} returned "
-                f"cluster {cluster!r}"
-            )
-        if not self.fus[cluster].supports(dyn):
-            raise SteeringError(
-                f"{dyn!r} steered to cluster {cluster}, which cannot "
-                f"execute it"
-            )
-        return cluster
-
-    def _dispatch(self, cycle: int) -> None:
-        budget = self.config.decode_width
-        buffer = self.decode_buffer
-        ctx = self._steer_ctx
-        ctx.batch = buffer
-        while budget and buffer:
-            dyn = buffer[0]
-            if self.rob.full:
-                self.stats.stall_rob += 1
-                break
-            cluster = self._steer(dyn)
-            status = self._dispatch_one_slow(dyn, cluster, cycle)
-            if status is _STALL_REGS:
-                self.stats.stall_regs += 1
-                break
-            if status is _STALL_IQ:
-                self.stats.stall_iq += 1
-                break
-            buffer.popleft()
-            budget -= 1
-
-    def _dispatch_columnar(self, cycle: int) -> None:
+    def _dispatch_stage(self, cycle: int) -> None:
         """Fused batch dispatch over the flat presence masks.
 
         One pass per dispatch group: steering, rename planning, register
         and window feasibility, rename, and window insertion are
-        collapsed into a single loop whose fast path — no inter-cluster
-        copy needed, i.e. every source operand already present in the
-        chosen cluster — reads the map table's flat ``masks`` list and
-        writes the rename/window structures directly, allocating no
-        :class:`~repro.rename.renamer.RenamePlan` and crossing no helper
-        boundaries.  Instructions that do need copies, or that hit a
-        register-file hazard, fall back to the unfused helper, which is
-        verbatim the reference (object) path, so both modes are
-        cycle-for-cycle identical.
+        collapsed into a single loop whose fast path — copies needed
+        only for integer sources with a remote provider, enough
+        registers and window slots — reads the map table's flat
+        ``masks`` list and writes the rename/window structures directly,
+        allocating no :class:`~repro.rename.renamer.RenamePlan` and
+        crossing no helper boundaries.  Everything else (FP copies, a
+        register-file hazard needing a replan, FIFO windows, and every
+        instruction under the scan oracle) is handed to the unfused
+        reference helper once steered, so the paths are cycle-for-cycle
+        identical.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -729,7 +583,8 @@ class Processor:
         lsq = self.lsq
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
-        event_driven = self._event_driven
+        unfused = self._unfused_dispatch
+        dispatch_one_slow = self._dispatch_one_slow
         skip_supports = self._skip_supports
         supports = (self.fus[0].supports, self.fus[1].supports)
         allow_copies = self.config.allow_copies
@@ -764,6 +619,12 @@ class Processor:
                         f"{dyn!r} steered to cluster {cluster}, which "
                         f"cannot execute it"
                     )
+            if unfused:
+                if not dispatch_one_slow(dyn, cluster, cycle):
+                    break
+                popleft()
+                budget -= 1
+                continue
             inst = dyn.inst
             srcs = inst.issue_srcs
             # Single pass over the sources: the providers and the flat
@@ -850,20 +711,16 @@ class Processor:
                         map_table._replicated_ints += 1
                         renamer.copies_created += 1
                         # Inline window insert for the copy.
-                        if event_driven:
-                            cc = provider.complete_cycle
-                            if cc < 0 or cc > cycle:
-                                if provider.waiters is None:
-                                    provider.waiters = [copy]
-                                else:
-                                    provider.waiters.append(copy)
-                                copy.pending_ops = 1
-                                pending = 1
+                        cc = provider.complete_cycle
+                        if cc < 0 or cc > cycle:
+                            if provider.waiters is None:
+                                provider.waiters = [copy]
                             else:
-                                pending = 0
-                        else:
+                                provider.waiters.append(copy)
                             copy.pending_ops = 1
                             pending = 1
+                        else:
+                            pending = 0
                         rank = iq_other._next_rank
                         iq_other._next_rank = rank + 1
                         copy.iq_rank = rank
@@ -890,16 +747,11 @@ class Processor:
                     stats.stall_iq += 1
                     break
             if slow:
-                status = self._dispatch_one_slow(dyn, cluster, cycle)
-                if status is _OK:
-                    popleft()
-                    budget -= 1
-                    continue
-                if status is _STALL_REGS:
-                    stats.stall_regs += 1
-                else:
-                    stats.stall_iq += 1
-                break
+                if not dispatch_one_slow(dyn, cluster, cycle):
+                    break
+                popleft()
+                budget -= 1
+                continue
             # Inline rename: the sources resolved locally above, the
             # destination remaps in place.
             dyn.providers = providers
@@ -921,20 +773,16 @@ class Processor:
             dyn.dispatch_cycle = cycle
             if executes:
                 # Inline window insert (capacity reserved above).
-                if event_driven:
-                    pending = 0
-                    for p in providers:
-                        cc = p.complete_cycle
-                        if cc < 0 or cc > cycle:
-                            if p.waiters is None:
-                                p.waiters = [dyn]
-                            else:
-                                p.waiters.append(dyn)
-                            pending += 1
-                    dyn.pending_ops = pending
-                else:
-                    pending = 1
-                    dyn.pending_ops = 1
+                pending = 0
+                for p in providers:
+                    cc = p.complete_cycle
+                    if cc < 0 or cc > cycle:
+                        if p.waiters is None:
+                            p.waiters = [dyn]
+                        else:
+                            p.waiters.append(dyn)
+                        pending += 1
+                dyn.pending_ops = pending
                 rank = iq._next_rank
                 iq._next_rank = rank + 1
                 dyn.iq_rank = rank
@@ -955,13 +803,15 @@ class Processor:
             popleft()
             budget -= 1
 
-    def _dispatch_one_slow(self, dyn: DynInst, cluster: int, cycle: int):
+    def _dispatch_one_slow(
+        self, dyn: DynInst, cluster: int, cycle: int
+    ) -> bool:
         """Reference dispatch of one steered instruction.
 
-        The full plan/feasible/reserve/rename sequence; both dispatch
-        modes funnel here for instructions needing copies or replanning.
-        Returns ``_OK``, ``_STALL_REGS`` or ``_STALL_IQ``; on a stall the
-        caller accounts the stall and ends the dispatch group.
+        The full plan/feasible/reserve/rename sequence, with FIFO window
+        placement.  Returns ``True`` once *dyn* is dispatched; on a
+        stall it counts the stall and returns ``False``, and the caller
+        ends the dispatch group.
         """
         config = self.config
         plan = self.renamer.plan(dyn, cluster)
@@ -980,11 +830,13 @@ class Processor:
             # could free the registers it waits for).
             plan = self._replan_other_cluster(dyn, cluster, plan)
             if plan is None:
-                return _STALL_REGS
+                self.stats.stall_regs += 1
+                return False
             cluster = plan.cluster
         executes = dyn.cls not in (InstrClass.JUMP, InstrClass.NOP)
         if not self._reserve_window(dyn, cluster, plan, executes):
-            return _STALL_IQ
+            self.stats.stall_iq += 1
+            return False
         copies = self.renamer.rename(
             dyn, plan, cycle, self.fetch_unit.next_seq
         )
@@ -1002,7 +854,7 @@ class Processor:
         self.rob.push(dyn)
         self.stats.steered[cluster] += 1
         self._on_dispatch_fn(self._steer_ctx, dyn, cluster)
-        return _OK
+        return True
 
     def _replan_other_cluster(self, dyn: DynInst, cluster: int, plan):
         """Fallback plan in the other cluster, or ``None``.

@@ -3,10 +3,9 @@
 :class:`TraceColumns` holds one workload's committed path as parallel
 arrays — static :class:`~repro.isa.Instruction` references, program
 counters, packed per-record flags, memory addresses and dense static
-(slice) ids — instead of a list of per-record tuples.  The fetch and
-dispatch hot paths index these arrays directly, which removes the
-per-instruction method-call chain (``_peek``/``_pop``/``record``) the
-object path pays for every fetched record.
+(slice) ids — instead of a list of per-record tuples.  The pipeline's
+fetch unit indexes these arrays directly: every simulation fetches from
+columns, with no per-record iterator or method-call chain.
 
 Columns are built once per shared trace and pinned alongside it:
 
@@ -21,9 +20,7 @@ Columns are built once per shared trace and pinned alongside it:
 The numpy kernel (bulk line-id computation for the I-cache line checks)
 is optional: it engages only when numpy is importable, only for the
 initial bulk build, and produces exactly the integers the pure-Python
-fallback does.  Nothing in this module is reachable unless the columnar
-pipeline is selected (``REPRO_DISPATCH=columnar``, the default) or
-columns are requested explicitly.
+fallback does.
 """
 
 from __future__ import annotations
@@ -201,10 +198,10 @@ class TraceColumns:
     def require(self, n: int) -> None:
         """Make at least *n* records available, or raise.
 
-        Mirrors the timing of the object path's ``_peek``: a live shared
-        trace extends its buffer (in the same chunks ``record`` uses); a
-        frozen trace raises :class:`~repro.errors.ScenarioError` with
-        the same message the record path produces.
+        A live shared trace extends its buffer (in the same chunks
+        ``record`` uses); a frozen trace raises
+        :class:`~repro.errors.ScenarioError` with the same message the
+        record path produces.
         """
         if n <= len(self.pcs):
             return
@@ -246,7 +243,7 @@ class TraceColumns:
     # Interop with the record form
     # ------------------------------------------------------------------
     def to_records(self) -> list:
-        """Materialise the classic ``TraceRecord`` list (object path)."""
+        """Materialise the classic ``TraceRecord`` list."""
         from .trace import TraceRecord
 
         insts = self.insts

@@ -187,8 +187,8 @@ class SharedTrace:
 
         The returned :class:`~repro.workloads.columns.TraceColumns`
         extends in step with this buffer; every simulation of the same
-        shared trace reuses the same column set (the columnar pipeline's
-        analogue of sharing the record buffer).
+        shared trace reuses the same column set (the pipeline's analogue
+        of sharing the record buffer).
         """
         from .columns import TraceColumns
 

@@ -1,4 +1,4 @@
-"""Unit tests for the trace-driven fetch unit."""
+"""Unit tests for the trace-driven fetch unit (columns-backed)."""
 
 from repro.frontend import CombinedPredictor, FetchUnit
 from repro.memory import MemoryHierarchy
@@ -9,7 +9,9 @@ def make_fetch(bench="gcc", **kwargs):
     wl = workload(bench)
     hierarchy = MemoryHierarchy()
     predictor = CombinedPredictor()
-    return FetchUnit(wl.trace(), hierarchy, predictor, **kwargs)
+    return FetchUnit(
+        wl.shared_trace().columns(), hierarchy, predictor, **kwargs
+    )
 
 
 def drain(fetch, cycles, budget=8):
@@ -46,7 +48,9 @@ class TestBasicFetch:
 
     def test_program_order_matches_trace(self):
         wl = workload("li")
-        fetch = FetchUnit(wl.trace(), MemoryHierarchy(), CombinedPredictor())
+        fetch = FetchUnit(
+            wl.shared_trace().columns(), MemoryHierarchy(), CombinedPredictor()
+        )
         fetched = [d.inst.pc for g in drain(fetch, 400) for d in g]
         expected = [r.inst.pc for r in wl.trace().take(len(fetched))]
         assert fetched == expected

@@ -359,61 +359,6 @@ class TestLegacyConversion:
         ]
         assert speedup.samples == (2.0,)
 
-    def dispatch_doc(self):
-        document = self.core_doc()
-        document["points"].append({
-            "bench": "gcc", "scheme": "modulo", "machine": "clustered",
-            "kind": "dispatch",
-            "columnar": {
-                "instr_per_sec": 50000.0, "seconds": [0.16, 0.17, 0.15],
-            },
-            "object": {
-                "instr_per_sec": 25000.0, "seconds": [0.32, 0.34, 0.30],
-            },
-            "speedup_vs_object": 2.0,
-        })
-        return document
-
-    def test_core_conversion_handles_dispatch_points(self):
-        converted = perf.profile_from_document(self.dispatch_doc())
-        by_label = converted.by_label()
-        # The scheduler point still converts alongside...
-        assert "gcc/modulo/clustered speedup_vs_scan" in by_label
-        # ...and the dispatch point gets its own label family.
-        speedup = by_label["gcc/modulo/clustered dispatch speedup_vs_object"]
-        assert speedup.gate == "gated"
-        assert speedup.samples == (
-            pytest.approx(0.32 / 0.16), pytest.approx(0.34 / 0.17),
-            pytest.approx(0.30 / 0.15),
-        )
-        ips = by_label["gcc/modulo/clustered columnar instr/s"]
-        assert ips.gate == "absolute"
-        assert ips.samples == (
-            pytest.approx(8000 / 0.16), pytest.approx(8000 / 0.17),
-            pytest.approx(8000 / 0.15),
-        )
-
-    def test_legacy_ratio_gate_handles_dispatch_points(self):
-        from repro.perf.legacy import core_metrics
-
-        fresh = self.dispatch_doc()
-        # Baseline predates the dispatch rework: scheduler point only.
-        baseline = self.core_doc()
-        rows = list(core_metrics(baseline, fresh, gate_absolute=False))
-        labels = [row[0] for row in rows]
-        assert "gcc/modulo/clustered speedup_vs_scan" in labels
-        new = [row for row in rows if "[new in fresh run]" in row[0]]
-        assert len(new) == 1
-        assert "dispatch speedup_vs_object" in new[0][0]
-        assert new[0][3] is False  # new labels are never gated
-        # Once both documents carry the point, the ratio gates.
-        rows = list(core_metrics(fresh, fresh, gate_absolute=False))
-        gated = {
-            row[0]: row[3] for row in rows
-        }
-        assert gated["gcc/modulo/clustered dispatch speedup_vs_object"]
-        assert not gated["gcc/modulo/clustered columnar instr/s"]
-
     def test_campaign_conversion_builds_compound_groups(self):
         document = {
             "benchmark": "campaign-backends",

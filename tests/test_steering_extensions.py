@@ -12,7 +12,7 @@ from repro.core.steering import (
 )
 from repro.isa import DynInst, Instruction, Opcode
 
-from test_steering_unit import FakeMachine, dyn
+from test_steering_unit import FakeMachine, choose, dyn
 
 
 class TestAffinityOnly:
@@ -21,13 +21,13 @@ class TestAffinityOnly:
         scheme.reset(FakeMachine())
         machine = FakeMachine()
         # Integer architectural state starts in cluster 0.
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert choose(scheme, machine, dyn(srcs=(1, 2))) == 0
 
     def test_tie_goes_to_integer_cluster(self):
         scheme = AffinityOnlySteering()
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=()), machine) == 0
+        assert choose(scheme, machine, dyn(srcs=())) == 0
 
     def test_collapses_onto_one_cluster_end_to_end(self, fast_sim):
         """Without balancing, dependence chains pull nearly everything to
@@ -49,7 +49,7 @@ class TestBalanceOnly:
         machine = FakeMachine()
         scheme.reset(machine)
         machine.ready_counts = [9, 2]
-        assert scheme.choose(dyn(), machine) == 1
+        assert choose(scheme, machine, dyn()) == 1
 
     def test_spreads_work_end_to_end(self, fast_sim):
         result = fast_sim("gcc", "balance-only")
@@ -69,8 +69,8 @@ class TestPrimaryCluster:
         scheme.reset(machine)
         even_dst = dyn(dst=6, srcs=(1,))
         odd_dst = dyn(dst=7, srcs=(1,))
-        assert scheme.choose(even_dst, machine) == 0
-        assert scheme.choose(odd_dst, machine) == 1
+        assert choose(scheme, machine, even_dst) == 0
+        assert choose(scheme, machine, odd_dst) == 1
 
     def test_imbalance_override(self):
         scheme = PrimaryClusterSteering()
@@ -78,14 +78,14 @@ class TestPrimaryCluster:
         scheme.reset(machine)
         for _ in range(20):
             scheme.imbalance.on_steer(0)
-        assert scheme.choose(dyn(dst=6, srcs=(1,)), machine) == 1
+        assert choose(scheme, machine, dyn(dst=6, srcs=(1,))) == 1
 
     def test_store_uses_first_source(self):
         scheme = PrimaryClusterSteering()
         machine = FakeMachine()
         scheme.reset(machine)
         store = dyn(Opcode.STORE, dst=None, srcs=(2, 5))
-        assert scheme.choose(store, machine) == 0  # reg 2 is even
+        assert choose(scheme, machine, store) == 0  # reg 2 is even
 
     def test_end_to_end(self, fast_sim):
         result = fast_sim("li", "primary-cluster", n_instructions=1500,

@@ -10,8 +10,8 @@ from repro.core.steering import (
     NaiveSteering,
     NonSliceBalanceSteering,
     SliceBalanceSteering,
+    SteeringContext,
     affinity_cluster,
-    context_for,
     least_loaded,
     make_steering,
     operand_presence,
@@ -23,7 +23,7 @@ from repro.rename import MapTable
 
 
 class FakeMachine:
-    """Just enough machine for unit-testing choose()/on_cycle()."""
+    """Just enough machine for unit-testing choose_cluster()/on_cycle()."""
 
     def __init__(self):
         self.config = ProcessorConfig.default()
@@ -37,6 +37,11 @@ class FakeMachine:
 
     def iq_occupancy(self, cluster):
         return self._occupancy[cluster]
+
+
+def choose(scheme, machine, d):
+    """*scheme*'s cluster for *d* through a fresh context over *machine*."""
+    return scheme.choose_cluster(SteeringContext(machine), d)
 
 
 def dyn(op=Opcode.ADD, pc=0x1000, dst=5, srcs=(1, 2), target=None, seq=0):
@@ -82,11 +87,11 @@ class TestNaive:
         scheme = NaiveSteering()
         scheme.reset(FakeMachine())
         machine = FakeMachine()
-        assert scheme.choose(dyn(), machine) == INT_CLUSTER
+        assert choose(scheme, machine, dyn()) == INT_CLUSTER
         fp = dyn(Opcode.FADD, dst=fp_reg(0), srcs=(fp_reg(1),))
-        assert scheme.choose(fp, machine) == FP_CLUSTER
+        assert choose(scheme, machine, fp) == FP_CLUSTER
         load = dyn(Opcode.LOAD, dst=5, srcs=(1,))
-        assert scheme.choose(load, machine) == INT_CLUSTER
+        assert choose(scheme, machine, load) == INT_CLUSTER
 
 
 class TestModulo:
@@ -94,7 +99,7 @@ class TestModulo:
         scheme = ModuloSteering()
         scheme.reset(FakeMachine())
         machine = FakeMachine()
-        picks = [scheme.choose(dyn(seq=i), machine) for i in range(6)]
+        picks = [choose(scheme, machine, dyn(seq=i)) for i in range(6)]
         assert picks == [0, 1, 0, 1, 0, 1]
 
 
@@ -105,17 +110,17 @@ class TestSliceSteering:
         machine = FakeMachine()
         load = dyn(Opcode.LOAD, pc=0x2000, dst=5, srcs=(1,))
         # Before any observation the load is not known to be in the slice.
-        assert scheme.choose(load, machine) == FP_CLUSTER
-        scheme.on_dispatch(context_for(machine), load, FP_CLUSTER)
+        assert choose(scheme, machine, load) == FP_CLUSTER
+        scheme.on_dispatch(SteeringContext(machine), load, FP_CLUSTER)
         # Now its pc is flagged; the next instance steers to cluster 0.
-        assert scheme.choose(load, machine) == INT_CLUSTER
+        assert choose(scheme, machine, load) == INT_CLUSTER
 
     def test_slice_tagging_for_stats(self):
         scheme = LdStSliceSteering()
         machine = FakeMachine()
         scheme.reset(machine)
         load = dyn(Opcode.LOAD, pc=0x2000, dst=5, srcs=(1,))
-        scheme.on_dispatch(context_for(machine), load, 0)
+        scheme.on_dispatch(SteeringContext(machine), load, 0)
         assert load.in_ldst_slice
 
     def test_unknown_kind_rejected(self):
@@ -134,13 +139,13 @@ class TestNonSliceBalance:
         for _ in range(20):
             scheme.imbalance.on_steer(0)
         # Operands live in cluster 0, but balance demands cluster 1.
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 1
+        assert choose(scheme, machine, dyn(srcs=(1, 2))) == 1
 
     def test_affinity_when_balanced(self):
         scheme = NonSliceBalanceSteering("ldst")
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert choose(scheme, machine, dyn(srcs=(1, 2))) == 0
 
 
 class TestSliceBalance:
@@ -152,7 +157,7 @@ class TestSliceBalance:
         ).SimStats()
         scheme.reset(machine)
         load = dyn(Opcode.LOAD, pc=0x2000, dst=5, srcs=(1,))
-        scheme.on_dispatch(context_for(machine), load, 0)
+        scheme.on_dispatch(SteeringContext(machine), load, 0)
         sid = scheme.slice_ids.slice_of(0x2000)
         assert sid == 0x2000
         first = scheme._steer_slice(sid, machine)
@@ -169,14 +174,14 @@ class TestGeneralBalance:
         scheme = GeneralBalanceSteering()
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert choose(scheme, machine, dyn(srcs=(1, 2))) == 0
 
     def test_tie_goes_least_loaded(self):
         scheme = GeneralBalanceSteering()
         machine = FakeMachine()
         scheme.reset(machine)
         machine.ready_counts = [6, 1]
-        assert scheme.choose(dyn(srcs=()), machine) == 1
+        assert choose(scheme, machine, dyn(srcs=())) == 1
 
     def test_imbalance_override(self):
         scheme = GeneralBalanceSteering()
@@ -184,7 +189,7 @@ class TestGeneralBalance:
         scheme.reset(machine)
         for _ in range(20):
             scheme.imbalance.on_steer(0)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 1
+        assert choose(scheme, machine, dyn(srcs=(1, 2))) == 1
 
     def test_copies_do_not_count_in_i1(self):
         from repro.isa import make_copy_inst
@@ -193,7 +198,7 @@ class TestGeneralBalance:
         machine = FakeMachine()
         scheme.reset(machine)
         copy = make_copy_inst(0, 5, 1)
-        scheme.on_dispatch(context_for(machine), copy, 0)
+        scheme.on_dispatch(SteeringContext(machine), copy, 0)
         assert scheme.imbalance.counter == 0
 
 

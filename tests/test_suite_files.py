@@ -89,11 +89,11 @@ class TestListingCommands:
     def test_schemes_list(self, capsys):
         assert main(["schemes", "list"]) == 0
         out = capsys.readouterr().out
-        assert "general-balance [context]:" in out
-        assert "modulo [context]:" in out
+        assert "general-balance:" in out
+        assert "modulo:" in out
         # Descriptions come from the scheme docstrings.
         for line in out.splitlines():
-            if line.strip().startswith("modulo "):
+            if line.strip().startswith("modulo:"):
                 assert len(line.split(":", 1)[1].strip()) > 0
 
 

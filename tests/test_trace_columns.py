@@ -112,7 +112,6 @@ class TestSteeringMemo:
             workload("gcc", seed=0),
             ProcessorConfig.default(),
             make_steering("ldst-slice"),
-            dispatch="columnar",
         )
         processor.run(2000, warmup=200)
         hits = metrics.counter("steering.memo.hits").value - hits0
@@ -131,7 +130,6 @@ class TestSteeringMemo:
             workload("gcc", seed=0),
             ProcessorConfig.default(),
             make_steering("general-balance"),
-            dispatch="columnar",
         )
         processor.run(1000, warmup=100)
         assert metrics.counter("steering.memo.hits").value == hits0

@@ -687,6 +687,46 @@ class TestCheckedInLedger:
             comparison = perf.compare_profiles(baseline, candidate)
             assert comparison.ok, perf.render_comparison(comparison)
 
+    def test_retired_dispatch_labels_vanish_against_their_entry(self):
+        # The entry recorded while the object dispatch path existed
+        # still carries its columnar-vs-object labels; the current
+        # document has none, so they vanish, and the gated ratios fail
+        # unless vanished labels are ignored.
+        ledger = perf.Ledger("BENCH_history")
+        old = ledger.lookup("core", "6fc644bb90dc")
+        retired = {
+            label for label in old.by_label()
+            if "dispatch" in label or "columnar" in label
+        }
+        assert len(retired) == 6
+        candidate = perf.load_profile("BENCH_core.json")
+        comparison = perf.compare_profiles(old, candidate)
+        vanished = {
+            d.label for d in comparison.deltas if d.verdict == "vanished"
+        }
+        assert vanished == retired
+        assert {d.label for d in comparison.failures} == {
+            label for label in retired if "speedup_vs_object" in label
+        }
+        lenient = perf.compare_profiles(
+            old, candidate, DetectorConfig(ignore_vanished=True)
+        )
+        assert not any(d.verdict == "vanished" for d in lenient.failures)
+
+    def test_core_baseline_covers_exactly_the_current_points(self):
+        ledger = perf.Ledger("BENCH_history")
+        candidate = perf.load_profile("BENCH_core.json").with_provenance(
+            perf.Provenance(
+                commit=COMMIT_C, recorded_at="2026-08-07T00:00:00Z"
+            )
+        )
+        baseline = ledger.baseline_for("core", candidate)
+        assert set(baseline.by_label()) == set(candidate.by_label())
+        assert not any(
+            "dispatch" in label or "columnar" in label
+            for label in baseline.by_label()
+        )
+
 
 class TestSparkline:
     def seed(self, tmp_path):

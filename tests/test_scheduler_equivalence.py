@@ -73,9 +73,25 @@ ABLATION_MACHINES = (
     "deep-window-256",
 )
 
-#: FIFO windows on the bypass corners: same-cycle copy wakeups and
-#: blocked copies meet heads exposed mid-selection.
-FIFO_MACHINES = ("bypass-latency-0", "bypass-ports-1")
+#: FIFO windows on the bypass corners (same-cycle copy wakeups and
+#: blocked copies meet heads exposed mid-selection), the slow bypass
+#: and the deep ROB.  FIFO windows ignore ``iq_size``, so the ``iq-N``
+#: family would only repeat ``clustered-fifo``.
+FIFO_MACHINES = (
+    "bypass-latency-0",
+    "bypass-ports-1",
+    "bypass-latency-3",
+    "deep-window-256",
+)
+
+#: Every scheme that steers into conventional windows, on a window
+#: small enough that the fused dispatch loop stalls on full queues
+#: (for consumers *and* their copies) under each scheme's choices.
+STALL_MACHINE = "iq-4"
+WINDOW_SCHEMES = tuple(
+    s for s in available_schemes()
+    if not getattr(make_steering(s), "requires_fifo_issue", False)
+)
 
 #: Every (bench, scheme, machine) point the tests below run; the
 #: golden file holds one digest per row.
@@ -84,6 +100,7 @@ GRID = (
     + [("gcc", s, m) for s, m in MACHINE_ROWS]
     + [(b, "general-balance", m) for b in BENCHES for m in ABLATION_MACHINES]
     + [(b, "fifo", m) for b in BENCHES for m in FIFO_MACHINES]
+    + [(b, s, STALL_MACHINE) for b in BENCHES for s in WINDOW_SCHEMES]
 )
 
 
@@ -139,6 +156,15 @@ class TestEverySchemeOnClustered:
         assert_equivalent(bench, scheme_name, "clustered")
 
 
+class TestEverySchemeOnSmallWindow:
+    """All conventional-window schemes where dispatch stalls often."""
+
+    @pytest.mark.parametrize("scheme_name", WINDOW_SCHEMES)
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_scheme_equivalent(self, bench, scheme_name):
+        assert_equivalent(bench, scheme_name, STALL_MACHINE)
+
+
 class TestEveryMachine:
     """Each registered machine under a compatible scheme."""
 
@@ -192,6 +218,65 @@ class TestSchedulerSelection:
 
     def test_schedulers_registry(self):
         assert SCHEDULERS == ("event", "scan")
+
+
+class TestDispatchRouting:
+    """One dispatch stage; FIFO windows and the oracle take the helper."""
+
+    def run_counting(self, scheduler, scheme_name, machine_name):
+        """Run gcc, recording each instruction the helper dispatched."""
+        config = machine_config(machine_name)
+        processor = Processor(
+            workload("gcc", seed=0), config, make_steering(scheme_name),
+            scheduler=scheduler,
+        )
+        helper = processor._dispatch_one_slow
+        dispatched = []
+
+        def counting(dyn, cluster, cycle):
+            ok = helper(dyn, cluster, cycle)
+            if ok:
+                dispatched.append(dyn)
+            return ok
+
+        processor._dispatch_one_slow = counting
+        processor.run(N_INSTRUCTIONS, warmup=WARMUP)
+        return processor, dispatched
+
+    def assert_all_through_helper(self, processor, dispatched):
+        assert len(dispatched) >= N_INSTRUCTIONS + WARMUP
+        seen = {id(dyn) for dyn in dispatched}
+        assert processor.rob._entries
+        assert all(id(dyn) in seen for dyn in processor.rob._entries)
+
+    def test_conventional_windows_take_the_fused_loop(self):
+        _, dispatched = self.run_counting(
+            "event", "general-balance", "clustered"
+        )
+        assert dispatched == []
+
+    def test_fifo_windows_take_the_helper(self):
+        processor, dispatched = self.run_counting(
+            "event", "fifo", "clustered-fifo"
+        )
+        self.assert_all_through_helper(processor, dispatched)
+
+    def test_scan_oracle_takes_the_helper(self):
+        processor, dispatched = self.run_counting(
+            "scan", "general-balance", "clustered"
+        )
+        self.assert_all_through_helper(processor, dispatched)
+
+    def test_dispatch_keyword_is_gone(self):
+        from repro.pipeline.config import ProcessorConfig
+
+        with pytest.raises(TypeError):
+            Processor(
+                workload("gcc", seed=0),
+                ProcessorConfig.default(),
+                make_steering("naive"),
+                dispatch="columnar",
+            )
 
 
 class TestFullWindowEdge:

@@ -28,7 +28,7 @@ with ``golden/regenerate.py`` only for an intended timing change.
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -84,6 +84,16 @@ FIFO_MACHINES = (
     "deep-window-256",
 )
 
+#: Tight FIFO geometries ``(n_fifos, fifo_depth)``: few, shallow FIFOs
+#: make dispatch stall on the empty-FIFO reservation and fall back from
+#: full tails, which the 8x8 machines rarely reach.  Rows name them as
+#: ``<machine>@<n_fifos>x<fifo_depth>`` (see :func:`machine_for`).
+TIGHT_FIFO_MACHINES = tuple(
+    f"{m}@{n}x{d}"
+    for m in ("clustered-fifo", "bypass-ports-1")
+    for n, d in ((2, 2), (3, 1))
+)
+
 #: Every scheme that steers into conventional windows, on a window
 #: small enough that the fused dispatch loop stalls on full queues
 #: (for consumers *and* their copies) under each scheme's choices.
@@ -100,13 +110,25 @@ GRID = (
     + [("gcc", s, m) for s, m in MACHINE_ROWS]
     + [(b, "general-balance", m) for b in BENCHES for m in ABLATION_MACHINES]
     + [(b, "fifo", m) for b in BENCHES for m in FIFO_MACHINES]
+    + [(b, "fifo", m) for b in BENCHES for m in TIGHT_FIFO_MACHINES]
     + [(b, s, STALL_MACHINE) for b in BENCHES for s in WINDOW_SCHEMES]
 )
 
 
+def machine_for(machine_name):
+    """Config for a grid machine name, with an optional FIFO geometry
+    suffix ``@<n_fifos>x<fifo_depth>`` applied to the registered machine."""
+    base, _, geometry = machine_name.partition("@")
+    config = machine_config(base)
+    if geometry:
+        n_fifos, fifo_depth = (int(x) for x in geometry.split("x"))
+        config = replace(config, n_fifos=n_fifos, fifo_depth=fifo_depth)
+    return config
+
+
 def run_with(scheduler, bench, scheme_name, machine_name):
     wl = workload(bench, seed=0)
-    config = machine_config(machine_name)
+    config = machine_for(machine_name)
     scheme = make_steering(scheme_name)
     if getattr(scheme, "requires_fifo_issue", False) and not config.fifo_issue:
         config = config.with_fifo_issue()
@@ -184,6 +206,11 @@ class TestAblationFamilies:
     @pytest.mark.parametrize("machine_name", FIFO_MACHINES)
     @pytest.mark.parametrize("bench", BENCHES)
     def test_fifo_family_equivalent(self, bench, machine_name):
+        assert_equivalent(bench, "fifo", machine_name)
+
+    @pytest.mark.parametrize("machine_name", TIGHT_FIFO_MACHINES)
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_tight_fifo_geometry_equivalent(self, bench, machine_name):
         assert_equivalent(bench, "fifo", machine_name)
 
 

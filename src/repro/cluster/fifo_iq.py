@@ -15,6 +15,22 @@ The placement heuristic implemented here follows the original paper:
 3. otherwise the instruction cannot be placed this cycle (dispatch
    stalls) — reported by :meth:`can_accept`.
 
+The processor's dispatch is more pessimistic than step 3: it reserves
+window space *before* renaming, when the consumer's providers are not
+yet known, so it stalls whenever the chosen cluster has no empty FIFO
+(and the other cluster has fewer empty FIFOs than copies to create) —
+even when the instruction could have joined a chain at a tail.  See
+:meth:`~repro.pipeline.processor.Processor._reserve_window`.
+
+Placement comes in two forms that make the same choice.
+:meth:`placement_for` (and its multi-instruction dry run
+:meth:`plan_insertions`) scans the FIFOs linearly; it is the reference
+the scan oracle uses.  :meth:`place`, used by the fused dispatch loop,
+looks each provider up in the ``seq -> FIFO`` index ``_where`` and falls
+back to the lowest empty FIFO, whose count ``_n_empty`` is kept up to
+date so the dispatch reservation is a single comparison.
+:meth:`tails_producing` uses the same index.
+
 Like :class:`~repro.cluster.iq.IssueQueue`, the collection keeps an
 explicit ready list for the event-driven issue stage — here restricted
 to FIFO *heads* with no pending operands, since only heads are select
@@ -56,6 +72,8 @@ class FifoIssueQueue:
         #: Heads exposed by an issue this cycle; enrolled at next view.
         self._deferred: List[DynInst] = []
         self._size = 0
+        #: Number of empty FIFOs.
+        self._n_empty = n_fifos
 
     # ------------------------------------------------------------------
     # Capacity / placement
@@ -84,6 +102,33 @@ class FifoIssueQueue:
             if not fifo:
                 return index
         return None
+
+    def place(self, dyn: DynInst) -> int:
+        """Place *dyn* by the heuristic and return the FIFO index.
+
+        The same choice as :meth:`placement_for`, found through the
+        ``_where`` index instead of a scan: the lowest-index non-full
+        FIFO whose tail is one of *dyn*'s providers, otherwise the lowest
+        empty FIFO.  Callers reserve space first (see ``_n_empty``); a
+        queue with no usable FIFO raises.
+        """
+        fifos = self._fifos
+        where = self._where
+        chosen = None
+        for p in dyn.providers:
+            index = where.get(p.seq)
+            if index is not None and (chosen is None or index < chosen):
+                fifo = fifos[index]
+                if fifo[-1] is p and len(fifo) < self.depth:
+                    chosen = index
+        if chosen is None:
+            if not self._n_empty:
+                raise SimulationError(f"{self.name}: no FIFO can take {dyn!r}")
+            # list.index compares lengths first, so this finds the lowest
+            # empty FIFO without touching any entry.
+            chosen = fifos.index([])
+        self._place(dyn, chosen)
+        return chosen
 
     def can_accept(self, dyn: DynInst) -> bool:
         """True when the heuristic can place *dyn* right now."""
@@ -128,8 +173,10 @@ class FifoIssueQueue:
         fifo.append(dyn)
         self._where[dyn.seq] = index
         self._size += 1
-        if len(fifo) == 1 and not dyn.pending_ops:
-            insort(self._ready, (dyn.seq, dyn))
+        if len(fifo) == 1:
+            self._n_empty -= 1
+            if not dyn.pending_ops:
+                insort(self._ready, (dyn.seq, dyn))
 
     def insert_at(self, dyn: DynInst, index: int) -> None:
         """Insert into a specific FIFO (from :meth:`plan_insertions`)."""
@@ -174,6 +221,8 @@ class FifoIssueQueue:
             head = fifo[0]
             if not head.pending_ops:
                 self._deferred.append(head)
+        else:
+            self._n_empty += 1
 
     # ------------------------------------------------------------------
     # Ready-list view (event-driven issue)
@@ -226,7 +275,8 @@ class FifoIssueQueue:
     def tails_producing(self, provider: DynInst) -> bool:
         """True when *provider* is currently some FIFO's tail (used by the
         cross-cluster steering heuristic to prefer this cluster)."""
-        return any(fifo and fifo[-1] is provider for fifo in self._fifos)
+        index = self._where.get(provider.seq)
+        return index is not None and self._fifos[index][-1] is provider
 
     def occupancy(self) -> int:
         """Total instructions queued (load-balance signal)."""

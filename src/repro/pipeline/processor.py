@@ -30,9 +30,10 @@ one pass.  Two issue schedulers implement identical timing semantics:
   suite can assert the event path is cycle-for-cycle identical, and
   selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
 
-The fused dispatch loop inlines :class:`IssueQueue` insertion, so
-FIFO-window machines hand every steered instruction to the unfused
-helper, which owns FIFO placement; the scan oracle does the same.
+The fused dispatch loop serves both window organisations: it inlines
+:class:`IssueQueue` insertion, and places into FIFO windows through the
+indexed :meth:`FifoIssueQueue.place`.  The scan oracle hands every
+steered instruction to the unfused helper instead.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ class Processor:
         self._issue_stage = (
             self._issue_event if self._event_driven else self._issue_scan
         )
-        # FIFO windows and the scan oracle dispatch every instruction
-        # through the unfused reference helper (see module docstring).
-        self._unfused_dispatch = config.fifo_issue or not self._event_driven
+        # The scan oracle dispatches every instruction through the
+        # unfused reference helper (see module docstring).
+        self._unfused_dispatch = not self._event_driven
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
         self._choose_fn = steering.choose_cluster
@@ -560,10 +561,15 @@ class Processor:
         ``masks`` list and writes the rename/window structures directly,
         allocating no :class:`~repro.rename.renamer.RenamePlan` and
         crossing no helper boundaries.  Everything else (FP copies, a
-        register-file hazard needing a replan, FIFO windows, and every
-        instruction under the scan oracle) is handed to the unfused
-        reference helper once steered, so the paths are cycle-for-cycle
-        identical.
+        register-file hazard needing a replan, and every instruction
+        under the scan oracle) is handed to the unfused reference helper
+        once steered, so the paths are cycle-for-cycle identical.
+
+        FIFO windows take the same loop.  Their reservation is the closed
+        form of the helper's dry run (:meth:`_reserve_window`): an empty
+        FIFO in the chosen cluster if the instruction executes, and one
+        per copy in the other cluster; placement goes through
+        :meth:`FifoIssueQueue.place`, copies first, then the consumer.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -584,6 +590,7 @@ class Processor:
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
         unfused = self._unfused_dispatch
+        fifo = self.config.fifo_issue
         dispatch_one_slow = self._dispatch_one_slow
         skip_supports = self._skip_supports
         supports = (self.fus[0].supports, self.fus[1].supports)
@@ -688,14 +695,27 @@ class Processor:
                     # before renaming): copies join the *source*
                     # cluster's queue, the consumer its own.
                     iq_other = iqs[other]
-                    if len(iq_other._entries) + n_copies > iq_other.capacity:
-                        stats.stall_iq += 1
-                        break
-                    if executes:
-                        iq = iqs[cluster]
-                        if len(iq._entries) >= iq.capacity:
+                    if fifo:
+                        if iq_other._n_empty < n_copies:
                             stats.stall_iq += 1
                             break
+                        if executes:
+                            iq = iqs[cluster]
+                            if not iq._n_empty:
+                                stats.stall_iq += 1
+                                break
+                    else:
+                        if (
+                            len(iq_other._entries) + n_copies
+                            > iq_other.capacity
+                        ):
+                            stats.stall_iq += 1
+                            break
+                        if executes:
+                            iq = iqs[cluster]
+                            if len(iq._entries) >= iq.capacity:
+                                stats.stall_iq += 1
+                                break
                     for reg in missing:
                         entry = entries[reg]
                         provider = entry.providers[other]
@@ -721,12 +741,15 @@ class Processor:
                             pending = 1
                         else:
                             pending = 0
-                        rank = iq_other._next_rank
-                        iq_other._next_rank = rank + 1
-                        copy.iq_rank = rank
-                        iq_other._entries[copy.seq] = copy
-                        if not pending:
-                            iq_other._ready.append((rank, copy))
+                        if fifo:
+                            iq_other.place(copy)
+                        else:
+                            rank = iq_other._next_rank
+                            iq_other._next_rank = rank + 1
+                            copy.iq_rank = rank
+                            iq_other._entries[copy.seq] = copy
+                            if not pending:
+                                iq_other._ready.append((rank, copy))
                         stats.copies_created += 1
                     # Re-gather the sources with the copies installed.
                     providers = []
@@ -743,7 +766,11 @@ class Processor:
                 slow = True
             elif executes:
                 iq = iqs[cluster]
-                if len(iq._entries) >= iq.capacity:
+                if fifo:
+                    full = not iq._n_empty
+                else:
+                    full = len(iq._entries) >= iq.capacity
+                if full:
                     stats.stall_iq += 1
                     break
             if slow:
@@ -783,12 +810,15 @@ class Processor:
                             p.waiters.append(dyn)
                         pending += 1
                 dyn.pending_ops = pending
-                rank = iq._next_rank
-                iq._next_rank = rank + 1
-                dyn.iq_rank = rank
-                iq._entries[dyn.seq] = dyn
-                if not pending:
-                    iq._ready.append((rank, dyn))
+                if fifo:
+                    iq.place(dyn)
+                else:
+                    rank = iq._next_rank
+                    iq._next_rank = rank + 1
+                    dyn.iq_rank = rank
+                    iq._entries[dyn.seq] = dyn
+                    if not pending:
+                        iq._ready.append((rank, dyn))
             else:
                 # Jumps/nops need no execution; they complete at dispatch.
                 self._complete(dyn, cycle, cycle)
@@ -878,7 +908,18 @@ class Processor:
     def _reserve_window(
         self, dyn: DynInst, cluster: int, plan, executes: bool
     ) -> bool:
-        """Check that the windows can take the instruction and its copies."""
+        """Check that the windows can take the instruction and its copies.
+
+        Runs before rename, so for FIFO windows the dry run cannot see
+        the consumer's providers (``dyn.providers`` is still empty) and a
+        :class:`_CopyProbe` never matches a tail: every pending placement
+        demands an empty FIFO.  Dispatch therefore stalls whenever the
+        chosen cluster has no empty FIFO, even when the instruction could
+        join a chain at a tail — more pessimistic than step 3 of the
+        §3.9 heuristic in :mod:`repro.cluster.fifo_iq`.  The fused
+        dispatch loop relies on this closed form (``_n_empty``); changing
+        it is a timing change that moves the golden digests.
+        """
         if self.config.fifo_issue:
             for target in (0, 1):
                 pending = [

@@ -72,7 +72,7 @@ class FifoIssueQueue:
         #: Heads exposed by an issue this cycle; enrolled at next view.
         self._deferred: List[DynInst] = []
         self._size = 0
-        #: Number of empty FIFOs.
+        #: Empty FIFOs: the dispatch reservation compares against it.
         self._n_empty = n_fifos
 
     # ------------------------------------------------------------------

@@ -93,16 +93,20 @@ class IssueQueue:
     # Ready-list view (event-driven issue)
     # ------------------------------------------------------------------
     def mark_ready(self, dyn: DynInst) -> None:
-        """Wakeup callback: *dyn*'s last pending operand completed."""
+        """*dyn*'s last pending operand completed: enrol it if queued.
+
+        The wakeup calendar applies this rule inline for conventional
+        windows (see :mod:`repro.pipeline.wakeup`).
+        """
         if dyn.seq in self._entries:
             insort(self._ready, (dyn.iq_rank, dyn))
 
     def ready_view(self) -> List[Tuple[int, DynInst]]:
         """The live ``(rank, entry)`` ready list, oldest first.
 
-        The issue stage iterates it by index and removes issued entries
-        via :meth:`issue_ready`; other callers must treat it as
-        read-only.
+        The event issue stage walks ``_ready`` by index directly and
+        removes issued entries in place, as :meth:`issue_ready` does;
+        other callers must treat the view as read-only.
         """
         return self._ready
 

@@ -59,12 +59,23 @@ class ImbalanceEstimator:
         return 0
 
     def on_cycle(self, ready_counts: Sequence[int]) -> None:
-        """Accumulate I2; fold its window average into the counter."""
-        self._samples.append(self.instant_imbalance(ready_counts))
-        if len(self._samples) >= self.window:
-            avg = sum(self._samples) / len(self._samples)
+        """Accumulate I2; fold its window average into the counter.
+
+        The I2 sample is :meth:`instant_imbalance`, computed inline (this
+        runs once per simulated cycle).
+        """
+        r0, r1 = ready_counts
+        w0, w1 = self.issue_widths
+        if (r0 > w0 and r1 < w1) or (r1 > w1 and r0 < w0):
+            sample = r0 - r1
+        else:
+            sample = 0
+        samples = self._samples
+        samples.append(sample)
+        if len(samples) >= self.window:
+            avg = sum(samples) / len(samples)
             self.counter += round(avg)
-            self._samples.clear()
+            samples.clear()
 
     # ------------------------------------------------------------------
     @property

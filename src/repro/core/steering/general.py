@@ -31,8 +31,13 @@ class GeneralBalanceSteering(SteeringScheme):
         )
 
     def choose_cluster(self, ctx, dyn: DynInst) -> int:
-        if self.imbalance.strongly_imbalanced:
-            return self.imbalance.preferred_cluster
+        # The estimator's strongly_imbalanced / preferred_cluster rules,
+        # read off the counter without the property calls.
+        imbalance = self.imbalance
+        counter = imbalance.counter
+        threshold = imbalance.threshold
+        if counter > threshold or -counter > threshold:
+            return 1 if counter > 0 else 0
         masks = ctx.masks
         if masks is not None:
             # Inline operand affinity over the flat presence masks — the
@@ -54,7 +59,8 @@ class GeneralBalanceSteering(SteeringScheme):
 
     def on_dispatch(self, ctx, dyn: DynInst, cluster: int) -> None:
         if not dyn.is_copy:
-            self.imbalance.on_steer(cluster)
+            # ImbalanceEstimator.on_steer, inline (I1 update).
+            self.imbalance.counter += 1 if cluster == 0 else -1
 
     def on_cycle(self, machine) -> None:
         self.imbalance.on_cycle(machine.ready_counts)

@@ -117,7 +117,7 @@ class FetchUnit:
                     break
             f = flags[idx]
             taken = (f & TAKEN) != 0
-            dyn = DynInst(seq, inst, taken=taken, mem_addr=addrs[idx])
+            dyn = DynInst(seq, inst, taken, addrs[idx])
             seq += 1
             idx += 1
             dyn.fetch_cycle = cycle

@@ -130,13 +130,53 @@ class CombinedPredictor:
 
         This is the trace-driven fast path used by the fetch unit: the
         actual outcome is known from the trace oracle, so prediction and
-        training happen together.
+        training happen together.  It is :meth:`predict` followed by
+        :meth:`update`, with the component tables read once and updated
+        in place instead of through a dozen small calls per branch.
         """
-        prediction = self.predict(pc)
+        word = pc >> 2
+        chooser = self._chooser
+        gshare = self.gshare
+        g_counters = gshare._counters
+        g_table = g_counters._table
+        g_index = (word ^ gshare._history) & g_counters._mask
+        g_value = g_table[g_index]
+        b_counters = self.bimodal._counters
+        b_table = b_counters._table
+        b_index = word & b_counters._mask
+        b_value = b_table[b_index]
+        g_pred = g_value >= 2
+        b_pred = b_value >= 2
+        c_table = chooser._table
+        c_index = word & chooser._mask
+        c_value = c_table[c_index]
+        prediction = g_pred if c_value >= 2 else b_pred
         self.predictions += 1
         if prediction != taken:
             self.mispredictions += 1
-        self.update(pc, taken)
+        # Training, as in update(): the chooser moves toward gshare when
+        # the components disagree and gshare was right, and away from it
+        # when gshare was wrong; then both counters saturate toward the
+        # outcome and the history shifts.
+        if g_pred != b_pred:
+            if g_pred == taken:
+                if c_value < 3:
+                    c_table[c_index] = c_value + 1
+            elif c_value > 0:
+                c_table[c_index] = c_value - 1
+        if taken:
+            if b_value < 3:
+                b_table[b_index] = b_value + 1
+            if g_value < 3:
+                g_table[g_index] = g_value + 1
+        else:
+            if b_value > 0:
+                b_table[b_index] = b_value - 1
+            if g_value > 0:
+                g_table[g_index] = g_value - 1
+        gshare._history = (
+            (gshare._history << 1) | (1 if taken else 0)
+        ) & gshare._history_mask
         return prediction
 
     @property

@@ -140,8 +140,6 @@ class DynInst:
         "issue_cycle",
         "complete_cycle",
         "commit_cycle",
-        "src_ready",
-        "num_srcs",
         "in_ldst_slice",
         "in_br_slice",
         "is_copy",
@@ -151,7 +149,6 @@ class DynInst:
         "mem_latency",
         "issued",
         "completed",
-        "last_arrival_seq",
         "providers",
         "copy_srcs",
         "critical",
@@ -183,10 +180,6 @@ class DynInst:
         self.issue_cycle = -1
         self.complete_cycle = -1
         self.commit_cycle = -1
-        # Cycle at which each renamed source becomes readable in the target
-        # cluster; filled by the dispatch stage.
-        self.src_ready: list = []
-        self.num_srcs = 0
         self.in_ldst_slice = False
         self.in_br_slice = False
         self.is_copy = False
@@ -196,8 +189,6 @@ class DynInst:
         self.mem_latency = 0
         self.issued = False
         self.completed = False
-        # Seq of the producer whose value arrived last (criticality stats).
-        self.last_arrival_seq = -1
         # DynInst providers whose completion gates issue (None = ready).
         self.providers: list = []
         # True when any provider is a copy instruction — the only case

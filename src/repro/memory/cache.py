@@ -45,6 +45,8 @@ class SetAssocCache:
             raise ConfigError(f"{name}: set count must be a power of two")
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.n_sets - 1
+        #: Line-number shift that leaves the tag (see :meth:`_locate`).
+        self._tag_shift = self.n_sets.bit_length() - 1
         # Each set is an MRU-first list of tags.
         self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
         self.hits = 0
@@ -52,9 +54,7 @@ class SetAssocCache:
 
     def _locate(self, addr: int) -> tuple:
         line = addr >> self._line_shift
-        return line & self._set_mask, line >> (
-            self.n_sets.bit_length() - 1
-        )
+        return line & self._set_mask, line >> self._tag_shift
 
     def access(self, addr: int) -> bool:
         """Access the line containing *addr*; allocate on miss.
@@ -62,10 +62,12 @@ class SetAssocCache:
         Returns ``True`` on hit.  The line becomes most-recently-used
         either way (allocate-on-miss for reads and writes alike; the
         timing difference between write-allocate policies is far below the
-        effects the paper studies).
+        effects the paper studies).  Set and tag are computed inline, as
+        in :meth:`_locate`.
         """
-        set_index, tag = self._locate(addr)
-        ways = self._sets[set_index]
+        line = addr >> self._line_shift
+        tag = line >> self._tag_shift
+        ways = self._sets[line & self._set_mask]
         if tag in ways:
             self.hits += 1
             if ways[0] != tag:

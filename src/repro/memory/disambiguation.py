@@ -117,11 +117,14 @@ class DisambiguationQueue:
             waiting = self._waiting_loads
             for dyn in bucket:
                 insort(waiting, (dyn.seq, dyn))
-        if self._outstanding:
-            self._outstanding = [c for c in self._outstanding if c > cycle]
         waiting = self._waiting_loads
         if not waiting:
             return
+        # Filtered only when a load may be scheduled: cycles only grow,
+        # so a later filter drops a superset of the entries this cycle's
+        # would have, and nothing else reads the list.
+        if self._outstanding:
+            self._outstanding = [c for c in self._outstanding if c > cycle]
         barrier = -1
         for store in self._stores:
             ea = store.ea_done_cycle
@@ -229,27 +232,28 @@ class DisambiguationQueue:
             return False
         self.hierarchy.store_access(dyn.mem_addr)
         self.stores_written += 1
-        self._remove(dyn)
+        # Committing in order: both removals find *dyn* at the front.
         try:
-            self._stores.remove(dyn)  # committing in order: found at front
+            self._queue.remove(dyn)
+        except ValueError:
+            pass
+        try:
+            self._stores.remove(dyn)
         except ValueError:
             pass
         return True
 
     def retire_load(self, dyn: DynInst) -> None:
         """Drop a committed load from the queue."""
-        self._remove(dyn)
+        try:
+            self._queue.remove(dyn)  # committing in order: found at front
+        except ValueError:
+            pass
         if self._waiting_loads:
             try:
                 self._waiting_loads.remove((dyn.seq, dyn))
             except ValueError:
                 pass
-
-    def _remove(self, dyn: DynInst) -> None:
-        try:
-            self._queue.remove(dyn)  # committing in order: found at front
-        except ValueError:
-            pass
 
     def stats(self) -> Dict[str, int]:
         """Counters for reporting and tests."""

@@ -18,11 +18,14 @@ one pass.  Two issue schedulers implement identical timing semantics:
 * ``event`` (default, production) — event-driven wakeup/select.  Window
   entries carry pending-operand counters, producers carry consumer
   lists, and a completion calendar (:mod:`repro.pipeline.wakeup`) wakes
-  consumers on the cycle their last operand completes; the issue stage
-  walks only the per-queue ready views.  Work per cycle is proportional
-  to completions and ready instructions, not window size x operands.
-  It serves both window organisations: :class:`IssueQueue` and the
-  FIFO collections of §3.9.
+  consumers on the cycle their last operand completes, putting them
+  straight into their queue's ready list; the issue stage walks only
+  the ready lists.  Conventional windows issue in place (the stage pops
+  the ready entry and deletes it from the window itself); FIFO windows
+  keep :meth:`FifoIssueQueue.issue_ready`, which defers a newly exposed
+  head.  Work per cycle is proportional to completions and ready
+  instructions, not window size x operands.  It serves both window
+  organisations: :class:`IssueQueue` and the FIFO collections of §3.9.
 * ``scan`` — the reference oracle: re-scan every window entry and
   re-poll every provider's ``complete_cycle`` each cycle, behind the
   unfused single-instruction dispatch helper
@@ -34,6 +37,11 @@ The fused dispatch loop serves both window organisations: it inlines
 :class:`IssueQueue` insertion, and places into FIFO windows through the
 indexed :meth:`FifoIssueQueue.place`.  The scan oracle hands every
 steered instruction to the unfused helper instead.
+
+The stages call the small structure helpers (free-list release, ready
+list accessors, cache set lookup, imbalance properties) only where the
+helper does something the inline code does not; the helpers remain the
+documented API that the unit tests and the scan oracle use.
 """
 
 from __future__ import annotations
@@ -94,7 +102,6 @@ class Processor:
             )
         self.scheduler = scheduler
         self._event_driven = scheduler == "event"
-        self._calendar = WakeupCalendar(self._on_ready)
 
         timing = MemoryTiming(
             l1_hit=1,
@@ -153,6 +160,13 @@ class Processor:
                 IssueQueue(config.clusters[i].iq_size, name=f"iq{i}")
                 for i in range(2)
             ]
+        self._calendar = WakeupCalendar(self.iqs)
+        # The dicts whose sizes are the windows' occupancies, read by the
+        # per-cycle bookkeeping in step() (an IssueQueue holds its entries
+        # by seq, a FIFO collection indexes every entry's FIFO by seq).
+        self._window_maps = tuple(
+            iq._where if config.fifo_issue else iq._entries for iq in self.iqs
+        )
         self.fus = [
             FUPool(
                 c.n_simple_alu,
@@ -167,10 +181,17 @@ class Processor:
             ports_per_direction=config.bypass_ports,
             latency=config.bypass_latency,
         )
+        # Loads always write a register and complete in a future cycle,
+        # so on the event scheduler their completions go straight into
+        # the calendar.
         self.lsq = DisambiguationQueue(
             self.hierarchy,
             max_outstanding_misses=config.max_outstanding_misses,
-            on_complete=self._complete,
+            on_complete=(
+                self._calendar.complete
+                if self._event_driven
+                else self._complete
+            ),
             event_driven=self._event_driven,
         )
         self.rob = ReorderBuffer(config.max_in_flight)
@@ -210,6 +231,29 @@ class Processor:
         # Per-cycle hot-loop constants (attribute-chain hoists).
         self._issue_widths = tuple(c.issue_width for c in config.clusters)
         self._retire_width = config.retire_width
+        # The dispatch stage's structures and constants, unpacked once
+        # per cycle: none of them is rebound after construction.  What
+        # is (the stats object, per run) or may be patched on the
+        # instance (the steering and slow-path hooks) is read per call.
+        self._dispatch_env = (
+            config.decode_width,
+            self._steer_ctx,
+            self.rob._entries,
+            self.rob.capacity,
+            self.map_table,
+            self.map_table.masks,
+            self.map_table.entries,
+            self.free_lists,
+            self.iqs,
+            self.lsq._queue,
+            self.lsq._stores,
+            config.fifo_issue,
+            self._skip_supports,
+            (self.fus[0].supports, self.fus[1].supports),
+            config.allow_copies,
+            self.fetch_unit.next_seq,
+            self.renamer,
+        )
 
     # ------------------------------------------------------------------
     # Steering-visible helpers
@@ -276,11 +320,12 @@ class Processor:
         self._fetch(cycle)
         if self._on_cycle_hook is not None:
             self._on_cycle_hook(self)
+        windows = self._window_maps
         self.stats.on_cycle(
-            self.map_table.count_replicated(),
+            self.map_table._replicated_ints,
             self.ready_counts,
-            rob_occupancy=len(self.rob),
-            iq_occupancy=[len(self.iqs[0]), len(self.iqs[1])],
+            len(self.rob._entries),
+            (len(windows[0]), len(windows[1])),
         )
         self.cycle = cycle + 1
 
@@ -290,7 +335,8 @@ class Processor:
 
         The free-list release and the statistics update are inlined so
         the loop touches each instruction once instead of crossing three
-        helper boundaries per retire.
+        helper boundaries per retire; :meth:`FreeList.release` is called
+        only to raise its overflow error.
         """
         rob_entries = self.rob._entries
         if not rob_entries:
@@ -299,6 +345,8 @@ class Processor:
         stats = self.stats
         lsq = self.lsq
         free0, free1 = self.free_lists
+        total0 = free0.total
+        total1 = free1.total
         on_commit_hook = self._on_commit_hook
         store = InstrClass.STORE
         load = InstrClass.LOAD
@@ -317,9 +365,15 @@ class Processor:
                 lsq.retire_load(head)
             f0, f1 = head.frees
             if f0:
-                free0.release(f0)
+                n = free0._free + f0
+                if n > total0:
+                    free0.release(f0)  # raises the overflow error
+                free0._free = n
             if f1:
-                free1.release(f1)
+                n = free1._free + f1
+                if n > total1:
+                    free1.release(f1)  # raises the overflow error
+                free1._free = n
             head.commit_cycle = cycle
             key = _CLS_NAMES[cls]
             by_class[key] = by_class.get(key, 0) + 1
@@ -339,17 +393,16 @@ class Processor:
     # ------------------------------------------------------------------
     # Issue: event-driven wakeup/select (default)
     # ------------------------------------------------------------------
-    def _on_ready(self, dyn: DynInst) -> None:
-        """Wakeup-calendar callback: *dyn*'s last pending operand done."""
-        self.iqs[dyn.cluster].mark_ready(dyn)
-
     def _complete(self, dyn: DynInst, complete_cycle: int, cycle: int) -> None:
         """Record *dyn*'s completion, waking its consumers by event.
 
         Only potential providers (register writers and copies) go through
         the calendar; branches and stores can never acquire waiters, so
         their completion is a plain assignment.  The scan scheduler polls
-        instead of waking and bypasses the calendar entirely.
+        instead of waking and bypasses the calendar entirely.  On the
+        event scheduler the issue stage and the disambiguation queue
+        complete their instructions without this hop (see
+        :meth:`_issue_event` and the ``on_complete`` wiring above).
         """
         if self._event_driven and (dyn.is_copy or dyn.inst.dst is not None):
             self._calendar.complete(dyn, complete_cycle, cycle)
@@ -357,25 +410,35 @@ class Processor:
             dyn.complete_cycle = complete_cycle
 
     def _issue_event(self, cycle: int) -> None:
-        """Issue from the per-queue ready views (no window scan).
+        """Issue from the per-queue ready lists (no window scan).
 
-        The calendar fires first, so every instruction whose last operand
-        completes at *cycle* is in its queue's ready view before
-        selection; candidates are walked per cluster in age order,
-        exactly the readiness the reference scan would observe.  The
-        simple-ALU accounting and completion routing are inlined for the
-        classes that dominate the mix (simple int, branch, load, store,
-        copy); complex-integer and FP instructions sync the local ALU
-        mirror and take the reference :class:`~repro.cluster.FUPool`
-        calls.
+        The calendar fires first and delivers every instruction whose
+        last operand completes at *cycle* straight into its queue's ready
+        list, so candidates are walked per cluster in age order, exactly
+        the readiness the reference scan would observe.  Conventional
+        windows issue in place: the selected entry is popped from the
+        ready list and deleted from the window here.  FIFO windows go
+        through :meth:`FifoIssueQueue.ready_view` and
+        :meth:`FifoIssueQueue.issue_ready`, which defer a newly exposed
+        head to the next cycle.  Completions that land in a future cycle
+        are bucketed into the calendar inline; a zero-latency bypass goes
+        through :meth:`WakeupCalendar.complete`, which wakes its waiters
+        at once.  The simple-ALU accounting and completion routing are
+        inlined for the classes that dominate the mix (simple int,
+        branch, load, store, copy); complex-integer and FP instructions
+        sync the local ALU mirror and take the reference
+        :class:`~repro.cluster.FUPool` calls.
         """
         calendar = self._calendar
         calendar.fire(cycle)
+        events = calendar.events
         ready_counts = [0, 0]
         bypass = self.bypass
+        bypass_latency = bypass.latency
         stats = self.stats
-        lsq = self.lsq
+        ea_wheel = self.lsq._ea_wheel
         widths = self._issue_widths
+        fifo = self.config.fifo_issue
         simple_int = InstrClass.SIMPLE_INT
         branch = InstrClass.BRANCH
         load = InstrClass.LOAD
@@ -383,12 +446,17 @@ class Processor:
         for cluster in (0, 1):
             iq = self.iqs[cluster]
             # The live ready list, oldest first.  Within this cluster's
-            # turn it only shrinks (via issue_ready): a FIFO head exposed
-            # by an issue is deferred to the next cycle, and same-cycle
-            # wakeups (zero-latency bypasses) always target the *other*
-            # cluster — so an index walk is safe and touches only the
-            # entries the select logic actually considers.
-            ready = iq.ready_view()
+            # turn it only shrinks (by the issues below): a FIFO head
+            # exposed by an issue is deferred to the next cycle, and
+            # same-cycle wakeups (zero-latency bypasses) always target
+            # the *other* cluster — so an index walk is safe and touches
+            # only the entries the select logic actually considers.
+            if fifo:
+                ready = iq.ready_view()
+                issue_ready = iq.issue_ready
+            else:
+                ready = iq._ready
+                window = iq._entries
             n_ready = len(ready)
             ready_counts[cluster] = n_ready
             if not n_ready:
@@ -403,7 +471,6 @@ class Processor:
                 fu._fp_complex_used = 0
             simple_used = fu._simple_used
             n_simple = fu.n_simple
-            issue_ready = iq.issue_ready
             issued = 0
             index = 0
             while index < len(ready) and issued < width:
@@ -414,13 +481,23 @@ class Processor:
                         continue
                     dyn.issue_cycle = cycle
                     dyn.issued = True
-                    # A zero-latency bypass completes *this* cycle: the
-                    # calendar then wakes the remote consumer at once,
-                    # in time for the other cluster's selection below —
-                    # the same visibility the in-order scan provides.
-                    calendar.complete(dyn, cycle + bypass.latency, cycle)
+                    if bypass_latency:
+                        cc = cycle + bypass_latency
+                        dyn.complete_cycle = cc
+                        events.setdefault(cc, []).append(dyn)
+                    else:
+                        # A zero-latency bypass completes *this* cycle:
+                        # the calendar wakes the remote consumer at once,
+                        # in time for the other cluster's selection
+                        # below — the same visibility the in-order scan
+                        # provides.
+                        calendar.complete(dyn, cycle, cycle)
                     stats.copies_issued += 1
-                    issue_ready(index)
+                    if fifo:
+                        issue_ready(index)
+                    else:
+                        del ready[index]
+                        del window[dyn.seq]
                     issued += 1
                     continue
                 cls = dyn.cls
@@ -446,24 +523,29 @@ class Processor:
                 dyn.issue_cycle = cycle
                 dyn.issued = True
                 if cls is load:
-                    # complete_cycle is set by the disambiguation queue,
-                    # which parks the load until its address is ready.
+                    # complete_cycle is set by the disambiguation queue;
+                    # park the load on its address wheel until the
+                    # address is ready (inline queue_address).
                     dyn.ea_done_cycle = cycle + 1
-                    lsq.queue_address(dyn, cycle + 1)
+                    ea_wheel.setdefault(cycle + 1, []).append(dyn)
                 else:
                     if cls is store:
                         dyn.ea_done_cycle = cycle + 1
                         cc = cycle + 1
                     else:
                         cc = cycle + dyn.inst.latency
-                    # Inline _complete (event-driven by construction).
+                    dyn.complete_cycle = cc
+                    # Every latency is at least one cycle, so a register
+                    # writer's completion lands in a future bucket.
                     if dyn.inst.dst is not None:
-                        calendar.complete(dyn, cc, cycle)
-                    else:
-                        dyn.complete_cycle = cc
+                        events.setdefault(cc, []).append(dyn)
                 if dyn.copy_srcs:
                     self._mark_critical_copies(dyn, cycle)
-                issue_ready(index)
+                if fifo:
+                    issue_ready(index)
+                else:
+                    del ready[index]
+                    del window[dyn.seq]
                 issued += 1
             fu._simple_used = simple_used
         self.ready_counts = ready_counts
@@ -539,11 +621,9 @@ class Processor:
                 max_cc = p.complete_cycle
         if max_cc != cycle:
             return  # the consumer was not waiting on its operands
-        late_noncopy = any(
-            (not p.is_copy) and p.complete_cycle == max_cc for p in providers
-        )
-        if late_noncopy:
-            return
+        for p in providers:
+            if not p.is_copy and p.complete_cycle == max_cc:
+                return  # a non-copy operand arrived just as late
         for p in providers:
             if p.is_copy and p.complete_cycle == max_cc and not p.critical:
                 p.critical = True
@@ -574,29 +654,32 @@ class Processor:
         buffer = self.decode_buffer
         if not buffer:
             return
-        budget = self.config.decode_width
-        ctx = self._steer_ctx
+        (
+            budget,
+            ctx,
+            rob_entries,
+            rob_capacity,
+            map_table,
+            masks,
+            entries,
+            free_lists,
+            iqs,
+            lsq_queue,
+            lsq_stores,
+            fifo,
+            skip_supports,
+            supports,
+            allow_copies,
+            next_seq,
+            renamer,
+        ) = self._dispatch_env
         ctx.batch = buffer
-        rob_entries = self.rob._entries
-        rob_capacity = self.rob.capacity
         stats = self.stats
         steered = stats.steered
-        map_table = self.map_table
-        masks = map_table.masks
-        entries = map_table.entries
-        free_lists = self.free_lists
-        iqs = self.iqs
-        lsq = self.lsq
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
         unfused = self._unfused_dispatch
-        fifo = self.config.fifo_issue
         dispatch_one_slow = self._dispatch_one_slow
-        skip_supports = self._skip_supports
-        supports = (self.fus[0].supports, self.fus[1].supports)
-        allow_copies = self.config.allow_copies
-        next_seq = self.fetch_unit.next_seq
-        renamer = self.renamer
         popleft = buffer.popleft
         complex_int = InstrClass.COMPLEX_INT
         fp = InstrClass.FP
@@ -822,8 +905,12 @@ class Processor:
             else:
                 # Jumps/nops need no execution; they complete at dispatch.
                 self._complete(dyn, cycle, cycle)
-            if cls is load or cls is store:
-                lsq.add(dyn)
+            # Inline DisambiguationQueue.add, in program order.
+            if cls is load:
+                lsq_queue.append(dyn)
+            elif cls is store:
+                lsq_queue.append(dyn)
+                lsq_stores.append(dyn)
             # Inline ROB push: capacity checked at the loop top; seq
             # monotonicity holds by in-order dispatch (copies never
             # enter the ROB).

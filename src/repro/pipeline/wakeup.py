@@ -9,9 +9,20 @@ counter (:attr:`~repro.isa.DynInst.pending_ops`), each in-flight
 producer a consumer list (:attr:`~repro.isa.DynInst.waiters`), and this
 calendar maps completion cycles to the producers completing then.  When
 the issue stage fires a cycle, every producer bucketed there walks its
-waiters, decrements their counters, and hands the newly ready ones to
-the issue queues — total work proportional to the number of dependence
-edges, not to window size x cycles.
+waiters, decrements their counters, and puts the newly ready ones
+straight into their queue's ready list — total work proportional to the
+number of dependence edges, not to window size x cycles.
+
+Delivery follows each window's ready rule without a call per waiter.
+For a conventional :class:`~repro.cluster.iq.IssueQueue` that is the
+:meth:`~repro.cluster.iq.IssueQueue.mark_ready` rule written inline: a
+waiter still in the window is binary-inserted into the ready list by its
+insertion rank.  A :class:`~repro.cluster.fifo_iq.FifoIssueQueue` keeps
+its head-only rule and is called through ``mark_ready``.  The issue stage
+calls :meth:`WakeupCalendar.fire` once per cycle and may append
+future-cycle completions to :attr:`WakeupCalendar.events` itself;
+everything that can complete at or before the current cycle goes through
+:meth:`WakeupCalendar.complete`.
 
 Exactness invariants (these make the event path cycle-for-cycle
 identical to the reference scan):
@@ -31,24 +42,31 @@ identical to the reference scan):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from bisect import insort
+from typing import Dict, List, Sequence
 
+from ..cluster import IssueQueue
 from ..isa import DynInst
 
 
 class WakeupCalendar:
     """Cycle-indexed event wheel keyed by ``complete_cycle``."""
 
-    __slots__ = ("_events", "_on_ready")
+    __slots__ = ("events", "_windows", "_conventional")
 
-    def __init__(self, on_ready: Callable[[DynInst], None]) -> None:
+    def __init__(self, windows: Sequence) -> None:
         #: cycle -> producers whose completion becomes visible then.
-        self._events: Dict[int, List[DynInst]] = {}
-        self._on_ready = on_ready
+        #: The issue stage appends future completions here directly.
+        self.events: Dict[int, List[DynInst]] = {}
+        #: The per-cluster issue windows, indexed by ``DynInst.cluster``.
+        self._windows = windows
+        #: Conventional windows take the inline ready rule (see module
+        #: docstring); FIFO collections are called through ``mark_ready``.
+        self._conventional = all(isinstance(w, IssueQueue) for w in windows)
 
     def __len__(self) -> int:
         """Producers still scheduled to complete (diagnostics only)."""
-        return sum(len(bucket) for bucket in self._events.values())
+        return sum(len(bucket) for bucket in self.events.values())
 
     # ------------------------------------------------------------------
     def complete(self, dyn: DynInst, complete_cycle: int, now: int) -> None:
@@ -61,13 +79,9 @@ class WakeupCalendar:
         """
         dyn.complete_cycle = complete_cycle
         if complete_cycle > now:
-            bucket = self._events.get(complete_cycle)
-            if bucket is None:
-                self._events[complete_cycle] = [dyn]
-            else:
-                bucket.append(dyn)
+            self.events.setdefault(complete_cycle, []).append(dyn)
         else:
-            self.wake(dyn)
+            self._deliver((dyn,))
 
     def fire(self, cycle: int) -> None:
         """Deliver every completion scheduled for *cycle*.
@@ -76,20 +90,27 @@ class WakeupCalendar:
         bucket is only ever popped for the cycle being simulated — events
         are always registered strictly before their cycle fires.
         """
-        producers = self._events.pop(cycle, None)
+        producers = self.events.pop(cycle, None)
         if producers is not None:
-            wake = self.wake
-            for producer in producers:
-                wake(producer)
+            self._deliver(producers)
 
-    def wake(self, producer: DynInst) -> None:
-        """Decrement every waiter of *producer*; report the newly ready."""
-        waiters = producer.waiters
-        if waiters is None:
-            return
-        producer.waiters = None
-        on_ready = self._on_ready
-        for waiter in waiters:
-            waiter.pending_ops -= 1
-            if not waiter.pending_ops:
-                on_ready(waiter)
+    def _deliver(self, producers) -> None:
+        """Decrement every waiter of *producers*; put the newly ready ones
+        into their windows' ready lists."""
+        windows = self._windows
+        conventional = self._conventional
+        for producer in producers:
+            waiters = producer.waiters
+            if waiters is None:
+                continue
+            producer.waiters = None
+            for waiter in waiters:
+                pending = waiter.pending_ops - 1
+                waiter.pending_ops = pending
+                if pending:
+                    continue
+                window = windows[waiter.cluster]
+                if not conventional:
+                    window.mark_ready(waiter)
+                elif waiter.seq in window._entries:
+                    insort(window._ready, (waiter.iq_rank, waiter))

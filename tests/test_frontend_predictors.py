@@ -126,6 +126,27 @@ class TestCombined:
             bimodal.update(0x3000, outcome)
         assert hits_c > hits_b
 
+    def test_predict_and_update_matches_predict_then_update(self):
+        """The fused fetch path equals predict() followed by update()."""
+        rng = random.Random(2)
+        fused = CombinedPredictor(16, 32, 64, history_bits=5)
+        reference = CombinedPredictor(16, 32, 64, history_bits=5)
+        for _ in range(3000):
+            pc = rng.randrange(0, 1 << 12) & ~3
+            taken = rng.random() < 0.6
+            expected = reference.predict(pc)
+            reference.update(pc, taken)
+            assert fused.predict_and_update(pc, taken) == expected
+        assert fused.gshare.history == reference.gshare.history
+        assert fused._chooser._table == reference._chooser._table
+        assert (
+            fused.gshare._counters._table == reference.gshare._counters._table
+        )
+        assert (
+            fused.bimodal._counters._table
+            == reference.bimodal._counters._table
+        )
+
     def test_random_branches_near_chance(self):
         rng = random.Random(1)
         predictor = CombinedPredictor()

@@ -18,12 +18,13 @@ examples.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Set, Tuple
 
 from ..isa import Instruction, InstrClass
 from ..workloads.program import StaticProgram
+
+if TYPE_CHECKING:  # networkx is imported by the functions that build graphs
+    import networkx as nx
 
 
 def _incoming_regs(inst: Instruction) -> Tuple[int, ...]:
@@ -93,6 +94,8 @@ def build_rdg(program: StaticProgram) -> nx.DiGraph:
     ``inst`` attribute); a directed edge ``u -> v`` means *v* may consume
     a value produced by *u*.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for inst in program.all_instructions():
         graph.add_node(inst.pc, inst=inst)
@@ -143,6 +146,8 @@ def reset_rdg_stats() -> None:
 
 def backward_slice(graph: nx.DiGraph, pc: int) -> Set[int]:
     """Nodes from which *pc* is reachable, including *pc* (paper §3.1)."""
+    import networkx as nx
+
     if pc not in graph:
         raise KeyError(f"pc {pc:#x} not in RDG")
     nodes = set(nx.ancestors(graph, pc))

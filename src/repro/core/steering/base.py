@@ -4,7 +4,8 @@ A steering scheme is the hardware block of Figure 1 deciding, at decode,
 which cluster each instruction is dispatched to.  The processor:
 
 * calls :meth:`SteeringScheme.reset` once, handing the scheme the machine
-  view (the :class:`~repro.pipeline.processor.Processor` itself);
+  (the :class:`~repro.pipeline.processor.Processor` itself) to read its
+  configuration from;
 * calls :meth:`choose_cluster` with a
   :class:`~repro.core.steering.context.SteeringContext` for every
   *steerable* instruction (complex integer and FP instructions are
@@ -46,8 +47,13 @@ class SteeringScheme:
     requires_fifo_issue = False
 
     def reset(self, machine) -> None:
-        """Bind to a processor at construction time of the machine."""
-        self.machine = machine
+        """Prepare for a run on *machine* (called once, at construction).
+
+        Read what the scheme needs from *machine* here, but keep no
+        reference to it: the processor holds the scheme, so a reference
+        back would make every finished processor a reference cycle that
+        only the cyclic garbage collector frees.
+        """
 
     # ------------------------------------------------------------------
     # The context API (implement these)

@@ -13,7 +13,8 @@ documented surface passed to :meth:`SteeringScheme.choose_cluster` and
     without a map table; :meth:`presence_mask` falls back gracefully.
 ``ready_counts``
     Per-cluster ready-instruction counts from the last issue stage (the
-    paper's instantaneous-workload signal).
+    paper's instantaneous-workload signal).  The processor updates this
+    one list in place every cycle.
 ``iq_occupancy(c)`` / ``iqs``
     Window occupancy per cluster and, on real processors, the queues
     themselves (the FIFO scheme inspects tail producers).
@@ -26,8 +27,13 @@ documented surface passed to :meth:`SteeringScheme.choose_cluster` and
     here and count hits/misses; the processor publishes the counters to
     :mod:`repro.telemetry.metrics` as ``steering.memo.hits`` /
     ``steering.memo.misses`` at the end of each run.
-``machine``
-    Escape hatch to the full processor (stats access).
+``stats``
+    The processor's statistics record for the current run (slice remap
+    counters); the processor rebinds it when a run starts.
+
+The context holds the machine's structures, never the processor: the
+processor holds the context, so a reference back would make every
+finished processor a reference cycle.
 
 The context wraps any machine-like object (including the lightweight
 fakes unit tests use), so scheme code and the helpers in
@@ -44,57 +50,52 @@ class SteeringContext:
     """Read-only machine view handed to steering schemes."""
 
     __slots__ = (
-        "machine",
         "config",
         "map_table",
         "masks",
         "iqs",
         "program",
+        "ready_counts",
+        "stats",
         "batch",
         "memo",
         "memo_hits",
         "memo_misses",
+        "_fallback",
     )
 
     def __init__(self, machine) -> None:
-        self.machine = machine
         self.config = machine.config
         map_table = getattr(machine, "map_table", None)
         self.map_table = map_table
         self.masks = getattr(map_table, "masks", None)
         self.iqs = getattr(machine, "iqs", None)
         self.program = getattr(machine, "program", None)
+        self.ready_counts = machine.ready_counts
+        self.stats = getattr(machine, "stats", None)
         self.batch = ()
         self.memo = {}
         self.memo_hits = 0
         self.memo_misses = 0
-
-    # ------------------------------------------------------------------
-    # Live machine state (re-read on every access)
-    # ------------------------------------------------------------------
-    @property
-    def ready_counts(self):
-        """Per-cluster ready counts from the last issue stage."""
-        return self.machine.ready_counts
-
-    @property
-    def stats(self):
-        """The processor's statistics record (slice remap counters)."""
-        return self.machine.stats
+        # Only a machine stand-in without presence masks or windows is
+        # kept, for the method fallbacks below.
+        self._fallback = (
+            machine if self.masks is None or self.iqs is None else None
+        )
 
     def presence_mask(self, reg: int) -> int:
         """Bit mask of clusters where logical register *reg* resides."""
         masks = self.masks
         if masks is not None:
             return masks[reg]
-        return self.machine.presence_mask(reg)
+        return self._fallback.presence_mask(reg)
 
     def iq_occupancy(self, cluster: int) -> int:
         """Instructions currently waiting in *cluster*'s window."""
         iqs = self.iqs
         if iqs is not None:
             return len(iqs[cluster])
-        return self.machine.iq_occupancy(cluster)
+        return self._fallback.iq_occupancy(cluster)
 
     def least_loaded(self) -> int:
         """Cluster with the lighter instantaneous load.
@@ -103,7 +104,7 @@ class SteeringContext:
         ready counts first, window occupancy as tiebreak, FP cluster on
         a full tie.
         """
-        r0, r1 = self.machine.ready_counts
+        r0, r1 = self.ready_counts
         if r0 != r1:
             return 0 if r0 < r1 else 1
         iqs = self.iqs
@@ -111,12 +112,12 @@ class SteeringContext:
             o0 = len(iqs[0])
             o1 = len(iqs[1])
         else:
-            o0 = self.machine.iq_occupancy(0)
-            o1 = self.machine.iq_occupancy(1)
+            o0 = self._fallback.iq_occupancy(0)
+            o1 = self._fallback.iq_occupancy(1)
         if o0 != o1:
             return 0 if o0 < o1 else 1
         return FP_CLUSTER
 
     def __repr__(self) -> str:
-        return f"<SteeringContext over {self.machine!r}>"
-
+        name = getattr(self.program, "name", "?")
+        return f"<SteeringContext over {name!r}>"

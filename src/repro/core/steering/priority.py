@@ -34,6 +34,7 @@ class PrioritySliceBalanceSteering(SliceBalanceSteering):
 
     def reset(self, machine) -> None:
         super().reset(machine)
+        self._hit_latency = machine.hierarchy.timing.l1_hit
         self.threshold = 1
         self._critical_dispatched = 0
         self._total_dispatched = 0
@@ -74,8 +75,7 @@ class PrioritySliceBalanceSteering(SliceBalanceSteering):
         instructions raise their slice's event count."""
         cls = dyn.cls
         if cls is InstrClass.LOAD:
-            hit_latency = self.machine.hierarchy.timing.l1_hit
-            if dyn.mem_latency > hit_latency:
+            if dyn.mem_latency > self._hit_latency:
                 self.clusters.record_event(dyn.inst.pc)
         elif cls is InstrClass.BRANCH and dyn.mispredicted:
             self.clusters.record_event(dyn.inst.pc)

@@ -264,16 +264,12 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
     # Pin under the *requested* name: a dispatcher-side workload
     # registered under a different name than its recorded trace (via
     # register_trace) must still hit the cache for that name's points.
-    # columnar=True pins the structure-of-arrays TraceColumns set for
-    # the (bench, seed) group: every batch-run over this trace indexes
-    # the pinned columns instead of regenerating Instruction records.
-    # The wire format and protocol version are unchanged — old peers
-    # interoperate; only the worker-side decoded form differs.
+    # Every batch-run over this (bench, seed) group indexes the pinned
+    # trace columns.
     wl = import_trace_bytes(
         base64.b64decode(request["rtrace"]),
         name=bench,
         origin="preload payload",
-        columnar=True,
     )
     if wl.seed != seed:
         raise DistError(
@@ -788,11 +784,14 @@ class _TaskBoard:
     Each dispatcher thread drains its own slot's list first (keeping
     chunk→worker affinity deterministic run over run, which is what
     makes the workers' caches effective on a re-run) and steals from
-    the fullest other slot once its own is empty.
+    the fullest other slot once its own is empty.  A slot is open to
+    stealing only after its own thread has called :meth:`take`, so a
+    thread that starts late still gets its first chunk.
     """
 
     def __init__(self, n_slots: int):
         self._pending: List[List[_Chunk]] = [[] for _ in range(n_slots)]
+        self._started = [False] * n_slots
         self._lock = threading.Lock()
 
     def put(self, slot: int, chunk: _Chunk) -> None:
@@ -811,9 +810,15 @@ class _TaskBoard:
 
     def take(self, slot: int) -> Optional[_Chunk]:
         with self._lock:
+            self._started[slot] = True
             if self._pending[slot]:
                 return self._pending[slot].pop(0)
-            victim = max(self._pending, key=len)
+            open_lists = [
+                pending
+                for pending, started in zip(self._pending, self._started)
+                if started
+            ]
+            victim = max(open_lists, key=len)
             if victim:
                 return victim.pop()
             return None

@@ -154,7 +154,6 @@ class DynInst:
         "critical",
         "frees",
         "pending_ops",
-        "waiters",
         "iq_rank",
     )
 
@@ -200,13 +199,10 @@ class DynInst:
         # Physical registers this instruction's commit releases, per cluster.
         self.frees = (0, 0)
         # Event-driven wakeup state (see repro.pipeline.wakeup): number of
-        # providers whose completion this instruction still awaits, the
-        # window entries awaiting *this* instruction's completion (lazily
-        # allocated; None doubles as "nothing registered / already woken"),
-        # and the insertion rank inside the issue window (the select
-        # logic's age order, which differs from ``seq`` order for copies).
+        # providers whose completion this instruction still awaits, and
+        # the insertion rank inside the issue window (the select logic's
+        # age order, which differs from ``seq`` order for copies).
         self.pending_ops = 0
-        self.waiters: object = None
         self.iq_rank = 0
 
     @property

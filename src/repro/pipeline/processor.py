@@ -16,16 +16,17 @@ retires from the ROB, and the fused dispatch loop steers and renames in
 one pass.  Two issue schedulers implement identical timing semantics:
 
 * ``event`` (default, production) — event-driven wakeup/select.  Window
-  entries carry pending-operand counters, producers carry consumer
-  lists, and a completion calendar (:mod:`repro.pipeline.wakeup`) wakes
-  consumers on the cycle their last operand completes, putting them
-  straight into their queue's ready list; the issue stage walks only
-  the ready lists.  Conventional windows issue in place (the stage pops
-  the ready entry and deletes it from the window itself); FIFO windows
-  keep :meth:`FifoIssueQueue.issue_ready`, which defers a newly exposed
-  head.  Work per cycle is proportional to completions and ready
-  instructions, not window size x operands.  It serves both window
-  organisations: :class:`IssueQueue` and the FIFO collections of §3.9.
+  entries carry pending-operand counters, and a completion calendar
+  (:mod:`repro.pipeline.wakeup`) keeps each producer's consumer list
+  and wakes consumers on the cycle their last operand completes,
+  putting them straight into their queue's ready list; the issue stage
+  walks only the ready lists.  Conventional windows issue in place (the
+  stage pops the ready entry and deletes it from the window itself);
+  FIFO windows keep :meth:`FifoIssueQueue.issue_ready`, which defers a
+  newly exposed head.  Work per cycle is proportional to completions
+  and ready instructions, not window size x operands.  It serves both
+  window organisations: :class:`IssueQueue` and the FIFO collections
+  of §3.9.
 * ``scan`` — the reference oracle: re-scan every window entry and
   re-poll every provider's ``complete_cycle`` each cycle, behind the
   unfused single-instruction dispatch helper
@@ -47,7 +48,9 @@ documented API that the unit tests and the scan oracle use.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import deque
+from types import MethodType
 from typing import Deque, List, Optional
 
 from ..cluster import BypassNetwork, FifoIssueQueue, FUPool, IssueQueue
@@ -190,7 +193,7 @@ class Processor:
             on_complete=(
                 self._calendar.complete
                 if self._event_driven
-                else self._complete
+                else _set_complete_cycle
             ),
             event_driven=self._event_driven,
         )
@@ -198,11 +201,17 @@ class Processor:
         self.decode_buffer: Deque[DynInst] = deque()
         self.stats = SimStats()
         self.cycle = 0
+        # Updated in place by the issue stage; the steering context
+        # holds the same list.
         self.ready_counts: List[int] = [0, 0]
         self._last_commit_cycle = 0
-        self._issue_stage = (
-            self._issue_event if self._event_driven else self._issue_scan
-        )
+        if not self._event_driven:
+            # The class binds _issue_stage to _issue_event.  The oracle's
+            # stage is bound to a weak proxy, so the instance does not
+            # reference itself and is freed by reference counting.
+            self._issue_stage = MethodType(
+                Processor._issue_scan, weakref.proxy(self)
+            )
         # The scan oracle dispatches every instruction through the
         # unfused reference helper (see module docstring).
         self._unfused_dispatch = not self._event_driven
@@ -253,6 +262,7 @@ class Processor:
             config.allow_copies,
             self.fetch_unit.next_seq,
             self.renamer,
+            self._calendar.waiting,
         )
 
     # ------------------------------------------------------------------
@@ -277,7 +287,7 @@ class Processor:
         """
         if warmup > 0:
             self._run_until(warmup)
-        self.stats = SimStats()
+        self.stats = self._steer_ctx.stats = SimStats()
         self.stats.snapshot_environment(self)
         self._run_until(n_instructions)
         self._flush_steering_metrics()
@@ -304,8 +314,44 @@ class Processor:
                 raise SimulationError(
                     f"no commit for {_DEADLOCK_LIMIT} cycles at cycle "
                     f"{self.cycle} (scheme "
-                    f"{getattr(self.steering, 'name', '?')!r})"
+                    f"{getattr(self.steering, 'name', '?')!r}); "
+                    f"{self._pipeline_state()}"
                 )
+
+    def _pipeline_state(self) -> str:
+        """What a wedged pipeline holds, for the deadlock error."""
+        rob = self.rob._entries
+        if rob:
+            head = rob[0]
+            parts = [
+                f"ROB head seq {head.seq} {head.cls.name} on cluster "
+                f"{head.cluster} (dispatch {head.dispatch_cycle}, issue "
+                f"{head.issue_cycle}, complete {head.complete_cycle})"
+            ]
+        else:
+            parts = ["ROB empty"]
+        if self.decode_buffer:
+            waiting = self.decode_buffer[0]
+            parts.append(
+                f"decode head seq {waiting.seq} {waiting.cls.name} with "
+                f"{len(waiting.inst.srcs)} source(s)"
+            )
+        windows = ", ".join(
+            f"{iq.name} {len(iq)}/{iq.capacity}" for iq in self.iqs
+        )
+        free = ", ".join(
+            f"cluster{i} {fl.free}/{fl.total}"
+            for i, fl in enumerate(self.free_lists)
+        )
+        stats = self.stats
+        parts += [
+            f"ROB {len(rob)}/{self.rob.capacity}",
+            f"windows {windows}",
+            f"free registers {free}",
+            f"stalls rob {stats.stall_rob}, regs {stats.stall_regs}, "
+            f"iq {stats.stall_iq}",
+        ]
+        return "; ".join(parts)
 
     # ------------------------------------------------------------------
     # One cycle
@@ -432,7 +478,7 @@ class Processor:
         calendar = self._calendar
         calendar.fire(cycle)
         events = calendar.events
-        ready_counts = [0, 0]
+        ready_counts = self.ready_counts
         bypass = self.bypass
         bypass_latency = bypass.latency
         stats = self.stats
@@ -548,13 +594,13 @@ class Processor:
                     del window[dyn.seq]
                 issued += 1
             fu._simple_used = simple_used
-        self.ready_counts = ready_counts
 
     # ------------------------------------------------------------------
     # Issue: reference full-scan scheduler (kept for exactness testing)
     # ------------------------------------------------------------------
     def _issue_scan(self, cycle: int) -> None:
-        ready_counts = [0, 0]
+        ready_counts = self.ready_counts
+        ready_counts[0] = ready_counts[1] = 0
         bypass = self.bypass
         for cluster in (0, 1):
             iq = self.iqs[cluster]
@@ -600,7 +646,8 @@ class Processor:
                 self._mark_critical_copies(dyn, cycle)
                 iq.remove(dyn)
                 issued += 1
-        self.ready_counts = ready_counts
+
+    _issue_stage = _issue_event
 
     def _mark_critical_copies(self, dyn: DynInst, cycle: int) -> None:
         """Flag copies that delayed this consumer (paper §3.4).
@@ -672,6 +719,7 @@ class Processor:
             allow_copies,
             next_seq,
             renamer,
+            waiting,
         ) = self._dispatch_env
         ctx.batch = buffer
         stats = self.stats
@@ -816,10 +864,11 @@ class Processor:
                         # Inline window insert for the copy.
                         cc = provider.complete_cycle
                         if cc < 0 or cc > cycle:
-                            if provider.waiters is None:
-                                provider.waiters = [copy]
+                            waiters = waiting.get(provider.seq)
+                            if waiters is None:
+                                waiting[provider.seq] = [copy]
                             else:
-                                provider.waiters.append(copy)
+                                waiters.append(copy)
                             copy.pending_ops = 1
                             pending = 1
                         else:
@@ -887,10 +936,11 @@ class Processor:
                 for p in providers:
                     cc = p.complete_cycle
                     if cc < 0 or cc > cycle:
-                        if p.waiters is None:
-                            p.waiters = [dyn]
+                        waiters = waiting.get(p.seq)
+                        if waiters is None:
+                            waiting[p.seq] = [dyn]
                         else:
-                            p.waiters.append(dyn)
+                            waiters.append(dyn)
                         pending += 1
                 dyn.pending_ops = pending
                 if fifo:
@@ -1039,14 +1089,16 @@ class Processor:
         non-zero so the (unused) ready sets stay empty.
         """
         if self._event_driven:
+            waiting = self._calendar.waiting
             pending = 0
             for p in dyn.providers:
                 cc = p.complete_cycle
                 if cc < 0 or cc > cycle:
-                    if p.waiters is None:
-                        p.waiters = [dyn]
+                    waiters = waiting.get(p.seq)
+                    if waiters is None:
+                        waiting[p.seq] = [dyn]
                     else:
-                        p.waiters.append(dyn)
+                        waiters.append(dyn)
                     pending += 1
             dyn.pending_ops = pending
         else:
@@ -1066,6 +1118,11 @@ class Processor:
         group = self.fetch_unit.fetch(cycle, space)
         if group:
             self.decode_buffer.extend(group)
+
+
+def _set_complete_cycle(dyn: DynInst, complete_cycle: int, cycle: int) -> None:
+    """The scan oracle's completion hook: it polls, so nothing is woken."""
+    dyn.complete_cycle = complete_cycle
 
 
 class _CopyProbe:

@@ -5,13 +5,20 @@ provider's ``complete_cycle`` each cycle — O(window x operands) per
 cycle, the software analogue of the broadcast wakeup the paper's
 clustered hardware is designed to avoid.  The event-driven scheduler
 inverts the dependence: each window entry carries a pending-operand
-counter (:attr:`~repro.isa.DynInst.pending_ops`), each in-flight
-producer a consumer list (:attr:`~repro.isa.DynInst.waiters`), and this
-calendar maps completion cycles to the producers completing then.  When
-the issue stage fires a cycle, every producer bucketed there walks its
-waiters, decrements their counters, and puts the newly ready ones
-straight into their queue's ready list — total work proportional to the
-number of dependence edges, not to window size x cycles.
+counter (:attr:`~repro.isa.DynInst.pending_ops`), the calendar keeps
+each in-flight producer's consumer list (:attr:`WakeupCalendar.waiting`,
+keyed by the producer's ``seq``) and maps completion cycles to the
+producers completing then.  When the issue stage fires a cycle, every
+producer bucketed there walks its waiters, decrements their counters,
+and puts the newly ready ones straight into their queue's ready list —
+total work proportional to the number of dependence edges, not to
+window size x cycles.
+
+The consumer lists live here rather than on the producers because a
+consumer already points at its producers (``DynInst.providers``): a
+list on the producer would close a reference cycle for every pending
+operand, and the in-flight instructions of a finished processor would
+then wait for the cyclic garbage collector.
 
 Delivery follows each window's ready rule without a call per waiter.
 For a conventional :class:`~repro.cluster.iq.IssueQueue` that is the
@@ -52,12 +59,16 @@ from ..isa import DynInst
 class WakeupCalendar:
     """Cycle-indexed event wheel keyed by ``complete_cycle``."""
 
-    __slots__ = ("events", "_windows", "_conventional")
+    __slots__ = ("events", "waiting", "_windows", "_conventional")
 
     def __init__(self, windows: Sequence) -> None:
         #: cycle -> producers whose completion becomes visible then.
         #: The issue stage appends future completions here directly.
         self.events: Dict[int, List[DynInst]] = {}
+        #: producer seq -> window entries awaiting its completion (the
+        #: dispatch stage enrolls them; a producer's list is dropped
+        #: when it is delivered).  Duplicates count once per operand.
+        self.waiting: Dict[int, List[DynInst]] = {}
         #: The per-cluster issue windows, indexed by ``DynInst.cluster``.
         self._windows = windows
         #: Conventional windows take the inline ready rule (see module
@@ -99,11 +110,11 @@ class WakeupCalendar:
         into their windows' ready lists."""
         windows = self._windows
         conventional = self._conventional
+        pop = self.waiting.pop
         for producer in producers:
-            waiters = producer.waiters
+            waiters = pop(producer.seq, None)
             if waiters is None:
                 continue
-            producer.waiters = None
             for waiter in waiters:
                 pending = waiter.pending_ops - 1
                 waiter.pending_ops = pending

@@ -43,8 +43,8 @@ from ..workloads.program import (
     MemBehavior,
     StaticProgram,
 )
-from ..workloads.columns import TraceColumns
-from ..workloads.trace import SharedTrace, TraceRecord
+from ..workloads.columns import TAKEN, TraceColumns
+from ..workloads.trace import SharedTrace
 
 #: File magic: format id, major format version, newline guard against
 #: text-mode mangling.
@@ -64,66 +64,27 @@ class FrozenTrace(SharedTrace):
     """A :class:`SharedTrace` replaying recorded records only.
 
     Behaves exactly like a live shared trace up to its recorded length
-    and raises :class:`ScenarioError` beyond it (no executor exists to
-    extend the buffer).  Frozen traces do not count as trace *builds* in
-    :func:`repro.workloads.trace_build_counts` — nothing is decoded.
-
-    A frozen trace is backed by the classic record list, by a pinned
-    :class:`~repro.workloads.columns.TraceColumns` set (the columnar
-    import path), or both.  Column-backed traces materialise the record
-    list lazily, only if an object-path consumer asks for records — the
-    columnar pipeline never does.
+    and raises :class:`ScenarioError` beyond it: its
+    :class:`~repro.workloads.columns.TraceColumns` set has a fixed
+    length (no executor exists to extend it).  Frozen traces do not
+    count as trace *builds* in :func:`repro.workloads.trace_build_counts`
+    — nothing is decoded.
     """
 
     def __init__(
-        self,
-        program: StaticProgram,
-        seed: int,
-        records: Optional[List[TraceRecord]] = None,
-        columns=None,
+        self, program: StaticProgram, seed: int, columns: TraceColumns
     ) -> None:
         # Deliberately no super().__init__(): there is no TraceExecutor
         # behind a frozen trace, and importing one must not bump the
         # build counters the campaign tests use to prove "no regeneration".
-        if records is None and columns is None:
-            raise ScenarioError("frozen trace needs records or columns")
         self.program = program
         self.seed = seed
-        self._source = None
-        self._records = list(records) if records is not None else None
         self._columns = columns
-        if columns is not None:
-            columns._trace = self
 
     @property
     def n_recorded(self) -> int:
         """Length of the recorded committed path."""
-        if self._records is not None:
-            return len(self._records)
-        return self._columns.n
-
-    def __len__(self) -> int:
-        return self.n_recorded
-
-    def ensure(self, n: int) -> None:
-        """Check the recorded prefix covers *n* records (never extends)."""
-        if n > self.n_recorded:
-            raise ScenarioError(
-                f"frozen trace of {self.program.name!r} holds "
-                f"{self.n_recorded} records but {n} were requested; "
-                f"re-export the trace with a larger --records"
-            )
-
-    def record(self, index: int) -> TraceRecord:
-        """The *index*-th recorded committed instruction."""
-        self.ensure(index + 1)
-        if self._records is None:
-            # Object-path consumer of a column-backed trace: regenerate
-            # the record list once.  Deprecated — see the README's
-            # Experiment API notes; the columnar pipeline reads the
-            # pinned columns directly and never takes this branch.
-            self._records = self._columns.to_records()
-        return self._records[index]
+        return len(self._columns)
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +195,11 @@ def export_trace_bytes(
     total = n_records + cushion
     shared = wl.shared_trace()
     shared.ensure(total)
-    pcs = []
-    taken = []
-    addrs = []
-    for index in range(total):
-        record = shared.record(index)
-        pcs.append(record.inst.pc)
-        taken.append(1 if record.taken else 0)
-        addrs.append(record.mem_addr)
+    columns = shared.columns()
+    pcs = columns.pcs[:total]
+    # TAKEN is bit 0, so masking yields the wire's 0/1 directly.
+    taken = [flags & TAKEN for flags in columns.flags[:total]]
+    addrs = columns.mem_addrs[:total]
     profile_doc: Optional[Dict[str, object]] = None
     if wl.profile is not None:
         profile_doc = asdict(wl.profile)
@@ -330,32 +288,24 @@ def read_meta(path: str) -> TraceMeta:
     )
 
 
-def import_trace(
-    path: str, name: Optional[str] = None, columnar: bool = True
-) -> Workload:
+def import_trace(path: str, name: Optional[str] = None) -> Workload:
     """Load an ``.rtrace`` file into a replayable :class:`Workload`.
 
     The returned workload carries the reconstructed static program and a
-    :class:`FrozenTrace` over the recorded committed path; simulating it
+    :class:`FrozenTrace` over the recorded committed path, whose record
+    columns are decoded straight into a fixed-length
+    :class:`~repro.workloads.columns.TraceColumns` set; simulating it
     never touches the program generator or the trace executor.  *name*
     overrides the recorded workload name (useful when registering several
     traces of the same benchmark).
-
-    With ``columnar=True`` (the default) the record columns of the file
-    are decoded straight into a pinned
-    :class:`~repro.workloads.columns.TraceColumns` set — the form the
-    columnar fetch/dispatch core consumes — and the classic per-record
-    ``TraceRecord`` list is only regenerated if an object-path consumer
-    asks for it.  ``columnar=False`` restores the eager record build.
     """
-    return _workload_from_doc(_read_doc(path), path, name, columnar)
+    return _workload_from_doc(_read_doc(path), path, name)
 
 
 def import_trace_bytes(
     data: bytes,
     name: Optional[str] = None,
     origin: str = "<bytes>",
-    columnar: bool = True,
 ) -> Workload:
     """:func:`import_trace` for in-memory ``.rtrace`` contents.
 
@@ -363,17 +313,13 @@ def import_trace_bytes(
     the dispatcher ships :func:`export_trace_bytes` output and the worker
     pins the resulting :class:`FrozenTrace` without touching the
     filesystem.  The same magic/CRC guards apply — corrupt bytes raise
-    :class:`~repro.errors.ScenarioError` naming *origin*.  *columnar*
-    behaves as in :func:`import_trace`.
+    :class:`~repro.errors.ScenarioError` naming *origin*.
     """
-    return _workload_from_doc(_parse_doc(data, origin), origin, name, columnar)
+    return _workload_from_doc(_parse_doc(data, origin), origin, name)
 
 
 def _workload_from_doc(
-    doc: dict,
-    origin: str,
-    name: Optional[str] = None,
-    columnar: bool = True,
+    doc: dict, origin: str, name: Optional[str] = None
 ) -> Workload:
     columns = doc["records"]
     pcs, taken, addrs = columns["pc"], columns["taken"], columns["addr"]
@@ -382,18 +328,11 @@ def _workload_from_doc(
     if doc.get("crc") != _records_crc(pcs, taken, addrs):
         raise ScenarioError(f"{origin}: record checksum mismatch")
     program = _program_from_doc(doc["program"])
-    if columnar:
-        # Decode the wire columns straight into the structure-of-arrays
-        # form — no intermediate TraceRecord tuples.  The frozen trace
-        # pins the columns; records regenerate lazily if ever needed.
-        cols = TraceColumns.from_arrays(program, pcs, taken, addrs)
-        frozen = FrozenTrace(program, doc["seed"], columns=cols)
-    else:
-        records = [
-            TraceRecord(program.instruction_at(pc), bool(t), addr)
-            for pc, t, addr in zip(pcs, taken, addrs)
-        ]
-        frozen = FrozenTrace(program, doc["seed"], records)
+    frozen = FrozenTrace(
+        program,
+        doc["seed"],
+        TraceColumns.from_arrays(program, pcs, taken, addrs),
+    )
     profile = None
     if doc.get("profile") is not None:
         profile_doc = dict(doc["profile"])

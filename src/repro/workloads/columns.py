@@ -7,38 +7,46 @@ counters, packed per-record flags, memory addresses and dense static
 fetch unit indexes these arrays directly: every simulation fetches from
 columns, with no per-record iterator or method-call chain.
 
-Columns are built once per shared trace and pinned alongside it:
-
-* :meth:`TraceColumns.for_trace` wraps a live
-  :class:`~repro.workloads.trace.SharedTrace` (or a record-backed frozen
-  trace) and extends lazily as the underlying buffer grows;
-* :meth:`TraceColumns.from_arrays` decodes an ``.rtrace`` document's
-  ``pc``/``taken``/``addr`` columns straight into DynInst-ready arrays
-  without materialising intermediate ``TraceRecord`` tuples — the
-  ``import_trace(..., columnar=True)`` fast path.
-
-The numpy kernel (bulk line-id computation for the I-cache line checks)
-is optional: it engages only when numpy is importable, only for the
-initial bulk build, and produces exactly the integers the pure-Python
-fallback does.
+The columns are the only store of a trace's records.  A column set is
+either *live* — it owns a :class:`~repro.workloads.trace.TraceExecutor`
+and decodes further records from it on demand (the set behind every
+:class:`~repro.workloads.trace.SharedTrace`) — or *fixed-length*:
+:meth:`TraceColumns.from_arrays` decodes an ``.rtrace`` document's
+``pc``/``taken``/``addr`` columns, and reading past their end raises
+:class:`~repro.errors.ScenarioError`.  :class:`TraceRecord` tuples are
+built on demand (:meth:`TraceColumns.record`) for the analysis helpers
+and tests that consume the record form.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from ..errors import ScenarioError
-
-try:  # Optional bulk-build kernel; the container may lack numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
+from ..isa import Instruction
 
 #: Packed per-record flag bits (``TraceColumns.flags``).
 TAKEN = 1
 CONTROL = 2
 CONDITIONAL = 4
 MEMORY = 8
+
+#: How many records a live column set decodes at a time when a reader
+#: runs past its end.  Large enough to amortise the per-call overhead,
+#: small enough that a short smoke run does not decode a huge prefix.
+EXTEND_CHUNK = 2048
+
+
+class TraceRecord(NamedTuple):
+    """One committed dynamic instruction.
+
+    ``taken`` is meaningful for control instructions, ``mem_addr`` for
+    memory instructions (0 otherwise).
+    """
+
+    inst: Instruction
+    taken: bool
+    mem_addr: int
 
 
 def _base_flags(inst) -> int:
@@ -72,8 +80,12 @@ class TraceColumns:
         PCs.  Stable within one :class:`TraceColumns`.
 
     Plain Python lists are deliberate: the hot loops index one element
-    at a time, where list indexing beats numpy scalar access.  numpy is
-    used only for the bulk :meth:`line_ids` build.
+    at a time, where list indexing beats array or numpy scalar access.
+
+    *source*, when given, is the
+    :class:`~repro.workloads.trace.TraceExecutor` the set decodes
+    further records from (:meth:`fill`); without one the set has a
+    fixed length.
     """
 
     __slots__ = (
@@ -84,37 +96,23 @@ class TraceColumns:
         "mem_addrs",
         "static_ids",
         "_per_pc",
-        "_pc_ids",
         "_line_cache",
-        "_trace",
+        "_source",
     )
 
-    def __init__(self, program) -> None:
+    def __init__(self, program, source=None) -> None:
         self.program = program
-        self.insts: List[object] = []
+        self.insts: List[Instruction] = []
         self.pcs: List[int] = []
         self.flags: List[int] = []
         self.mem_addrs: List[int] = []
         self.static_ids: List[int] = []
         #: pc -> (instruction, base flags, static id) build cache.
         self._per_pc: Dict[int, tuple] = {}
-        self._pc_ids: Dict[int, int] = {}
         #: line_bytes -> per-record I-cache line ids (extended in step
         #: with the record columns, so cached lists stay valid).
         self._line_cache: Dict[int, List[int]] = {}
-        #: Backing trace for lazy extension (None = fixed length).
-        self._trace = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_trace(cls, trace) -> "TraceColumns":
-        """Columns over *trace*'s record buffer, extending on demand."""
-        self = cls(trace.program)
-        self._trace = trace
-        self.sync()
-        return self
+        self._source = source
 
     @classmethod
     def from_arrays(
@@ -132,29 +130,46 @@ class TraceColumns:
         """
         self = cls(program)
         info = self._pc_info
+        self._append(
+            (info(pc)[0], t, addr) for pc, t, addr in zip(pcs, taken, addrs)
+        )
+        return self
+
+    def _pc_info(self, pc: int) -> tuple:
+        """(instruction, base flags, static id) of *pc*, cached."""
+        per_pc = self._per_pc
+        tup = per_pc.get(pc)
+        if tup is None:
+            inst = self.program.instruction_at(pc)
+            tup = (inst, _base_flags(inst), len(per_pc))
+            per_pc[pc] = tup
+        return tup
+
+    def _append(self, records) -> None:
+        """Decode ``(inst, taken, mem_addr)`` triples onto the columns."""
+        start = len(self.pcs)
+        per_pc = self._per_pc
+        info = self._pc_info
         out_insts = self.insts
         out_pcs = self.pcs
         out_flags = self.flags
         out_addrs = self.mem_addrs
         out_sids = self.static_ids
-        for pc, t, addr in zip(pcs, taken, addrs):
-            inst, base, sid = info(pc)
+        for inst, taken, addr in records:
+            pc = inst.pc
+            tup = per_pc.get(pc)
+            if tup is None:
+                tup = info(pc)
+            base = tup[1]
             out_insts.append(inst)
             out_pcs.append(pc)
-            out_flags.append(base | TAKEN if t else base)
+            out_flags.append(base | TAKEN if taken else base)
             out_addrs.append(addr)
-            out_sids.append(sid)
-        return self
-
-    def _pc_info(self, pc: int) -> tuple:
-        """(instruction, base flags, static id) of *pc*, cached."""
-        tup = self._per_pc.get(pc)
-        if tup is None:
-            inst = self.program.instruction_at(pc)
-            sid = self._pc_ids.setdefault(pc, len(self._pc_ids))
-            tup = (inst, _base_flags(inst), sid)
-            self._per_pc[pc] = tup
-        return tup
+            out_sids.append(tup[2])
+        if self._line_cache:
+            new_pcs = out_pcs[start:]
+            for line_bytes, ids in self._line_cache.items():
+                ids.extend(pc // line_bytes for pc in new_pcs)
 
     # ------------------------------------------------------------------
     # Length / extension protocol
@@ -164,59 +179,36 @@ class TraceColumns:
         """Records decoded into the columns so far."""
         return len(self.pcs)
 
-    def sync(self) -> None:
-        """Pull records the backing trace materialised since last sync."""
-        trace = self._trace
-        if trace is None:
-            return
-        records = trace._records
-        if records is None:
-            return
+    def fill(self, n: int) -> None:
+        """Decode records from the source until at least *n* are held.
+
+        A fixed-length set raises :class:`~repro.errors.ScenarioError`
+        instead.
+        """
         start = len(self.pcs)
-        if start >= len(records):
+        if n <= start:
             return
-        info = self._pc_info
-        out_insts = self.insts
-        out_pcs = self.pcs
-        out_flags = self.flags
-        out_addrs = self.mem_addrs
-        out_sids = self.static_ids
-        for record in records[start:]:
-            inst = record.inst
-            pc = inst.pc
-            _, base, sid = info(pc)
-            out_insts.append(inst)
-            out_pcs.append(pc)
-            out_flags.append(base | TAKEN if record.taken else base)
-            out_addrs.append(record.mem_addr)
-            out_sids.append(sid)
-        if self._line_cache:
-            new_pcs = out_pcs[start:]
-            for line_bytes, ids in self._line_cache.items():
-                ids.extend(pc // line_bytes for pc in new_pcs)
+        source = self._source
+        if source is None:
+            raise ScenarioError(
+                f"trace of {self.program.name!r} holds {start} records "
+                f"but {n} were requested; re-export the trace with a "
+                f"larger --records"
+            )
+        emit = source.emit
+        self._append(emit() for _ in range(n - start))
 
     def require(self, n: int) -> None:
         """Make at least *n* records available, or raise.
 
-        A live shared trace extends its buffer (in the same chunks
-        ``record`` uses); a frozen trace raises
-        :class:`~repro.errors.ScenarioError` with the same message the
-        record path produces.
+        A live set decodes ahead in chunks of :data:`EXTEND_CHUNK`
+        records; a fixed-length set raises
+        :class:`~repro.errors.ScenarioError`.
         """
-        if n <= len(self.pcs):
-            return
-        trace = self._trace
-        if trace is None:
-            raise ScenarioError(
-                f"trace columns hold {len(self.pcs)} records but {n} "
-                f"were requested"
-            )
-        trace.record(n - 1)  # extends (chunked) or raises ScenarioError
-        self.sync()
-        if n > len(self.pcs):  # pragma: no cover - defensive
-            raise ScenarioError(
-                f"trace columns could not extend to {n} records"
-            )
+        if n > len(self.pcs):
+            if self._source is not None:
+                n += EXTEND_CHUNK - 1
+            self.fill(n)
 
     # ------------------------------------------------------------------
     # Derived columns
@@ -224,35 +216,29 @@ class TraceColumns:
     def line_ids(self, line_bytes: int) -> List[int]:
         """Per-record I-cache line ids (``pc // line_bytes``), cached.
 
-        The cached list is extended in place by :meth:`sync`, so hot
-        loops may hold a reference across extensions.  The initial bulk
-        build vectorises through numpy when available.
+        The cached list is extended in place by :meth:`fill`, so hot
+        loops may hold a reference across extensions.
         """
         ids = self._line_cache.get(line_bytes)
         if ids is None:
-            if _np is not None and len(self.pcs) > 512:
-                ids = (
-                    _np.asarray(self.pcs, dtype=_np.int64) // line_bytes
-                ).tolist()
-            else:
-                ids = [pc // line_bytes for pc in self.pcs]
+            ids = [pc // line_bytes for pc in self.pcs]
             self._line_cache[line_bytes] = ids
         return ids
 
     # ------------------------------------------------------------------
-    # Interop with the record form
+    # The record form
     # ------------------------------------------------------------------
-    def to_records(self) -> list:
-        """Materialise the classic ``TraceRecord`` list."""
-        from .trace import TraceRecord
+    def record(self, index: int) -> TraceRecord:
+        """The *index*-th record as a :class:`TraceRecord` (no extension)."""
+        return TraceRecord(
+            self.insts[index],
+            (self.flags[index] & TAKEN) != 0,
+            self.mem_addrs[index],
+        )
 
-        insts = self.insts
-        flags = self.flags
-        addrs = self.mem_addrs
-        return [
-            TraceRecord(insts[i], (flags[i] & TAKEN) != 0, addrs[i])
-            for i in range(len(insts))
-        ]
+    def to_records(self) -> List[TraceRecord]:
+        """Every decoded record as a :class:`TraceRecord` list."""
+        return [self.record(i) for i in range(len(self.pcs))]
 
     def __len__(self) -> int:
         return len(self.pcs)

@@ -13,35 +13,24 @@ to the program.  Iteration is deterministic for a fixed seed.
 :class:`SharedTrace` materialises that committed path once and replays it
 to any number of simulations: a figure campaign running ten steering
 schemes over one benchmark decodes the trace a single time instead of
-ten.  Replays are exact — a :class:`TraceReplay` yields the very records
-the underlying executor produced, lazily extending the shared buffer when
-a consumer runs past the materialised prefix.
+ten.  Replays are exact — a :class:`TraceReplay` yields the records the
+underlying executor produced, lazily extending the shared columns when a
+consumer runs past the materialised prefix.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..isa import Instruction
+from .columns import TraceColumns, TraceRecord
 from .program import (
     StaticProgram,
     sample_branch_outcome,
     sample_mem_address,
 )
-
-
-class TraceRecord(NamedTuple):
-    """One committed dynamic instruction.
-
-    ``taken`` is meaningful for control instructions, ``mem_addr`` for
-    memory instructions (0 otherwise).
-    """
-
-    inst: Instruction
-    taken: bool
-    mem_addr: int
 
 
 class TraceExecutor:
@@ -65,6 +54,11 @@ class TraceExecutor:
         return self
 
     def __next__(self) -> TraceRecord:
+        return TraceRecord(*self.emit())
+
+    def emit(self) -> Tuple[Instruction, bool, int]:
+        """The next committed record as a plain ``(inst, taken,
+        mem_addr)`` tuple — the form :class:`TraceColumns` decodes."""
         block = self._block
         inst = block.instructions[self._index]
         taken = False
@@ -93,7 +87,7 @@ class TraceExecutor:
         else:
             self._index += 1
         self._emitted += 1
-        return TraceRecord(inst, taken, mem_addr)
+        return inst, taken, mem_addr
 
     @property
     def emitted(self) -> int:
@@ -106,18 +100,14 @@ class TraceExecutor:
         Mirrors the paper's methodology of skipping the first part of each
         benchmark before measuring.
         """
+        emit = self.emit
         for _ in range(n):
-            next(self)
+            emit()
 
     def take(self, n: int) -> List[TraceRecord]:
         """Materialise the next *n* records (mainly for tests/analysis)."""
         return list(itertools.islice(self, n))
 
-
-#: How many records a replay materialises at a time when it outruns the
-#: shared buffer.  Large enough to amortise the Python call overhead,
-#: small enough that a short smoke run does not decode a huge prefix.
-_EXTEND_CHUNK = 2048
 
 #: Builds per (program name, seed) since the last reset — the campaign
 #: tests use this to prove a trace is generated exactly once per
@@ -138,64 +128,50 @@ def reset_trace_stats() -> None:
 class SharedTrace:
     """A lazily materialised committed path, shared across simulations.
 
-    Wraps one :class:`TraceExecutor` and buffers everything it emits.
-    :meth:`replay` hands out independent cursors over the buffer, so many
-    processors can consume the same dynamic stream without re-sampling
-    branch outcomes or memory addresses.  The buffer grows on demand and
-    is append-only, which keeps replays exact and deterministic.
+    Owns one :class:`~repro.workloads.columns.TraceColumns` set, which
+    decodes its :class:`TraceExecutor` on demand and is the only store
+    of the records.  :meth:`replay` hands out independent cursors over
+    it, so many processors can consume the same dynamic stream without
+    re-sampling branch outcomes or memory addresses.  The columns grow
+    on demand and are append-only, which keeps replays exact and
+    deterministic.
 
-    This trades memory for speed: the buffer retains every record any
-    consumer has reached (O(warmup + n) per (bench, seed)), and the
-    workload cache keeps it alive for the process lifetime.  At the
-    default 25k-instruction windows that is negligible; sessions
-    running very large windows over many benchmarks should call
+    The columns retain every record any consumer has reached
+    (O(warmup + n) per (bench, seed)), and the workload cache keeps them
+    alive for the process lifetime.  Sessions running very large windows
+    over many benchmarks should call
     :func:`repro.workloads.clear_workload_cache` between campaigns.
     """
 
     def __init__(self, program, seed: int = 0) -> None:
         self.program = program
         self.seed = seed
-        self._source = TraceExecutor(program, seed=seed)
-        self._records: List[TraceRecord] = []
-        self._columns = None
+        self._columns = TraceColumns(
+            program, TraceExecutor(program, seed=seed)
+        )
         key = (program.name, seed)
         _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
 
     def __len__(self) -> int:
         """Records materialised so far."""
-        return len(self._records)
+        return len(self._columns)
 
     def ensure(self, n: int) -> None:
         """Materialise the committed path out to at least *n* records."""
-        records = self._records
-        source = self._source
-        while len(records) < n:
-            records.append(next(source))
+        self._columns.fill(n)
 
     def record(self, index: int) -> TraceRecord:
         """The *index*-th committed record (materialising as needed)."""
-        if index >= len(self._records):
-            self.ensure(index + _EXTEND_CHUNK)
-        return self._records[index]
+        columns = self._columns
+        columns.require(index + 1)
+        return columns.record(index)
 
     def replay(self) -> "TraceReplay":
         """A fresh cursor over the shared stream (starts at record 0)."""
         return TraceReplay(self)
 
-    def columns(self):
-        """Structure-of-arrays view of the trace, built once and pinned.
-
-        The returned :class:`~repro.workloads.columns.TraceColumns`
-        extends in step with this buffer; every simulation of the same
-        shared trace reuses the same column set (the pipeline's analogue
-        of sharing the record buffer).
-        """
-        from .columns import TraceColumns
-
-        if self._columns is None:
-            self._columns = TraceColumns.for_trace(self)
-        else:
-            self._columns.sync()
+    def columns(self) -> TraceColumns:
+        """The structure-of-arrays store every simulation fetches from."""
         return self._columns
 
 

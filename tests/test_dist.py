@@ -16,6 +16,7 @@ from repro.analysis.campaign import (
     run_point,
     _result_from_dict,
 )
+from repro.dist.worker import _TaskBoard
 from repro.errors import ConfigError, DistError
 
 #: Tiny windows: these tests exercise dispatch, not timing.
@@ -362,6 +363,31 @@ class TestProtocolV2:
         (reply,) = _serve(json.dumps({"id": 1, "op": "preload"}))
         assert reply["ok"] is False
         assert "bench" in reply["error"]
+
+
+class TestTaskBoard:
+    """Chunk hand-out order, with no dispatcher threads involved."""
+
+    def test_slot_keeps_its_first_chunk_until_its_thread_starts(self):
+        board = _TaskBoard(2)
+        board.put(0, "a")
+        board.put(1, "b1")
+        board.put(1, "b2")
+        assert board.take(0) == "a"
+        assert board.take(0) is None  # slot 1 has not started: no steal
+        assert board.take(1) == "b1"
+        assert board.take(0) == "b2"  # slot 1 started: open to stealing
+        assert board.take(1) is None
+
+    def test_put_next_hands_a_chunk_to_the_following_slot(self):
+        board = _TaskBoard(2)
+        board.put(0, "a")
+        assert board.take(0) == "a"
+        board.put_next(0, "a")  # slot 0's worker was unreachable
+        assert board.take(0) is None
+        assert board.take(1) == "a"
+        board.put_next(1, "b")  # wraps round to slot 0
+        assert board.take(0) == "b"
 
 
 class TestWarmPool:

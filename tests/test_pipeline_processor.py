@@ -1,9 +1,12 @@
 """Integration tests: full-pipeline invariants on short simulations."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.core.steering import make_steering
-from repro.errors import SteeringError
+from repro.errors import SimulationError, SteeringError
 from repro.isa import DynInst, InstrClass
 from repro.pipeline import Processor, ProcessorConfig
 from repro.workloads import workload
@@ -222,3 +225,38 @@ class TestEverySchemeRuns:
         result = fast_sim("li", scheme, n_instructions=1200, warmup=300)
         assert result.instructions >= 1200
         assert result.ipc > 0.2
+
+
+class TestDeadlockReport:
+    def test_wedged_pipeline_reports_its_state(self):
+        """One FIFO per cluster wedges gcc (see ROADMAP item 3): the
+        error must say what the pipeline is holding."""
+        from repro.spec import machine_config
+
+        config = dataclasses.replace(
+            machine_config("clustered-fifo"), n_fifos=1
+        )
+        processor = Processor(workload("gcc"), config, make_steering("fifo"))
+        with pytest.raises(SimulationError) as info:
+            processor.run(2000, warmup=0)
+        message = str(info.value)
+        assert "no commit for 20000 cycles" in message
+        assert re.search(r"decode head seq \d+ [A-Z_]+ with \d", message)
+        assert re.search(r"ROB \d+/64", message)
+        assert re.search(r"windows fifo-iq0 \d+/8, fifo-iq1 \d+/8", message)
+        assert re.search(r"free registers cluster0 \d+/96, cluster1 \d+/96",
+                         message)
+        assert re.search(r"stalls rob \d+, regs \d+, iq [1-9]\d*", message)
+
+    def test_state_names_the_rob_head(self):
+        processor = Processor(
+            workload("gcc"), ProcessorConfig.default(),
+            make_steering("general-balance"),
+        )
+        processor._run_until(200)
+        head = processor.rob._entries[0]
+        assert (
+            f"ROB head seq {head.seq} {head.cls.name} on cluster "
+            f"{head.cluster} (dispatch {head.dispatch_cycle}, issue "
+            f"{head.issue_cycle}, complete {head.complete_cycle})"
+        ) in processor._pipeline_state()

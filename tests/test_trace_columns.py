@@ -1,10 +1,11 @@
 """Unit tests for the columnar trace representation and steering memo.
 
 ``TraceColumns`` is the structure-of-arrays core the columnar pipeline
-fetches from; these tests pin its round-trip fidelity against the
-classic ``TraceRecord`` form, the ``.rtrace`` array decode path, the
-frozen-length contract, and the slice-steering memoisation counters it
-enabled (surfaced through ``repro.telemetry.metrics``).
+fetches from; these tests pin its round-trip fidelity against an
+independent executor's ``TraceRecord`` stream, the ``.rtrace`` array
+decode path, the frozen-length contract, and the slice-steering
+memoisation counters it enabled (surfaced through
+``repro.telemetry.metrics``).
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.core.slices import SliceFlagTable
 from repro.core.steering import make_steering
 from repro.errors import ScenarioError
 from repro.pipeline import Processor, ProcessorConfig
-from repro.workloads import TraceColumns, workload
+from repro.workloads import TraceColumns, TraceExecutor, workload
 from repro.workloads.columns import CONDITIONAL, CONTROL, MEMORY, TAKEN
 
 N_RECORDS = 600
@@ -28,17 +29,15 @@ def shared():
 
 class TestRoundTrip:
     def test_to_records_matches_backing_trace(self, shared):
-        cols = shared.columns()
-        cols.sync()
-        records = shared._records
-        back = cols.to_records()
+        """The columns are the only record store: rebuilding records
+        from them must reproduce an independent executor's stream."""
+        back = shared.columns().to_records()
         assert len(back) >= N_RECORDS
-        for rec, orig in zip(back, records):
-            assert rec == orig
+        independent = TraceExecutor(shared.program, shared.seed)
+        assert back == independent.take(len(back))
 
     def test_from_arrays_rebuilds_identical_columns(self, shared):
         cols = shared.columns()
-        cols.sync()
         n = min(len(cols), N_RECORDS)
         taken = [(f & TAKEN) != 0 for f in cols.flags[:n]]
         rebuilt = TraceColumns.from_arrays(
@@ -51,7 +50,6 @@ class TestRoundTrip:
 
     def test_flags_encode_instruction_kind(self, shared):
         cols = shared.columns()
-        cols.sync()
         for inst, flags in zip(cols.insts, cols.flags):
             assert bool(flags & CONTROL) == inst.is_control
             assert bool(flags & CONDITIONAL) == inst.is_conditional
@@ -59,7 +57,6 @@ class TestRoundTrip:
 
     def test_line_ids_match_pcs(self, shared):
         cols = shared.columns()
-        cols.sync()
         line_bytes = 32
         assert cols.line_ids(line_bytes) == [
             pc // line_bytes for pc in cols.pcs
@@ -67,7 +64,6 @@ class TestRoundTrip:
 
     def test_fixed_length_columns_refuse_extension(self, shared):
         cols = shared.columns()
-        cols.sync()
         n = len(cols)
         taken = [(f & TAKEN) != 0 for f in cols.flags]
         fixed = TraceColumns.from_arrays(

@@ -27,10 +27,10 @@ Installed as ``repro-sim``::
     repro-sim dist worker job/           # claim+simulate until empty
     repro-sim dist status job/
     repro-sim dist merge job/ --json results.json
-    repro-sim perf record              # measure + append to BENCH_history/
+    repro-sim perf record --suite core-columnar runs/*.out   # perfbench runs
     repro-sim perf check               # statistical gate vs the ledger
-    repro-sim perf diff 8745a1f 3638d8 --suite core
-    repro-sim perf log --suite campaign
+    repro-sim perf diff 6fc644bb da447654 --suite core
+    repro-sim perf log --suite core
     repro-sim -v campaign ...          # structured event log on stderr
     repro-sim trace show job-123-1 --log events.jsonl   # span tree
     repro-sim telemetry dump           # logging config + metrics registry

@@ -4,9 +4,11 @@ The ``repro.perf`` subsystem makes performance a first-class, versioned
 artifact instead of a single checked-in snapshot:
 
 * :mod:`repro.perf.model` — the versioned profile format
-  (``repro-perf-profile/1``): labelled **raw per-repeat sample
-  vectors** with units, goodness direction and gate policy, plus the
-  legacy ``BENCH_*.json`` documents readable as v0 profiles.
+  (``repro-perf-profile/1``): labelled **raw per-run sample vectors**
+  with units, goodness direction and gate policy.
+* :mod:`repro.perf.perfbench` — one profile per ``perfbench`` workload
+  from saved ``perfbench/run.py`` runs, units and directions from
+  ``BENCHMARK.json``, every run checked.
 * :mod:`repro.perf.provenance` — commit / dirty-tree / branch / host /
   python stamps on every profile, validated field by field.
 * :mod:`repro.perf.ledger` — ``BENCH_history/``: one profile per
@@ -14,12 +16,11 @@ artifact instead of a single checked-in snapshot:
 * :mod:`repro.perf.detect` — the degradation detector: Mann-Whitney U /
   Welch's t on the raw samples with a configurable alpha, a
   minimum-effect floor, and a ratio fallback for sample-starved labels;
-  verdicts improved / stable / degraded / new / vanished.
+  verdicts improved / stable / degraded / new / vanished; raw
+  host-speed (``absolute``) labels gate only between same-host profiles.
 * :mod:`repro.perf.views` — ``perf diff`` / ``perf check`` renderings.
 * :mod:`repro.perf.cli` — the ``repro-sim perf record|check|diff|log|
   prune`` surface; ``perf check`` is the CI entry point.
-* :mod:`repro.perf.legacy` — the retained v0 ratio gate behind the
-  ``benchmarks/check_regression.py`` shim.
 """
 
 from .detect import (
@@ -35,8 +36,8 @@ from .model import (
     Metric,
     Profile,
     load_profile,
-    profile_from_document,
 )
+from .perfbench import Benchmark, profile_from_runs
 from .provenance import Provenance, collect
 from .views import (
     render_comparison,
@@ -46,6 +47,7 @@ from .views import (
 )
 
 __all__ = [
+    "Benchmark",
     "Comparison",
     "DetectorConfig",
     "DEFAULT_LEDGER",
@@ -59,7 +61,7 @@ __all__ = [
     "compare_metric",
     "compare_profiles",
     "load_profile",
-    "profile_from_document",
+    "profile_from_runs",
     "render_comparison",
     "render_label_history",
     "render_log",

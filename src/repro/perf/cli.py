@@ -2,20 +2,26 @@
 
 The ledger workflow::
 
-    repro-sim perf record              # measure, stamp, append to ledger
-    git add BENCH_history BENCH_*.json && git commit
-    repro-sim perf check               # CI: candidate vs recorded history
-    repro-sim perf diff 8745a1f 3638d8 --suite core
-    repro-sim perf log --suite campaign
+    for seed in 1 2 3 4 5 6; do
+        python3 perfbench/run.py --workload core-columnar --seed $seed \
+            --seconds 3 --trace 0 > runs/core-columnar.$seed.out
+    done
+    repro-sim perf record --suite core-columnar runs/core-columnar.*.out
+    git add BENCH_history && git commit
+    repro-sim perf check               # candidate vs recorded history
+    repro-sim perf diff --suite core-columnar
+    repro-sim perf log --suite core-columnar
 
-``perf record`` runs the benchmark scripts (or converts an existing
-``BENCH_*.json`` / profile document via ``--from-json``), stamps the
-result with provenance, and appends it to ``BENCH_history/``.  ``perf
-check`` is the CI entry point: it compares a candidate profile against
-the newest ledger entry from a *different* commit using the statistical
-detector and exits non-zero when any gated label degrades or vanishes.
-``perf diff`` renders any two recorded profiles (commit prefixes or
-file paths) side by side with per-label verdicts.
+``perf record`` reads saved ``perfbench/run.py`` output (one file per
+run), builds one profile of the workload with one sample per run (see
+:mod:`repro.perf.perfbench`), stamps it with provenance and appends it
+to ``BENCH_history/``.  It checks every run: a run whose ``failed`` is
+not 0 is refused.  ``perf check`` is the CI entry point: it compares a
+candidate profile against a baseline (by default the newest ledger
+entry from a *different* commit) using the statistical detector and
+exits non-zero when any gated label degrades or vanishes.  ``perf
+diff`` renders any two recorded profiles (commit prefixes or file
+paths) side by side with per-label verdicts.
 """
 
 from __future__ import annotations
@@ -23,21 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
-import sys
 
 from ..errors import ConfigError, PerfError
 from . import provenance
 from .detect import DetectorConfig, compare_profiles
 from .ledger import DEFAULT_LEDGER, Ledger, resolve_profile
 from .model import Profile, load_profile
+from .perfbench import Benchmark, profile_from_runs
 from .views import render_comparison, render_label_history, render_log
-
-#: suite name -> (benchmark script, legacy document at the repo root).
-SUITES = {
-    "core": ("bench_core.py", "BENCH_core.json"),
-    "campaign": ("bench_campaign.py", "BENCH_campaign.json"),
-}
 
 
 def _add_ledger_arg(parser: argparse.ArgumentParser) -> None:
@@ -70,10 +69,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
         help="force one comparison method (default: auto by sample count)",
     )
     parser.add_argument(
-        "--gate-absolute", action="store_true",
-        help="also gate raw throughput metrics (same-host comparisons)",
-    )
-    parser.add_argument(
         "--ignore-vanished", action="store_true",
         help="report labels missing from the candidate without failing",
     )
@@ -89,21 +84,18 @@ def add_perf_parser(sub) -> None:
 
     record = psub.add_parser(
         "record",
-        help="measure a benchmark suite and append the profile to the "
-        "ledger",
+        help="build a workload's profile from saved perfbench runs and "
+        "append it to the ledger",
     )
     record.add_argument(
-        "--suite", default="all", choices=("all", *SUITES),
-        help="benchmark suite to record (default: all)",
+        "--suite", required=True, metavar="WORKLOAD",
+        help="the perfbench workload the runs measured (a workload name "
+        "in the BENCHMARK.json next to the ledger)",
     )
     record.add_argument(
-        "--from-json", default=None, metavar="FILE",
-        help="convert an existing BENCH_*.json (or profile) document "
-        "instead of re-measuring; the suite is inferred",
-    )
-    record.add_argument(
-        "--repeat", type=int, default=3,
-        help="timed repeats per measured point (default 3)",
+        "files", nargs="+", metavar="FILE",
+        help="saved standard output of one perfbench/run.py run each; "
+        "at least 3 per mode (--trace 0 / --trace 1)",
     )
     record.add_argument(
         "-o", "--output", default=None, metavar="FILE",
@@ -130,7 +122,7 @@ def add_perf_parser(sub) -> None:
     )
     check.add_argument(
         "--candidate", default=None, metavar="FILE",
-        help="candidate profile or BENCH_*.json document "
+        help="candidate profile document "
         "(default: the ledger's newest entry)",
     )
     check.add_argument(
@@ -203,56 +195,20 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         min_effect=args.min_effect,
         max_regression=args.max_regression,
         method=args.method,
-        gate_absolute=args.gate_absolute,
-        ignore_vanished=getattr(args, "ignore_vanished", False),
+        ignore_vanished=args.ignore_vanished,
     )
 
 
 def _suite_names(ledger: Ledger, requested: str):
     if requested != "all":
-        if requested not in SUITES and requested not in ledger.suites():
-            raise PerfError(
-                f"unknown suite {requested!r} (known: "
-                f"{', '.join(sorted(set(SUITES) | set(ledger.suites())))})"
-            )
         return [requested]
     recorded = ledger.suites()
-    return recorded if recorded else sorted(SUITES)
-
-
-def _stamped(profile: Profile, repo_root: str) -> Profile:
-    """Stamp fresh provenance unless the document already carried one."""
-    if profile.provenance.recorded_at:
-        return profile
-    return profile.with_provenance(provenance.collect(repo_root))
-
-
-def _measure(suite: str, repeat: int, repo_root: str) -> Profile:
-    """Run a benchmark script and load its (legacy) output document."""
-    script, legacy_doc = SUITES[suite]
-    script_path = os.path.join(repo_root, "benchmarks", script)
-    if not os.path.isfile(script_path):
+    if not recorded:
         raise PerfError(
-            f"benchmark script {script_path!r} not found — run from a "
-            f"repository checkout, or convert an existing document with "
-            f"--from-json"
+            f"ledger {ledger.root!r} has no recorded profiles "
+            f"(record one with 'perf record')"
         )
-    output = os.path.join(repo_root, legacy_doc)
-    env = dict(os.environ)
-    src = os.path.join(repo_root, "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    result = subprocess.run(
-        [sys.executable, script_path, "--repeat", str(repeat),
-         "--output", output],
-        env=env,
-    )
-    if result.returncode != 0:
-        raise PerfError(
-            f"benchmark {script!r} exited with status {result.returncode}"
-        )
-    return load_profile(output)
+    return recorded
 
 
 def _write_document(profile: Profile, path: str) -> None:
@@ -264,37 +220,25 @@ def _write_document(profile: Profile, path: str) -> None:
 def _cmd_record(args: argparse.Namespace) -> int:
     ledger = Ledger(args.ledger)
     repo_root = os.path.dirname(os.path.abspath(args.ledger)) or "."
-    if args.from_json:
-        profiles = [load_profile(args.from_json)]
-        if args.suite != "all" and profiles[0].suite != args.suite:
-            raise PerfError(
-                f"--from-json document is a {profiles[0].suite!r} "
-                f"profile, not {args.suite!r}"
-            )
+    benchmark = Benchmark.load(os.path.join(repo_root, "BENCHMARK.json"))
+    profile = profile_from_runs(args.suite, args.files, benchmark)
+    profile = profile.with_provenance(provenance.collect(repo_root))
+    if not args.no_append:
+        path = ledger.append(profile, overwrite=args.overwrite)
+        print(f"recorded {profile.describe()} -> {path}")
     else:
-        suites = sorted(SUITES) if args.suite == "all" else [args.suite]
-        profiles = [
-            _measure(suite, args.repeat, repo_root) for suite in suites
-        ]
-    for profile in profiles:
-        profile = _stamped(profile, repo_root)
-        if not args.no_append:
-            path = ledger.append(profile, overwrite=args.overwrite)
-            print(f"recorded {profile.describe()} -> {path}")
-        else:
-            print(f"measured {profile.describe()} (not appended)")
-        if args.output:
-            _write_document(profile, args.output)
-            print(f"wrote {args.output}")
+        print(f"built {profile.describe()} (not appended)")
+    if args.output:
+        _write_document(profile, args.output)
+        print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     ledger = Ledger(args.ledger)
     config = _detector_config(args)
-    repo_root = os.path.dirname(os.path.abspath(args.ledger)) or "."
     if args.candidate:
-        candidates = [_stamped(load_profile(args.candidate), repo_root)]
+        candidates = [load_profile(args.candidate)]
         suites = [candidates[0].suite]
         if args.suite != "all" and suites != [args.suite]:
             raise PerfError(

@@ -1,19 +1,17 @@
 """Statistical degradation detection between two perf profiles.
 
-The single-ratio CI gate this replaces had two failure modes the
-ledger's raw samples let us fix: a noisy benchmark (std up to 15% of
-mean in ``BENCH_core.json``) can both hide a real regression inside the
-30% allowance and trip the gate on pure noise.  :func:`compare_profiles`
-instead classifies every label by running a **two-sample statistical
-test on the raw per-repeat samples**:
+A single-ratio gate has two failure modes that raw samples fix: a
+noisy benchmark (std up to 15% of mean) can both hide a real regression
+inside a 30% allowance and trip the gate on pure noise.
+:func:`compare_profiles` instead classifies every label by running a
+**two-sample statistical test on the raw per-run samples**:
 
 * Mann-Whitney U when both sides carry enough repeats for the rank
   approximation (>= ``min_mw_samples`` each) — distribution-free, robust
   to the long right tail wall-clock timings have;
 * Welch's t-test for small-but-multiple repeats (>= ``min_stat_samples``);
 * a plain ratio check as the fallback when a label has too few samples
-  for either (legacy single-value profiles land here, preserving the
-  old gate's behaviour).
+  for either (the ledger's early single-value entries land here).
 
 A label is **degraded** only when the shift is statistically
 significant (``p < alpha``) *and* at least ``min_effect`` in relative
@@ -24,16 +22,17 @@ tiny variance from failing CI.  Shifts in the good direction are
 and *fail* gated metrics — a silently dropped benchmark point must not
 read as a pass.
 
-Compound groups (the campaign suite's serial-relative + raw throughput
-pairs) fail only when *every* groomed member degrades, preserving the
-legacy compound gate: relative-only drops also happen when serial alone
-speeds up, raw-only drops when the runner is slower hardware.
+``absolute`` labels (raw host-speed numbers such as instructions per
+second) gate only when both profiles name the same host in their
+provenance: a same-runner A/B cancels the hardware, a comparison across
+hosts does not.  Across hosts, or when either profile does not name its
+host, they are reported and the report says why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ConfigError
 from .model import Metric, Profile
@@ -52,7 +51,6 @@ class DetectorConfig:
     min_stat_samples: int = 3
     min_mw_samples: int = 6
     method: str = "auto"  # auto | mannwhitney | welch | ratio
-    gate_absolute: bool = False
     ignore_vanished: bool = False
 
     def __post_init__(self):
@@ -84,7 +82,6 @@ class LabelDelta:
     verdict: str
     unit: str = ""
     gate: str = "gated"
-    group: Optional[str] = None
     method: str = "none"
     p_value: Optional[float] = None
     #: Signed relative shift in the *good* direction (+3% = 3% better).
@@ -93,8 +90,7 @@ class LabelDelta:
     cand_mean: Optional[float] = None
     base_n: int = 0
     cand_n: int = 0
-    #: Whether this delta fails the gate (filled by compare_profiles,
-    #: after compound groups are resolved).
+    #: Whether this delta fails the gate (filled by compare_profiles).
     fails: bool = False
     note: str = ""
 
@@ -107,6 +103,8 @@ class Comparison:
     candidate: Profile
     deltas: List[LabelDelta] = field(default_factory=list)
     config: DetectorConfig = field(default_factory=DetectorConfig)
+    #: Why ``absolute`` labels are (or are not) gated in this comparison.
+    absolute_policy: str = ""
 
     @property
     def failures(self) -> List[LabelDelta]:
@@ -147,7 +145,6 @@ def compare_metric(
         verdict="stable",
         unit=cand.unit or base.unit,
         gate=cand.gate,
-        group=cand.group,
         base_mean=base.mean,
         cand_mean=cand.mean,
         base_n=base.n,
@@ -181,40 +178,35 @@ def compare_metric(
     return delta
 
 
-def _gate(deltas: List[LabelDelta], config: DetectorConfig) -> None:
-    """Resolve per-delta ``fails`` flags, honouring compound groups."""
-    degraded_by_group: Dict[str, List[LabelDelta]] = {}
-    members_by_group: Dict[str, List[LabelDelta]] = {}
-    for delta in deltas:
-        if delta.group is not None and delta.gate in ("gated", "absolute"):
-            members_by_group.setdefault(delta.group, []).append(delta)
-            if delta.verdict == "degraded":
-                degraded_by_group.setdefault(delta.group, []).append(delta)
-    for delta in deltas:
-        gated = delta.gate == "gated" or (
-            delta.gate == "absolute" and config.gate_absolute
+def _absolute_policy(baseline: Profile, candidate: Profile):
+    """``(gated, reason)`` for the ``absolute`` labels of a comparison."""
+    base_host = baseline.provenance.host
+    cand_host = candidate.provenance.host
+    if not base_host or not cand_host:
+        return False, "not gated: a profile does not name its host"
+    if base_host != cand_host:
+        return False, (
+            f"not gated: recorded on different hosts "
+            f"({base_host!r} vs {cand_host!r})"
         )
-        if not gated or delta.verdict in ("improved", "stable", "new"):
+    return True, f"gated: both profiles recorded on host {base_host!r}"
+
+
+def _gate(deltas: List[LabelDelta], config: DetectorConfig, policy) -> None:
+    """Resolve per-delta ``fails`` flags."""
+    gate_absolute, reason = policy
+    for delta in deltas:
+        if delta.verdict not in ("degraded", "vanished"):
             continue
-        if delta.verdict == "vanished":
-            delta.fails = not config.ignore_vanished
-            if config.ignore_vanished:
-                delta.note = (delta.note + " ignored (--ignore-vanished)"
-                              ).strip()
+        if delta.gate == "report":
             continue
-        # verdict == "degraded"
-        if delta.group is None or config.gate_absolute:
-            delta.fails = True
+        if delta.gate == "absolute" and not gate_absolute:
+            delta.note = (delta.note + f" absolute label {reason}").strip()
             continue
-        members = members_by_group.get(delta.group, [delta])
-        degraded = degraded_by_group.get(delta.group, [])
-        if len(degraded) == len(members):
-            delta.fails = True
-        else:
-            delta.note = (
-                delta.note
-                + " compound: group sibling(s) held steady, not gated"
-            ).strip()
+        if delta.verdict == "vanished" and config.ignore_vanished:
+            delta.note = (delta.note + " ignored (--ignore-vanished)").strip()
+            continue
+        delta.fails = True
 
 
 def compare_profiles(
@@ -235,7 +227,6 @@ def compare_profiles(
                 verdict="vanished",
                 unit=metric.unit,
                 gate=metric.gate,
-                group=metric.group,
                 base_mean=metric.mean,
                 base_n=metric.n,
                 note="label recorded in the baseline is missing from "
@@ -251,12 +242,13 @@ def compare_profiles(
             verdict="new",
             unit=metric.unit,
             gate=metric.gate,
-            group=metric.group,
             cand_mean=metric.mean,
             cand_n=metric.n,
             note="no recorded baseline; reported, never gated",
         ))
-    _gate(deltas, config)
+    policy = _absolute_policy(baseline, candidate)
+    _gate(deltas, config, policy)
     return Comparison(
-        baseline=baseline, candidate=candidate, deltas=deltas, config=config
+        baseline=baseline, candidate=candidate, deltas=deltas, config=config,
+        absolute_policy=policy[1],
     )

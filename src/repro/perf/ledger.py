@@ -23,7 +23,7 @@ import tempfile
 from typing import List, Optional, Tuple
 
 from ..errors import PerfError
-from .model import Profile, profile_from_document
+from .model import Profile, load_profile
 
 DEFAULT_LEDGER = "BENCH_history"
 
@@ -68,7 +68,7 @@ class Ledger:
                 raise PerfError(
                     f"ledger entry {path!r} is unreadable: {error}"
                 ) from error
-            profiles.append(profile_from_document(document))
+            profiles.append(Profile.from_document(document))
         profiles.sort(
             key=lambda p: (p.provenance.recorded_at, p.provenance.key),
             reverse=True,
@@ -177,8 +177,6 @@ def resolve_profile(
     ``perf diff old.json new.json`` works outside any ledger.
     """
     if ref is not None and (os.sep in ref or os.path.isfile(ref)):
-        from .model import load_profile
-
         return load_profile(ref), ref
     profile = ledger.lookup(suite, ref)
     return profile, os.path.relpath(ledger.path_for(profile))

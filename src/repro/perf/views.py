@@ -89,6 +89,8 @@ def render_comparison(comparison: Comparison, title: str = "") -> str:
         if counts[verdict]
     ) or "no labels"
     lines.append(f"summary: {summary}")
+    if any(delta.gate == "absolute" for delta in comparison.deltas):
+        lines.append(f"absolute labels {comparison.absolute_policy}")
     failures = comparison.failures
     if failures:
         lines.append(

@@ -11,7 +11,9 @@ scipy (not available in CI, hence the pure-python implementations).
 from __future__ import annotations
 
 import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -23,6 +25,9 @@ from repro.perf.stats import (
     student_t_sf,
     welch_t,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK_JSON = os.path.join(ROOT, "BENCHMARK.json")
 
 COMMIT_A = "a" * 40
 COMMIT_B = "b" * 40
@@ -38,15 +43,57 @@ def metric(label="ipc", samples=(1.0,), **kwargs):
     return perf.Metric(label=label, samples=tuple(samples), **kwargs)
 
 
-def profile(metrics, suite="core", commit=COMMIT_A, when="2026-08-01", **kw):
+def profile(metrics, suite="core", commit=COMMIT_A, when="2026-08-01",
+            host="test", **kw):
     return perf.Profile(
         suite=suite,
         metrics=tuple(metrics),
         provenance=perf.Provenance(
-            commit=commit, recorded_at=f"{when}T00:00:00Z", host="test",
+            commit=commit, recorded_at=f"{when}T00:00:00Z", host=host,
             **kw,
         ),
     )
+
+
+def benchmark_metrics(mode):
+    """``(name, unit)`` of every metric of *mode* in BENCHMARK.json."""
+    with open(BENCHMARK_JSON, encoding="utf-8") as fh:
+        return [(e["name"], e["unit"]) for e in json.load(fh)[mode]]
+
+
+def write_run(path, values, mode="end_to_end", failed=0, extra=None):
+    """Saved perfbench stdout: one line per metric, then the result line.
+
+    *values* maps a metric name to its value; every other metric of
+    *mode* reads 0, as perfbench prints a metric its workload does not
+    measure.
+    """
+    metrics = {
+        name: {"value": float(values.get(name, 0.0)), "unit": unit}
+        for name, unit in benchmark_metrics(mode)
+    }
+    metrics.update(extra or {})
+    lines = [
+        f"core-columnar  {name:<36s} {m['value']:>16.6f} {m['unit']}"
+        for name, m in metrics.items()
+    ]
+    lines.append(json.dumps({
+        "correct": failed == 0, "attempted": 12, "failed": failed,
+        "metrics": metrics,
+    }))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def end_to_end(instr_per_s=60000.0, peak_rss_mb=40.0):
+    return {
+        "sim_instr_per_s": instr_per_s,
+        "sweep_points_per_s": instr_per_s / 13000.0,
+        "point_s_p50": 13000.0 / instr_per_s,
+        "point_s_p75": 14000.0 / instr_per_s,
+        "setup_s": 0.25,
+        "peak_rss_mb": peak_rss_mb,
+    }
 
 
 class TestStats:
@@ -113,7 +160,7 @@ class TestDetector:
         assert not comparison.ok
 
     def test_noise_at_15pct_std_passes(self):
-        # Same distribution, std = 15% of mean — the BENCH_core.json
+        # Same distribution, std = 15% of mean — the retired core suite's
         # noise level the old 30%-ratio gate could trip on.
         comparison, delta = self.compare(
             gauss(3, 1.0, 0.15, 10), gauss(4, 1.0, 0.15, 10)
@@ -211,16 +258,51 @@ class TestDetector:
         comparison = perf.compare_profiles(baseline, candidate)
         assert comparison.ok
 
-    def test_absolute_metrics_gated_only_on_request(self):
-        baseline = profile([metric("raw", (100.0,), gate="absolute")])
+    def absolute_pair(self, cand_host="test", base_host="test"):
+        baseline = profile(
+            [metric("raw", gauss(15, 100.0, 2.0, 8), gate="absolute"),
+             metric("gone", (1.0,), gate="absolute")],
+            host=base_host,
+        )
         candidate = profile(
-            [metric("raw", (10.0,), gate="absolute")], commit=COMMIT_B
+            [metric("raw", gauss(16, 50.0, 1.0, 8), gate="absolute")],
+            commit=COMMIT_B, host=cand_host,
         )
-        assert perf.compare_profiles(baseline, candidate).ok
-        gated = perf.compare_profiles(
-            baseline, candidate, DetectorConfig(gate_absolute=True)
+        comparison = perf.compare_profiles(baseline, candidate)
+        return comparison, {d.label: d for d in comparison.deltas}
+
+    def test_absolute_labels_gate_on_the_same_host(self):
+        comparison, by_label = self.absolute_pair()
+        assert by_label["raw"].verdict == "degraded"
+        assert by_label["raw"].fails and by_label["gone"].fails
+        assert "gated: both profiles recorded on host 'test'" in (
+            perf.render_comparison(comparison)
         )
-        assert not gated.ok
+
+    def test_absolute_labels_are_reported_across_hosts(self):
+        comparison, by_label = self.absolute_pair(cand_host="runner-2")
+        assert by_label["raw"].verdict == "degraded"
+        assert by_label["gone"].verdict == "vanished"
+        assert comparison.ok
+        for delta in by_label.values():
+            assert "different hosts ('test' vs 'runner-2')" in delta.note
+        assert "absolute labels not gated" in (
+            perf.render_comparison(comparison)
+        )
+
+    def test_absolute_labels_are_reported_without_a_host(self):
+        for base_host, cand_host in (("", ""), ("test", ""), ("", "test")):
+            comparison, by_label = self.absolute_pair(cand_host, base_host)
+            assert comparison.ok
+            assert "does not name its host" in by_label["raw"].note
+
+    def test_gated_labels_gate_across_hosts(self):
+        baseline = profile([metric("ratio", gauss(17, 2.0, 0.05, 8))])
+        candidate = profile(
+            [metric("ratio", gauss(18, 1.0, 0.02, 8))],
+            commit=COMMIT_B, host="runner-2",
+        )
+        assert not perf.compare_profiles(baseline, candidate).ok
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -231,64 +313,11 @@ class TestDetector:
             DetectorConfig(method="bayes")
 
 
-class TestCompoundGroups:
-    """The campaign suite's serial-relative + raw throughput pairs."""
-
-    def build(self, rel_cand, raw_cand):
-        base = profile([
-            metric("w rel", gauss(1, 2.0, 0.05, 8), gate="gated", group="w"),
-            metric("w raw", gauss(2, 100.0, 2.0, 8), gate="absolute",
-                   group="w"),
-        ], suite="campaign")
-        cand = profile([
-            metric("w rel", rel_cand, gate="gated", group="w"),
-            metric("w raw", raw_cand, gate="absolute", group="w"),
-        ], suite="campaign", commit=COMMIT_B)
-        return perf.compare_profiles(base, cand)
-
-    def test_relative_drop_alone_does_not_fail(self):
-        # Serial alone sped up: the relative ratio halves, the raw
-        # number holds -> legacy compound semantics say pass.
-        comparison = self.build(
-            gauss(3, 1.0, 0.02, 8), gauss(4, 100.0, 2.0, 8)
-        )
-        by_label = {d.label: d for d in comparison.deltas}
-        assert by_label["w rel"].verdict == "degraded"
-        assert not by_label["w rel"].fails
-        assert "compound" in by_label["w rel"].note
-        assert comparison.ok
-
-    def test_both_dropping_fails(self):
-        comparison = self.build(
-            gauss(5, 1.0, 0.02, 8), gauss(6, 50.0, 1.0, 8)
-        )
-        by_label = {d.label: d for d in comparison.deltas}
-        assert by_label["w rel"].fails
-        assert not comparison.ok
-
-    def test_gate_absolute_bypasses_compound_softening(self):
-        base = profile([
-            metric("w rel", gauss(1, 2.0, 0.05, 8), gate="gated", group="w"),
-            metric("w raw", gauss(2, 100.0, 2.0, 8), gate="absolute",
-                   group="w"),
-        ], suite="campaign")
-        cand = profile([
-            metric("w rel", gauss(3, 1.0, 0.02, 8), gate="gated", group="w"),
-            metric("w raw", gauss(4, 100.0, 2.0, 8), gate="absolute",
-                   group="w"),
-        ], suite="campaign", commit=COMMIT_B)
-        comparison = perf.compare_profiles(
-            base, cand, DetectorConfig(gate_absolute=True)
-        )
-        assert not comparison.ok
-
-
 class TestProfileModel:
     def test_document_round_trip(self):
         original = profile([
             metric("a", (1.0, 2.0), unit="ratio"),
-            metric("b", (3.0,), gate="absolute", group="g",
-                   direction="lower"),
+            metric("b", (3.0,), gate="absolute", direction="lower"),
         ])
         decoded = perf.Profile.from_document(
             json.loads(json.dumps(original.to_document()))
@@ -301,7 +330,15 @@ class TestProfileModel:
 
     def test_unknown_document_rejected(self):
         with pytest.raises(PerfError):
-            perf.profile_from_document({"benchmark": "mystery"})
+            perf.Profile.from_document({"benchmark": "mystery"})
+
+    def test_stored_group_key_is_ignored(self):
+        # The retired campaign suite's entries carry compound-group keys.
+        document = profile([metric("a", (1.0,))]).to_document()
+        document["metrics"][0]["group"] = "g"
+        decoded = perf.Profile.from_document(document)
+        assert decoded == profile([metric("a", (1.0,))])
+        assert "group" not in decoded.to_document()["metrics"][0]
 
     def test_bad_samples_name_the_metric(self):
         with pytest.raises(ConfigError, match="ipc"):
@@ -320,77 +357,155 @@ class TestProfileModel:
             metric("a", (1.0,), gate="sometimes")
 
 
-class TestLegacyConversion:
-    def core_doc(self, with_samples=True):
-        event = {"instr_per_sec": 40000.0}
-        scan = {"instr_per_sec": 20000.0}
-        if with_samples:
-            event["seconds"] = [0.2, 0.21, 0.19]
-            scan["seconds"] = [0.4, 0.42, 0.38]
-        return {
-            "benchmark": "core-scheduler",
-            "n_instructions": 8000,
-            "points": [{
-                "bench": "gcc", "scheme": "modulo", "machine": "clustered",
-                "event": event, "scan": scan, "speedup_vs_scan": 2.0,
-            }],
-        }
+class TestPerfbenchImport:
+    """Profiles built from saved perfbench/run.py output."""
 
-    def test_core_conversion_pairs_raw_repeats(self):
-        converted = perf.profile_from_document(self.core_doc())
-        assert converted.suite == "core"
-        by_label = converted.by_label()
-        speedup = by_label["gcc/modulo/clustered speedup_vs_scan"]
-        assert speedup.samples == (
-            pytest.approx(2.0), pytest.approx(2.0), pytest.approx(2.0)
-        )
-        assert speedup.gate == "gated"
-        ips = by_label["gcc/modulo/clustered event instr/s"]
-        assert ips.gate == "absolute"
-        assert ips.samples == (
-            pytest.approx(40000.0), pytest.approx(8000 / 0.21),
-            pytest.approx(8000 / 0.19),
-        )
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return perf.Benchmark.load(BENCHMARK_JSON)
 
-    def test_core_conversion_without_samples_falls_back(self):
-        converted = perf.profile_from_document(self.core_doc(False))
-        speedup = converted.by_label()[
-            "gcc/modulo/clustered speedup_vs_scan"
+    def runs(self, tmp_path, values_list, mode="end_to_end", tag="run"):
+        return [
+            write_run(tmp_path / f"{tag}{i}.out", values, mode)
+            for i, values in enumerate(values_list)
         ]
-        assert speedup.samples == (2.0,)
 
-    def test_campaign_conversion_builds_compound_groups(self):
-        document = {
-            "benchmark": "campaign-backends",
-            "n_points": 4,
-            "backends": {
-                "serial": {
-                    "points_per_second": 16.0, "seconds": [0.25, 0.26, 0.24],
-                },
-                "worker-warm": {
-                    "points_per_second": 2000.0,
-                    "seconds": [0.002, 0.0021, 0.0019],
-                },
-            },
-        }
-        converted = perf.profile_from_document(document)
-        assert converted.suite == "campaign"
-        by_label = converted.by_label()
-        assert "serial points/s vs serial" not in by_label
-        raw = by_label["worker-warm points/s"]
-        assert raw.gate == "absolute" and raw.group == "worker-warm"
-        rel = by_label["worker-warm points/s vs serial"]
-        assert rel.gate == "gated" and rel.group == "worker-warm"
-        assert rel.samples == (
-            pytest.approx(0.25 / 0.002), pytest.approx(0.26 / 0.0021),
-            pytest.approx(0.24 / 0.0019),
+    def test_units_and_directions_come_from_benchmark_json(
+        self, tmp_path, spec
+    ):
+        paths = self.runs(tmp_path, [
+            end_to_end(60000.0), end_to_end(62000.0), end_to_end(61000.0),
+        ])
+        built = perf.profile_from_runs("core-columnar", paths, spec)
+        with open(BENCHMARK_JSON, encoding="utf-8") as fh:
+            declared = json.load(fh)["end_to_end"]
+        by_label = built.by_label()
+        assert [m.label for m in built.metrics] == [e["name"] for e in declared]
+        for entry in declared:
+            recorded = by_label[entry["name"]]
+            assert recorded.unit == entry["unit"]
+            assert recorded.direction == entry["better"]
+            assert recorded.gate == "absolute"
+        # One sample per run, in the order the files were given.
+        assert by_label["sim_instr_per_s"].samples == (
+            60000.0, 62000.0, 61000.0
         )
+        assert built.suite == "core-columnar"
+        assert built.meta["runs"] == {"end_to_end": 3, "per_layer": 0}
 
-    def test_checked_in_baselines_convert(self):
-        core = perf.load_profile("BENCH_core.json")
-        campaign = perf.load_profile("BENCH_campaign.json")
-        assert core.suite == "core" and core.metrics
-        assert campaign.suite == "campaign" and campaign.metrics
+    def test_rising_peak_rss_reads_degraded(self, tmp_path, spec):
+        base = perf.profile_from_runs("core-fifo", self.runs(
+            tmp_path, [end_to_end(50000.0 + i, 40.0 + 0.1 * i)
+                       for i in range(6)], tag="base",
+        ), spec)
+        cand = perf.profile_from_runs("core-fifo", self.runs(
+            tmp_path, [end_to_end(50000.0 - i, 60.0 + 0.1 * i)
+                       for i in range(6)], tag="cand",
+        ), spec)
+        stamp = perf.Provenance(host="runner", recorded_at="2026-10-17")
+        comparison = perf.compare_profiles(
+            base.with_provenance(stamp), cand.with_provenance(stamp)
+        )
+        by_label = {d.label: d for d in comparison.deltas}
+        assert by_label["peak_rss_mb"].verdict == "degraded"
+        assert by_label["peak_rss_mb"].fails
+        assert by_label["sim_instr_per_s"].verdict == "stable"
+
+    def test_traced_and_untraced_runs_merge_into_one_profile(
+        self, tmp_path, spec
+    ):
+        layers = {
+            "pipeline.dispatch_ns_per_instr": 5000.0,
+            "pipeline.step_ns_per_instr": 18000.0,
+        }
+        paths = self.runs(
+            tmp_path, [end_to_end()] * 3, tag="plain"
+        ) + self.runs(tmp_path, [layers] * 3, mode="per_layer", tag="traced")
+        built = perf.profile_from_runs("core-columnar", paths, spec)
+        by_label = built.by_label()
+        assert by_label["sim_instr_per_s"].gate == "absolute"
+        dispatch = by_label["pipeline.dispatch_ns_per_instr"]
+        assert dispatch.gate == "report" and dispatch.n == 3
+        assert dispatch.unit == "ns" and dispatch.direction == "lower"
+        assert built.meta["runs"] == {"end_to_end": 3, "per_layer": 3}
+
+    def test_all_zero_per_layer_labels_are_left_out(
+        self, tmp_path, spec
+    ):
+        paths = self.runs(tmp_path, [
+            {"pipeline.step_ns_per_instr": 18000.0,
+             "dist.result_cache_hits": 0.0},
+            {"pipeline.step_ns_per_instr": 18100.0,
+             "dist.result_cache_hits": 2.0},
+            {"pipeline.step_ns_per_instr": 17900.0},
+        ], mode="per_layer")
+        by_label = perf.profile_from_runs(
+            "core-columnar", paths, spec
+        ).by_label()
+        assert set(by_label) == {
+            "pipeline.step_ns_per_instr", "dist.result_cache_hits"
+        }
+        assert by_label["dist.result_cache_hits"].samples == (0.0, 2.0, 0.0)
+
+    def test_last_line_not_a_result_object_is_refused(
+        self, tmp_path, spec
+    ):
+        paths = self.runs(tmp_path, [end_to_end()] * 3)
+        crashed = tmp_path / "crashed.out"
+        crashed.write_text("core-columnar  setup\nTraceback (most recent)\n")
+        with pytest.raises(PerfError, match="crashed.out: the last line"):
+            perf.profile_from_runs(
+                "core-columnar", paths + [str(crashed)], spec
+            )
+        crashed.write_text(json.dumps({"failed": 0, "metrics": {}}) + "\n")
+        with pytest.raises(PerfError, match="crashed.out: the last line"):
+            perf.profile_from_runs("core-columnar", [str(crashed)], spec)
+
+    def test_failed_run_is_refused(self, tmp_path, spec):
+        paths = self.runs(tmp_path, [end_to_end()] * 3)
+        failed = write_run(tmp_path / "failed.out", end_to_end(), failed=2)
+        with pytest.raises(PerfError, match=r"failed.out: .*failed=2"):
+            perf.profile_from_runs(
+                "core-columnar", paths + [failed], spec
+            )
+
+    def test_metric_missing_from_benchmark_json_is_refused(
+        self, tmp_path, spec
+    ):
+        stray = write_run(
+            tmp_path / "stray.out", end_to_end(),
+            extra={"sim_bogo_per_s": {"value": 1.0, "unit": "1/s"}},
+        )
+        with pytest.raises(
+            PerfError, match="stray.out: .*sim_bogo_per_s.*not in BENCHMARK"
+        ):
+            perf.profile_from_runs("core-columnar", [stray], spec)
+
+    def test_run_mixing_modes_is_refused(self, tmp_path, spec):
+        mixed = write_run(
+            tmp_path / "mixed.out", end_to_end(),
+            extra={"pipeline.ipc": {"value": 1.5, "unit": "1/cycle"}},
+        )
+        with pytest.raises(PerfError, match="mixed.out: .*mixes"):
+            perf.profile_from_runs("core-columnar", [mixed], spec)
+
+    def test_mode_with_fewer_than_three_runs_is_refused(
+        self, tmp_path, spec
+    ):
+        plain = self.runs(tmp_path, [end_to_end()] * 3, tag="plain")
+        traced = self.runs(
+            tmp_path, [{"pipeline.ipc": 1.5}] * 2, mode="per_layer",
+            tag="traced",
+        )
+        with pytest.raises(PerfError, match=r"traced1.out: 2 per-layer run"):
+            perf.profile_from_runs("core-columnar", plain + traced, spec)
+        with pytest.raises(PerfError, match=r"plain1.out: 2 end-to-end run"):
+            perf.profile_from_runs("core-columnar", plain[:2], spec)
+
+    def test_workload_must_be_in_benchmark_json(self, tmp_path, spec):
+        paths = self.runs(tmp_path, [end_to_end()] * 3)
+        with pytest.raises(PerfError, match="core-columnar, core-fifo"):
+            perf.profile_from_runs("core", paths, spec)
 
 
 class TestProvenance:
@@ -526,40 +641,75 @@ class TestPerfCli:
         ledger.append(cand)
         return ledger
 
-    def test_record_from_json_and_log(self, tmp_path, capsys):
-        document = {
-            "benchmark": "campaign-backends",
-            "n_points": 2,
-            "backends": {"serial": {"points_per_second": 10.0}},
-        }
-        source = self.write(tmp_path, "BENCH_campaign.json", document)
-        out_profile = str(tmp_path / "campaign.profile.json")
+    def perfbench_runs(self, tmp_path, n=3):
+        """A checkout-like directory: BENCHMARK.json plus n saved runs."""
+        shutil.copy(BENCHMARK_JSON, tmp_path / "BENCHMARK.json")
+        return [
+            write_run(tmp_path / f"run{i}.out", end_to_end(60000.0 + i))
+            for i in range(n)
+        ]
+
+    def test_record_perfbench_runs_and_log(self, tmp_path, capsys):
+        runs = self.perfbench_runs(tmp_path)
+        out_profile = str(tmp_path / "core-columnar.json")
         assert self.run_cli(
-            "perf", "record", "--from-json", source, "-o", out_profile,
-            *self.ledger_args(tmp_path),
+            "perf", "record", "--suite", "core-columnar", *runs,
+            "-o", out_profile, *self.ledger_args(tmp_path),
         ) == 0
         out = capsys.readouterr().out
-        assert "recorded campaign" in out
+        assert "recorded core-columnar" in out
         recorded = perf.load_profile(out_profile)
-        assert recorded.suite == "campaign"
+        assert recorded.suite == "core-columnar"
+        assert recorded.by_label()["sim_instr_per_s"].n == 3
         assert recorded.provenance.recorded_at  # stamped on record
+        assert recorded.provenance.host
         assert self.run_cli(
             "perf", "log", *self.ledger_args(tmp_path)
         ) == 0
-        assert "campaign: 1 recorded profile(s)" in capsys.readouterr().out
+        assert "core-columnar: 1 recorded profile(s)" in (
+            capsys.readouterr().out
+        )
 
     def test_record_refuses_duplicate_without_overwrite(self, tmp_path):
-        document = {
-            "benchmark": "campaign-backends",
-            "n_points": 2,
-            "backends": {"serial": {"points_per_second": 10.0}},
-        }
-        source = self.write(tmp_path, "BENCH_campaign.json", document)
-        args = ("perf", "record", "--from-json", source,
+        runs = self.perfbench_runs(tmp_path)
+        args = ("perf", "record", "--suite", "core-fifo", *runs,
                 *self.ledger_args(tmp_path))
         assert self.run_cli(*args) == 0
         assert self.run_cli(*args) == 1  # same commit, no --overwrite
         assert self.run_cli(*args, "--overwrite") == 0
+
+    def test_record_reports_the_bad_run(self, tmp_path, capsys):
+        runs = self.perfbench_runs(tmp_path)
+        failed = write_run(tmp_path / "bad.out", end_to_end(), failed=1)
+        assert self.run_cli(
+            "perf", "record", "--suite", "sweep-cold", *runs, failed,
+            *self.ledger_args(tmp_path),
+        ) == 1
+        out = capsys.readouterr().out
+        assert "perf record failed" in out and "bad.out" in out
+        assert not perf.Ledger(str(tmp_path / "BENCH_history")).suites()
+
+    def test_record_suites_are_the_benchmark_workloads(
+        self, tmp_path, capsys
+    ):
+        runs = self.perfbench_runs(tmp_path)
+        assert self.run_cli(
+            "perf", "record", "--suite", "core", *runs,
+            *self.ledger_args(tmp_path),
+        ) == 1
+        assert "core-columnar, core-fifo, sweep-cold" in (
+            capsys.readouterr().out
+        )
+
+    def test_record_needs_benchmark_json_beside_the_ledger(
+        self, tmp_path, capsys
+    ):
+        runs = self.perfbench_runs(tmp_path)
+        assert self.run_cli(
+            "perf", "record", "--suite", "core-columnar", *runs,
+            "--ledger", str(tmp_path / "elsewhere" / "BENCH_history"),
+        ) == 1
+        assert "BENCHMARK.json" in capsys.readouterr().out
 
     def test_check_passes_on_stable_history(self, tmp_path, capsys):
         self.seed_pair(tmp_path, cand_factor=1.0)
@@ -622,6 +772,12 @@ class TestPerfCli:
         ) == 0
         assert "nothing older" in capsys.readouterr().out
 
+    def test_check_on_an_empty_ledger_fails(self, tmp_path, capsys):
+        assert self.run_cli(
+            "perf", "check", *self.ledger_args(tmp_path)
+        ) == 1
+        assert "no recorded profiles" in capsys.readouterr().out
+
     def test_diff_latest_pair_and_refs(self, tmp_path, capsys):
         self.seed_pair(tmp_path, cand_factor=0.5)
         assert self.run_cli(
@@ -668,64 +824,50 @@ class TestCheckedInLedger:
             assert latest.metrics
             assert latest.provenance.commit != "unknown"
 
-    def test_fresh_measurement_would_gate_against_seed(self):
-        # The CI flow in miniature: the checked-in legacy documents
-        # (converted, as CI converts a fresh run) compare cleanly
-        # against the seeded ledger entries recorded from them.
-        ledger = perf.Ledger("BENCH_history")
-        for name, suite in (
-            ("BENCH_core.json", "core"),
-            ("BENCH_campaign.json", "campaign"),
-        ):
-            candidate = perf.load_profile(name).with_provenance(
-                perf.Provenance(
-                    commit=COMMIT_C, recorded_at="2026-08-07T00:00:00Z"
-                )
-            )
-            baseline = ledger.baseline_for(suite, candidate)
-            assert baseline is not None
-            comparison = perf.compare_profiles(baseline, candidate)
-            assert comparison.ok, perf.render_comparison(comparison)
+    def test_committed_history_logs_and_diffs(self, capsys):
+        from repro.cli import main
+
+        assert main(["perf", "log"]) == 0
+        assert main(["perf", "log", "--suite", "campaign",
+                     "--label", "serial"]) == 0
+        assert main(["perf", "diff", "--suite", "core"]) == 0
+        assert main(["perf", "diff", "--suite", "campaign",
+                     "8745a1ff", "8745a1ff"]) == 0
+        out = capsys.readouterr().out
+        assert "core: 5 recorded profile(s)" in out
+        assert "4ebddc740326" in out and "da44765403c0" in out
 
     def test_retired_dispatch_labels_vanish_against_their_entry(self):
         # The entry recorded while the object dispatch path existed
-        # still carries its columnar-vs-object labels; the current
-        # document has none, so they vanish, and the gated ratios fail
-        # unless vanished labels are ignored.
+        # still carries its columnar-vs-object labels; a later entry has
+        # none, so they vanish.  Both were recorded on host 'vm', so the
+        # absolute instr/s labels gate as well as the gated ratios.
         ledger = perf.Ledger("BENCH_history")
         old = ledger.lookup("core", "6fc644bb90dc")
+        new = ledger.lookup("core", "da44765403c0")
         retired = {
             label for label in old.by_label()
             if "dispatch" in label or "columnar" in label
         }
         assert len(retired) == 6
-        candidate = perf.load_profile("BENCH_core.json")
-        comparison = perf.compare_profiles(old, candidate)
+        comparison = perf.compare_profiles(old, new)
         vanished = {
             d.label for d in comparison.deltas if d.verdict == "vanished"
         }
         assert vanished == retired
-        assert {d.label for d in comparison.failures} == {
-            label for label in retired if "speedup_vs_object" in label
-        }
+        assert {d.label for d in comparison.failures} == retired
+        # Across hosts only the gated ratios still fail.
+        elsewhere = new.with_provenance(
+            perf.Provenance(commit=new.provenance.commit, host="runner")
+        )
+        assert {
+            d.label
+            for d in perf.compare_profiles(old, elsewhere).failures
+        } == {label for label in retired if "speedup_vs_object" in label}
         lenient = perf.compare_profiles(
-            old, candidate, DetectorConfig(ignore_vanished=True)
+            old, new, DetectorConfig(ignore_vanished=True)
         )
         assert not any(d.verdict == "vanished" for d in lenient.failures)
-
-    def test_core_baseline_covers_exactly_the_current_points(self):
-        ledger = perf.Ledger("BENCH_history")
-        candidate = perf.load_profile("BENCH_core.json").with_provenance(
-            perf.Provenance(
-                commit=COMMIT_C, recorded_at="2026-08-07T00:00:00Z"
-            )
-        )
-        baseline = ledger.baseline_for("core", candidate)
-        assert set(baseline.by_label()) == set(candidate.by_label())
-        assert not any(
-            "dispatch" in label or "columnar" in label
-            for label in baseline.by_label()
-        )
 
 
 class TestSparkline:

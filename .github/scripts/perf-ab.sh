@@ -2,9 +2,9 @@
 # Same-host A/B of the repository benchmark: this checkout against a
 # base checkout of the same repository, on one machine.
 #
-#   .github/scripts/perf-ab.sh BASE_DIR [WORKLOAD...]
+#   .github/scripts/perf-ab.sh BASE_DIR
 #
-# For each workload (default: the three in BENCHMARK.json), run 6
+# For each workload that BENCHMARK.json lists, run 6
 # base/change pairs of `perfbench/run.py --trace 0 --seconds 3`, then 3
 # traced pairs; each side runs its own perfbench/run.py against its own
 # src/.  `perf record` turns each
@@ -12,19 +12,15 @@
 # not 0: fresh/<w>.base.json, recorded with the base's ledger path so
 # its provenance names the base commit, and fresh/<w>.json.  Then
 # `perf diff` names the layers that moved and `perf check` gates the
-# change on the base.  The end-to-end labels are `absolute`, and both
-# profiles name this host, so they gate.  Exit status 1 when any
-# workload fails its check.
+# change on the base.  The end-to-end labels are `absolute`; the two
+# profile files are one paired A/B and both name this host, so they
+# gate.  Exit status 1 when any workload fails its check.
 set -euo pipefail
 shopt -s inherit_errexit
 
 base=$1
-shift
-if [ $# -gt 0 ]; then
-  workloads=("$@")
-else
-  workloads=(core-columnar core-fifo sweep-cold)
-fi
+workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 pairs=6
 traced=3
 seconds=3
@@ -51,7 +47,7 @@ pair() {  # pair WORKLOAD SEED TRACE
 }
 
 status=0
-for w in "${workloads[@]}"; do
+for w in $workloads; do
   base_runs=()
   change_runs=()
   for seed in $(seq 1 "$pairs"); do

@@ -28,7 +28,8 @@ Installed as ``repro-sim``::
     repro-sim dist status job/
     repro-sim dist merge job/ --json results.json
     repro-sim perf record --suite core-columnar runs/*.out   # perfbench runs
-    repro-sim perf check               # statistical gate vs the ledger
+    repro-sim perf check               # report vs the ledger
+    repro-sim perf check --baseline base.json --candidate new.json  # A/B gate
     repro-sim perf diff 6fc644bb da447654 --suite core
     repro-sim perf log --suite core
     repro-sim -v campaign ...          # structured event log on stderr

@@ -17,7 +17,7 @@ artifact instead of a single checked-in snapshot:
   Welch's t on the raw samples with a configurable alpha, a
   minimum-effect floor, and a ratio fallback for sample-starved labels;
   verdicts improved / stable / degraded / new / vanished; raw
-  host-speed (``absolute``) labels gate only between same-host profiles.
+  host-speed (``absolute``) labels gate only in a paired same-host A/B.
 * :mod:`repro.perf.views` — ``perf diff`` / ``perf check`` renderings.
 * :mod:`repro.perf.cli` — the ``repro-sim perf record|check|diff|log|
   prune`` surface; ``perf check`` is the CI entry point.

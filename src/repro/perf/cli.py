@@ -8,9 +8,17 @@ The ledger workflow::
     done
     repro-sim perf record --suite core-columnar runs/core-columnar.*.out
     git add BENCH_history && git commit
-    repro-sim perf check               # candidate vs recorded history
+    repro-sim perf check               # report against recorded history
     repro-sim perf diff --suite core-columnar
     repro-sim perf log --suite core-columnar
+
+The same-session A/B that gates host speed::
+
+    repro-sim perf record --suite core-columnar --no-append \
+        -o base.json base-runs/*.out
+    repro-sim perf record --suite core-columnar --no-append \
+        -o change.json change-runs/*.out
+    repro-sim perf check --baseline base.json --candidate change.json
 
 ``perf record`` reads saved ``perfbench/run.py`` output (one file per
 run), builds one profile of the workload with one sample per run (see
@@ -22,6 +30,13 @@ entry from a *different* commit) using the statistical detector and
 exits non-zero when any gated label degrades or vanishes.  ``perf
 diff`` renders any two recorded profiles (commit prefixes or file
 paths) side by side with per-label verdicts.
+
+The ``absolute`` labels (host speed: every end-to-end perfbench metric)
+gate only when both profiles are passed as files — ``--baseline`` and
+``--candidate`` for ``check``, two file refs for ``diff`` — and name the
+same host: that is the same-session A/B, whose alternating runs cancel
+the host's drift.  Against ledger entries, recorded in other sessions,
+they are reported and not gated.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ import os
 from ..errors import ConfigError, PerfError
 from . import provenance
 from .detect import DetectorConfig, compare_profiles
-from .ledger import DEFAULT_LEDGER, Ledger, resolve_profile
+from .ledger import DEFAULT_LEDGER, Ledger, is_file_ref, resolve_profile
 from .model import Profile, load_profile
 from .perfbench import Benchmark, profile_from_runs
 from .views import render_comparison, render_label_history, render_log
@@ -122,8 +137,8 @@ def add_perf_parser(sub) -> None:
     )
     check.add_argument(
         "--candidate", default=None, metavar="FILE",
-        help="candidate profile document "
-        "(default: the ledger's newest entry)",
+        help="candidate profile document (default: the ledger's newest "
+        "entry); with a --baseline file, absolute labels gate",
     )
     check.add_argument(
         "--baseline", default=None, metavar="REF",
@@ -261,7 +276,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     f"recorded — nothing older to compare against"
                 )
                 continue
-        comparison = compare_profiles(baseline, candidate, config)
+        paired = bool(args.candidate) and is_file_ref(args.baseline)
+        comparison = compare_profiles(baseline, candidate, config, paired)
         reports.append(render_comparison(comparison))
         failed += len(comparison.failures)
     text = "\n\n".join(reports)
@@ -296,10 +312,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         )
     ledger = Ledger(args.ledger)
     refs = list(args.refs)
-    needs_ledger = len(refs) < 2 or any(
-        not os.path.isfile(ref) for ref in refs
-    )
-    suite = _diff_suite(ledger, args) if needs_ledger else args.suite
+    # Two profile files are one paired A/B: their absolute labels gate.
+    paired = len(refs) == 2 and all(is_file_ref(ref) for ref in refs)
+    suite = args.suite if paired else _diff_suite(ledger, args)
     if len(refs) == 0:
         entries = ledger.entries(suite)
         if len(entries) < 2:
@@ -320,7 +335,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         raise PerfError(
             f"cannot diff across suites: {base.suite!r} vs {cand.suite!r}"
         )
-    comparison = compare_profiles(base, cand, _detector_config(args))
+    comparison = compare_profiles(
+        base, cand, _detector_config(args), paired
+    )
     title = (
         f"{cand.suite}: {base_origin} ({base.provenance.describe()}) -> "
         f"{cand_origin} ({cand.provenance.describe()})"

@@ -23,10 +23,14 @@ and *fail* gated metrics — a silently dropped benchmark point must not
 read as a pass.
 
 ``absolute`` labels (raw host-speed numbers such as instructions per
-second) gate only when both profiles name the same host in their
-provenance: a same-runner A/B cancels the hardware, a comparison across
-hosts does not.  Across hosts, or when either profile does not name its
-host, they are reported and the report says why.
+second) gate only in a *paired* comparison — the caller vouches that
+both profiles come from one A/B session of alternating runs — and only
+when both profiles name the same host in their provenance.  Such an A/B
+cancels the hardware and the host's drift; two ledger entries recorded
+at different times on one host do not (between two consecutive
+committed ``core`` entries from host ``vm``, one instr/s label fell 36%
+while another rose 39%).  Otherwise they are reported and the report
+says why.
 """
 
 from __future__ import annotations
@@ -178,8 +182,10 @@ def compare_metric(
     return delta
 
 
-def _absolute_policy(baseline: Profile, candidate: Profile):
+def _absolute_policy(baseline: Profile, candidate: Profile, paired: bool):
     """``(gated, reason)`` for the ``absolute`` labels of a comparison."""
+    if not paired:
+        return False, "not gated: the profiles are not one paired A/B run"
     base_host = baseline.provenance.host
     cand_host = candidate.provenance.host
     if not base_host or not cand_host:
@@ -189,7 +195,9 @@ def _absolute_policy(baseline: Profile, candidate: Profile):
             f"not gated: recorded on different hosts "
             f"({base_host!r} vs {cand_host!r})"
         )
-    return True, f"gated: both profiles recorded on host {base_host!r}"
+    return True, (
+        f"gated: a paired A/B, both profiles recorded on host {base_host!r}"
+    )
 
 
 def _gate(deltas: List[LabelDelta], config: DetectorConfig, policy) -> None:
@@ -213,8 +221,13 @@ def compare_profiles(
     baseline: Profile,
     candidate: Profile,
     config: Optional[DetectorConfig] = None,
+    paired: bool = False,
 ) -> Comparison:
-    """Classify every label across two profiles and resolve the gate."""
+    """Classify every label across two profiles and resolve the gate.
+
+    *paired* says both profiles come from one A/B session, so their
+    ``absolute`` labels may gate (see the module docstring).
+    """
     config = config or DetectorConfig()
     base_metrics = baseline.by_label()
     cand_metrics = candidate.by_label()
@@ -246,7 +259,7 @@ def compare_profiles(
             cand_n=metric.n,
             note="no recorded baseline; reported, never gated",
         ))
-    policy = _absolute_policy(baseline, candidate)
+    policy = _absolute_policy(baseline, candidate, paired)
     _gate(deltas, config, policy)
     return Comparison(
         baseline=baseline, candidate=candidate, deltas=deltas, config=config,

@@ -167,6 +167,11 @@ class Ledger:
         return removed
 
 
+def is_file_ref(ref: Optional[str]) -> bool:
+    """Whether *ref* names a profile file rather than a ledger entry."""
+    return ref is not None and (os.sep in ref or os.path.isfile(ref))
+
+
 def resolve_profile(
     ledger: Ledger, suite: str, ref: Optional[str]
 ) -> Tuple[Profile, str]:
@@ -176,7 +181,7 @@ def resolve_profile(
     (for the diff header).  File paths win over commit prefixes so
     ``perf diff old.json new.json`` works outside any ledger.
     """
-    if ref is not None and (os.sep in ref or os.path.isfile(ref)):
+    if is_file_ref(ref):
         return load_profile(ref), ref
     profile = ledger.lookup(suite, ref)
     return profile, os.path.relpath(ledger.path_for(profile))

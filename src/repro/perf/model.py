@@ -28,8 +28,8 @@ PROFILE_FORMAT = "repro-perf-profile/1"
 
 #: How the CI gate treats a metric:
 #: ``gated``    — a degradation fails the gate;
-#: ``absolute`` — raw host-speed numbers: gated only when both profiles
-#:               were recorded on the same named host, reported
+#: ``absolute`` — raw host-speed numbers: gated only in a paired A/B of
+#:               two profiles from the same named host, reported
 #:               otherwise (see :mod:`repro.perf.detect`);
 #: ``report``   — context only, never gated.
 GATES = ("gated", "absolute", "report")

@@ -28,14 +28,11 @@ import json
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import PerfError
+from .detect import DetectorConfig
 from .model import Metric, Profile
 
 #: The two kinds of metric in ``BENCHMARK.json``, and the gate each gets.
 MODES = {"end_to_end": "absolute", "per_layer": "report"}
-
-#: Runs each mode needs: fewer leave the detector on its ratio fallback
-#: (``DetectorConfig.min_stat_samples``).
-MIN_RUNS = 3
 
 
 class Benchmark:
@@ -128,12 +125,14 @@ def profile_from_runs(
     for path in paths:
         mode, values = _run_values(path, benchmark)
         runs[mode].append((path, values))
+    # Fewer runs would leave the detector on its ratio fallback.
+    min_runs = DetectorConfig.min_stat_samples
     for mode, mode_runs in runs.items():
-        if mode_runs and len(mode_runs) < MIN_RUNS:
+        if mode_runs and len(mode_runs) < min_runs:
             files = ", ".join(path for path, _ in mode_runs)
             raise PerfError(
                 f"{files}: {len(mode_runs)} {mode.replace('_', '-')} run(s); "
-                f"record at least {MIN_RUNS} so the detector can test them"
+                f"record at least {min_runs} so the detector can test them"
             )
     metrics = []
     for name, (mode, unit, better) in benchmark.metrics.items():

@@ -258,7 +258,7 @@ class TestDetector:
         comparison = perf.compare_profiles(baseline, candidate)
         assert comparison.ok
 
-    def absolute_pair(self, cand_host="test", base_host="test"):
+    def absolute_pair(self, cand_host="test", base_host="test", paired=True):
         baseline = profile(
             [metric("raw", gauss(15, 100.0, 2.0, 8), gate="absolute"),
              metric("gone", (1.0,), gate="absolute")],
@@ -268,14 +268,27 @@ class TestDetector:
             [metric("raw", gauss(16, 50.0, 1.0, 8), gate="absolute")],
             commit=COMMIT_B, host=cand_host,
         )
-        comparison = perf.compare_profiles(baseline, candidate)
+        comparison = perf.compare_profiles(
+            baseline, candidate, paired=paired
+        )
         return comparison, {d.label: d for d in comparison.deltas}
 
-    def test_absolute_labels_gate_on_the_same_host(self):
+    def test_absolute_labels_gate_in_a_paired_same_host_ab(self):
         comparison, by_label = self.absolute_pair()
         assert by_label["raw"].verdict == "degraded"
         assert by_label["raw"].fails and by_label["gone"].fails
-        assert "gated: both profiles recorded on host 'test'" in (
+        assert "gated: a paired A/B, both profiles recorded on host " \
+            "'test'" in perf.render_comparison(comparison)
+
+    def test_absolute_labels_are_reported_unless_paired(self):
+        # Two sessions on one host are not an A/B: host drift between
+        # them moves instr/s as much as a real regression.
+        comparison, by_label = self.absolute_pair(paired=False)
+        assert by_label["raw"].verdict == "degraded"
+        assert comparison.ok
+        for delta in by_label.values():
+            assert "not one paired A/B run" in delta.note
+        assert "absolute labels not gated" in (
             perf.render_comparison(comparison)
         )
 
@@ -404,7 +417,8 @@ class TestPerfbenchImport:
         ), spec)
         stamp = perf.Provenance(host="runner", recorded_at="2026-10-17")
         comparison = perf.compare_profiles(
-            base.with_provenance(stamp), cand.with_provenance(stamp)
+            base.with_provenance(stamp), cand.with_provenance(stamp),
+            paired=True,
         )
         by_label = {d.label: d for d in comparison.deltas}
         assert by_label["peak_rss_mb"].verdict == "degraded"
@@ -762,6 +776,56 @@ class TestPerfCli:
             *self.ledger_args(tmp_path),
         ) == 1
 
+    def absolute_profiles(self, tmp_path):
+        """A ledger entry and a file, each with a halved absolute label."""
+        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
+        base = profile([metric("raw", gauss(1, 100.0, 2.0, 8),
+                               gate="absolute")], suite="core-fifo")
+        cand = profile([metric("raw", gauss(2, 50.0, 1.0, 8),
+                               gate="absolute")],
+                       suite="core-fifo", commit=COMMIT_B, when="2026-08-02")
+        ledger.append(base)
+        ledger.append(cand)
+        return (self.write(tmp_path, "base.json", base.to_document()),
+                self.write(tmp_path, "cand.json", cand.to_document()))
+
+    def test_check_against_the_ledger_reports_absolute_labels(
+        self, tmp_path, capsys
+    ):
+        self.absolute_profiles(tmp_path)
+        assert self.run_cli(
+            "perf", "check", *self.ledger_args(tmp_path)
+        ) == 0
+        out = capsys.readouterr().out
+        assert "DEGRADED" not in out and "degraded" in out
+        assert "absolute labels not gated: the profiles are not one " \
+            "paired A/B run" in out
+
+    def test_check_of_two_profile_files_gates_absolute_labels(
+        self, tmp_path, capsys
+    ):
+        base, cand = self.absolute_profiles(tmp_path)
+        assert self.run_cli(
+            "perf", "check", "--baseline", base, "--candidate", cand,
+            *self.ledger_args(tmp_path),
+        ) == 1
+        assert "DEGRADED" in capsys.readouterr().out
+        # A ledger baseline is another session, even with a file
+        # candidate.
+        assert self.run_cli(
+            "perf", "check", "--baseline", "aaaa", "--candidate", cand,
+            *self.ledger_args(tmp_path),
+        ) == 0
+
+    def test_diff_of_two_profile_files_gates_absolute_labels(
+        self, tmp_path, capsys
+    ):
+        base, cand = self.absolute_profiles(tmp_path)
+        self.run_cli("perf", "diff", base, cand, *self.ledger_args(tmp_path))
+        assert "GATE: 1 label(s) fail" in capsys.readouterr().out
+        self.run_cli("perf", "diff", *self.ledger_args(tmp_path))
+        assert "GATE: ok" in capsys.readouterr().out
+
     def test_check_single_entry_has_nothing_to_compare(
         self, tmp_path, capsys
     ):
@@ -837,11 +901,19 @@ class TestCheckedInLedger:
         assert "core: 5 recorded profile(s)" in out
         assert "4ebddc740326" in out and "da44765403c0" in out
 
+    def test_committed_history_passes_check(self, capsys):
+        # Consecutive entries from one host still differ by more than
+        # the effect floor in instr/s; unpaired, that is reported only.
+        from repro.cli import main
+
+        assert main(["perf", "check"]) == 0
+        assert "not one paired A/B run" in capsys.readouterr().out
+
     def test_retired_dispatch_labels_vanish_against_their_entry(self):
         # The entry recorded while the object dispatch path existed
         # still carries its columnar-vs-object labels; a later entry has
-        # none, so they vanish.  Both were recorded on host 'vm', so the
-        # absolute instr/s labels gate as well as the gated ratios.
+        # none, so they vanish.  Two ledger entries are not a paired
+        # A/B, so only the gated speedup ratios fail.
         ledger = perf.Ledger("BENCH_history")
         old = ledger.lookup("core", "6fc644bb90dc")
         new = ledger.lookup("core", "da44765403c0")
@@ -855,15 +927,22 @@ class TestCheckedInLedger:
             d.label for d in comparison.deltas if d.verdict == "vanished"
         }
         assert vanished == retired
-        assert {d.label for d in comparison.failures} == retired
-        # Across hosts only the gated ratios still fail.
+        ratios = {label for label in retired if "speedup_vs_object" in label}
+        assert len(ratios) == 3
+        assert {d.label for d in comparison.failures} == ratios
+        # Both were recorded on host 'vm': taken as a paired A/B, the
+        # absolute instr/s labels gate too; across hosts they do not.
+        paired = perf.compare_profiles(old, new, paired=True)
+        assert {d.label for d in paired.failures} == retired
         elsewhere = new.with_provenance(
             perf.Provenance(commit=new.provenance.commit, host="runner")
         )
         assert {
             d.label
-            for d in perf.compare_profiles(old, elsewhere).failures
-        } == {label for label in retired if "speedup_vs_object" in label}
+            for d in perf.compare_profiles(
+                old, elsewhere, paired=True
+            ).failures
+        } == ratios
         lenient = perf.compare_profiles(
             old, new, DetectorConfig(ignore_vanished=True)
         )

@@ -205,7 +205,9 @@ def _run_group(
     """Worker entry point: run one shared-trace group of points.
 
     All points in a group target the same ``(bench, seed)``, so the first
-    simulation generates the program and trace and the rest replay them.
+    simulation generates the program and trace and the rest replay them:
+    the group holds its workload until its last point, and the workload
+    cache serves the same object to every point while it is held.
     Exceptions are captured per point (with the full traceback) rather
     than raised, so a broken scheme cannot take down its group mates.
     Each entry carries a trailing timing dict (``elapsed_seconds`` plus
@@ -213,6 +215,15 @@ def _run_group(
     per-point cost.
     """
     from ..spec.facade import last_timing
+    from ..workloads import workload
+
+    # Held (never read) until the group's last point has run.  A bench
+    # that does not resolve fails each point below with its own error.
+    bench, seed = group[0][1].trace_key
+    try:
+        held = workload(bench, seed=seed)
+    except Exception:  # noqa: BLE001 — reported per point
+        held = None
 
     out: List[
         Tuple[int, Optional[SimResult], Optional[str], Optional[dict]]
@@ -240,7 +251,11 @@ def grouped_points(
     Every execution backend dispatches these groups (never individual
     points across group boundaries), which is what guarantees each
     workload trace is generated exactly once per campaign no matter
-    where the points run.
+    where the points run, as long as whoever runs a group holds its
+    workload for the whole group (the workload cache returns the same
+    object only while it is held).  Letting it go afterwards bounds a
+    campaign's memory by the groups in flight, not by every
+    ``(bench, seed)`` it has touched.
     """
     buckets: Dict[Tuple[str, int], List[Tuple[int, CampaignPoint]]] = {}
     order: List[Tuple[str, int]] = []

@@ -116,7 +116,9 @@ def package_job(
     ``.rtrace`` holding the longest window any of its points needs (plus
     the standard fetch-ahead cushion), so the directory is a complete
     shipping unit: a worker host replays the traces instead of
-    regenerating workloads.
+    regenerating workloads.  Each workload is held only for its own
+    export, so packaging a many-seed grid keeps one trace in memory at
+    a time.
     """
     from ..scenarios.rtrace import export_trace
     from ..workloads import workload

@@ -189,22 +189,25 @@ class WorkerState:
         }
 
 
-def _execute_spec(spec_dict: dict, state: WorkerState):
+def _execute_spec(spec_dict: dict, state: WorkerState, held: dict):
     """Run one RunSpec dict, replaying a pinned trace when one covers it.
 
     A cache hit executes against the preloaded
     :class:`~repro.scenarios.rtrace.FrozenTrace` workload (zero
     regeneration, exactly the dirqueue worker's replay path); a miss
-    falls back to by-name resolution through the :func:`repro.run`
-    facade, which is where workloads the dispatcher never preloaded
-    still work — or fail deterministically.
+    falls back to by-name resolution, which is where workloads the
+    dispatcher never preloaded still work — or fail deterministically.
+    A by-name workload is kept in *held*, keyed by ``(bench, seed)``,
+    so the caller's later misses on it (the rest of one ``batch-run``)
+    replay it instead of generating it again.
 
     Returns ``(result, timing)`` where *timing* attributes the point's
     cost (``elapsed_seconds`` always; the facade's resolve/simulate
     split when the point was actually simulated rather than memo-hit).
     """
-    from ..spec.facade import execute, execute_resolved, last_timing
+    from ..spec.facade import execute_resolved, last_timing
     from ..spec.specs import RunSpec
+    from ..workloads import workload
 
     spec = RunSpec.from_dict(spec_dict)
     _fault_injection()
@@ -225,22 +228,26 @@ def _execute_spec(spec_dict: dict, state: WorkerState):
         return cached, {
             "elapsed_seconds": round(time.perf_counter() - t0, 6)
         }
-    pinned = state.traces.get((spec.bench, spec.seed))
+    key = (spec.bench, spec.seed)
+    pinned = state.traces.get(key)
     if pinned is not None and spec.warmup + spec.n_instructions <= pinned[1]:
         state.trace_cache_hits += 1
         metrics.counter("worker.trace_cache_hits").inc()
-        result = execute_resolved(
-            pinned[0],
-            spec.scheme,
-            spec.machine.resolve(),
-            spec.n_instructions,
-            spec.warmup,
-            spec.seed,
-        )
+        wl = pinned[0]
     else:
         state.trace_cache_misses += 1
         metrics.counter("worker.trace_cache_misses").inc()
-        result = execute(spec)
+        wl = held.get(key)
+        if wl is None:
+            wl = held[key] = workload(spec.bench, seed=spec.seed)
+    result = execute_resolved(
+        wl,
+        spec.scheme,
+        spec.machine.resolve(),
+        spec.n_instructions,
+        spec.warmup,
+        spec.seed,
+    )
     state.results[memo_key] = result
     if len(state.results) > RESULT_CACHE_LIMIT:
         state.results.popitem(last=False)
@@ -339,9 +346,11 @@ def handle_request(
             )
             items = []
             failed = 0
+            # The batch owns the workloads its by-name misses resolve.
+            held: dict = {}
             for spec_dict in specs:
                 try:
-                    result, timing = _execute_spec(spec_dict, state)
+                    result, timing = _execute_spec(spec_dict, state, held)
                     items.append(
                         {"ok": True, "result": asdict(result), **timing}
                     )
@@ -365,7 +374,7 @@ def handle_request(
             raise ValueError(f"unknown op {op!r}")
         if "spec" not in request:
             raise ValueError("run request is missing 'spec'")
-        result, timing = _execute_spec(request["spec"], state)
+        result, timing = _execute_spec(request["spec"], state, {})
         return {"id": request_id, "ok": True,
                 "result": asdict(result), **timing}, True
     except Exception:  # noqa: BLE001 — every failure becomes a reply
@@ -481,7 +490,9 @@ class WorkerPool:
       ``execute()`` spawned zero);
     * the dispatcher-side **trace payload cache** — each ``(bench,
       seed)`` group's ``.rtrace`` bytes are exported and base64-encoded
-      once, then shipped to however many workers need them;
+      once per campaign, then shipped to however many workers need
+      them (:meth:`WorkerBackend.execute` releases its groups' payloads
+      when it returns, so the cache holds only campaigns in flight);
     * each worker's record of what it already holds
       (:attr:`_PoolWorker.preloaded`), so re-running a campaign
       re-sends nothing.
@@ -517,6 +528,8 @@ class WorkerPool:
         self._slot_locks: Dict[int, threading.RLock] = {}
         self._payloads: Dict[Tuple[str, int], Tuple[int, Optional[str]]] = {}
         self._payload_lock = threading.Lock()
+        #: Payloads exported over the pool's lifetime (``stats()``).
+        self.payloads_built = 0
 
     # -- worker lifecycle ----------------------------------------------
     def slot_lock(self, slot: int) -> threading.RLock:
@@ -637,20 +650,24 @@ class WorkerPool:
     def trace_payload(
         self, key: Tuple[str, int], needed: int
     ) -> Optional[Tuple[int, str]]:
-        """``(records, base64)`` for group *key*, exported at most once.
+        """``(records, base64)`` for group *key*, exported at most once
+        until :meth:`release_payloads` drops it.
 
         Returns ``None`` when the dispatcher cannot materialise the
         trace (unknown bench, generator error...) — the worker then
         falls back to by-name resolution, which reports the same
         problem deterministically if it is real.  Failed exports are
         cached too, so a campaign over an unresolvable bench does not
-        re-attempt the export per chunk.
+        re-attempt the export per chunk.  The workload is held only for
+        the export: once its bytes are encoded, the dispatcher keeps
+        no program or trace for the group.
         """
         bench, seed = key
         with self._payload_lock:
             cached = self._payloads.get(key)
             if cached is not None and cached[0] >= needed:
                 return None if cached[1] is None else cached
+            self.payloads_built += 1
             try:
                 from ..scenarios.rtrace import export_trace_bytes
                 from ..workloads import workload
@@ -665,6 +682,17 @@ class WorkerPool:
             self._payloads[key] = entry
             return entry
 
+    def release_payloads(self, keys) -> None:
+        """Drop the cached payloads of the groups *keys*.
+
+        Workers keep the traces already pinned on them; a later campaign
+        over one of these groups exports its payload again only for a
+        worker that does not hold the trace.
+        """
+        with self._payload_lock:
+            for key in keys:
+                self._payloads.pop(key, None)
+
     # -- observability -------------------------------------------------
     def stats(self, timeout: Optional[float] = 10) -> Dict[str, object]:
         """Pool totals plus each worker's ``stats`` op reply.
@@ -674,6 +702,9 @@ class WorkerPool:
         slot that is currently unreachable still appears (``alive``
         false), and a slot busy serving a dispatcher thread is reported
         ``busy`` instead of having its reply stream corrupted.
+        ``trace_payloads`` counts the payloads built over the pool's
+        lifetime (not those cached now): across one campaign it grows
+        by one per group no worker already held.
         """
         per_worker: List[Dict[str, object]] = []
         with self._lock:
@@ -711,7 +742,7 @@ class WorkerPool:
             "spawned_total": self.spawned_total,
             "connects_total": self.connects_total,
             "remote_addresses": list(self.remote),
-            "trace_payloads": len(self._payloads),
+            "trace_payloads": self.payloads_built,
             "points_served": total("points_served"),
             "batches": total("batches"),
             "preloads": total("preloads"),
@@ -967,6 +998,7 @@ class WorkerBackend(ExecutionBackend):
             for thread in threads:
                 thread.join()
         finally:
+            pool.release_payloads(group[0][1].trace_key for group in groups)
             if owned:
                 pool.shutdown()
         missing = [

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import WorkloadError
 from .generator import ProgramGenerator, generate_program
@@ -80,8 +81,15 @@ class Workload:
 #: same object can back every simulation of a (bench, seed) pair.  The
 #: key includes the *profile itself* (frozen, hashable), not just its
 #: name: a registered profile reusing a name must never be served the
-#: stale program generated for a different profile.
-_WORKLOAD_CACHE: Dict[Tuple[str, int, WorkloadProfile], Workload] = {}
+#: stale program generated for a different profile.  Values are weak: an
+#: entry lives exactly as long as some caller holds the workload (a
+#: campaign group, a worker batch, a test), and is freed by reference
+#: counting once nothing does, so a many-seed study keeps only the
+#: traces it is using.
+_CacheKey = Tuple[str, int, WorkloadProfile]
+_WORKLOAD_CACHE: "weakref.WeakValueDictionary[_CacheKey, Workload]" = (
+    weakref.WeakValueDictionary()
+)
 
 #: Resolver callbacks tried, in registration order, when a name has no
 #: profile.  Each takes ``(name, seed)`` and returns a
@@ -104,7 +112,9 @@ def workload_for_profile(
     """Build (or fetch the cached) workload generated from *profile*.
 
     This is the cache-aware core of :func:`workload`; use it directly for
-    profiles that are not registered under a global name.
+    profiles that are not registered under a global name.  The same
+    object comes back for as long as any caller holds it; hold it for as
+    long as its trace should be shared.
     """
     if fresh:
         program = generate_program(profile, seed=seed)
@@ -126,9 +136,13 @@ def workload(name: str, seed: int = 0, fresh: bool = False) -> Workload:
     profiles registered by workload families, then against resolver
     callbacks (imported traces).  Repeated calls with the same
     ``(name, seed)`` — and the same registered profile — return the same
-    :class:`Workload` object, which also shares its materialised trace.
-    Pass ``fresh=True`` to force regeneration (determinism tests use this
-    to prove cached and freshly built workloads behave identically).
+    :class:`Workload` object, which also shares its materialised trace,
+    for as long as any caller holds it.  Once nothing does, the workload
+    is freed and the next call generates it again, so a caller that
+    runs several simulations of one ``(name, seed)`` holds the workload
+    across them (as a campaign group does).  Pass ``fresh=True`` to
+    force regeneration (determinism tests use this to prove cached and
+    freshly built workloads behave identically).
 
     >>> wl = workload("gcc")
     >>> wl.program.num_instructions > 0
@@ -146,7 +160,13 @@ def workload(name: str, seed: int = 0, fresh: bool = False) -> Workload:
 
 
 def clear_workload_cache() -> None:
-    """Drop all cached workloads (and their shared traces)."""
+    """Forget every cached workload.
+
+    Workloads still held elsewhere stay alive, but the next
+    :func:`workload` call builds a new object; those nobody holds are
+    already gone, since the cache keeps a workload only while it is
+    held.
+    """
     _WORKLOAD_CACHE.clear()
 
 

@@ -137,10 +137,9 @@ class SharedTrace:
     deterministic.
 
     The columns retain every record any consumer has reached
-    (O(warmup + n) per (bench, seed)), and the workload cache keeps them
-    alive for the process lifetime.  Sessions running very large windows
-    over many benchmarks should call
-    :func:`repro.workloads.clear_workload_cache` between campaigns.
+    (O(warmup + n) per (bench, seed)) for as long as the owning
+    :class:`~repro.workloads.Workload` is held; the workload cache does
+    not keep it alive on its own.
     """
 
     def __init__(self, program, seed: int = 0) -> None:

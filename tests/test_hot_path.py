@@ -36,14 +36,21 @@ _SPANS_PATH = os.path.join(
     "spans.py",
 )
 
-#: Python-level calls per committed instruction allowed on gcc x
-#: general-balance x ``clustered`` (event scheduler).  Measured with the
-#: profiler below: 24.7 when every stage still crossed its small helpers
-#: (wakeup callbacks, ready-list accessors, free-list release, imbalance
-#: properties, cache ``_locate``, branch-predictor components), 11.4 once
-#: the stages inlined them.  The budget keeps that saving and leaves
-#: room for a few per-instruction calls a future feature may need.
-CALLS_PER_INSTR_BUDGET = 15
+#: Python-level calls per committed instruction allowed on gcc (event
+#: scheduler), per (scheme, machine).  Measured with the profiler below.
+#: general-balance x ``clustered``: 24.7 when every stage still crossed
+#: its small helpers (wakeup callbacks, ready-list accessors, free-list
+#: release, imbalance properties, cache ``_locate``, branch-predictor
+#: components), 11.4 once the stages inlined them.  fifo x
+#: ``clustered-fifo``: 20.5, since FIFO waiters still go through
+#: ``mark_ready`` and issue through ``ready_view`` / ``issue_ready``.
+#: Each budget keeps the measured level and leaves room for a few
+#: per-instruction calls a future feature may need; the FIFO one is the
+#: baseline that closing the FIFO gap tightens.
+CALLS_PER_INSTR_BUDGET = {
+    ("general-balance", "clustered"): 15,
+    ("fifo", "clustered-fifo"): 22,
+}
 
 
 def _load_spans():
@@ -107,9 +114,11 @@ def test_stage_spans_once_per_cycle(scheme, machine):
     assert decisions[0] >= steerable[0] > 0
 
 
-def test_calls_per_committed_instruction_within_budget():
+@pytest.mark.parametrize("scheme,machine", sorted(CALLS_PER_INSTR_BUDGET))
+def test_calls_per_committed_instruction_within_budget(scheme, machine):
+    budget = CALLS_PER_INSTR_BUDGET[scheme, machine]
     processor = Processor(
-        _gcc(6000), machine_config("clustered"), make_steering("general-balance")
+        _gcc(6000), machine_config(machine), make_steering(scheme)
     )
     processor.run(500, warmup=500)  # warm caches, predictor and steering
     stats = processor.stats
@@ -128,7 +137,7 @@ def test_calls_per_committed_instruction_within_budget():
         sys.setprofile(previous)
     committed = stats.committed - before
     per_instr = calls[0] / committed
-    assert per_instr <= CALLS_PER_INSTR_BUDGET, (
+    assert per_instr <= budget, (
         f"{per_instr:.2f} Python calls per committed instruction "
-        f"(budget {CALLS_PER_INSTR_BUDGET})"
+        f"(budget {budget})"
     )

@@ -25,11 +25,27 @@ even when the instruction could have joined a chain at a tail.  See
 Placement comes in two forms that make the same choice.
 :meth:`placement_for` (and its multi-instruction dry run
 :meth:`plan_insertions`) scans the FIFOs linearly; it is the reference
-the scan oracle uses.  :meth:`place`, used by the fused dispatch loop,
-looks each provider up in the ``seq -> FIFO`` index ``_where`` and falls
-back to the lowest empty FIFO, whose count ``_n_empty`` is kept up to
-date so the dispatch reservation is a single comparison.
-:meth:`tails_producing` uses the same index.
+the scan oracle uses.  :meth:`place` looks each provider up in the
+``seq -> FIFO`` index ``_where`` and falls back to the lowest empty
+FIFO, whose count ``_n_empty`` is kept up to date so the dispatch
+reservation is a single comparison.  :meth:`tails_producing` uses the
+same index.
+
+The event pipeline's stages read and write this state directly, as
+they do an :class:`~repro.cluster.iq.IssueQueue`'s: the wakeup calendar
+applies :meth:`mark_ready`'s rule, the issue stage enrols the deferred
+heads and pops issued ones (:meth:`ready_view`, :meth:`issue_ready`),
+the fused dispatch loop applies :meth:`place`, and FIFO steering reads
+:meth:`tails_producing`'s and :meth:`occupancy`'s answers off
+``_where``, ``_fifos`` and ``_size``.  Those methods are the documented
+reference for what the stages inline; the unit and property tests
+check them against the linear scans, and the stages against the scan
+oracle.  The inlined code keeps these fields consistent:
+
+* ``_where`` maps exactly the queued seqs to their FIFO indexes;
+* ``_size`` is the total FIFO length and ``_n_empty`` the empty FIFOs;
+* ``_ready`` is sorted by seq and holds only heads with no pending
+  operands; ``_deferred`` holds only heads.
 
 Like :class:`~repro.cluster.iq.IssueQueue`, the collection keeps an
 explicit ready list for the event-driven issue stage — here restricted
@@ -110,7 +126,8 @@ class FifoIssueQueue:
         ``_where`` index instead of a scan: the lowest-index non-full
         FIFO whose tail is one of *dyn*'s providers, otherwise the lowest
         empty FIFO.  Callers reserve space first (see ``_n_empty``); a
-        queue with no usable FIFO raises.
+        queue with no usable FIFO raises.  The fused dispatch loop
+        inlines this rule (see the module docstring).
         """
         fifos = self._fifos
         where = self._where
@@ -228,7 +245,11 @@ class FifoIssueQueue:
     # Ready-list view (event-driven issue)
     # ------------------------------------------------------------------
     def mark_ready(self, dyn: DynInst) -> None:
-        """Wakeup callback: ready only if *dyn* currently heads its FIFO."""
+        """Wakeup callback: ready only if *dyn* currently heads its FIFO.
+
+        The wakeup calendar applies this rule inline (see
+        :mod:`repro.pipeline.wakeup`).
+        """
         index = self._where.get(dyn.seq)
         if index is not None and self._fifos[index][0] is dyn:
             insort(self._ready, (dyn.seq, dyn))
@@ -237,9 +258,10 @@ class FifoIssueQueue:
         """The live ``(seq, head)`` candidate list, oldest first.
 
         Heads deferred by earlier issues are enrolled here — i.e. at the
-        start of the cluster's next selection turn.  The issue stage
-        iterates the view by index and removes issued entries via
-        :meth:`issue_ready`; other callers must treat it as read-only.
+        start of the cluster's next selection turn.  Callers iterate the
+        view by index and remove issued entries via :meth:`issue_ready`,
+        and must otherwise treat it as read-only.  The event issue stage
+        does both inline.
         """
         deferred = self._deferred
         if deferred:
@@ -250,7 +272,10 @@ class FifoIssueQueue:
         return self._ready
 
     def issue_ready(self, index: int) -> None:
-        """Remove ready candidate *index* (it issued) from its FIFO."""
+        """Remove ready candidate *index* (it issued) from its FIFO.
+
+        The event issue stage inlines this, with :meth:`_pop_head`.
+        """
         _, dyn = self._ready.pop(index)
         self._pop_head(self._where[dyn.seq], dyn)
 
@@ -273,8 +298,9 @@ class FifoIssueQueue:
         return heads
 
     def tails_producing(self, provider: DynInst) -> bool:
-        """True when *provider* is currently some FIFO's tail (used by the
-        cross-cluster steering heuristic to prefer this cluster)."""
+        """True when *provider* is currently some FIFO's tail (the test
+        the cross-cluster steering heuristic makes, inline, to prefer
+        this cluster)."""
         index = self._where.get(provider.seq)
         return index is not None and self._fifos[index][-1] is provider
 

@@ -34,7 +34,11 @@ class FifoSteering(SteeringScheme):
             )
 
     def choose_cluster(self, ctx, dyn: DynInst) -> int:
-        map_table = ctx.map_table
+        # Reads the map table's entries and the windows' ``seq -> FIFO``
+        # index directly, as general balance reads ``ctx.masks``: the
+        # same rules as ``MapTable.provider``,
+        # ``FifoIssueQueue.tails_producing`` and ``occupancy``, without a
+        # call per operand and cluster.
         iqs = ctx.iqs
         srcs = dyn.inst.issue_srcs
         if srcs:
@@ -44,12 +48,14 @@ class FifoSteering(SteeringScheme):
             # them per instruction for this scheme).  Only *in-flight*
             # producers continue a chain — a committed value does not pin
             # new chains to its cluster.
-            reg = srcs[0]
+            providers = ctx.map_table.entries[srcs[0]].providers
             for cluster in (0, 1):
-                provider = map_table.provider(reg, cluster)
+                provider = providers[cluster]
                 if provider is None or provider.issued:
                     continue
-                if iqs[cluster].tails_producing(provider):
+                iq = iqs[cluster]
+                index = iq._where.get(provider.seq)
+                if index is not None and iq._fifos[index][-1] is provider:
                     return cluster
                 # The producer is in flight but already has a consumer
                 # queued behind it (it is not a FIFO tail): the chain
@@ -61,8 +67,8 @@ class FifoSteering(SteeringScheme):
         # blindly is what drives this scheme's communication rate (the
         # paper measures 0.162 copies per instruction against 0.042 for
         # general balance steering).
-        o0 = iqs[0].occupancy()
-        o1 = iqs[1].occupancy()
+        o0 = iqs[0]._size
+        o1 = iqs[1]._size
         if abs(o0 - o1) > ctx.config.fifo_depth:
             return 0 if o0 < o1 else 1
         return dyn.seq & 1

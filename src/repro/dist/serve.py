@@ -59,7 +59,7 @@ import collections
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, DistError
 from ..telemetry import get_logger, metrics, tracing
@@ -256,6 +256,9 @@ class _Job:
     dict, JSON-ready so ``collect`` replies ship it verbatim.  The job
     object *is* the unit of client-disconnect survival: it lives in the
     daemon, not the connection.
+
+    *on_done* is called with the job once its last point is recorded,
+    before :attr:`done` is set.
     """
 
     def __init__(
@@ -264,10 +267,14 @@ class _Job:
         tenant: str,
         points: Sequence,
         trace: Optional[dict] = None,
+        on_done: Optional[Callable[["_Job"], None]] = None,
     ):
         self.id = job_id
         self.tenant = tenant
         self.points = list(points)
+        #: The (bench, seed) groups whose trace payloads the job uses.
+        self.trace_keys = frozenset(point.trace_key for point in self.points)
+        self._on_done = on_done
         self.items: List[Optional[dict]] = [None] * len(self.points)
         self.remaining = len(self.points)
         self.done = threading.Event()
@@ -298,6 +305,8 @@ class _Job:
                 self.failures += 1
             self.remaining -= 1
             if self.remaining == 0:
+                if self._on_done is not None:
+                    self._on_done(self)
                 self.span_records.append(self.span.end(
                     status="error" if self.failures else "ok",
                     error=(
@@ -495,7 +504,10 @@ class ServeDaemon:
         with self._jobs_lock:
             self._job_counter += 1
             job_id = f"job-{os.getpid()}-{self._job_counter}"
-            job = _Job(job_id, tenant, points, trace=trace)
+            job = _Job(
+                job_id, tenant, points, trace=trace,
+                on_done=self._release_payloads,
+            )
             self._jobs[job_id] = job
             self._evict_completed_locked()
         groups = grouped_points(job.points)
@@ -518,6 +530,21 @@ class ServeDaemon:
     def job(self, job_id: str) -> Optional[_Job]:
         with self._jobs_lock:
             return self._jobs.get(job_id)
+
+    def _release_payloads(self, job: _Job) -> None:
+        """Drop the pool's cached trace payloads of finished *job*.
+
+        A key that an unfinished job shares stays cached; that job
+        releases it when it finishes.  Every finishing job decides under
+        the jobs lock, after its own ``remaining`` reached 0, so of two
+        jobs finishing together the later one sees the other finished.
+        """
+        with self._jobs_lock:
+            keys = set(job.trace_keys)
+            for other in self._jobs.values():
+                if other.remaining:
+                    keys -= other.trace_keys
+            self.pool.release_payloads(keys)
 
     def _evict_completed_locked(self) -> None:
         completed = [

@@ -703,8 +703,9 @@ class WorkerPool:
         false), and a slot busy serving a dispatcher thread is reported
         ``busy`` instead of having its reply stream corrupted.
         ``trace_payloads`` counts the payloads built over the pool's
-        lifetime (not those cached now): across one campaign it grows
-        by one per group no worker already held.
+        lifetime: across one campaign it grows by one per group no
+        worker already held.  ``payloads_cached`` counts those cached
+        now, which is 0 once every campaign or served job has finished.
         """
         per_worker: List[Dict[str, object]] = []
         with self._lock:
@@ -743,6 +744,7 @@ class WorkerPool:
             "connects_total": self.connects_total,
             "remote_addresses": list(self.remote),
             "trace_payloads": self.payloads_built,
+            "payloads_cached": len(self._payloads),
             "points_served": total("points_served"),
             "batches": total("batches"),
             "preloads": total("preloads"),

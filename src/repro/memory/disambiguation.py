@@ -244,16 +244,16 @@ class DisambiguationQueue:
         return True
 
     def retire_load(self, dyn: DynInst) -> None:
-        """Drop a committed load from the queue."""
+        """Drop a committed load from the queue.
+
+        A load commits only once it has completed, and it completes only
+        when :meth:`step` schedules it, which takes it out of
+        ``_waiting_loads``: only the program-ordered queue holds it.
+        """
         try:
             self._queue.remove(dyn)  # committing in order: found at front
         except ValueError:
             pass
-        if self._waiting_loads:
-            try:
-                self._waiting_loads.remove((dyn.seq, dyn))
-            except ValueError:
-                pass
 
     def stats(self) -> Dict[str, int]:
         """Counters for reporting and tests."""

@@ -20,13 +20,12 @@ one pass.  Two issue schedulers implement identical timing semantics:
   (:mod:`repro.pipeline.wakeup`) keeps each producer's consumer list
   and wakes consumers on the cycle their last operand completes,
   putting them straight into their queue's ready list; the issue stage
-  walks only the ready lists.  Conventional windows issue in place (the
-  stage pops the ready entry and deletes it from the window itself);
-  FIFO windows keep :meth:`FifoIssueQueue.issue_ready`, which defers a
-  newly exposed head.  Work per cycle is proportional to completions
-  and ready instructions, not window size x operands.  It serves both
-  window organisations: :class:`IssueQueue` and the FIFO collections
-  of §3.9.
+  walks only the ready lists.  Both window organisations issue in
+  place: the stage pops the ready entry and removes it from the window
+  itself, and in a FIFO window defers the newly exposed head to the
+  next cycle.  Work per cycle is proportional to completions and ready
+  instructions, not window size x operands.  It serves both window
+  organisations: :class:`IssueQueue` and the FIFO collections of §3.9.
 * ``scan`` — the reference oracle: re-scan every window entry and
   re-poll every provider's ``complete_cycle`` each cycle, behind the
   unfused single-instruction dispatch helper
@@ -35,20 +34,23 @@ one pass.  Two issue schedulers implement identical timing semantics:
   selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
 
 The fused dispatch loop serves both window organisations: it inlines
-:class:`IssueQueue` insertion, and places into FIFO windows through the
-indexed :meth:`FifoIssueQueue.place`.  The scan oracle hands every
+:class:`IssueQueue` insertion, and :meth:`FifoIssueQueue.place` over the
+FIFO window's ``seq -> FIFO`` index.  The scan oracle hands every
 steered instruction to the unfused helper instead.
 
 The stages call the small structure helpers (free-list release, ready
-list accessors, cache set lookup, imbalance properties) only where the
-helper does something the inline code does not; the helpers remain the
-documented API that the unit tests and the scan oracle use.
+list accessors, FIFO placement, cache set lookup, imbalance properties)
+only where the helper does something the inline code does not; the
+helpers remain the documented API that the unit tests and the scan
+oracle use.  A FIFO machine therefore pays about as many calls per
+instruction as a conventional one.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
+from bisect import insort
 from collections import deque
 from types import MethodType
 from typing import Deque, List, Optional
@@ -81,6 +83,18 @@ SCHEDULERS = ("event", "scan")
 #: Enum-name cache: ``InstrClass.X.name`` resolves through a descriptor
 #: on every access; the commit loop pays that per instruction otherwise.
 _CLS_NAMES = {c: c.name for c in InstrClass}
+
+#: The instruction classes the stage loops test, loaded once: reading
+#: ``InstrClass.X`` costs an attribute lookup on the enum class, and the
+#: commit, issue and dispatch prologues would pay a dozen per cycle.
+_SIMPLE_INT = InstrClass.SIMPLE_INT
+_COMPLEX_INT = InstrClass.COMPLEX_INT
+_FP = InstrClass.FP
+_BRANCH = InstrClass.BRANCH
+_JUMP = InstrClass.JUMP
+_NOP = InstrClass.NOP
+_LOAD = InstrClass.LOAD
+_STORE = InstrClass.STORE
 
 
 class Processor:
@@ -257,6 +271,7 @@ class Processor:
             self.lsq._queue,
             self.lsq._stores,
             config.fifo_issue,
+            config.fifo_depth,
             self._skip_supports,
             (self.fus[0].supports, self.fus[1].supports),
             config.allow_copies,
@@ -394,8 +409,8 @@ class Processor:
         total0 = free0.total
         total1 = free1.total
         on_commit_hook = self._on_commit_hook
-        store = InstrClass.STORE
-        load = InstrClass.LOAD
+        store = _STORE
+        load = _LOAD
         by_class = stats.committed_by_class
         committed = 0
         while budget and rob_entries:
@@ -461,18 +476,19 @@ class Processor:
         The calendar fires first and delivers every instruction whose
         last operand completes at *cycle* straight into its queue's ready
         list, so candidates are walked per cluster in age order, exactly
-        the readiness the reference scan would observe.  Conventional
-        windows issue in place: the selected entry is popped from the
-        ready list and deleted from the window here.  FIFO windows go
-        through :meth:`FifoIssueQueue.ready_view` and
-        :meth:`FifoIssueQueue.issue_ready`, which defer a newly exposed
-        head to the next cycle.  Completions that land in a future cycle
-        are bucketed into the calendar inline; a zero-latency bypass goes
-        through :meth:`WakeupCalendar.complete`, which wakes its waiters
-        at once.  The simple-ALU accounting and completion routing are
-        inlined for the classes that dominate the mix (simple int,
-        branch, load, store, copy); complex-integer and FP instructions
-        sync the local ALU mirror and take the reference
+        the readiness the reference scan would observe.  Both window
+        organisations issue in place: the selected entry is popped from
+        the ready list and leaves the window here.  A FIFO window first
+        enrols the heads deferred by last cycle's issues (what
+        :meth:`FifoIssueQueue.ready_view` does), and an issued head
+        defers its ready successor to the next cycle (what
+        :meth:`FifoIssueQueue.issue_ready` does).  Completions that land
+        in a future cycle are bucketed into the calendar inline; a
+        zero-latency bypass goes through :meth:`WakeupCalendar.complete`,
+        which wakes its waiters at once.  The simple-ALU accounting and
+        completion routing are inlined for the classes that dominate the
+        mix (simple int, branch, load, store, copy); complex-integer and
+        FP instructions sync the local ALU mirror and take the reference
         :class:`~repro.cluster.FUPool` calls.
         """
         calendar = self._calendar
@@ -485,10 +501,10 @@ class Processor:
         ea_wheel = self.lsq._ea_wheel
         widths = self._issue_widths
         fifo = self.config.fifo_issue
-        simple_int = InstrClass.SIMPLE_INT
-        branch = InstrClass.BRANCH
-        load = InstrClass.LOAD
-        store = InstrClass.STORE
+        simple_int = _SIMPLE_INT
+        branch = _BRANCH
+        load = _LOAD
+        store = _STORE
         for cluster in (0, 1):
             iq = self.iqs[cluster]
             # The live ready list, oldest first.  Within this cluster's
@@ -497,11 +513,17 @@ class Processor:
             # same-cycle wakeups (zero-latency bypasses) always target
             # the *other* cluster — so an index walk is safe and touches
             # only the entries the select logic actually considers.
+            ready = iq._ready
             if fifo:
-                ready = iq.ready_view()
-                issue_ready = iq.issue_ready
+                deferred = iq._deferred
+                if deferred:
+                    for head in deferred:
+                        insort(ready, (head.seq, head))
+                    deferred.clear()
+                where = iq._where
+                fifos = iq._fifos
+                emptied = 0
             else:
-                ready = iq._ready
                 window = iq._entries
             n_ready = len(ready)
             ready_counts[cluster] = n_ready
@@ -539,61 +561,63 @@ class Processor:
                         # provides.
                         calendar.complete(dyn, cycle, cycle)
                     stats.copies_issued += 1
-                    if fifo:
-                        issue_ready(index)
+                else:
+                    cls = dyn.cls
+                    if (
+                        cls is simple_int
+                        or cls is branch
+                        or cls is load
+                        or cls is store
+                    ):
+                        if simple_used >= n_simple:
+                            index += 1
+                            continue
+                        simple_used += 1
                     else:
-                        del ready[index]
-                        del window[dyn.seq]
-                    issued += 1
-                    continue
-                cls = dyn.cls
-                if (
-                    cls is simple_int
-                    or cls is branch
-                    or cls is load
-                    or cls is store
-                ):
-                    if simple_used >= n_simple:
-                        index += 1
-                        continue
-                    simple_used += 1
-                else:
-                    # Complex int / FP: rare — sync the ALU mirror and
-                    # use the reference availability/accounting calls.
-                    fu._simple_used = simple_used
-                    if not fu.can_issue(dyn, cycle):
-                        index += 1
-                        continue
-                    fu.issue(dyn, cycle)
-                    simple_used = fu._simple_used
-                dyn.issue_cycle = cycle
-                dyn.issued = True
-                if cls is load:
-                    # complete_cycle is set by the disambiguation queue;
-                    # park the load on its address wheel until the
-                    # address is ready (inline queue_address).
-                    dyn.ea_done_cycle = cycle + 1
-                    ea_wheel.setdefault(cycle + 1, []).append(dyn)
-                else:
-                    if cls is store:
+                        # Complex int / FP: rare — sync the ALU mirror and
+                        # use the reference availability/accounting calls.
+                        fu._simple_used = simple_used
+                        if not fu.can_issue(dyn, cycle):
+                            index += 1
+                            continue
+                        fu.issue(dyn, cycle)
+                        simple_used = fu._simple_used
+                    dyn.issue_cycle = cycle
+                    dyn.issued = True
+                    if cls is load:
+                        # complete_cycle is set by the disambiguation queue;
+                        # park the load on its address wheel until the
+                        # address is ready (inline queue_address).
                         dyn.ea_done_cycle = cycle + 1
-                        cc = cycle + 1
+                        ea_wheel.setdefault(cycle + 1, []).append(dyn)
                     else:
-                        cc = cycle + dyn.inst.latency
-                    dyn.complete_cycle = cc
-                    # Every latency is at least one cycle, so a register
-                    # writer's completion lands in a future bucket.
-                    if dyn.inst.dst is not None:
-                        events.setdefault(cc, []).append(dyn)
-                if dyn.copy_srcs:
-                    self._mark_critical_copies(dyn, cycle)
+                        if cls is store:
+                            dyn.ea_done_cycle = cycle + 1
+                            cc = cycle + 1
+                        else:
+                            cc = cycle + dyn.inst.latency
+                        dyn.complete_cycle = cc
+                        # Every latency is at least one cycle, so a register
+                        # writer's completion lands in a future bucket.
+                        if dyn.inst.dst is not None:
+                            events.setdefault(cc, []).append(dyn)
+                    if dyn.copy_srcs:
+                        self._mark_critical_copies(dyn, cycle)
+                del ready[index]
                 if fifo:
-                    issue_ready(index)
+                    chain = fifos[where.pop(dyn.seq)]
+                    del chain[0]
+                    if not chain:
+                        emptied += 1
+                    elif not chain[0].pending_ops:
+                        deferred.append(chain[0])
                 else:
-                    del ready[index]
                     del window[dyn.seq]
                 issued += 1
             fu._simple_used = simple_used
+            if fifo:
+                iq._size -= issued
+                iq._n_empty += emptied
 
     # ------------------------------------------------------------------
     # Issue: reference full-scan scheduler (kept for exactness testing)
@@ -635,10 +659,10 @@ class Processor:
                 dyn.issue_cycle = cycle
                 dyn.issued = True
                 cls = dyn.cls
-                if cls is InstrClass.LOAD:
+                if cls is _LOAD:
                     dyn.ea_done_cycle = cycle + 1
                     # complete_cycle is set by the disambiguation queue
-                elif cls is InstrClass.STORE:
+                elif cls is _STORE:
                     dyn.ea_done_cycle = cycle + 1
                     dyn.complete_cycle = cycle + 1
                 else:
@@ -695,8 +719,9 @@ class Processor:
         FIFO windows take the same loop.  Their reservation is the closed
         form of the helper's dry run (:meth:`_reserve_window`): an empty
         FIFO in the chosen cluster if the instruction executes, and one
-        per copy in the other cluster; placement goes through
-        :meth:`FifoIssueQueue.place`, copies first, then the consumer.
+        per copy in the other cluster.  Placement is
+        :meth:`FifoIssueQueue.place` written inline over the window's
+        ``seq -> FIFO`` index, copies first, then the consumer.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -714,6 +739,7 @@ class Processor:
             lsq_queue,
             lsq_stores,
             fifo,
+            fifo_depth,
             skip_supports,
             supports,
             allow_copies,
@@ -729,12 +755,12 @@ class Processor:
         unfused = self._unfused_dispatch
         dispatch_one_slow = self._dispatch_one_slow
         popleft = buffer.popleft
-        complex_int = InstrClass.COMPLEX_INT
-        fp = InstrClass.FP
-        jump = InstrClass.JUMP
-        nop = InstrClass.NOP
-        load = InstrClass.LOAD
-        store = InstrClass.STORE
+        complex_int = _COMPLEX_INT
+        fp = _FP
+        jump = _JUMP
+        nop = _NOP
+        load = _LOAD
+        store = _STORE
         while budget and buffer:
             dyn = buffer[0]
             if len(rob_entries) >= rob_capacity:
@@ -874,7 +900,31 @@ class Processor:
                         else:
                             pending = 0
                         if fifo:
-                            iq_other.place(copy)
+                            # Inline FifoIssueQueue.place: continue the
+                            # provider's chain if it is a non-full FIFO's
+                            # tail, else take the lowest empty FIFO
+                            # (reserved above).
+                            chains = iq_other._fifos
+                            index = iq_other._where.get(provider.seq)
+                            if index is not None:
+                                chain = chains[index]
+                                if (
+                                    chain[-1] is not provider
+                                    or len(chain) >= fifo_depth
+                                ):
+                                    index = None
+                            if index is None:
+                                index = chains.index([])
+                            chain = chains[index]
+                            chain.append(copy)
+                            iq_other._where[copy.seq] = index
+                            iq_other._size += 1
+                            if len(chain) == 1:
+                                iq_other._n_empty -= 1
+                                if not pending:
+                                    insort(
+                                        iq_other._ready, (copy.seq, copy)
+                                    )
                         else:
                             rank = iq_other._next_rank
                             iq_other._next_rank = rank + 1
@@ -944,7 +994,31 @@ class Processor:
                         pending += 1
                 dyn.pending_ops = pending
                 if fifo:
-                    iq.place(dyn)
+                    # Inline FifoIssueQueue.place: the lowest non-full
+                    # FIFO whose tail is a provider, else the lowest
+                    # empty FIFO (reserved above).  list.index compares
+                    # lengths first, so it touches no entry.
+                    where = iq._where
+                    chains = iq._fifos
+                    chosen = None
+                    for p in providers:
+                        index = where.get(p.seq)
+                        if index is not None and (
+                            chosen is None or index < chosen
+                        ):
+                            chain = chains[index]
+                            if chain[-1] is p and len(chain) < fifo_depth:
+                                chosen = index
+                    if chosen is None:
+                        chosen = chains.index([])
+                    chain = chains[chosen]
+                    chain.append(dyn)
+                    where[dyn.seq] = chosen
+                    iq._size += 1
+                    if len(chain) == 1:
+                        iq._n_empty -= 1
+                        if not pending:
+                            insort(iq._ready, (dyn.seq, dyn))
                 else:
                     rank = iq._next_rank
                     iq._next_rank = rank + 1
@@ -1000,7 +1074,7 @@ class Processor:
                 self.stats.stall_regs += 1
                 return False
             cluster = plan.cluster
-        executes = dyn.cls not in (InstrClass.JUMP, InstrClass.NOP)
+        executes = dyn.cls not in (_JUMP, _NOP)
         if not self._reserve_window(dyn, cluster, plan, executes):
             self.stats.stall_iq += 1
             return False

@@ -20,12 +20,14 @@ list on the producer would close a reference cycle for every pending
 operand, and the in-flight instructions of a finished processor would
 then wait for the cyclic garbage collector.
 
-Delivery follows each window's ready rule without a call per waiter.
-For a conventional :class:`~repro.cluster.iq.IssueQueue` that is the
-:meth:`~repro.cluster.iq.IssueQueue.mark_ready` rule written inline: a
-waiter still in the window is binary-inserted into the ready list by its
-insertion rank.  A :class:`~repro.cluster.fifo_iq.FifoIssueQueue` keeps
-its head-only rule and is called through ``mark_ready``.  The issue stage
+Delivery follows each window's ready rule without a call per waiter:
+the windows' ``mark_ready`` rules are written inline.  For a
+conventional :class:`~repro.cluster.iq.IssueQueue`, a waiter still in
+the window is binary-inserted into the ready list by its insertion rank.
+For a :class:`~repro.cluster.fifo_iq.FifoIssueQueue`, a waiter is
+binary-inserted by ``seq`` only if it currently heads its FIFO (found
+through the window's ``seq -> FIFO`` index); a waiter behind another
+entry becomes a candidate when the issue stage exposes it.  The issue stage
 calls :meth:`WakeupCalendar.fire` once per cycle and may append
 future-cycle completions to :attr:`WakeupCalendar.events` itself;
 everything that can complete at or before the current cycle goes through
@@ -71,8 +73,8 @@ class WakeupCalendar:
         self.waiting: Dict[int, List[DynInst]] = {}
         #: The per-cluster issue windows, indexed by ``DynInst.cluster``.
         self._windows = windows
-        #: Conventional windows take the inline ready rule (see module
-        #: docstring); FIFO collections are called through ``mark_ready``.
+        #: Conventional windows and FIFO collections have different
+        #: ready rules (see module docstring).
         self._conventional = all(isinstance(w, IssueQueue) for w in windows)
 
     def __len__(self) -> int:
@@ -121,7 +123,11 @@ class WakeupCalendar:
                 if pending:
                     continue
                 window = windows[waiter.cluster]
-                if not conventional:
-                    window.mark_ready(waiter)
-                elif waiter.seq in window._entries:
-                    insort(window._ready, (waiter.iq_rank, waiter))
+                if conventional:
+                    if waiter.seq in window._entries:
+                        insort(window._ready, (waiter.iq_rank, waiter))
+                else:
+                    seq = waiter.seq
+                    index = window._where.get(seq)
+                    if index is not None and window._fifos[index][0] is waiter:
+                        insort(window._ready, (seq, waiter))

@@ -1,7 +1,13 @@
 """Unit tests for the central disambiguation queue (paper §2)."""
 
+import pytest
+
+from repro.core.steering import make_steering
 from repro.isa import DynInst, Instruction, Opcode
 from repro.memory import DisambiguationQueue, MemoryHierarchy
+from repro.pipeline import Processor
+from repro.spec.machines import machine_config
+from repro.workloads import workload
 
 
 def make_lsq(**kwargs):
@@ -224,3 +230,37 @@ class TestCommitSide:
             "loads_accessed": 0,
             "stores_written": 0,
         }
+
+
+
+class TestCommittedLoads:
+    """``retire_load`` only has the program-ordered queue to clean: a
+    load completes when ``step`` schedules it, which takes it out of
+    ``_waiting_loads``, and commit retires only completed loads."""
+
+    @pytest.mark.parametrize(
+        "bench,scheme,machine",
+        [
+            ("gcc", "general-balance", "clustered"),
+            ("pchase-heavy", "general-balance", "clustered"),
+            ("pchase-heavy", "fifo", "clustered-fifo"),
+        ],
+    )
+    def test_no_committed_load_is_still_waiting(self, bench, scheme, machine):
+        processor = Processor(
+            workload(bench), machine_config(machine), make_steering(scheme)
+        )
+        lsq = processor.lsq
+        retire = lsq.retire_load
+        retired = []
+
+        def checked_retire(dyn):
+            assert all(w is not dyn for _, w in lsq._waiting_loads), (
+                f"committed load seq {dyn.seq} is still waiting"
+            )
+            retired.append(dyn)
+            retire(dyn)
+
+        lsq.retire_load = checked_retire
+        processor.run(1500, warmup=300)
+        assert retired

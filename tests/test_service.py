@@ -163,6 +163,32 @@ class TestKnobValidation:
         assert code == 2
 
 
+class TestPayloadRelease:
+    """A finished job drops its trace payloads unless an unfinished job
+    shares them (no worker or thread needed: jobs are fed by hand)."""
+
+    def test_shared_key_outlives_the_first_job(self):
+        daemon = dist.ServeDaemon(address="127.0.0.1:0", jobs=1)
+        payloads = daemon.pool._payloads
+        try:
+            first = daemon.submit("a", expand_grid(
+                ["gcc", "li"], ["modulo"], n_instructions=N, warmup=W,
+            ))
+            second = daemon.submit("b", expand_grid(
+                ["li"], ["modulo"], n_instructions=N, warmup=W,
+            ))
+            for key in first.trace_keys | second.trace_keys:
+                payloads[key] = (N + W, "payload")
+            for index in range(len(first.points)):
+                first.record(index, {"ok": True})
+            assert first.done.is_set()
+            assert set(payloads) == {("li", 0)}
+            second.record(0, {"ok": True})
+            assert payloads == {}
+        finally:
+            daemon.stop()
+
+
 class TestServiceAddressEnv:
     def test_unset_is_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_ADDRESS", raising=False)
@@ -223,9 +249,25 @@ class TestServiceBackend:
             thread.join(timeout=120)
         _assert_identical(outcome["alpha"], serial)
         _assert_identical(outcome["beta"], serial)
-        served = daemon.status()["tenants"]
+        status = daemon.status()
+        served = status["tenants"]
         assert served["alpha"]["points_served"] == len(serial)
         assert served["beta"]["points_served"] == len(serial)
+        # Both jobs used the same traces; the later to finish released
+        # them.
+        assert status["pool"]["payloads_cached"] == 0
+
+    def test_finished_jobs_release_their_payloads(self, daemon):
+        backend = dist.backend("service", address=daemon.address)
+        for seed in (1, 2, 3):
+            grid = expand_grid(
+                ["gcc", "li"], ["modulo"], seeds=(seed,),
+                n_instructions=N, warmup=W,
+            )
+            Campaign(grid, backend=backend).run()
+            stats = daemon.pool.stats()
+            assert stats["payloads_cached"] == 0
+        assert stats["trace_payloads"] == 6
 
     def test_worker_death_mid_job_recovers(
         self, points, serial, tmp_path, monkeypatch

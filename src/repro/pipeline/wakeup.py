@@ -25,12 +25,11 @@ the windows' ``mark_ready`` rules are written inline.  For a
 conventional :class:`~repro.cluster.iq.IssueQueue`, a waiter still in
 the window is binary-inserted into the ready list by its insertion rank.
 For a :class:`~repro.cluster.fifo_iq.FifoIssueQueue`, a waiter is
-binary-inserted by ``seq`` only if it currently heads its FIFO (found
-through the window's ``seq -> FIFO`` index); a waiter behind another
-entry becomes a candidate when the issue stage exposes it.  The issue stage
-calls :meth:`WakeupCalendar.fire` once per cycle and may append
-future-cycle completions to :attr:`WakeupCalendar.events` itself;
-everything that can complete at or before the current cycle goes through
+binary-inserted by ``seq`` only if it currently heads its FIFO, found
+through the window's ``seq -> FIFO`` index.  The issue stage calls
+:meth:`WakeupCalendar.fire` once per cycle and may append future-cycle
+completions to :attr:`WakeupCalendar.events` itself; everything that
+can complete at or before the current cycle goes through
 :meth:`WakeupCalendar.complete`.
 
 Exactness invariants (these make the event path cycle-for-cycle

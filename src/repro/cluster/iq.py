@@ -4,14 +4,16 @@ Entries are kept in dispatch order; issue selection walks oldest-first,
 which both matches age-based select logic and gives deterministic results.
 Entries vacate the queue when they issue.
 
-The queue keeps an explicit *ready list* maintained by the event-driven
-wakeup machinery (:mod:`repro.pipeline.wakeup`): an entry joins it when
-its pending-operand counter reaches zero and leaves when it issues.  The
-list is kept in age order incrementally (binary insertion on wakeup, not
-a per-cycle sort), so the issue stage walks only ready instructions —
-and usually only the first ``issue_width`` of them — instead of
-re-scanning the whole window every cycle; ``remove`` is O(1) on the
-window instead of a linear ``list.remove``.
+The queue keeps an explicit *ready list*, ``_ready``, for the event
+pipeline: an entry joins it when its pending-operand counter reaches
+zero and leaves when it issues.  Nothing here maintains it after
+insertion — the wakeup calendar (:mod:`repro.pipeline.wakeup`)
+binary-inserts woken entries and the issue stage pops issued ones,
+with the same rule for :class:`~repro.cluster.fifo_iq.FifoIssueQueue`.
+The list is kept in age order incrementally (binary insertion on
+wakeup, not a per-cycle sort), so the issue stage walks only ready
+instructions — and usually only the first ``issue_width`` of them —
+instead of re-scanning the whole window every cycle.
 
 Age order for selection is *insertion* order, not ``seq`` order: copy
 instructions receive fresh (younger) sequence numbers at the consumer's
@@ -20,11 +22,14 @@ the select logic must keep treating insertion order as age — entries
 carry an ``iq_rank`` stamped at insertion for exactly this purpose.
 Ready entries are held as ``(iq_rank, entry)`` pairs so the binary
 insertion compares plain integers.
-"""
 
+:meth:`IssueQueue.insert`, :meth:`~IssueQueue.remove` and
+:meth:`~IssueQueue.entries_oldest_first` are what the scan oracle and
+the unfused dispatch helper use; the fused dispatch loop inlines
+:meth:`~IssueQueue.insert`.
+"""
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import SimulationError
@@ -88,41 +93,6 @@ class IssueQueue:
                 self._ready.remove((dyn.iq_rank, dyn))
             except ValueError:
                 pass
-
-    # ------------------------------------------------------------------
-    # Ready-list view (event-driven issue)
-    # ------------------------------------------------------------------
-    def mark_ready(self, dyn: DynInst) -> None:
-        """*dyn*'s last pending operand completed: enrol it if queued.
-
-        The wakeup calendar applies this rule inline for conventional
-        windows (see :mod:`repro.pipeline.wakeup`).
-        """
-        if dyn.seq in self._entries:
-            insort(self._ready, (dyn.iq_rank, dyn))
-
-    def ready_view(self) -> List[Tuple[int, DynInst]]:
-        """The live ``(rank, entry)`` ready list, oldest first.
-
-        The event issue stage walks ``_ready`` by index directly and
-        removes issued entries in place, as :meth:`issue_ready` does;
-        other callers must treat the view as read-only.
-        """
-        return self._ready
-
-    def issue_ready(self, index: int) -> None:
-        """Remove ready candidate *index* (it issued) from the window."""
-        _, dyn = self._ready.pop(index)
-        del self._entries[dyn.seq]
-
-    @property
-    def ready_count(self) -> int:
-        """Entries whose operands are all complete."""
-        return len(self._ready)
-
-    def ready_oldest_first(self) -> List[DynInst]:
-        """Ready entries in age (insertion) order — the issue candidates."""
-        return [dyn for _, dyn in self._ready]
 
     # ------------------------------------------------------------------
     def entries_oldest_first(self) -> List[DynInst]:

@@ -36,8 +36,8 @@ class FifoSteering(SteeringScheme):
     def choose_cluster(self, ctx, dyn: DynInst) -> int:
         # Reads the map table's entries and the windows' ``seq -> FIFO``
         # index directly, as general balance reads ``ctx.masks``: the
-        # same rules as ``MapTable.provider``,
-        # ``FifoIssueQueue.tails_producing`` and ``occupancy``, without a
+        # same rule as ``MapTable.provider``, a tail test through
+        # ``_where``, and the occupancy as ``len(_where)``, without a
         # call per operand and cluster.
         iqs = ctx.iqs
         srcs = dyn.inst.issue_srcs
@@ -67,8 +67,8 @@ class FifoSteering(SteeringScheme):
         # blindly is what drives this scheme's communication rate (the
         # paper measures 0.162 copies per instruction against 0.042 for
         # general balance steering).
-        o0 = iqs[0]._size
-        o1 = iqs[1]._size
+        o0 = len(iqs[0]._where)
+        o1 = len(iqs[1]._where)
         if abs(o0 - o1) > ctx.config.fifo_depth:
             return 0 if o0 < o1 else 1
         return dyn.seq & 1

@@ -20,35 +20,37 @@ one pass.  Two issue schedulers implement identical timing semantics:
   (:mod:`repro.pipeline.wakeup`) keeps each producer's consumer list
   and wakes consumers on the cycle their last operand completes,
   putting them straight into their queue's ready list; the issue stage
-  walks only the ready lists.  Both window organisations issue in
-  place: the stage pops the ready entry and removes it from the window
-  itself, and in a FIFO window defers the newly exposed head to the
-  next cycle.  Work per cycle is proportional to completions and ready
-  instructions, not window size x operands.  It serves both window
-  organisations: :class:`IssueQueue` and the FIFO collections of §3.9.
+  walks only the ready lists and removes the issued entry from its
+  window in place.  Work per cycle is proportional to completions and
+  ready instructions, not window size x operands.  Both window
+  organisations, :class:`IssueQueue` and the FIFO collections of §3.9,
+  follow one ready rule: an entry is ready once its pending-operand
+  counter is zero, and the ready list is ordered by ``iq_rank`` (the
+  insertion rank, or the ``seq`` of a FIFO entry).  A FIFO window needs
+  no head test, because every entry behind a head waits on its
+  predecessor (see :mod:`repro.cluster.fifo_iq`).
 * ``scan`` — the reference oracle: re-scan every window entry and
   re-poll every provider's ``complete_cycle`` each cycle, behind the
   unfused single-instruction dispatch helper
   (:meth:`Processor._dispatch_one_slow`).  Retained so the equivalence
-  suite can assert the event path is cycle-for-cycle identical, and
-  selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
+  suite can assert the event path is cycle-for-cycle identical;
+  ``Processor(..., scheduler="scan")`` selects it.
 
 The fused dispatch loop serves both window organisations: it inlines
-:class:`IssueQueue` insertion, and :meth:`FifoIssueQueue.place` over the
-FIFO window's ``seq -> FIFO`` index.  The scan oracle hands every
-steered instruction to the unfused helper instead.
+:meth:`IssueQueue.insert`, and FIFO placement over the window's
+``seq -> FIFO`` index.  The scan oracle hands every steered instruction
+to the unfused helper instead.
 
-The stages call the small structure helpers (free-list release, ready
-list accessors, FIFO placement, cache set lookup, imbalance properties)
-only where the helper does something the inline code does not; the
-helpers remain the documented API that the unit tests and the scan
-oracle use.  A FIFO machine therefore pays about as many calls per
-instruction as a conventional one.
+The stages call the small structure helpers (free-list release, window
+insertion and removal, cache set lookup, imbalance properties) only
+where the helper does something the inline code does not; the helpers
+remain the API that the unit tests and the scan oracle use.  A FIFO
+machine therefore pays about as many calls per instruction as a
+conventional one.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from bisect import insort
 from collections import deque
@@ -112,7 +114,7 @@ class Processor:
         self.steering = steering
         self.program = workload.program
         if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER") or "event"
+            scheduler = "event"
         if scheduler not in SCHEDULERS:
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
@@ -478,14 +480,12 @@ class Processor:
         list, so candidates are walked per cluster in age order, exactly
         the readiness the reference scan would observe.  Both window
         organisations issue in place: the selected entry is popped from
-        the ready list and leaves the window here.  A FIFO window first
-        enrols the heads deferred by last cycle's issues (what
-        :meth:`FifoIssueQueue.ready_view` does), and an issued head
-        defers its ready successor to the next cycle (what
-        :meth:`FifoIssueQueue.issue_ready` does).  Completions that land
-        in a future cycle are bucketed into the calendar inline; a
-        zero-latency bypass goes through :meth:`WakeupCalendar.complete`,
-        which wakes its waiters at once.  The simple-ALU accounting and
+        the ready list and leaves the window here.  In a FIFO window the
+        entry behind it becomes the head, but it waits on the issued
+        entry, so it is not ready.  Completions that land in a future
+        cycle are bucketed into the calendar inline; a zero-latency
+        bypass goes through :meth:`WakeupCalendar.complete`, which
+        wakes its waiters at once.  The simple-ALU accounting and
         completion routing are inlined for the classes that dominate the
         mix (simple int, branch, load, store, copy); complex-integer and
         FP instructions sync the local ALU mirror and take the reference
@@ -509,20 +509,14 @@ class Processor:
             iq = self.iqs[cluster]
             # The live ready list, oldest first.  Within this cluster's
             # turn it only shrinks (by the issues below): a FIFO head
-            # exposed by an issue is deferred to the next cycle, and
+            # exposed by an issue waits on the issued entry, and
             # same-cycle wakeups (zero-latency bypasses) always target
             # the *other* cluster — so an index walk is safe and touches
             # only the entries the select logic actually considers.
             ready = iq._ready
             if fifo:
-                deferred = iq._deferred
-                if deferred:
-                    for head in deferred:
-                        insort(ready, (head.seq, head))
-                    deferred.clear()
                 where = iq._where
                 fifos = iq._fifos
-                emptied = 0
             else:
                 window = iq._entries
             n_ready = len(ready)
@@ -608,16 +602,11 @@ class Processor:
                     chain = fifos[where.pop(dyn.seq)]
                     del chain[0]
                     if not chain:
-                        emptied += 1
-                    elif not chain[0].pending_ops:
-                        deferred.append(chain[0])
+                        iq._n_empty += 1
                 else:
                     del window[dyn.seq]
                 issued += 1
             fu._simple_used = simple_used
-            if fifo:
-                iq._size -= issued
-                iq._n_empty += emptied
 
     # ------------------------------------------------------------------
     # Issue: reference full-scan scheduler (kept for exactness testing)
@@ -716,12 +705,13 @@ class Processor:
         under the scan oracle) is handed to the unfused reference helper
         once steered, so the paths are cycle-for-cycle identical.
 
-        FIFO windows take the same loop.  Their reservation is the closed
-        form of the helper's dry run (:meth:`_reserve_window`): an empty
-        FIFO in the chosen cluster if the instruction executes, and one
-        per copy in the other cluster.  Placement is
-        :meth:`FifoIssueQueue.place` written inline over the window's
-        ``seq -> FIFO`` index, copies first, then the consumer.
+        FIFO windows take the same loop.  Their reservation is the
+        helper's (:meth:`_reserve_window`), read off the empty-FIFO
+        counter ``_n_empty``: an empty FIFO in the chosen cluster if the
+        instruction executes, and one per copy in the other cluster.
+        Placement is :meth:`FifoIssueQueue.placement_for`'s rule found
+        through the window's ``seq -> FIFO`` index, copies first, then
+        the consumer; a placed entry's ``iq_rank`` is its ``seq``.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -900,7 +890,7 @@ class Processor:
                         else:
                             pending = 0
                         if fifo:
-                            # Inline FifoIssueQueue.place: continue the
+                            # Inline FIFO placement: continue the
                             # provider's chain if it is a non-full FIFO's
                             # tail, else take the lowest empty FIFO
                             # (reserved above).
@@ -918,7 +908,7 @@ class Processor:
                             chain = chains[index]
                             chain.append(copy)
                             iq_other._where[copy.seq] = index
-                            iq_other._size += 1
+                            copy.iq_rank = copy.seq
                             if len(chain) == 1:
                                 iq_other._n_empty -= 1
                                 if not pending:
@@ -994,9 +984,9 @@ class Processor:
                         pending += 1
                 dyn.pending_ops = pending
                 if fifo:
-                    # Inline FifoIssueQueue.place: the lowest non-full
-                    # FIFO whose tail is a provider, else the lowest
-                    # empty FIFO (reserved above).  list.index compares
+                    # Inline FIFO placement: the lowest non-full FIFO
+                    # whose tail is a provider, else the lowest empty
+                    # FIFO (reserved above).  list.index compares
                     # lengths first, so it touches no entry.
                     where = iq._where
                     chains = iq._fifos
@@ -1014,7 +1004,7 @@ class Processor:
                     chain = chains[chosen]
                     chain.append(dyn)
                     where[dyn.seq] = chosen
-                    iq._size += 1
+                    dyn.iq_rank = dyn.seq
                     if len(chain) == 1:
                         iq._n_empty -= 1
                         if not pending:
@@ -1121,30 +1111,19 @@ class Processor:
     ) -> bool:
         """Check that the windows can take the instruction and its copies.
 
-        Runs before rename, so for FIFO windows the dry run cannot see
-        the consumer's providers (``dyn.providers`` is still empty) and a
-        :class:`_CopyProbe` never matches a tail: every pending placement
-        demands an empty FIFO.  Dispatch therefore stalls whenever the
-        chosen cluster has no empty FIFO, even when the instruction could
-        join a chain at a tail — more pessimistic than step 3 of the
-        §3.9 heuristic in :mod:`repro.cluster.fifo_iq`.  The fused
-        dispatch loop relies on this closed form (``_n_empty``); changing
-        it is a timing change that moves the golden digests.
+        Copies join their source cluster's window, the instruction (if it
+        executes) its own.  A conventional window needs one free entry
+        per instruction.  A FIFO window needs one *empty FIFO* per
+        instruction: the reservation runs before rename, when the
+        consumer has no providers yet and its copies do not exist, so it
+        counts none of them as joining a chain at a tail.  Dispatch
+        therefore stalls whenever the chosen cluster has no empty FIFO,
+        even when the instruction could join a chain — more pessimistic
+        than step 3 of the §3.9 heuristic in
+        :mod:`repro.cluster.fifo_iq`.  The fused dispatch loop compares
+        the same counts against ``_n_empty``; changing the rule is a
+        timing change that moves the golden digests.
         """
-        if self.config.fifo_issue:
-            for target in (0, 1):
-                pending = [
-                    _CopyProbe(dyn, reg)
-                    for reg, src in plan.copies
-                    if src == target
-                ]
-                if target == cluster and executes:
-                    pending.append(dyn)
-                if pending and self.iqs[target].plan_insertions(
-                    pending  # type: ignore[arg-type]
-                ) is None:
-                    return False
-            return True
         needed = [plan.copies_from(0), plan.copies_from(1)]
         if executes:
             needed[cluster] += 1
@@ -1197,20 +1176,3 @@ class Processor:
 def _set_complete_cycle(dyn: DynInst, complete_cycle: int, cycle: int) -> None:
     """The scan oracle's completion hook: it polls, so nothing is woken."""
     dyn.complete_cycle = complete_cycle
-
-
-class _CopyProbe:
-    """Stand-in used to dry-run FIFO placement of a not-yet-created copy.
-
-    A copy's only provider is the current remote provider of the copied
-    register, so the probe borrows the *consumer's* providers to test
-    tail-dependence placement conservatively (a probe never matches a
-    tail, which makes the dry run strictly pessimistic: it demands an
-    empty FIFO for each copy).
-    """
-
-    __slots__ = ("providers", "seq")
-
-    def __init__(self, consumer: DynInst, reg: int) -> None:
-        self.providers = ()
-        self.seq = consumer.seq

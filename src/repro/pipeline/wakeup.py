@@ -20,16 +20,19 @@ list on the producer would close a reference cycle for every pending
 operand, and the in-flight instructions of a finished processor would
 then wait for the cyclic garbage collector.
 
-Delivery follows each window's ready rule without a call per waiter:
-the windows' ``mark_ready`` rules are written inline.  For a
-conventional :class:`~repro.cluster.iq.IssueQueue`, a waiter still in
-the window is binary-inserted into the ready list by its insertion rank.
-For a :class:`~repro.cluster.fifo_iq.FifoIssueQueue`, a waiter is
-binary-inserted by ``seq`` only if it currently heads its FIFO, found
-through the window's ``seq -> FIFO`` index.  The issue stage calls
-:meth:`WakeupCalendar.fire` once per cycle and may append future-cycle
-completions to :attr:`WakeupCalendar.events` itself; everything that
-can complete at or before the current cycle goes through
+Delivery needs no call per waiter and no test of the window kind: both
+window organisations share one ready rule.  A waiter whose last operand
+completes is binary-inserted into its window's ready list by its
+``iq_rank`` — the insertion rank in an
+:class:`~repro.cluster.iq.IssueQueue`, the ``seq`` in a
+:class:`~repro.cluster.fifo_iq.FifoIssueQueue`.  It is still queued (an
+entry cannot issue while an operand is pending) and, in a FIFO window,
+it is a head: every entry behind a head waits on its predecessor in the
+chain, so its counter reaches zero only after that predecessor has
+issued and left.  The issue stage calls :meth:`WakeupCalendar.fire`
+once per cycle and may append future-cycle completions to
+:attr:`WakeupCalendar.events` itself; everything that can complete at
+or before the current cycle goes through
 :meth:`WakeupCalendar.complete`.
 
 Exactness invariants (these make the event path cycle-for-cycle
@@ -53,14 +56,13 @@ from __future__ import annotations
 from bisect import insort
 from typing import Dict, List, Sequence
 
-from ..cluster import IssueQueue
 from ..isa import DynInst
 
 
 class WakeupCalendar:
     """Cycle-indexed event wheel keyed by ``complete_cycle``."""
 
-    __slots__ = ("events", "waiting", "_windows", "_conventional")
+    __slots__ = ("events", "waiting", "_windows")
 
     def __init__(self, windows: Sequence) -> None:
         #: cycle -> producers whose completion becomes visible then.
@@ -72,9 +74,6 @@ class WakeupCalendar:
         self.waiting: Dict[int, List[DynInst]] = {}
         #: The per-cluster issue windows, indexed by ``DynInst.cluster``.
         self._windows = windows
-        #: Conventional windows and FIFO collections have different
-        #: ready rules (see module docstring).
-        self._conventional = all(isinstance(w, IssueQueue) for w in windows)
 
     def __len__(self) -> int:
         """Producers still scheduled to complete (diagnostics only)."""
@@ -110,7 +109,6 @@ class WakeupCalendar:
         """Decrement every waiter of *producers*; put the newly ready ones
         into their windows' ready lists."""
         windows = self._windows
-        conventional = self._conventional
         pop = self.waiting.pop
         for producer in producers:
             waiters = pop(producer.seq, None)
@@ -119,14 +117,8 @@ class WakeupCalendar:
             for waiter in waiters:
                 pending = waiter.pending_ops - 1
                 waiter.pending_ops = pending
-                if pending:
-                    continue
-                window = windows[waiter.cluster]
-                if conventional:
-                    if waiter.seq in window._entries:
-                        insort(window._ready, (waiter.iq_rank, waiter))
-                else:
-                    seq = waiter.seq
-                    index = window._where.get(seq)
-                    if index is not None and window._fifos[index][0] is waiter:
-                        insort(window._ready, (seq, waiter))
+                if not pending:
+                    insort(
+                        windows[waiter.cluster]._ready,
+                        (waiter.iq_rank, waiter),
+                    )

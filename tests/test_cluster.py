@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import BypassNetwork, FifoIssueQueue, FUPool, IssueQueue
 from repro.errors import SimulationError
 from repro.isa import DynInst, Instruction, Opcode, fp_reg, make_copy_inst
+from repro.pipeline.wakeup import WakeupCalendar
 
 
 def dyn(op=Opcode.ADD, seq=0, dst=5, srcs=(1,), target=None, pc=0x1000):
@@ -158,9 +159,36 @@ class TestFifoIssueQueue:
         iq = FifoIssueQueue(n_fifos=1, depth=1)
         assert iq.insert(dyn(seq=0))
         unrelated = dyn(seq=1)
-        assert not iq.can_accept(unrelated)
+        assert iq.placement_for(unrelated) is None
         assert not iq.insert(unrelated)
         assert len(iq) == 1
+
+    def test_full_tail_starts_a_new_chain(self):
+        iq = FifoIssueQueue(n_fifos=2, depth=1)
+        producer = dyn(seq=0)
+        consumer = dyn(seq=1, srcs=(5,))
+        consumer.providers = [producer]
+        iq.insert(producer)
+        assert iq.placement_for(consumer) == 1
+        assert iq.insert(consumer)
+        assert iq.entries_oldest_first() == [producer, consumer]
+
+    def test_can_accept_counts_empty_fifos(self):
+        # The dispatch reservation: every instruction reserved for needs
+        # an empty FIFO, even one that could join a chain.
+        iq = FifoIssueQueue(n_fifos=3, depth=4)
+        producer = dyn(seq=0)
+        iq.insert(producer)
+        assert iq.can_accept(2)
+        assert not iq.can_accept(3)
+        consumer = dyn(seq=1, srcs=(5,))
+        consumer.providers = [producer]
+        iq.insert(consumer)
+        assert iq.can_accept(2)
+        iq.remove(producer)
+        assert iq.can_accept(2) and not iq.can_accept(3)
+        iq.remove(consumer)
+        assert iq.can_accept(3)
 
     def test_heads_sorted_by_age(self):
         iq = FifoIssueQueue(n_fifos=4, depth=4)
@@ -179,121 +207,113 @@ class TestFifoIssueQueue:
         with pytest.raises(SimulationError):
             iq.remove(consumer)
 
-    def test_plan_insertions_accounts_for_growth(self):
-        iq = FifoIssueQueue(n_fifos=2, depth=1)
-        plan = iq.plan_insertions([dyn(seq=0), dyn(seq=1)])
-        assert plan is not None
-        assert sorted(plan) == [0, 1]
-        assert iq.plan_insertions([dyn(seq=0), dyn(seq=1), dyn(seq=2)]) is None
 
-    def test_insert_at_respects_depth(self):
-        iq = FifoIssueQueue(n_fifos=2, depth=1)
-        iq.insert_at(dyn(seq=0), 0)
-        with pytest.raises(SimulationError):
-            iq.insert_at(dyn(seq=1), 0)
-
-    def test_tails_producing(self):
-        iq = FifoIssueQueue(n_fifos=2, depth=4)
-        producer = dyn(seq=0)
-        iq.insert(producer)
-        assert iq.tails_producing(producer)
-        assert not iq.tails_producing(dyn(seq=5))
+def waiting_on(calendar, consumer, *producers):
+    """Enrol *consumer* for *producers*' completions, as dispatch does
+    (one consumer-list entry and one pending operand per source)."""
+    consumer.providers = list(producers)
+    for producer in producers:
+        calendar.waiting.setdefault(producer.seq, []).append(consumer)
+    consumer.pending_ops = len(producers)
+    return consumer
 
 
-class TestIssueQueueReadySet:
+def ready_seqs(iq):
+    return [entry.seq for _, entry in iq._ready]
+
+
+class TestReadySet:
+    """The ready lists as the wakeup calendar fills them: one rule for
+    both window organisations, ordered by ``iq_rank``."""
+
     def test_insert_with_no_pending_ops_is_ready(self):
         iq = IssueQueue(8)
         d = dyn(seq=0)
         iq.insert(d)
-        assert iq.ready_count == 1
-        assert iq.ready_oldest_first() == [d]
-
-    def test_pending_entry_becomes_ready_via_mark_ready(self):
-        iq = IssueQueue(8)
-        waiting = dyn(seq=1)
-        waiting.pending_ops = 1
-        iq.insert(waiting)
-        assert iq.ready_count == 0
-        waiting.pending_ops = 0
-        iq.mark_ready(waiting)
-        assert iq.ready_oldest_first() == [waiting]
-
-    def test_mark_ready_ignores_departed_entries(self):
-        iq = IssueQueue(8)
-        d = dyn(seq=0)
-        d.pending_ops = 1
-        iq.insert(d)
-        iq.remove(d)
-        d.pending_ops = 0
-        iq.mark_ready(d)
-        assert iq.ready_count == 0
-
-    def test_ready_order_is_insertion_order_not_seq(self):
-        # A copy gets a younger seq but can be inserted before an older
-        # instruction; age order for select is insertion order.
-        iq = IssueQueue(8)
-        late_seq = dyn(seq=100)
-        early_seq = dyn(seq=5)
-        iq.insert(late_seq)
-        iq.insert(early_seq)
-        assert [d.seq for d in iq.ready_oldest_first()] == [100, 5]
-
-    def test_issue_ready_removes_from_window(self):
-        iq = IssueQueue(8)
-        a, b = dyn(seq=0), dyn(seq=1)
-        iq.insert(a)
-        iq.insert(b)
-        view = iq.ready_view()
-        assert [entry for _, entry in view] == [a, b]
-        iq.issue_ready(0)
-        assert iq.ready_oldest_first() == [b]
-        assert [d.seq for d in iq.entries_oldest_first()] == [1]
+        assert iq._ready == [(d.iq_rank, d)]
 
     def test_remove_discards_ready_entry(self):
         iq = IssueQueue(8)
         d = dyn(seq=0)
         iq.insert(d)
         iq.remove(d)
-        assert iq.ready_count == 0
+        assert iq._ready == []
 
+    def test_conventional_order_is_insertion_rank_not_seq(self):
+        # A copy gets a younger seq than the instructions dispatched
+        # after it, but entered the window first: select treats
+        # insertion order as age, whatever the seqs and the wake order.
+        windows = [IssueQueue(8), IssueQueue(8)]
+        calendar = WakeupCalendar(windows)
+        early, late = dyn(seq=1), dyn(seq=2)
+        copy = waiting_on(calendar, make_copy_inst(100, 5, 3), early)
+        consumer = waiting_on(calendar, dyn(seq=5, srcs=(6,)), late)
+        copy.cluster = consumer.cluster = 0
+        windows[0].insert(copy)
+        windows[0].insert(consumer)
+        calendar.complete(late, 2, 0)
+        calendar.complete(early, 3, 0)
+        calendar.fire(1)
+        assert windows[0]._ready == []
+        calendar.fire(2)
+        assert ready_seqs(windows[0]) == [5]
+        calendar.fire(3)
+        assert ready_seqs(windows[0]) == [100, 5]
+        assert [rank for rank, _ in windows[0]._ready] == [0, 1]
 
-class TestFifoIssueQueueReadySet:
-    def test_only_heads_are_ready(self):
-        iq = FifoIssueQueue(n_fifos=2, depth=4)
-        producer = dyn(seq=0)
-        producer.pending_ops = 1
-        consumer = dyn(seq=1, dst=6, srcs=(5,))
-        consumer.providers = [producer]
-        iq.insert(producer)
-        iq.insert(consumer)
-        assert iq.ready_count == 0  # head itself is pending
-        producer.pending_ops = 0
-        iq.mark_ready(producer)
-        assert iq.ready_oldest_first() == [producer]
-        # The chained consumer is not a head, so waking it does nothing.
-        iq.mark_ready(consumer)
-        assert iq.ready_oldest_first() == [producer]
+    def test_fifo_heads_ready_in_seq_order(self):
+        windows = [FifoIssueQueue(n_fifos=4, depth=4) for _ in range(2)]
+        calendar = WakeupCalendar(windows)
+        producers = [dyn(seq=s) for s in (70, 20, 50)]
+        for producer in producers:
+            head = waiting_on(
+                calendar, dyn(seq=producer.seq // 10, srcs=(6,)), producer
+            )
+            head.cluster = 0
+            windows[0].insert(head)
+            calendar.complete(producer, 4, 0)
+        calendar.fire(4)
+        assert ready_seqs(windows[0]) == [2, 5, 7]
+        assert [rank for rank, _ in windows[0]._ready] == [2, 5, 7]
 
-    def test_successor_head_deferred_until_next_view(self):
-        iq = FifoIssueQueue(n_fifos=1, depth=4)
-        producer = dyn(seq=0)
-        consumer = dyn(seq=1, dst=6, srcs=(5,))
-        consumer.providers = [producer]
-        iq.insert(producer)
-        iq.insert(consumer)
-        view = iq.ready_view()
-        assert [entry for _, entry in view] == [producer]
-        iq.issue_ready(0)
-        # The exposed head does not join the live view mid-selection...
-        assert view == []
-        # ...but is enrolled at the start of the next cycle's view.
-        assert iq.ready_oldest_first() == [consumer]
+    def test_fifo_entry_behind_a_head_wakes_after_it_issues(self):
+        windows = [FifoIssueQueue(n_fifos=2, depth=4) for _ in range(2)]
+        calendar = WakeupCalendar(windows)
+        outside = dyn(seq=0)
+        head = waiting_on(calendar, dyn(seq=1, srcs=(5,)), outside)
+        behind = waiting_on(calendar, dyn(seq=2, dst=6, srcs=(5,)), head)
+        head.cluster = behind.cluster = 0
+        windows[0].insert(head)
+        windows[0].insert(behind)
+        assert windows[0].entries_oldest_first() == [head]
+        calendar.complete(outside, 1, 0)
+        calendar.fire(1)
+        assert ready_seqs(windows[0]) == [1]
+        windows[0].remove(head)  # it issues; its successor still waits
+        assert ready_seqs(windows[0]) == []
+        calendar.complete(head, 3, 1)
+        calendar.fire(3)
+        assert ready_seqs(windows[0]) == [2]
 
-    def test_heads_ready_in_seq_order(self):
-        iq = FifoIssueQueue(n_fifos=4, depth=4)
-        for seq in (7, 2, 5):
-            iq.insert(dyn(seq=seq))
-        assert [d.seq for d in iq.ready_oldest_first()] == [2, 5, 7]
+    def test_duplicate_waiter_counts_once_per_operand(self):
+        windows = [IssueQueue(8), IssueQueue(8)]
+        calendar = WakeupCalendar(windows)
+        twice, once = dyn(seq=0), dyn(seq=1)
+        # Reads *twice*'s register in two operands and *once*'s in one.
+        consumer = waiting_on(
+            calendar, dyn(seq=2, srcs=(5, 5, 6)), twice, twice, once
+        )
+        consumer.cluster = 1
+        windows[1].insert(consumer)
+        assert calendar.waiting[twice.seq] == [consumer, consumer]
+        calendar.complete(twice, 2, 0)
+        calendar.fire(2)
+        assert consumer.pending_ops == 1
+        assert windows[1]._ready == []
+        # A completion at the current cycle wakes at once.
+        calendar.complete(once, 3, 3)
+        assert consumer.pending_ops == 0
+        assert ready_seqs(windows[1]) == [2]
 
 
 class TestBypassNetwork:

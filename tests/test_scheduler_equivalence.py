@@ -232,17 +232,6 @@ class TestSchedulerSelection:
                 scheduler="quantum",
             )
 
-    def test_env_override_selects_scan(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
-        monkeypatch.setenv("REPRO_SCHEDULER", "scan")
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
-        )
-        assert processor.scheduler == "scan"
-
     def test_schedulers_registry(self):
         assert SCHEDULERS == ("event", "scan")
 

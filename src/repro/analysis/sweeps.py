@@ -32,10 +32,6 @@ from ..spec.machines import machine_config
 from ..spec.overrides import apply_override
 from .campaign import Campaign, CampaignPoint
 
-#: Backwards-compatible alias; the authoritative implementation moved to
-#: :mod:`repro.spec.overrides` so sweeps, campaigns and specs share it.
-_apply = apply_override
-
 
 @dataclass
 class Sweep:

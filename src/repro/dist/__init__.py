@@ -2,7 +2,7 @@
 
 The campaign engine asks this package *how* to execute a grid: every
 point of every campaign routes through a registered
-:class:`ExecutionBackend`.  Four backends ship built in:
+:class:`ExecutionBackend`.  Five backends ship built in:
 
 ``serial``
     In-process reference execution.  Every other backend is required to

@@ -26,6 +26,7 @@ The ``serial`` and ``process`` backends live here; the subprocess
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,14 +67,18 @@ def coerce_jobs(value, source: str = "jobs") -> int:
     return jobs
 
 
-def jobs_from_env(name: str, default: int = 1) -> int:
-    """Worker count from the environment variable *name* (validated)."""
-    import os
-
+def _from_env(name: str, default, coerce):
+    """*coerce* applied to the environment variable *name*, or *default*
+    when it is unset or blank; errors name the variable."""
     text = os.environ.get(name)
     if text is None or text.strip() == "":
         return default
-    return coerce_jobs(text.strip(), source=f"environment variable {name}")
+    return coerce(text.strip(), source=f"environment variable {name}")
+
+
+def jobs_from_env(name: str, default: int = 1) -> int:
+    """Worker count from the environment variable *name* (validated)."""
+    return _from_env(name, default, coerce_jobs)
 
 
 def coerce_timeout(value, source: str = "timeout") -> Optional[float]:
@@ -135,28 +140,14 @@ def timeout_from_env(
     name: str = "REPRO_DIST_TIMEOUT", default: Optional[float] = None
 ) -> Optional[float]:
     """Reply timeout from the environment variable *name* (validated)."""
-    import os
-
-    text = os.environ.get(name)
-    if text is None or text.strip() == "":
-        return default
-    return coerce_timeout(
-        text.strip(), source=f"environment variable {name}"
-    )
+    return _from_env(name, default, coerce_timeout)
 
 
 def retries_from_env(
     name: str = "REPRO_DIST_RETRIES", default: int = 1
 ) -> int:
     """Retry count from the environment variable *name* (validated)."""
-    import os
-
-    text = os.environ.get(name)
-    if text is None or text.strip() == "":
-        return default
-    return coerce_retries(
-        text.strip(), source=f"environment variable {name}"
-    )
+    return _from_env(name, default, coerce_retries)
 
 
 class ExecutionBackend:

@@ -17,13 +17,15 @@ Job directory layout::
       results/<worker>.json           one partial store per worker
       failed/point-00042.json         per-point failure records
 
-Workers need *only* this module and the traces — the packaged
+Workers need *only* this package and the traces — the packaged
 ``.rtrace`` files carry the exact committed paths, so a worker host
 needs neither the workload generator nor its RNG, and its results are
-byte-identical to a serial run of the same grid (the PR 2 replay
-guarantee).  Claiming renames ``queue/point-N.json`` into ``claimed/``;
-rename is atomic on POSIX, so when two workers race for one point
-exactly one wins and the loser moves on.  Completed points are appended
+byte-identical to a serial run of the same grid (the replay
+guarantee).  A worker executes each point through the protocol
+workers' executor, :func:`repro.dist.worker._execute_spec`.  Claiming
+renames ``queue/point-N.json`` into ``claimed/``; rename is atomic on
+POSIX, so when two workers race for one point exactly one wins and the
+loser moves on.  Completed points are appended
 to the worker's partial store (rewritten atomically) and their claim
 token is removed; a worker that dies mid-point leaves its token in
 ``claimed/`` where :func:`requeue_lost` can put it back.
@@ -263,33 +265,6 @@ def claim_point(
         refreshed = True
 
 
-def _execute_entry(entry: dict, job_dir: str, trace_cache: Dict[str, object]):
-    """Simulate one claimed point from its packaged trace."""
-    from ..scenarios.rtrace import import_trace
-    from ..spec.facade import execute_resolved
-    from ..spec.specs import RunSpec
-
-    spec = RunSpec.from_dict(entry["spec"])
-    trace_path = os.path.join(job_dir, _TRACES, entry["trace"])
-    wl = trace_cache.get(trace_path)
-    if wl is None:
-        wl = import_trace(trace_path)
-        trace_cache[trace_path] = wl
-    if wl.name != spec.bench or wl.seed != spec.seed:
-        raise DistError(
-            f"{trace_path} records {wl.name!r} seed {wl.seed}, but the "
-            f"claimed point needs {spec.bench!r} seed {spec.seed}"
-        )
-    return execute_resolved(
-        wl,
-        spec.scheme,
-        spec.machine.resolve(),
-        spec.n_instructions,
-        spec.warmup,
-        spec.seed,
-    )
-
-
 def run_worker(
     job_dir: str,
     worker_id: Optional[str] = None,
@@ -297,13 +272,19 @@ def run_worker(
 ) -> int:
     """Claim and simulate points until the queue is empty.
 
-    Results accumulate in this worker's partial store
-    (``results/<worker_id>.json``), rewritten atomically after every
-    point so a crash never corrupts completed work.  Point failures are
-    recorded under ``failed/`` and do not stop the worker.  Returns the
-    number of points completed successfully.
+    Each point runs through the protocol workers' own executor
+    (:func:`~repro.dist.worker._execute_spec`) against its packaged
+    ``.rtrace``, loaded once per ``(bench, seed)``.  Results accumulate
+    in this worker's partial store (``results/<worker_id>.json``),
+    rewritten atomically after every point so a crash never corrupts
+    completed work.  Point failures are recorded under ``failed/`` and
+    do not stop the worker.  Returns the number of points completed
+    successfully.
     """
     from ..analysis.campaign import CampaignResults, CampaignRun
+    from ..scenarios.rtrace import import_trace
+    from ..spec.specs import RunSpec
+    from .worker import WorkerState, _execute_spec
 
     load_manifest_points(job_dir)  # validates the directory
     worker_id = worker_id or default_worker_id()
@@ -317,8 +298,9 @@ def run_worker(
         "dirqueue.worker", parent=manifest_ctx, worker=worker_id,
         dir=job_dir,
     )
-    store = os.path.join(job_dir, _RESULTS, f"{worker_id}.json")
-    trace_cache: Dict[str, object] = {}
+    store = _partial_store(job_dir, worker_id)
+    state = WorkerState()
+    held: Dict[Tuple[str, int], object] = {}
     backlog: List[str] = []
     runs: List[CampaignRun] = []
     if os.path.exists(store):
@@ -339,18 +321,22 @@ def run_worker(
             trace_id=span.trace_id,
         )
         try:
-            result = _execute_entry(entry, job_dir, trace_cache)
+            spec = RunSpec.from_dict(entry["spec"])
+            key = (spec.bench, spec.seed)
+            if key not in held:
+                trace_path = os.path.join(job_dir, _TRACES, entry["trace"])
+                wl = import_trace(trace_path)
+                if (wl.name, wl.seed) != key:
+                    raise DistError(
+                        f"{trace_path} records {wl.name!r} seed {wl.seed}, "
+                        f"but the claimed point needs {spec.bench!r} seed "
+                        f"{spec.seed}"
+                    )
+                held[key] = wl
+            result, _ = _execute_spec(entry["spec"], state, held)
         except Exception:  # noqa: BLE001 — recorded, queue keeps moving
-            _write_json(
-                os.path.join(
-                    job_dir, _FAILED, _token_name(int(entry["index"]))
-                ),
-                {
-                    "index": entry["index"],
-                    "spec": entry["spec"],
-                    "worker": worker_id,
-                    "error": traceback.format_exc(),
-                },
+            _record_failure(
+                job_dir, entry, worker_id, traceback.format_exc()
             )
             _drop_claim(claim_path)
             failed += 1
@@ -360,13 +346,8 @@ def run_worker(
                 index=entry["index"], trace_id=span.trace_id,
             )
             continue
-        from ..spec.specs import RunSpec
-
-        point = RunSpec.from_dict(entry["spec"]).to_point()
-        runs.append(CampaignRun(point=point, result=result))
-        tmp = store + ".tmp"
-        CampaignResults(runs).save_json(tmp)
-        os.replace(tmp, store)
+        runs.append(CampaignRun(point=spec.to_point(), result=result))
+        _save_runs(store, runs)
         _drop_claim(claim_path)
         completed += 1
         metrics.counter("dirqueue.points_completed_total").inc()
@@ -377,6 +358,35 @@ def run_worker(
         failed=failed, trace_id=span.trace_id,
     )
     return completed
+
+
+def _partial_store(job_dir: str, worker_id: str) -> str:
+    """Path of *worker_id*'s partial store inside *job_dir*."""
+    return os.path.join(job_dir, _RESULTS, f"{worker_id}.json")
+
+
+def _save_runs(store: str, runs: List) -> None:
+    """Rewrite the partial store *store* with *runs*, atomically."""
+    from ..analysis.campaign import CampaignResults
+
+    tmp = store + ".tmp"
+    CampaignResults(runs).save_json(tmp)
+    os.replace(tmp, store)
+
+
+def _record_failure(
+    job_dir: str, entry: dict, worker_id: str, error: str
+) -> None:
+    """Write the ``failed/`` record of claimed point *entry*."""
+    _write_json(
+        os.path.join(job_dir, _FAILED, _token_name(int(entry["index"]))),
+        {
+            "index": entry["index"],
+            "spec": entry["spec"],
+            "worker": worker_id,
+            "error": error,
+        },
+    )
 
 
 def _drop_claim(claim_path: str) -> None:

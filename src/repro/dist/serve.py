@@ -20,13 +20,14 @@ weight *w* gets up to *w* consecutive chunks per turn, then the turn
 rotates, so no backlog from one tenant can starve another's freshly
 submitted job.
 
-Fault model (all mapped onto the worker pool's existing retry
-machinery):
+Fault model (each chunk goes through the same attempt as the ``worker``
+backend's, :meth:`~repro.dist.worker.WorkerBackend._attempt`):
 
 * a **worker death or timeout** mid-batch discards that worker and
-  re-queues the chunk (bounded by ``retries``); an unreachable remote
-  worker is retried patiently — submitting jobs *before* the fleet is
-  up is supported, the daemon dispatches as workers appear;
+  re-queues the chunk under its tenant (bounded by ``retries``); an
+  unreachable remote worker costs no attempt and is retried patiently —
+  submitting jobs *before* the fleet is up is supported, the daemon
+  dispatches as workers appear;
 * a **client disconnect** loses nothing: jobs live in the daemon, run
   to completion, and are held (bounded) for re-attach — ``collect`` by
   job id from a new connection returns the finished items;
@@ -65,10 +66,10 @@ from ..errors import ConfigError, DistError
 from ..telemetry import get_logger, metrics, tracing
 from .backends import ExecutionBackend, Payload
 from .dirqueue import (
-    _FAILED,
-    _RESULTS,
     _drop_claim,
-    _token_name,
+    _partial_store,
+    _record_failure,
+    _save_runs,
     _write_json,
     claim_point,
     requeue_lost,
@@ -87,6 +88,7 @@ from .worker import (
     WorkerBackend,
     WorkerPool,
     _chunks_for_groups,
+    _reply_entry,
 )
 
 #: Service protocol major version, echoed by ``ping`` replies.
@@ -386,8 +388,9 @@ class ServeDaemon:
         self.pool = pool if pool is not None else WorkerPool(
             remote=self.remote
         )
-        # The pool backend supplies preload + timeout semantics; the
-        # daemon replaces its task board with the fair scheduler.
+        # The pool backend supplies the chunk attempt (preload,
+        # batch-run, timeout, retries); the daemon replaces its task
+        # board with the fair scheduler.
         self._backend = WorkerBackend(
             timeout=timeout, retries=retries, pool=self.pool
         )
@@ -558,16 +561,14 @@ class ServeDaemon:
 
     # -- dispatch ------------------------------------------------------
     def _dispatch_loop(self, slot: int) -> None:
-        """One fleet slot: pop fair-share chunks and drive its worker."""
-        backend = self._backend
+        """One fleet slot: pop fair-share chunks and attempt each."""
         while not self._stop.is_set():
             popped = self.scheduler.pop(timeout=0.2)
             if popped is None:
                 continue
             tenant, (job, task) = popped
-            attempts, key, needed, chunk, retry_of = task
             try:
-                worker = self.pool.worker_at(slot)
+                self.pool.worker_at(slot)
             except PeerClosed:
                 # The slot's worker is not reachable (yet).  Re-queue
                 # without burning an attempt — submitting jobs before
@@ -577,99 +578,28 @@ class ServeDaemon:
                 if self._stop.wait(0.5):
                     return
                 continue
-            # One span per dispatch attempt: first attempts hang off
-            # the job span, retries off the failed attempt's span.
-            span = tracing.start_span(
-                "dispatch",
-                parent=retry_of or job.span,
-                slot=slot,
-                attempt=attempts + 1,
-                tenant=tenant,
-                bench=key[0],
-                seed=key[1],
-                points=len(chunk),
+            outcome = self._backend._attempt(
+                self.pool, slot, task, job.span, tenant=tenant
             )
-            metrics.counter("serve.dispatch_chunks_total").inc()
-            batch_span = None
-            try:
-                with self.pool.slot_lock(slot):
-                    backend._preload(
-                        self.pool, worker, key, needed, parent=span
-                    )
-                    batch_timeout = (
-                        backend.timeout * len(chunk)
-                        if backend.timeout is not None
-                        else None
-                    )
-                    batch_span = span.child("batch-run", points=len(chunk))
-                    reply = worker.request(
-                        "batch-run",
-                        timeout=batch_timeout,
-                        trace=batch_span.context(),
-                        specs=[
-                            point.spec().to_dict() for _, point in chunk
-                        ],
-                    )
-            except (PeerClosed, PeerTimeout) as err:
-                self.pool.discard(slot)
-                if batch_span is not None:
-                    job.record_spans([batch_span.end(
-                        status="error",
-                        error=f"{type(err).__name__}: {err}",
-                    )])
-                job.record_spans([span.end(
-                    status="error",
-                    error=f"{type(err).__name__}: {err}",
-                )])
-                _log.warning(
-                    "serve.worker-failed", job=job.id, tenant=tenant,
-                    slot=slot, attempt=attempts + 1,
-                    error=f"{type(err).__name__}: {err}",
-                    trace_id=span.trace_id,
-                )
-                if attempts < backend.retries:
-                    metrics.counter("serve.dispatch_retries_total").inc()
-                    self.scheduler.push(tenant, (
-                        job,
-                        (attempts + 1, key, needed, chunk, span.context()),
-                    ))
-                else:
-                    message = (
-                        f"worker failed after {attempts + 1} "
-                        f"attempt(s): {type(err).__name__}: {err} "
-                        f"[trace {span.trace_id}]"
-                    )
-                    self._record(job, [
-                        (index, {"ok": False, "error": message})
-                        for index, _ in chunk
-                    ])
-                continue
-            if not reply.get("ok"):
-                message = str(reply.get("error", "worker error reply"))
-                job.record_spans([batch_span.end(
-                    status="error", error=message,
-                )])
-                job.record_spans([span.end(status="error", error=message)])
+            job.record_spans(outcome.spans)
+            chunk = task[3]
+            if outcome.retry is not None:
+                self.scheduler.push(tenant, (job, outcome.retry))
+            elif outcome.error is not None:
                 self._record(job, [
-                    (index, {"ok": False, "error": message})
+                    (index, {"ok": False, "error": outcome.error})
                     for index, _ in chunk
                 ])
-                continue
-            worker_spans = list(reply.get("spans") or ())
-            for record in worker_spans:
-                tracing.record_span(record)
-            job.record_spans(worker_spans)
-            job.record_spans([batch_span.end(), span.end()])
-            items = reply.get("results") or []
-            self._record(job, [
-                (index, dict(item))
-                for (index, _), item in zip(chunk, items)
-            ])
-            self.dispatch_log.append(tenant)
-            _log.debug(
-                "serve.dispatch", job=job.id, tenant=tenant, slot=slot,
-                points=len(chunk), trace_id=span.trace_id,
-            )
+            else:
+                self._record(job, [
+                    (index, dict(item))
+                    for (index, _), item in zip(chunk, outcome.items)
+                ])
+                self.dispatch_log.append(tenant)
+                _log.debug(
+                    "serve.dispatch", job=job.id, tenant=tenant, slot=slot,
+                    points=len(chunk),
+                )
 
     def _record(
         self, job: _Job, entries: Sequence[Tuple[int, dict]]
@@ -782,40 +712,24 @@ class ServeDaemon:
         self, job_dir: str, job: _Job, claims: List[dict]
     ) -> None:
         """Write the adopted job's outputs in dirqueue's own formats."""
-        from ..analysis.campaign import (
-            CampaignResults,
-            CampaignRun,
-            _result_from_dict,
-        )
+        from ..analysis.campaign import CampaignRun
         from ..spec.specs import RunSpec
 
         worker_id = f"serve-{os.getpid()}"
         runs: List[CampaignRun] = []
         for entry, item in zip(claims, job.items):
-            if item and item.get("ok"):
+            _, result, error, *_ = _reply_entry(
+                entry["index"], item, "point lost"
+            )
+            if error is None:
                 runs.append(CampaignRun(
                     point=RunSpec.from_dict(entry["spec"]).to_point(),
-                    result=_result_from_dict(dict(item["result"])),
+                    result=result,
                 ))
             else:
-                _write_json(
-                    os.path.join(
-                        job_dir, _FAILED, _token_name(int(entry["index"]))
-                    ),
-                    {
-                        "index": entry["index"],
-                        "spec": entry["spec"],
-                        "worker": worker_id,
-                        "error": str(
-                            (item or {}).get("error", "point lost")
-                        ),
-                    },
-                )
+                _record_failure(job_dir, entry, worker_id, error)
         if runs:
-            store = os.path.join(job_dir, _RESULTS, f"{worker_id}.json")
-            tmp = store + ".tmp"
-            CampaignResults(runs).save_json(tmp)
-            os.replace(tmp, store)
+            _save_runs(_partial_store(job_dir, worker_id), runs)
         for entry in claims:
             _drop_claim(entry["_claim_path"])
         _write_json(
@@ -1162,8 +1076,6 @@ class ServiceBackend(ExecutionBackend):
         self.tenant = self.client.tenant
 
     def execute(self, points, jobs: int = 1) -> Payload:
-        from ..analysis.campaign import _result_from_dict
-
         if not points:
             return []
         items = self.client.run(points)
@@ -1172,25 +1084,7 @@ class ServiceBackend(ExecutionBackend):
                 f"service returned {len(items)} item(s) "
                 f"for {len(points)} point(s)"
             )
-        payload: Payload = []
-        for index, item in enumerate(items):
-            if item and item.get("ok"):
-                timing = {
-                    k: item[k]
-                    for k in ("elapsed_seconds", "resolve_seconds",
-                              "simulate_seconds")
-                    if k in item
-                }
-                payload.append((
-                    index,
-                    _result_from_dict(dict(item["result"])),
-                    None,
-                    timing or None,
-                ))
-            else:
-                payload.append((
-                    index,
-                    None,
-                    str((item or {}).get("error", "service lost the point")),
-                ))
-        return payload
+        return [
+            _reply_entry(index, item, "service lost the point")
+            for index, item in enumerate(items)
+        ]

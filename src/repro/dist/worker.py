@@ -55,10 +55,14 @@ corrupt line must not poison a long-lived worker.
 Fault tolerance lives in the dispatcher: a worker that dies mid-batch or
 exceeds the batch timeout is killed and replaced, and the batch is
 retried (``retries`` times) on whichever worker next drains the queue —
-safe precisely because execution is deterministic.  The dispatcher
-captures each worker's stderr and attaches its tail to the failure
-messages, so a crashing worker's traceback lands in the recorded error
-instead of leaking to the console.
+safe precisely because execution is deterministic.  One chunk attempt
+(:meth:`WorkerBackend._attempt`) does this for both dispatchers, the
+backend's own threads and the ``dist serve`` daemon's; each keeps only
+its queue, its result sink and what it does with a slot whose worker
+cannot be reached.  The dispatcher captures each worker's stderr and
+attaches its tail to the failure messages, so a crashing worker's
+traceback lands in the recorded error instead of leaking to the
+console.
 
 Because traces travel in-band, points are no longer affinity-bound to
 the one worker that generated their workload: once a group's trace is
@@ -72,7 +76,8 @@ could never have resolved its name.
 
 Two environment knobs exist purely for fault-injection tests and ops
 drills: ``REPRO_DIST_CRASH_FLAG`` / ``REPRO_DIST_HANG_FLAG`` name flag
-files; a worker that sees its flag file before executing a point
+files; a worker (protocol or ``dirqueue``, both execute points through
+:func:`_execute_spec`) that sees its flag file before executing a point
 deletes the file and crashes (``os._exit``) or hangs
 (``REPRO_DIST_HANG_SECONDS``, default 30) — exactly once, since the
 flag is consumed.
@@ -90,7 +95,7 @@ import threading
 import time
 import traceback
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import DistError
 from ..telemetry import get_logger, metrics, tracing
@@ -194,12 +199,13 @@ def _execute_spec(spec_dict: dict, state: WorkerState, held: dict):
 
     A cache hit executes against the preloaded
     :class:`~repro.scenarios.rtrace.FrozenTrace` workload (zero
-    regeneration, exactly the dirqueue worker's replay path); a miss
-    falls back to by-name resolution, which is where workloads the
-    dispatcher never preloaded still work — or fail deterministically.
-    A by-name workload is kept in *held*, keyed by ``(bench, seed)``,
-    so the caller's later misses on it (the rest of one ``batch-run``)
-    replay it instead of generating it again.
+    regeneration); a miss takes the workload *held* keys by
+    ``(bench, seed)``, and failing that resolves it by name, which is
+    where workloads the dispatcher never preloaded still work — or fail
+    deterministically.  A by-name workload is kept in *held*, so the
+    caller's later misses on it (the rest of one ``batch-run``) replay
+    it instead of generating it again; the ``dirqueue`` worker fills
+    *held* with each claimed point's packaged trace.
 
     Returns ``(result, timing)`` where *timing* attributes the point's
     cost (``elapsed_seconds`` always; the facade's resolve/simulate
@@ -457,15 +463,6 @@ def stdio_worker_command() -> List[str]:
     return [sys.executable, "-m", "repro.cli", "dist", "worker", "--stdio"]
 
 
-#: Backwards-compatible names for the transport failure pair: the whole
-#: retry machinery below still speaks "worker died / worker timed out",
-#: and tests monkeypatch these names.  Since the transport refactor they
-#: *are* the transport exceptions — a socket FIN and a subprocess EOF
-#: are the same event to the dispatcher.
-_WorkerDied = PeerClosed
-_WorkerTimeout = PeerTimeout
-
-
 class _PoolWorker(LineChannel):
     """One pool slot's protocol channel plus its preload ledger."""
 
@@ -575,20 +572,12 @@ class WorkerPool:
         is retried on demand by :meth:`worker_at` (and its chunks are
         handed to reachable slots by the dispatcher's retry machinery).
         """
-        with self._lock:
-            while len(self._workers) < n:
-                self._workers.append(None)
-            for slot in range(n):
-                worker = self._workers[slot]
-                if worker is None or not worker.alive():
-                    if worker is not None:
-                        worker.close()
-                        self._workers[slot] = None
-                    try:
-                        self._workers[slot] = self._connect(slot)
-                    except PeerClosed:
-                        if slot >= len(self.remote):
-                            raise
+        for slot in range(n):
+            try:
+                self.worker_at(slot)
+            except PeerClosed:
+                if slot >= len(self.remote):
+                    raise
 
     @property
     def size(self) -> int:
@@ -642,7 +631,7 @@ class WorkerPool:
                     stop_remote or slot >= len(self.remote)
                 ):
                     worker.request("shutdown", timeout=2)
-            except (_WorkerDied, _WorkerTimeout):
+            except (PeerClosed, PeerTimeout):
                 pass
             worker.close()
 
@@ -725,7 +714,7 @@ class WorkerPool:
                 continue
             try:
                 reply = worker.request("stats", timeout=timeout)
-            except (_WorkerDied, _WorkerTimeout):
+            except (PeerClosed, PeerTimeout):
                 continue
             finally:
                 lock.release()
@@ -755,7 +744,7 @@ class WorkerPool:
         }
 
 
-#: Process-lifetime pools shared by every warm WorkerBackend, keyed by
+#: Process-lifetime pools shared by every pool-less WorkerBackend, keyed by
 #: worker argv + remote fleet so test backends with injected commands or
 #: different remote addresses never share workers.  Torn down atexit.
 _SHARED_POOLS: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], WorkerPool] = {}
@@ -768,10 +757,11 @@ def shared_pool(
 ) -> WorkerPool:
     """The process-wide :class:`WorkerPool` for *command* (created lazily).
 
-    This is what makes the warm backend warm across ``execute()`` calls,
+    This is what makes the backend warm across ``execute()`` calls,
     campaign resumes and repeated :func:`repro.run` invocations in one
-    process: every ``WorkerBackend(warm=True)`` resolves to the same
-    pool, whose workers and preloaded traces survive between campaigns.
+    process: every ``WorkerBackend`` without an explicit ``pool``
+    resolves to the same pool, whose workers and preloaded traces
+    survive between campaigns.
     """
     argv = tuple(command) if command else tuple(stdio_worker_command())
     key = (argv, tuple(str(address) for address in remote))
@@ -825,21 +815,31 @@ class _TaskBoard:
     def __init__(self, n_slots: int):
         self._pending: List[List[_Chunk]] = [[] for _ in range(n_slots)]
         self._started = [False] * n_slots
+        self._stopped = [False] * n_slots
         self._lock = threading.Lock()
 
     def put(self, slot: int, chunk: _Chunk) -> None:
         with self._lock:
             self._pending[slot].append(chunk)
 
-    def put_next(self, slot: int, chunk: _Chunk) -> None:
-        """Queue *chunk* on the slot after *slot* (mod the slot count).
+    def retire(self, slot: int, chunk: _Chunk) -> bool:
+        """Hand *chunk* and the rest of *slot*'s list to another slot.
 
-        Used when *slot*'s worker is unreachable: the chunk must land
-        where a different (hopefully live) worker will drain or steal
-        it, not back on the slot that just failed.
+        Used when *slot*'s worker is unreachable: its thread stops and
+        the next slot whose thread still runs takes its chunks over.
+        Returns ``False``, handing nothing over, when no other thread
+        runs — this one then spends the chunk's attempts itself, so a
+        fleet that is entirely unreachable still terminates.
         """
         with self._lock:
-            self._pending[(slot + 1) % len(self._pending)].append(chunk)
+            n = len(self._pending)
+            for heir in ((slot + step) % n for step in range(1, n)):
+                if not self._stopped[heir]:
+                    self._stopped[slot] = True
+                    self._pending[heir] += [chunk, *self._pending[slot]]
+                    self._pending[slot] = []
+                    return True
+            return False
 
     def take(self, slot: int) -> Optional[_Chunk]:
         with self._lock:
@@ -854,6 +854,8 @@ class _TaskBoard:
             victim = max(open_lists, key=len)
             if victim:
                 return victim.pop()
+            # This slot's thread stops: nothing may be handed to it now.
+            self._stopped[slot] = True
             return None
 
 
@@ -888,8 +890,43 @@ def _chunks_for_groups(
     return chunks
 
 
+class _Attempt(NamedTuple):
+    """How one chunk attempt ended (:meth:`WorkerBackend._attempt`).
+
+    Exactly one of *items* (done: one reply item per point), *retry*
+    (the task to queue again) and *error* (failed: the message for every
+    point) is set.  *spans* holds the span records the attempt finished,
+    worker-side ones included, for sinks that collect them.
+    """
+
+    items: Optional[List[dict]] = None
+    retry: Optional[_Chunk] = None
+    error: Optional[str] = None
+    spans: Sequence[dict] = ()
+
+
+#: Per-point timing fields a ``batch-run`` reply item may carry.
+_TIMING_KEYS = ("elapsed_seconds", "resolve_seconds", "simulate_seconds")
+
+
+def _reply_entry(index: int, item: Optional[dict], lost: str):
+    """The backend payload entry for point *index* from its reply item.
+
+    A missing item or one without an ``error`` reports *lost*.
+    """
+    from ..analysis.campaign import _result_from_dict
+
+    if item and item.get("ok"):
+        timing = {k: item[k] for k in _TIMING_KEYS if k in item}
+        return (
+            index, _result_from_dict(dict(item["result"])), None,
+            timing or None,
+        )
+    return (index, None, str((item or {}).get("error", lost)))
+
+
 class WorkerBackend(ExecutionBackend):
-    """Dispatch points to a (warm) pool of protocol workers.
+    """Dispatch points to a warm pool of protocol workers.
 
     Parameters
     ----------
@@ -911,17 +948,11 @@ class WorkerBackend(ExecutionBackend):
         to adopt.  The first ``len(remote)`` pool slots connect there
         instead of spawning subprocesses; set ``jobs`` to the remote
         count to use only remote workers.
-    warm:
-        ``True`` (default): dispatch through the process-lifetime
-        :func:`shared_pool`, whose workers and preloaded traces persist
-        across ``execute()`` calls — steady-state dispatch costs a JSON
-        round trip.  ``False``: spawn a private pool for this call and
-        shut it down afterwards (the old cold-spawn behaviour, kept
-        measurable for the benchmark trajectory).
     pool:
-        An explicit :class:`WorkerPool` to dispatch through (overrides
-        *warm*; the caller owns its lifetime).  Fault-injection tests
-        use this to control exactly when workers spawn.
+        The :class:`WorkerPool` to dispatch through; the caller owns its
+        lifetime.  Without one, the process-lifetime :func:`shared_pool`
+        for *command* and *remote* serves, so its workers and preloaded
+        traces persist across ``execute()`` calls.
     """
 
     name = "worker"
@@ -935,7 +966,6 @@ class WorkerBackend(ExecutionBackend):
         retries=_UNSET,
         command: Optional[Sequence[str]] = None,
         remote: Sequence[str] = (),
-        warm: bool = True,
         pool: Optional[WorkerPool] = None,
     ):
         self.timeout = (
@@ -950,16 +980,7 @@ class WorkerBackend(ExecutionBackend):
         self.remote = [str(address) for address in remote]
         for address in self.remote:
             parse_address(address, source="remote worker address")
-        self.warm = bool(warm)
         self.pool = pool
-
-    def _resolve_pool(self) -> Tuple[WorkerPool, bool]:
-        """The pool to dispatch through and whether this call owns it."""
-        if self.pool is not None:
-            return self.pool, False
-        if self.warm:
-            return shared_pool(self.command, remote=self.remote), False
-        return WorkerPool(self.command, remote=self.remote), True
 
     def execute(self, points, jobs: int = 1) -> Payload:
         from ..analysis.campaign import grouped_points
@@ -969,7 +990,7 @@ class WorkerBackend(ExecutionBackend):
         if not groups:
             return []
         n_workers = min(jobs, len(points))
-        pool, owned = self._resolve_pool()
+        pool = self.pool or shared_pool(self.command, remote=self.remote)
         # Chunk i is affine to slot i % n_workers: re-running the same
         # grid sends each spec back to the worker that served it last
         # time (whose memo and pinned trace cover it).  Idle dispatcher
@@ -978,9 +999,7 @@ class WorkerBackend(ExecutionBackend):
         tasks = _TaskBoard(n_workers)
         for i, chunk in enumerate(_chunks_for_groups(groups, n_workers)):
             tasks.put(i % n_workers, chunk)
-        results: Dict[int, object] = {}
-        errors: Dict[int, str] = {}
-        metas: Dict[int, dict] = {}
+        entries: Dict[int, tuple] = {}
         # The ambient campaign span, captured on this thread — drain
         # threads get its wire context explicitly (thread-locals do not
         # cross thread starts).
@@ -990,8 +1009,7 @@ class WorkerBackend(ExecutionBackend):
             threads = [
                 threading.Thread(
                     target=self._drain,
-                    args=(pool, slot, tasks, results, errors, metas,
-                          parent_ctx),
+                    args=(pool, slot, tasks, entries, parent_ctx),
                 )
                 for slot in range(n_workers)
             ]
@@ -1001,24 +1019,14 @@ class WorkerBackend(ExecutionBackend):
                 thread.join()
         finally:
             pool.release_payloads(group[0][1].trace_key for group in groups)
-            if owned:
-                pool.shutdown()
-        missing = [
-            index
-            for index, _ in (pair for group in groups for pair in group)
-            if index not in results and index not in errors
-        ]
+        indexes = [index for group in groups for index, _ in group]
+        missing = [index for index in indexes if index not in entries]
         if missing:
             raise DistError(
                 f"worker backend lost {len(missing)} point(s) "
                 f"(indexes {missing[:5]}...)"
             )
-        return [
-            (index, results.get(index), errors.get(index),
-             metas.get(index))
-            for group in groups
-            for index, _ in group
-        ]
+        return [entries[index] for index in indexes]
 
     # ------------------------------------------------------------------
     def _preload(
@@ -1064,138 +1072,107 @@ class WorkerBackend(ExecutionBackend):
         if reply.get("ok"):
             worker.preloaded[key] = records
 
-    def _drain(
-        self, pool, slot, tasks, results, errors, metas, parent_ctx
-    ) -> None:
-        """One dispatcher thread: drive the worker in *slot* over chunks.
+    def _attempt(self, pool, slot, task: _Chunk, parent, **attrs) -> _Attempt:
+        """One attempt at *task* on the worker in *slot*.
 
-        Every attempt at a chunk is one ``dispatch`` span: first
-        attempts hang off the campaign span (*parent_ctx*), retries hang
-        off the failed attempt's span, so the trace tree shows exactly
-        which failure each retry answered.  The span's context rides the
-        ``batch-run`` request, making the worker's own span its child.
+        The attempt is one ``dispatch`` span (tagged with *attrs*): a
+        first attempt hangs off *parent*, a retry off the failed
+        attempt's span, so the trace tree shows which failure each retry
+        answered.  Under the slot lock it preloads the chunk's trace and
+        sends one ``batch-run`` whose span context makes the worker's
+        own span its child.  A worker that dies, times out or cannot be
+        reached is discarded and the chunk comes back as a retry until
+        ``retries`` extra attempts are spent; an ``ok: false`` reply is
+        deterministic and fails the chunk at once.
         """
-        from ..analysis.campaign import _result_from_dict
+        attempts, key, needed, chunk, retry_of = task
+        span = tracing.start_span(
+            "dispatch",
+            parent=retry_of or parent,
+            slot=slot,
+            attempt=attempts + 1,
+            bench=key[0],
+            seed=key[1],
+            points=len(chunk),
+            **attrs,
+        )
+        metrics.counter("dispatch.chunks_total").inc()
+        batch_span = None
+        try:
+            worker = pool.worker_at(slot)
+            with pool.slot_lock(slot):
+                self._preload(pool, worker, key, needed, parent=span)
+                batch_span = span.child("batch-run", points=len(chunk))
+                reply = worker.request(
+                    "batch-run",
+                    timeout=(
+                        self.timeout * len(chunk)
+                        if self.timeout is not None
+                        else None
+                    ),
+                    trace=batch_span.context(),
+                    specs=[point.spec().to_dict() for _, point in chunk],
+                )
+        except (PeerClosed, PeerTimeout) as err:
+            pool.discard(slot)
+            error = f"{type(err).__name__}: {err}"
+            spans = []
+            if batch_span is not None:
+                spans.append(batch_span.end(status="error", error=error))
+            spans.append(span.end(status="error", error=error))
+            _log.warning(
+                "dispatch.worker-failed", slot=slot, attempt=attempts + 1,
+                trace_id=span.trace_id, error=error[:300], **attrs,
+            )
+            if attempts < self.retries:
+                metrics.counter("dispatch.retries_total").inc()
+                return _Attempt(
+                    retry=(attempts + 1, key, needed, chunk, span.context()),
+                    spans=spans,
+                )
+            return _Attempt(
+                error=(
+                    f"worker failed after {attempts + 1} attempt(s): "
+                    f"{error} [trace {span.trace_id}]"
+                ),
+                spans=spans,
+            )
+        # Worker-side spans ride the reply; record them here so the
+        # dispatcher's log holds the whole tree even for remote
+        # workers whose own log lives on another host.
+        spans = list(reply.get("spans") or ())
+        for record in spans:
+            tracing.record_span(record)
+        if not reply.get("ok"):
+            error = str(reply.get("error", "worker error reply"))
+            spans.append(batch_span.end(status="error", error=error))
+            spans.append(span.end(status="error", error=error))
+            return _Attempt(error=error, spans=spans)
+        spans.append(batch_span.end())
+        spans.append(span.end())
+        return _Attempt(items=reply.get("results") or [], spans=spans)
 
+    def _drain(self, pool, slot, tasks, entries, parent_ctx) -> None:
+        """One dispatcher thread: attempt *slot*'s chunks until none remain."""
         while True:
             task = tasks.take(slot)
             if task is None:
                 return
-            attempts, key, needed, chunk, retry_of = task
-            span = tracing.start_span(
-                "dispatch",
-                parent=retry_of or parent_ctx,
-                slot=slot,
-                attempt=attempts + 1,
-                bench=key[0],
-                seed=key[1],
-                points=len(chunk),
-            )
-            metrics.counter("dispatch.chunks_total").inc()
             try:
-                worker = pool.worker_at(slot)
-            except _WorkerDied as err:
-                # Remote slot with no reachable worker.  Hand the chunk
-                # to the next slot so a live worker drains or steals it
-                # (the brief pause keeps this thread from stealing it
-                # straight back before anyone else can), and burn an
-                # attempt so a fully unreachable fleet terminates with
-                # per-point errors instead of looping.
-                span.end(status="error", error=str(err))
-                if attempts < self.retries:
-                    metrics.counter("dispatch.retries_total").inc()
-                    tasks.put_next(
-                        slot,
-                        (attempts + 1, key, needed, chunk, span.context()),
-                    )
-                    time.sleep(0.2)
-                else:
-                    message = (
-                        f"worker failed after {attempts + 1} "
-                        f"attempt(s): {type(err).__name__}: {err} "
-                        f"[trace {span.trace_id}]"
-                    )
-                    for index, _ in chunk:
-                        errors[index] = message
-                continue
-            batch_span = None
-            try:
-                with pool.slot_lock(slot):
-                    self._preload(pool, worker, key, needed, parent=span)
-                    batch_timeout = (
-                        self.timeout * len(chunk)
-                        if self.timeout is not None
-                        else None
-                    )
-                    batch_span = span.child("batch-run", points=len(chunk))
-                    reply = worker.request(
-                        "batch-run",
-                        timeout=batch_timeout,
-                        trace=batch_span.context(),
-                        specs=[
-                            point.spec().to_dict() for _, point in chunk
-                        ],
-                    )
-            except (_WorkerDied, _WorkerTimeout) as err:
-                pool.discard(slot)
-                if batch_span is not None:
-                    batch_span.end(status="error", error=type(err).__name__)
-                span.end(status="error", error=str(err))
-                _log.warning(
-                    "dispatch.worker-failed",
-                    slot=slot,
-                    attempt=attempts + 1,
-                    trace_id=span.trace_id,
-                    error=f"{type(err).__name__}: {err}"[:300],
-                )
-                if attempts < self.retries:
-                    metrics.counter("dispatch.retries_total").inc()
-                    # Retried chunk goes back on this slot's list so
-                    # its replacement worker (or a stealing peer) can
-                    # pick it up.
-                    tasks.put(
-                        slot,
-                        (attempts + 1, key, needed, chunk, span.context()),
-                    )
-                else:
-                    message = (
-                        f"worker failed after {attempts + 1} "
-                        f"attempt(s): {type(err).__name__}: {err} "
-                        f"[trace {span.trace_id}]"
-                    )
-                    for index, _ in chunk:
-                        errors[index] = message
-                continue
-            # Worker-side spans ride the reply; record them here so the
-            # dispatcher's log holds the whole tree even for remote
-            # workers whose own log lives on another host.
-            for record in reply.get("spans") or ():
-                tracing.record_span(record)
-            batch_span.end()
-            if not reply.get("ok"):
-                # A malformed batch reply is deterministic: report it
-                # for every point rather than retrying forever.
-                span.end(status="error", error="worker error reply")
-                message = str(reply.get("error", "worker error reply"))
-                for index, _ in chunk:
-                    errors[index] = message
-                continue
-            span.end()
-            items = reply.get("results") or []
-            for (index, _), item in zip(chunk, items):
-                if item.get("ok"):
-                    results[index] = _result_from_dict(
-                        dict(item["result"])
-                    )
-                    timing = {
-                        k: item[k]
-                        for k in ("elapsed_seconds", "resolve_seconds",
-                                  "simulate_seconds")
-                        if k in item
-                    }
-                    if timing:
-                        metas[index] = timing
-                else:
-                    errors[index] = str(
-                        item.get("error", "worker error reply")
+                pool.worker_at(slot)
+            except PeerClosed:
+                if tasks.retire(slot, task):
+                    return
+            outcome = self._attempt(pool, slot, task, parent_ctx)
+            if outcome.retry is not None:
+                # Back on this slot's list, for its replacement worker
+                # or a stealing peer.
+                tasks.put(slot, outcome.retry)
+            elif outcome.error is not None:
+                for index, _ in task[3]:
+                    entries[index] = (index, None, outcome.error)
+            else:
+                for (index, _), item in zip(task[3], outcome.items):
+                    entries[index] = _reply_entry(
+                        index, item, "worker error reply"
                     )

@@ -57,7 +57,6 @@ from .rtrace import (
 )
 from .suites import (
     DATA_FILE_SUITES,
-    ScenarioSuite,
     available_suites,
     export_suite,
     get_suite,
@@ -87,7 +86,6 @@ __all__ = [
     "import_trace_bytes",
     "read_meta",
     "DATA_FILE_SUITES",
-    "ScenarioSuite",
     "available_suites",
     "export_suite",
     "get_suite",

@@ -2,12 +2,12 @@
 
 A suite names a *question* — "how do the schemes rank on branch-hostile
 code?" — and fixes the benches, schemes, machines, seeds and window sizes
-that answer it.  Suites are plain :class:`~repro.spec.SuiteSpec` objects
-(``ScenarioSuite`` is the back-compat alias), so everything the spec
-layer provides — dotted-path overrides, JSON data-file round trips,
-:func:`repro.run` — and everything the campaign engine provides (shared
-traces, worker processes, JSON/CSV stores, incremental resume, seed
-aggregation) applies to a suite run unchanged.
+that answer it.  Suites are plain :class:`~repro.spec.SuiteSpec`
+objects, so everything the spec layer provides — dotted-path
+overrides, JSON data-file round trips, :func:`repro.run` — and
+everything the campaign engine provides (shared traces, worker
+processes, JSON/CSV stores, incremental resume, seed aggregation)
+applies to a suite run unchanged.
 
 Two kinds of suites register here:
 
@@ -33,9 +33,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..analysis.campaign import IncrementalRun, run_campaign
 from ..errors import ScenarioError, SpecError
 from ..spec.specs import SuiteSpec
-
-#: Back-compat alias: a scenario suite *is* a declarative suite spec.
-ScenarioSuite = SuiteSpec
 
 #: All registered suites by name.
 _SUITES: Dict[str, SuiteSpec] = {}

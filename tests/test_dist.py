@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -205,11 +206,15 @@ class TestWorkerBackend:
             ["gcc"], ["modulo", "general-balance"],
             n_instructions=N, warmup=W,
         )
-        # A cold pool: the flag env var must be in the workers'
+        # A fresh pool: the flag env var must be in the workers'
         # spawn-time environment, which a pre-existing warm pool's
         # workers would not have.
-        backend = dist.backend("worker", warm=False)
-        results = Campaign(pts, workers=1, backend=backend).run()
+        pool = dist.WorkerPool()
+        try:
+            backend = dist.backend("worker", pool=pool)
+            results = Campaign(pts, workers=1, backend=backend).run()
+        finally:
+            pool.shutdown()
         assert not flag.exists()  # the crash really happened
         expected = {
             (r.point.bench, r.point.scheme): r.result for r in serial
@@ -227,8 +232,14 @@ class TestWorkerBackend:
         pts = [CampaignPoint("li", "modulo", n_instructions=N, warmup=W)]
         # Generous vs normal point latency (worker start + import is
         # ~2s), small enough to keep the test quick.
-        backend = dist.backend("worker", timeout=8, retries=1, warm=False)
-        results = Campaign(pts, backend=backend).run()
+        pool = dist.WorkerPool()
+        try:
+            backend = dist.backend(
+                "worker", timeout=8, retries=1, pool=pool
+            )
+            results = Campaign(pts, backend=backend).run()
+        finally:
+            pool.shutdown()
         assert not flag.exists()
         assert results[0].result == run_point(pts[0])
 
@@ -379,15 +390,57 @@ class TestTaskBoard:
         assert board.take(0) == "b2"  # slot 1 started: open to stealing
         assert board.take(1) is None
 
-    def test_put_next_hands_a_chunk_to_the_following_slot(self):
-        board = _TaskBoard(2)
-        board.put(0, "a")
-        assert board.take(0) == "a"
-        board.put_next(0, "a")  # slot 0's worker was unreachable
-        assert board.take(0) is None
-        assert board.take(1) == "a"
-        board.put_next(1, "b")  # wraps round to slot 0
-        assert board.take(0) == "b"
+    def test_retire_hands_a_slots_chunks_to_a_running_slot(self):
+        board = _TaskBoard(3)
+        assert board.take(1) is None  # slot 1's thread has stopped
+        board.put(0, "a1")
+        board.put(0, "a2")
+        assert board.take(0) == "a1"
+        # Slot 0's worker is unreachable: slot 2 inherits both chunks.
+        assert board.retire(0, "a1")
+        assert board.take(2) == "a1"
+        assert board.take(2) == "a2"
+        # The last running slot keeps its chunk.
+        assert not board.retire(2, "b")
+
+
+def _dead_address():
+    """A ``HOST:PORT`` nothing listens on: bound, then closed."""
+    import socket
+
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    address = dist.format_address(sock.getsockname()[:2])
+    sock.close()
+    return address
+
+
+class TestUnreachableSlots:
+    def test_unreachable_fleet_fails_every_point(self):
+        pts = expand_grid(
+            ["gcc", "li"], ["modulo"], n_instructions=N, warmup=W
+        )
+        backend = dist.WorkerBackend(remote=[_dead_address()], retries=1)
+        start = time.monotonic()
+        payload = backend.execute(pts, jobs=1)
+        assert time.monotonic() - start < 30
+        assert sorted(index for index, *_ in payload) == [0, 1]
+        for _, result, error, *_ in payload:
+            assert result is None
+            assert "worker failed after 2 attempt(s)" in error
+
+    def test_dead_remote_slot_beside_a_local_one_matches_serial(
+        self, points, serial
+    ):
+        pool = dist.WorkerPool(remote=[_dead_address()])
+        try:
+            backend = dist.WorkerBackend(pool=pool, retries=1)
+            results = Campaign(points, workers=2, backend=backend).run()
+        finally:
+            pool.shutdown()
+        assert [(r.point, r.result) for r in results] == [
+            (r.point, r.result) for r in serial
+        ]
 
 
 class TestWarmPool:

@@ -8,7 +8,6 @@ import pytest
 from repro import simulate
 from repro.errors import ScenarioError, WorkloadError
 from repro.scenarios import (
-    ScenarioSuite,
     WorkloadFamily,
     available_families,
     available_suites,
@@ -28,6 +27,7 @@ from repro.scenarios import (
 from repro.scenarios.registry import _FAMILIES
 from repro.scenarios.rtrace import MAGIC, FrozenTrace
 from repro.scenarios.suites import _SUITES
+from repro.spec import SuiteSpec
 from repro.workloads import (
     clear_workload_cache,
     get_profile,
@@ -315,7 +315,7 @@ class TestSuites:
     def test_duplicate_suite_rejected(self):
         with pytest.raises(ScenarioError, match="already registered"):
             register_suite(
-                ScenarioSuite(
+                SuiteSpec(
                     name="smoke",
                     description="dup",
                     benches=("gcc",),

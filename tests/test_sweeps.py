@@ -3,25 +3,25 @@
 import pytest
 
 from repro.analysis import Sweep, sweep
-from repro.analysis.sweeps import _apply
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.pipeline import ProcessorConfig
+from repro.spec.overrides import apply_override
 
 
 class TestApply:
     def test_machine_level_parameter(self):
-        config = _apply(ProcessorConfig.default(), "bypass_ports", 1)
+        config = apply_override(ProcessorConfig.default(), "bypass_ports", 1)
         assert config.bypass_ports == 1
 
     def test_cluster_level_parameter(self):
-        config = _apply(ProcessorConfig.default(), "issue_width", 6)
+        config = apply_override(ProcessorConfig.default(), "issue_width", 6)
         assert config.clusters[0].issue_width == 6
         assert config.clusters[1].issue_width == 6
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
-            _apply(ProcessorConfig.default(), "warp_factor", 9)
+            apply_override(ProcessorConfig.default(), "warp_factor", 9)
 
 
 class TestSweep:

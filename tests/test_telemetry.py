@@ -352,8 +352,12 @@ class TestCampaignTelemetry:
     def test_worker_campaign_collects_worker_side_timing(
         self, points, serial
     ):
-        backend = dist.backend("worker", warm=False)
-        results = Campaign(points, workers=2, backend=backend).run()
+        pool = dist.WorkerPool()
+        try:
+            backend = dist.backend("worker", pool=pool)
+            results = Campaign(points, workers=2, backend=backend).run()
+        finally:
+            pool.shutdown()
         assert list(results) == list(serial)
         assert all(r.elapsed_seconds > 0 for r in results)
         assert all(r.timing["simulate_seconds"] > 0 for r in results)

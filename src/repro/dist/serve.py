@@ -229,6 +229,17 @@ class FairScheduler:
             return tenant, item
         return None
 
+    def unpop(self, tenant: str, item) -> None:
+        """Undo a ``pop`` whose item could not be run: the item goes back
+        to the front of *tenant*'s queue, does not count as dispatched,
+        and the turn keeps the credit the pop spent."""
+        with self._cond:
+            self._queues[tenant].appendleft(item)
+            self._dispatched[tenant] -= 1
+            if self._order[self._cursor] == tenant:
+                self._credit += 1
+            self._cond.notify()
+
     def depths(self) -> Dict[str, int]:
         """Pending items per tenant (tenants with history included)."""
         with self._cond:
@@ -570,11 +581,12 @@ class ServeDaemon:
             try:
                 self.pool.worker_at(slot)
             except PeerClosed:
-                # The slot's worker is not reachable (yet).  Re-queue
-                # without burning an attempt — submitting jobs before
-                # the fleet is up is a supported order of operations —
-                # and back off so a live slot can take the chunk.
-                self.scheduler.push(tenant, (job, task))
+                # The slot's worker is not reachable (yet).  Hand the
+                # chunk back uncounted, at the front of its tenant's
+                # queue, without burning an attempt — submitting jobs
+                # before the fleet is up is a supported order of
+                # operations — and back off so a live slot can take it.
+                self.scheduler.unpop(tenant, (job, task))
                 if self._stop.wait(0.5):
                     return
                 continue

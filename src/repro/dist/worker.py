@@ -22,8 +22,11 @@ Protocol (one JSON document per line, UTF-8):
   group's exported ``.rtrace`` bytes; the worker pins the decoded
   :class:`~repro.scenarios.rtrace.FrozenTrace` so every later point of
   that group replays the recorded committed path with zero
-  regeneration.  The usual magic/CRC guards apply — corrupt payloads
-  get an error reply and nothing is pinned;
+  regeneration.  A worker pins at most :data:`TRACE_PIN_LIMIT`
+  traces, least recently used first out, and the reply's ``evicted``
+  lists the ``[bench, seed]`` pins this preload displaced.  The usual
+  magic/CRC guards apply — corrupt payloads get an error reply and
+  nothing is pinned;
 * request ``{"id": N, "op": "batch-run", "specs": [{...}, ...]}`` —
   one round trip for a whole run of same-trace points; the reply is
   ``{"id": N, "ok": true, "results": [...]}`` with one
@@ -152,13 +155,21 @@ def _fault_injection() -> None:
 #: one realistic campaign's working set.
 RESULT_CACHE_LIMIT = 512
 
+#: Most traces a worker keeps pinned (LRU by preload or use).  Two
+#: seeds of the eight-bench ``paper-table1`` grid fit on one worker, so
+#: a warm re-run of one campaign still skips its preloads, while a
+#: many-seed study no longer grows every worker by each seed's traces.
+TRACE_PIN_LIMIT = 16
+
 
 class WorkerState:
     """One worker process's serving state: caches + counters.
 
     ``traces`` maps ``(bench, seed)`` to ``(workload, usable_records)``
     where *usable_records* is the window length the dispatcher promised
-    the trace covers (the export cushion is on top).  ``results`` is a
+    the trace covers (the export cushion is on top).  It is an LRU of at
+    most :data:`TRACE_PIN_LIMIT` entries; a preload reply names the keys
+    it evicted, so the dispatcher's ledger stays true.  ``results`` is a
     bounded LRU of spec → result: execution is deterministic (the
     backends' core contract), so re-dispatching a spec this worker has
     already simulated — a campaign re-run or resume on a warm pool —
@@ -168,7 +179,9 @@ class WorkerState:
     """
 
     def __init__(self) -> None:
-        self.traces: Dict[Tuple[str, int], Tuple[object, int]] = {}
+        self.traces: (
+            "collections.OrderedDict[Tuple[str, int], Tuple[object, int]]"
+        ) = collections.OrderedDict()
         self.results: "collections.OrderedDict[str, object]" = (
             collections.OrderedDict()
         )
@@ -187,6 +200,7 @@ class WorkerState:
             "batches": self.batches,
             "preloads": self.preloads,
             "preloaded_traces": len(self.traces),
+            "pinned": [list(key) for key in self.traces],
             "trace_cache_hits": self.trace_cache_hits,
             "trace_cache_misses": self.trace_cache_misses,
             "result_cache_hits": self.result_cache_hits,
@@ -237,6 +251,7 @@ def _execute_spec(spec_dict: dict, state: WorkerState, held: dict):
     key = (spec.bench, spec.seed)
     pinned = state.traces.get(key)
     if pinned is not None and spec.warmup + spec.n_instructions <= pinned[1]:
+        state.traces.move_to_end(key)
         state.trace_cache_hits += 1
         metrics.counter("worker.trace_cache_hits").inc()
         wl = pinned[0]
@@ -290,11 +305,21 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
             f"but the request names seed {seed}"
         )
     usable = int(request["records"])
-    state.traces[(bench, seed)] = (wl, usable)
+    traces = state.traces
+    traces[(bench, seed)] = (wl, usable)
+    traces.move_to_end((bench, seed))
+    evicted = []
+    while len(traces) > TRACE_PIN_LIMIT:
+        evicted.append(list(traces.popitem(last=False)[0]))
     state.preloads += 1
     metrics.counter("worker.preloads").inc()
-    _log.debug("worker.preload", bench=bench, seed=seed, records=usable)
-    return {"bench": bench, "seed": seed, "records": usable}
+    _log.debug(
+        "worker.preload", bench=bench, seed=seed, records=usable,
+        evicted=len(evicted),
+    )
+    return {
+        "bench": bench, "seed": seed, "records": usable, "evicted": evicted,
+    }
 
 
 def handle_request(
@@ -1071,6 +1096,8 @@ class WorkerBackend(ExecutionBackend):
         span.end()
         if reply.get("ok"):
             worker.preloaded[key] = records
+            for bench, seed in reply.get("evicted", ()):
+                worker.preloaded.pop((bench, seed), None)
 
     def _attempt(self, pool, slot, task: _Chunk, parent, **attrs) -> _Attempt:
         """One attempt at *task* on the worker in *slot*.

@@ -2,17 +2,18 @@
 
 :class:`TraceColumns` holds one workload's committed path as parallel
 arrays — static :class:`~repro.isa.Instruction` references, program
-counters, packed per-record flags, memory addresses and dense static
-(slice) ids — instead of a list of per-record tuples.  The pipeline's
-fetch unit indexes these arrays directly: every simulation fetches from
-columns, with no per-record iterator or method-call chain.
+counters, packed per-record flags and memory addresses — instead of a
+list of per-record tuples.  The pipeline's fetch unit indexes these
+arrays directly: every simulation fetches from columns, with no
+per-record iterator or method-call chain.
 
 The columns are the only store of a trace's records.  A column set is
-either *live* — it owns a :class:`~repro.workloads.trace.TraceExecutor`
-and decodes further records from it on demand (the set behind every
-:class:`~repro.workloads.trace.SharedTrace`) — or *fixed-length*:
-:meth:`TraceColumns.from_arrays` decodes an ``.rtrace`` document's
-``pc``/``taken``/``addr`` columns, and reading past their end raises
+either *live* — it owns a :class:`~repro.workloads.trace.TraceExecutor`,
+which appends whole basic blocks to the lists on demand (the set behind
+every :class:`~repro.workloads.trace.SharedTrace`) — or *fixed-length*:
+:meth:`TraceColumns.from_arrays` builds the lists from an ``.rtrace``
+document's ``pc``/``taken``/``addr`` columns, with one lookup per
+distinct pc, and reading past their end raises
 :class:`~repro.errors.ScenarioError`.  :class:`TraceRecord` tuples are
 built on demand (:meth:`TraceColumns.record`) for the analysis helpers
 and tests that consume the record form.
@@ -31,9 +32,9 @@ CONTROL = 2
 CONDITIONAL = 4
 MEMORY = 8
 
-#: How many records a live column set decodes at a time when a reader
+#: How many records a live column set generates at a time when a reader
 #: runs past its end.  Large enough to amortise the per-call overhead,
-#: small enough that a short smoke run does not decode a huge prefix.
+#: small enough that a short smoke run does not generate a huge prefix.
 EXTEND_CHUNK = 2048
 
 
@@ -49,7 +50,7 @@ class TraceRecord(NamedTuple):
     mem_addr: int
 
 
-def _base_flags(inst) -> int:
+def base_flags(inst) -> int:
     """The static (taken-independent) flag bits of one instruction."""
     base = 0
     if inst.is_control:
@@ -74,18 +75,13 @@ class TraceColumns:
         Packed ``TAKEN | CONTROL | CONDITIONAL | MEMORY`` bits.
     ``mem_addrs``
         Effective address for memory records (0 otherwise).
-    ``static_ids``
-        Dense per-static-instruction index (first-seen order) — the
-        compact slice-id key steering memo tables use instead of sparse
-        PCs.  Stable within one :class:`TraceColumns`.
 
     Plain Python lists are deliberate: the hot loops index one element
     at a time, where list indexing beats array or numpy scalar access.
 
     *source*, when given, is the
-    :class:`~repro.workloads.trace.TraceExecutor` the set decodes
-    further records from (:meth:`fill`); without one the set has a
-    fixed length.
+    :class:`~repro.workloads.trace.TraceExecutor` that appends further
+    records (:meth:`fill`); without one the set has a fixed length.
     """
 
     __slots__ = (
@@ -94,8 +90,6 @@ class TraceColumns:
         "pcs",
         "flags",
         "mem_addrs",
-        "static_ids",
-        "_per_pc",
         "_line_cache",
         "_source",
     )
@@ -106,9 +100,6 @@ class TraceColumns:
         self.pcs: List[int] = []
         self.flags: List[int] = []
         self.mem_addrs: List[int] = []
-        self.static_ids: List[int] = []
-        #: pc -> (instruction, base flags, static id) build cache.
-        self._per_pc: Dict[int, tuple] = {}
         #: line_bytes -> per-record I-cache line ids (extended in step
         #: with the record columns, so cached lists stay valid).
         self._line_cache: Dict[int, List[int]] = {}
@@ -122,65 +113,36 @@ class TraceColumns:
         taken: Sequence[int],
         addrs: Sequence[int],
     ) -> "TraceColumns":
-        """Decode ``.rtrace`` record columns directly (no TraceRecords).
+        """Build a fixed-length set from ``.rtrace`` record columns.
 
         The arrays are the wire format of the ``records`` section of an
-        ``.rtrace`` document; the result is a fixed-length column set
-        (reading past the end raises :class:`ScenarioError`).
+        ``.rtrace`` document.  Each distinct pc is looked up in
+        *program* once; reading past the end of the result raises
+        :class:`ScenarioError`.
         """
         self = cls(program)
-        info = self._pc_info
-        self._append(
-            (info(pc)[0], t, addr) for pc, t, addr in zip(pcs, taken, addrs)
-        )
+        inst_of = {pc: program.instruction_at(pc) for pc in set(pcs)}
+        flags_of = {pc: base_flags(inst) for pc, inst in inst_of.items()}
+        self.insts = [inst_of[pc] for pc in pcs]
+        self.pcs = list(pcs)
+        self.flags = [
+            flags_of[pc] | TAKEN if t else flags_of[pc]
+            for pc, t in zip(pcs, taken)
+        ]
+        self.mem_addrs = list(addrs)
         return self
-
-    def _pc_info(self, pc: int) -> tuple:
-        """(instruction, base flags, static id) of *pc*, cached."""
-        per_pc = self._per_pc
-        tup = per_pc.get(pc)
-        if tup is None:
-            inst = self.program.instruction_at(pc)
-            tup = (inst, _base_flags(inst), len(per_pc))
-            per_pc[pc] = tup
-        return tup
-
-    def _append(self, records) -> None:
-        """Decode ``(inst, taken, mem_addr)`` triples onto the columns."""
-        start = len(self.pcs)
-        per_pc = self._per_pc
-        info = self._pc_info
-        out_insts = self.insts
-        out_pcs = self.pcs
-        out_flags = self.flags
-        out_addrs = self.mem_addrs
-        out_sids = self.static_ids
-        for inst, taken, addr in records:
-            pc = inst.pc
-            tup = per_pc.get(pc)
-            if tup is None:
-                tup = info(pc)
-            base = tup[1]
-            out_insts.append(inst)
-            out_pcs.append(pc)
-            out_flags.append(base | TAKEN if taken else base)
-            out_addrs.append(addr)
-            out_sids.append(tup[2])
-        if self._line_cache:
-            new_pcs = out_pcs[start:]
-            for line_bytes, ids in self._line_cache.items():
-                ids.extend(pc // line_bytes for pc in new_pcs)
 
     # ------------------------------------------------------------------
     # Length / extension protocol
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        """Records decoded into the columns so far."""
+        """Records held in the columns so far."""
         return len(self.pcs)
 
     def fill(self, n: int) -> None:
-        """Decode records from the source until at least *n* are held.
+        """Have the source append whole blocks until at least *n*
+        records are held.
 
         A fixed-length set raises :class:`~repro.errors.ScenarioError`
         instead.
@@ -195,13 +157,16 @@ class TraceColumns:
                 f"but {n} were requested; re-export the trace with a "
                 f"larger --records"
             )
-        emit = source.emit
-        self._append(emit() for _ in range(n - start))
+        source.fill(self, n)
+        if self._line_cache:
+            new_pcs = self.pcs[start:]
+            for line_bytes, ids in self._line_cache.items():
+                ids.extend(pc // line_bytes for pc in new_pcs)
 
     def require(self, n: int) -> None:
         """Make at least *n* records available, or raise.
 
-        A live set decodes ahead in chunks of :data:`EXTEND_CHUNK`
+        A live set generates ahead in chunks of :data:`EXTEND_CHUNK`
         records; a fixed-length set raises
         :class:`~repro.errors.ScenarioError`.
         """
@@ -237,7 +202,7 @@ class TraceColumns:
         )
 
     def to_records(self) -> List[TraceRecord]:
-        """Every decoded record as a :class:`TraceRecord` list."""
+        """Every held record as a :class:`TraceRecord` list."""
         return [self.record(i) for i in range(len(self.pcs))]
 
     def __len__(self) -> int:

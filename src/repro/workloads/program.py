@@ -11,14 +11,15 @@ Besides the instructions themselves, the program records the *behaviour*
 of every conditional branch (how its outcome stream looks) and of every
 memory instruction (how its address stream looks).  The timing simulator is
 trace-driven: outcomes and addresses come from these behaviours via the
-:class:`~repro.workloads.trace.TraceExecutor` oracle.
+:class:`~repro.workloads.trace.TraceExecutor` oracle, which keeps one
+generation template per visited block in
+:attr:`StaticProgram.block_templates`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import WorkloadError
 from ..isa import Instruction
@@ -145,6 +146,9 @@ class StaticProgram:
         self.entry = entry
         self.branch_behaviors = dict(branch_behaviors or {})
         self.mem_behaviors = dict(mem_behaviors or {})
+        #: Per-block generation templates, built by the trace executor
+        #: on a block's first visit (``None`` until then).
+        self.block_templates: List[Optional[tuple]] = [None] * len(blocks)
         self._by_pc: Dict[int, Instruction] = {}
         self._block_of_pc: Dict[int, int] = {}
         for block in blocks:
@@ -227,35 +231,3 @@ class StaticProgram:
             f"instructions={self.num_instructions}>"
         )
 
-
-def sample_branch_outcome(
-    behavior: BranchBehavior, rng: random.Random, state: List[int]
-) -> bool:
-    """Draw the next outcome of a branch with the given behaviour.
-
-    *state* is a one-element mutable counter used by loop behaviours; the
-    caller owns one state list per static branch.
-    """
-    if behavior.kind == "loop":
-        state[0] += 1
-        if state[0] >= behavior.trip:
-            state[0] = 0
-            return False
-        return True
-    return rng.random() < behavior.taken_prob
-
-
-def sample_mem_address(
-    behavior: MemBehavior, rng: random.Random, state: List[int]
-) -> int:
-    """Draw the next address of a memory instruction.
-
-    *state* is a one-element mutable stream offset for ``stream``
-    behaviours.
-    """
-    if behavior.kind == "stream":
-        addr = behavior.base + state[0]
-        state[0] = (state[0] + behavior.stride) % behavior.region
-        return addr
-    word = rng.randrange(behavior.region // 4)
-    return behavior.base + word * 4

@@ -469,6 +469,39 @@ class TestWarmPool:
         finally:
             pool.shutdown()
 
+    def test_pins_stay_bounded_and_match_the_ledger(self):
+        """Fresh-seed campaigns evict the least recently used pins: each
+        worker stays within the bound, and the dispatcher's ledger names
+        exactly the traces the worker still holds."""
+        from repro.dist.worker import TRACE_PIN_LIMIT
+        from repro.workloads import SPECINT95
+
+        pool = dist.WorkerPool()
+        backend = dist.backend("worker", pool=pool)
+        campaigns = 6
+        try:
+            for seed in range(100, 100 + campaigns):
+                pts = expand_grid(
+                    sorted(SPECINT95), ["modulo"], seeds=[seed],
+                    n_instructions=N, warmup=W,
+                )
+                Campaign(pts, workers=2, backend=backend).run()
+            stats = pool.stats()
+            workers = stats["workers"]
+            assert len(workers) == 2
+            assert stats["preloads"] == campaigns * len(SPECINT95)
+            for slot, w in enumerate(workers):
+                assert w["preloaded_traces"] <= TRACE_PIN_LIMIT
+                assert sorted(tuple(key) for key in w["pinned"]) == sorted(
+                    pool.worker_at(slot).preloaded
+                )
+            # More groups than two workers may pin: some were evicted.
+            assert sum(w["preloaded_traces"] for w in workers) < (
+                stats["preloads"]
+            )
+        finally:
+            pool.shutdown()
+
     def test_shared_pool_is_per_command_and_process_wide(self):
         assert dist.shared_pool() is dist.shared_pool()
         other = dist.shared_pool([sys.executable, "-c", "pass"])

@@ -438,6 +438,58 @@ class TestListenWorkers:
             daemon.stop(stop_workers=True)
         assert items is not None and all(item["ok"] for item in items)
 
+    def test_dead_slot_does_not_count_or_reorder_chunks(self):
+        """A slot whose remote worker is down hands its pops back: the
+        tenants' dispatch counts match the attempts made, and each
+        tenant's chunks run in submission order."""
+        from repro.telemetry import metrics
+
+        probe = listen_socket("127.0.0.1:0")
+        dead = dist.format_address(probe.getsockname()[:2])
+        probe.close()  # nothing listens here
+        daemon = dist.ServeDaemon(
+            address="127.0.0.1:0", jobs=0,
+            remote=[dead, self._listen_worker()],
+        )
+        pushed, attempted = {}, {}
+        push, attempt = daemon.scheduler.push, daemon._backend._attempt
+
+        def chunk_id(item):
+            return tuple(index for index, _ in item[1][3])
+
+        def record_push(tenant, item):
+            pushed.setdefault(tenant, []).append(chunk_id(item))
+            push(tenant, item)
+
+        def record_attempt(pool, slot, task, parent, tenant):
+            attempted.setdefault(tenant, []).append(chunk_id((None, task)))
+            return attempt(pool, slot, task, parent, tenant=tenant)
+
+        daemon.scheduler.push = record_push
+        daemon._backend._attempt = record_attempt
+        grid = expand_grid(
+            ["gcc", "li"], ["modulo", "general-balance"], seeds=[0, 1, 2],
+            n_instructions=N, warmup=W,
+        )
+        chunks_before = metrics.counter("dispatch.chunks_total").value
+        daemon.start()
+        try:
+            jobs = [daemon.submit(tenant, grid) for tenant in ("alice", "bob")]
+            for job in jobs:
+                assert job.done.wait(120), "job never finished"
+            status = daemon.status()
+        finally:
+            daemon.stop(stop_workers=True)
+        chunks = metrics.counter("dispatch.chunks_total").value - chunks_before
+        dispatched = [
+            status["tenants"][tenant]["dispatched_chunks"]
+            for tenant in ("alice", "bob")
+        ]
+        assert sum(dispatched) == chunks
+        assert dispatched == [len(pushed["alice"]), len(pushed["bob"])]
+        assert attempted == pushed
+        assert all(item["ok"] for job in jobs for item in job.items)
+
     def test_pool_adopts_remote_worker_directly(self, points, serial):
         """WorkerBackend with a remote pool: no daemon in the path."""
         address = self._listen_worker()

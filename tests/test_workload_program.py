@@ -1,7 +1,5 @@
 """Unit tests for the static program representation and behaviours."""
 
-import random
-
 import pytest
 
 from repro.errors import WorkloadError
@@ -11,8 +9,8 @@ from repro.workloads import (
     BranchBehavior,
     MemBehavior,
     StaticProgram,
+    TraceExecutor,
 )
-from repro.workloads.program import sample_branch_outcome, sample_mem_address
 
 
 def _mini_program():
@@ -37,6 +35,38 @@ def _mini_program():
         branch_behaviors={0x100C: BranchBehavior("loop", trip=4)},
         mem_behaviors={0x1004: MemBehavior("stream", base=0, region=256)},
     )
+
+
+def _branch_outcomes(behavior, n, seed=0):
+    """The first *n* outcomes of a one-block loop closed by a branch
+    with *behavior*, as the trace executor draws them."""
+    block = [
+        Instruction(0x2000, Opcode.ADDI, 5, (5,)),
+        Instruction(0x2004, Opcode.BNE, None, (5,), target=0x2000),
+    ]
+    program = StaticProgram(
+        "branch",
+        [BasicBlock(0, block, taken_succ=0, fall_succ=0)],
+        branch_behaviors={0x2004: behavior},
+    )
+    records = TraceExecutor(program, seed).take(2 * n)
+    return [r.taken for r in records if r.inst.is_conditional]
+
+
+def _addresses(behavior, n, seed=0):
+    """The first *n* addresses of a load with *behavior* in a one-block
+    loop, as the trace executor draws them."""
+    block = [
+        Instruction(0x3000, Opcode.LOAD, 6, (5,)),
+        Instruction(0x3004, Opcode.JMP, None, (), target=0x3000),
+    ]
+    program = StaticProgram(
+        "memory",
+        [BasicBlock(0, block, taken_succ=0)],
+        mem_behaviors={0x3000: behavior},
+    )
+    records = TraceExecutor(program, seed).take(2 * n)
+    return [r.mem_addr for r in records if r.inst.is_memory]
 
 
 class TestBasicBlock:
@@ -135,36 +165,21 @@ class TestBehaviors:
             MemBehavior("stream", base=0, region=64, stride=0)
 
     def test_loop_outcomes_pattern(self):
-        behavior = BranchBehavior("loop", trip=4)
-        rng = random.Random(0)
-        state = [0]
-        outcomes = [
-            sample_branch_outcome(behavior, rng, state) for _ in range(8)
-        ]
+        outcomes = _branch_outcomes(BranchBehavior("loop", trip=4), 8)
         # taken trip-1 times, then not taken, repeating
         assert outcomes == [True, True, True, False] * 2
 
     def test_biased_outcomes_follow_probability(self):
         behavior = BranchBehavior("biased", taken_prob=0.9)
-        rng = random.Random(1)
-        state = [0]
-        outcomes = [
-            sample_branch_outcome(behavior, rng, state) for _ in range(1000)
-        ]
+        outcomes = _branch_outcomes(behavior, 1000, seed=1)
         assert 0.85 < sum(outcomes) / len(outcomes) < 0.95
 
     def test_stream_addresses_advance_and_wrap(self):
         behavior = MemBehavior("stream", base=64, region=16, stride=4)
-        rng = random.Random(0)
-        state = [0]
-        addrs = [sample_mem_address(behavior, rng, state) for _ in range(6)]
-        assert addrs == [64, 68, 72, 76, 64, 68]
+        assert _addresses(behavior, 6) == [64, 68, 72, 76, 64, 68]
 
     def test_random_addresses_stay_in_region(self):
         behavior = MemBehavior("random", base=128, region=64)
-        rng = random.Random(2)
-        state = [0]
-        for _ in range(100):
-            addr = sample_mem_address(behavior, rng, state)
+        for addr in _addresses(behavior, 100, seed=2):
             assert 128 <= addr < 128 + 64
             assert addr % 4 == 0

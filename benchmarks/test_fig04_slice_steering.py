@@ -6,23 +6,13 @@ slightly because it generates more communications (Figure 5).
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig04_slice_steering(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig4"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 4: LdSt slice vs Br slice steering",
-            data["benchmarks"],
-            {"LdSt slice": data["ldst"], "Br slice": data["br"]},
-            {
-                "LdSt slice": data["ldst_hmean"],
-                "Br slice": data["br_hmean"],
-            },
-        )
-    )
+    print(render_figure("fig4", data))
     print("\npaper: LdSt slice +16%, Br slice slightly lower (H-mean)")
     assert data["ldst_hmean"] > 0
     assert data["br_hmean"] > 0

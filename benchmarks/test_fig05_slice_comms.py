@@ -7,30 +7,13 @@ its slightly lower performance in Figure 4.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig05_slice_comms(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig5"](runner))
     print()
-    print("Figure 5: communications per dynamic instruction")
-    print("------------------------------------------------")
-    print(
-        f"{'benchmark':>10s}{'LdSt crit':>11s}{'LdSt tot':>10s}"
-        f"{'Br crit':>10s}{'Br tot':>9s}"
-    )
-    for bench in data["benchmarks"]:
-        ldst = data["ldst"][bench]
-        br = data["br"][bench]
-        print(
-            f"{bench:>10s}{ldst['critical']:>11.3f}{ldst['total']:>10.3f}"
-            f"{br['critical']:>10.3f}{br['total']:>9.3f}"
-        )
-    print(
-        f"{'mean':>10s}{data['ldst_mean_critical']:>11.3f}"
-        f"{data['ldst_mean_total']:>10.3f}"
-        f"{data['br_mean_critical']:>10.3f}{data['br_mean_total']:>9.3f}"
-    )
+    print(render_figure("fig5", data))
     print("\npaper: Br slice communicates more than LdSt slice on average")
     assert 0 < data["ldst_mean_total"] < 0.5
     assert 0 < data["br_mean_total"] < 0.5

@@ -6,19 +6,13 @@ cluster overloaded — the observation motivating the balance schemes.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_balance_histogram
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig06_slice_balance_hist(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig6"](runner))
     print()
-    print(
-        format_balance_histogram(
-            "Figure 6: #ready FP - #ready INT (SpecInt95 average)",
-            {"LdSt slice": data["ldst"], "Br slice": data["br"]},
-            max_width=30,
-        )
-    )
+    print(render_figure("fig6", data))
     for dist in data.values():
         assert abs(sum(dist) - 1.0) < 1e-6
         center_mass = sum(dist[8:13])  # |diff| <= 2

@@ -6,30 +6,13 @@ slice (it raises LdSt communications, Figure 8).
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig07_nonslice_balance(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig7"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 7: non-slice balance vs slice steering",
-            data["benchmarks"],
-            {
-                "LdSt slice": data["ldst-slice"],
-                "Br slice": data["br-slice"],
-                "LdSt non-sl": data["ldst-nonslice"],
-                "Br non-sl": data["br-nonslice"],
-            },
-            {
-                "LdSt slice": data["ldst-slice_hmean"],
-                "Br slice": data["br-slice_hmean"],
-                "LdSt non-sl": data["ldst-nonslice_hmean"],
-                "Br non-sl": data["br-nonslice_hmean"],
-            },
-        )
-    )
+    print(render_figure("fig7", data))
     print("\npaper: balancing helps the Br slice, hurts the LdSt slice")
     for key in (
         "ldst-slice_hmean",

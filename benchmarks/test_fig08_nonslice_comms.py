@@ -6,17 +6,13 @@ while leaving Br-slice communications about the same.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_comm_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig08_nonslice_comms(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig8"](runner))
     print()
-    print(
-        format_comm_table(
-            "Figure 8: comms per instruction (SpecInt95 average)", data
-        )
-    )
+    print(render_figure("fig8", data))
     for row in data.values():
         assert row["total"] >= row["critical"] >= 0
         assert row["total"] < 0.5

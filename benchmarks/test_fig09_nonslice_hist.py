@@ -7,21 +7,12 @@ balance steering.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_balance_histogram
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig09_nonslice_hist(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig9"](runner))
     print()
-    print(
-        format_balance_histogram(
-            "Figure 9: #ready FP - #ready INT, non-slice balance",
-            {
-                "LdSt non-slice": data["ldst"],
-                "Br non-slice": data["br"],
-            },
-            max_width=30,
-        )
-    )
+    print(render_figure("fig9", data))
     for dist in data.values():
         assert abs(sum(dist) - 1.0) < 1e-6

@@ -7,27 +7,14 @@ instruction).
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig11_slice_balance(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig11"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 11: slice balance steering",
-            data["benchmarks"],
-            {"LdSt slice bal": data["ldst"], "Br slice bal": data["br"]},
-            {
-                "LdSt slice bal": data["ldst_hmean"],
-                "Br slice bal": data["br_hmean"],
-            },
-        )
-    )
-    print(
-        f"\nmean comms/instr: LdSt {data['ldst_mean_comms']:.3f}, "
-        f"Br {data['br_mean_comms']:.3f} (paper: 0.07 / 0.08)"
-    )
+    print(render_figure("fig11", data))
+    print("\npaper: mean comms/instr 0.07 (LdSt) / 0.08 (Br)")
     assert data["ldst_hmean"] > 0
     assert data["br_hmean"] > 0
     # The two variants perform similarly (paper: 27% vs 26.5%).

@@ -6,7 +6,7 @@ communicating an order of magnitude less.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_balance_histogram
+from repro.analysis import FIGURES, render_figure
 
 
 def _central_mass(dist, radius=2):
@@ -17,16 +17,6 @@ def _central_mass(dist, radius=2):
 def test_fig12_slice_balance_hist(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig12"](runner))
     print()
-    print(
-        format_balance_histogram(
-            "Figure 12: #ready FP - #ready INT",
-            {
-                "Modulo": data["modulo"],
-                "LdSt slice bal": data["ldst"],
-                "Br slice bal": data["br"],
-            },
-            max_width=24,
-        )
-    )
+    print(render_figure("fig12", data))
     # Modulo is the balance reference; slice balance should be comparable.
     assert _central_mass(data["ldst"]) > 0.3 * _central_mass(data["modulo"])

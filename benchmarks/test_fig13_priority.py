@@ -7,28 +7,12 @@ communications (0.050 -> 0.045 LdSt, 0.055 -> 0.043 Br).
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig13_priority(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig13"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 13: priority slice balance steering",
-            data["benchmarks"],
-            {"LdSt p.slice": data["ldst"], "Br p.slice": data["br"]},
-            {
-                "LdSt p.slice": data["ldst_hmean"],
-                "Br p.slice": data["br_hmean"],
-            },
-        )
-    )
-    print(
-        "\ncritical comms/instr (plain -> priority): "
-        f"LdSt {data['ldst_critical_plain']:.3f} -> "
-        f"{data['ldst_critical']:.3f}, "
-        f"Br {data['br_critical_plain']:.3f} -> {data['br_critical']:.3f}"
-    )
+    print(render_figure("fig13", data))
     assert data["ldst_hmean"] > 0
     assert data["br_hmean"] > 0

@@ -6,28 +6,13 @@ bound; modulo manages just +2.8%.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig14_general_balance(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig14"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 14: general balance steering",
-            data["benchmarks"],
-            {
-                "Modulo": data["modulo"],
-                "General bal": data["general"],
-                "UB arch": data["upper_bound"],
-            },
-            {
-                "Modulo": data["modulo_hmean"],
-                "General bal": data["general_hmean"],
-                "UB arch": data["upper_bound_hmean"],
-            },
-        )
-    )
+    print(render_figure("fig14", data))
     print("\npaper: modulo +2.8%, general +36%, UB ~+44% (H-mean)")
     assert data["modulo_hmean"] < data["general_hmean"]
     assert data["general_hmean"] <= data["upper_bound_hmean"] + 0.02

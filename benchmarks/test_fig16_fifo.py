@@ -7,26 +7,13 @@ at similar workload balance.
 
 from conftest import run_once
 
-from repro.analysis import FIGURES, format_speedup_table
+from repro.analysis import FIGURES, render_figure
 
 
 def test_fig16_fifo(benchmark, runner):
     data = run_once(benchmark, lambda: FIGURES["fig16"](runner))
     print()
-    print(
-        format_speedup_table(
-            "Figure 16: general balance vs FIFO-based steering",
-            data["benchmarks"],
-            {"FIFO-based": data["fifo"], "General bal": data["general"]},
-            {
-                "FIFO-based": data["fifo_hmean"],
-                "General bal": data["general_hmean"],
-            },
-        )
-    )
-    print(
-        f"\ncomms/instr: FIFO {data['fifo_comms']:.3f} vs "
-        f"general {data['general_comms']:.3f} (paper: 0.162 vs 0.042)"
-    )
+    print(render_figure("fig16", data))
+    print("\npaper: comms/instr FIFO 0.162 vs general 0.042")
     assert data["fifo_hmean"] > 0
     assert data["fifo_comms"] > data["general_comms"]

@@ -36,6 +36,7 @@ from .report import (
     format_kv_table,
     format_speedup_table,
     format_value_table,
+    render_figure,
 )
 
 __all__ = [
@@ -69,4 +70,5 @@ __all__ = [
     "format_kv_table",
     "format_speedup_table",
     "format_value_table",
+    "render_figure",
 ]

@@ -14,13 +14,12 @@ Installed as ``repro-sim``::
     repro-sim campaign -b gcc li -s modulo general-balance -j 4
     repro-sim campaign ... -O l1d.size_kb=32 --json r.json --resume
     repro-sim scenarios list             # workload families and suites
-    repro-sim scenarios run branchy --json branchy.json
+    repro-sim suite run branchy --json branchy.json   # a registered suite
     repro-sim suite export paper-table1 -o pt1.json   # data-file suites
     repro-sim suite run pt1.json --json store.json --resume
     repro-sim trace export -b gcc -o gcc.rtrace
     repro-sim trace import gcc.rtrace --check
-    repro-sim campaign ... --backend worker -j 4   # execution backends
-    repro-sim campaign ... --warm -j 4   # warm worker pool (persists)
+    repro-sim campaign ... --backend worker -j 4   # warm worker pool
     repro-sim dist backends              # list execution backends
     repro-sim dist pool status -j 2      # warm pool health + counters
     repro-sim dist package smoke --job-dir job/   # multi-host pipeline
@@ -46,11 +45,8 @@ from typing import List, Optional
 from .analysis import (
     FIGURES,
     ExperimentRunner,
-    format_balance_histogram,
-    format_comm_table,
     format_kv_table,
-    format_speedup_table,
-    format_value_table,
+    render_figure,
     table1_workloads,
     table2_parameters,
 )
@@ -88,13 +84,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "or the process pool when -j > 1",
     )
     parser.add_argument(
-        "--warm",
-        action="store_true",
-        help="dispatch through the warm worker pool (shorthand for "
-        "--backend worker; the pool and its preloaded traces persist "
-        "for the rest of the process)",
-    )
-    parser.add_argument(
         "--dist-timeout",
         default=None,
         metavar="SECONDS",
@@ -118,24 +107,16 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _backend_arg(args: argparse.Namespace):
-    """The backend selected by --backend/--warm and its option flags.
+    """The backend selected by --backend and its option flags.
 
     Returns ``(backend, error)``: a name, a constructed instance (when
     option flags need passing through), or an exit code when the flags
     contradict each other or fail validation.
     """
-    backend = getattr(args, "backend", None)
-    if getattr(args, "warm", False):
-        if backend not in (None, "worker"):
-            print(
-                f"--warm selects the worker backend; it cannot combine "
-                f"with --backend {backend}"
-            )
-            return None, 2
-        backend = "worker"
-    timeout = getattr(args, "dist_timeout", None)
-    retries = getattr(args, "dist_retries", None)
-    address = getattr(args, "service_address", None)
+    backend = args.backend
+    timeout = args.dist_timeout
+    retries = args.dist_retries
+    address = args.service_address
     if timeout is None and retries is None and address is None:
         return backend, None
     if backend not in ("worker", "service"):
@@ -168,6 +149,44 @@ def _backend_arg(args: argparse.Namespace):
     except ConfigError as error:
         print(f"invalid backend options: {error}")
         return None, 2
+
+
+def _add_window_args(parser: argparse.ArgumentParser, suite: bool) -> None:
+    """-n/-w/--seeds of a grid; for a *suite*, overrides of its own."""
+    own = "override the suite's " if suite else ""
+    parser.add_argument(
+        "-n", "--instructions", type=int, default=None if suite else 20000,
+        help=f"{own}measured window length (committed instructions)",
+    )
+    parser.add_argument(
+        "-w", "--warmup", type=int, default=None if suite else 5000,
+        help=f"{own}warm-up length",
+    )
+    parser.add_argument(
+        "--seeds", nargs="+", type=int, default=None if suite else [0],
+        help=f"{own}workload seeds (several give mean/std aggregation)",
+    )
+
+
+def _add_grid_args(parser: argparse.ArgumentParser, suite: bool) -> None:
+    """The window, seed, backend and store options of a grid run."""
+    _add_window_args(parser, suite)
+    parser.add_argument(
+        "-j", "--jobs", type=int, default=1,
+        help="worker processes (1 = serial)",
+    )
+    _add_backend_arg(parser)
+    parser.add_argument(
+        "--json", default=None, help="write results to this JSON store"
+    )
+    parser.add_argument(
+        "--csv", default=None, help="write results to this CSV store"
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="reuse points already present in the --json/--csv store and "
+        "simulate only missing ones",
+    )
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -284,156 +303,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_figure(name: str, runner: ExperimentRunner) -> None:
-    data = FIGURES[name](runner)
-    if name == "fig3":
-        print(
-            format_speedup_table(
-                "Figure 3: static vs dynamic partitioning",
-                data["benchmarks"],
-                {"static": data["static"], "LdSt slice": data["dynamic"]},
-                {
-                    "static": data["static_gmean"],
-                    "LdSt slice": data["dynamic_gmean"],
-                },
-                mean_label="G-mean",
-            )
-        )
-    elif name == "fig4":
-        print(
-            format_speedup_table(
-                "Figure 4: LdSt slice vs Br slice steering",
-                data["benchmarks"],
-                {"LdSt slice": data["ldst"], "Br slice": data["br"]},
-                {
-                    "LdSt slice": data["ldst_hmean"],
-                    "Br slice": data["br_hmean"],
-                },
-            )
-        )
-    elif name == "fig5":
-        rows = {
-            "LdSt slice": {
-                "critical": data["ldst_mean_critical"],
-                "noncritical": data["ldst_mean_total"]
-                - data["ldst_mean_critical"],
-                "total": data["ldst_mean_total"],
-            },
-            "Br slice": {
-                "critical": data["br_mean_critical"],
-                "noncritical": data["br_mean_total"]
-                - data["br_mean_critical"],
-                "total": data["br_mean_total"],
-            },
-        }
-        print(format_comm_table("Figure 5: comms/instr (mean)", rows))
-    elif name in ("fig6", "fig9", "fig12"):
-        titles = {
-            "fig6": "Figure 6: balance distribution, slice steering",
-            "fig9": "Figure 9: balance distribution, non-slice balance",
-            "fig12": "Figure 12: balance distribution, slice balance",
-        }
-        print(format_balance_histogram(titles[name], data))
-    elif name == "fig7":
-        print(
-            format_speedup_table(
-                "Figure 7: non-slice balance vs slice steering",
-                data["benchmarks"],
-                {
-                    "LdSt slice": data["ldst-slice"],
-                    "Br slice": data["br-slice"],
-                    "LdSt non-slice": data["ldst-nonslice"],
-                    "Br non-slice": data["br-nonslice"],
-                },
-                {
-                    "LdSt slice": data["ldst-slice_hmean"],
-                    "Br slice": data["br-slice_hmean"],
-                    "LdSt non-slice": data["ldst-nonslice_hmean"],
-                    "Br non-slice": data["br-nonslice_hmean"],
-                },
-            )
-        )
-    elif name == "fig8":
-        print(format_comm_table("Figure 8: comms/instr (mean)", data))
-    elif name == "fig11":
-        print(
-            format_speedup_table(
-                "Figure 11: slice balance steering",
-                data["benchmarks"],
-                {"LdSt slice bal": data["ldst"], "Br slice bal": data["br"]},
-                {
-                    "LdSt slice bal": data["ldst_hmean"],
-                    "Br slice bal": data["br_hmean"],
-                },
-            )
-        )
-        print(
-            f"mean comms/instr: LdSt {data['ldst_mean_comms']:.3f}, "
-            f"Br {data['br_mean_comms']:.3f}"
-        )
-    elif name == "fig13":
-        print(
-            format_speedup_table(
-                "Figure 13: priority slice balance steering",
-                data["benchmarks"],
-                {"LdSt p.slice": data["ldst"], "Br p.slice": data["br"]},
-                {
-                    "LdSt p.slice": data["ldst_hmean"],
-                    "Br p.slice": data["br_hmean"],
-                },
-            )
-        )
-        print(
-            "critical comms/instr: "
-            f"LdSt {data['ldst_critical_plain']:.3f} -> "
-            f"{data['ldst_critical']:.3f}, "
-            f"Br {data['br_critical_plain']:.3f} -> {data['br_critical']:.3f}"
-        )
-    elif name == "fig14":
-        print(
-            format_speedup_table(
-                "Figure 14: general balance steering",
-                data["benchmarks"],
-                {
-                    "Modulo": data["modulo"],
-                    "General bal": data["general"],
-                    "UB arch": data["upper_bound"],
-                },
-                {
-                    "Modulo": data["modulo_hmean"],
-                    "General bal": data["general_hmean"],
-                    "UB arch": data["upper_bound_hmean"],
-                },
-            )
-        )
-    elif name == "fig15":
-        print(
-            format_value_table(
-                "Figure 15: register replication (general balance)",
-                data["benchmarks"],
-                data["replication"],
-                "regs/cycle",
-                data["hmean"],
-            )
-        )
-    elif name == "fig16":
-        print(
-            format_speedup_table(
-                "Figure 16: general balance vs FIFO-based steering",
-                data["benchmarks"],
-                {"FIFO-based": data["fifo"], "General bal": data["general"]},
-                {
-                    "FIFO-based": data["fifo_hmean"],
-                    "General bal": data["general_hmean"],
-                },
-            )
-        )
-        print(
-            f"comms/instr: FIFO {data['fifo_comms']:.3f}, "
-            f"general {data['general_comms']:.3f}"
-        )
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     runner = ExperimentRunner(
         n_instructions=args.instructions,
@@ -456,13 +325,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             known = ", ".join(["table1", "table2", *FIGURES])
             print(f"unknown figure {name!r}; available: {known}")
             return 2
-        _print_figure(name, runner)
+        print(render_figure(name, FIGURES[name](runner)))
         print()
     return 0
 
 
 def _print_campaign_results(results, seeds) -> None:
-    """Shared result printout of the campaign/scenarios run commands."""
+    """Shared result printout of the campaign and suite run commands."""
     for run in results:
         print(run.result.summary())
     if len(seeds) > 1:
@@ -564,8 +433,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             f"scheme(s) x {len(suite.machines)} machine(s)"
         )
         return 0
-    # suite run FILE
-    suite = scenarios.load_suite_file(args.file)
+    suite, points = _suite_points(args)
     unknown = set(suite.benches) - set(scenarios.corpus_benches())
     if unknown:
         print(
@@ -573,13 +441,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             f"(may still resolve via custom profiles): "
             f"{', '.join(sorted(unknown))}"
         )
-    points = suite.points(
-        n_instructions=args.instructions,
-        warmup=args.warmup,
-        seeds=tuple(args.seeds) if args.seeds else None,
-    )
     print(
-        f"suite {suite.name!r} from {args.file}: {suite.description}\n"
+        f"suite {suite.name!r}: {suite.description}\n"
         f"  {len(points)} points over {len(suite.benches)} bench(es) x "
         f"{len(suite.schemes)} scheme(s)"
     )
@@ -589,36 +452,23 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from . import scenarios
 
-    if args.scenarios_cmd == "list":
-        print("workload families:")
-        for name in scenarios.available_families():
-            family = scenarios.get_family(name)
-            members = ", ".join(family.members) if family.members else "(empty)"
-            print(f"  {name}: {family.description}")
-            print(f"    members: {members}")
-        print("scenario suites:")
-        for name in scenarios.available_suites():
-            suite = scenarios.get_suite(name)
-            print(f"  {name}: {suite.description}")
-            print(
-                f"    {len(suite.benches)} bench(es) x "
-                f"{len(suite.schemes)} scheme(s), "
-                f"n={suite.n_instructions} warmup={suite.warmup}"
-            )
-        return 0
-    # scenarios run SUITE
-    suite = scenarios.get_suite(args.suite)
-    points = suite.points(
-        n_instructions=args.instructions,
-        warmup=args.warmup,
-        seeds=tuple(args.seeds) if args.seeds else None,
-    )
-    print(
-        f"suite {suite.name!r}: {suite.description}\n"
-        f"  {len(points)} points over {len(suite.benches)} bench(es) x "
-        f"{len(suite.schemes)} scheme(s)"
-    )
-    return _execute_grid(points, args)
+    # scenarios list
+    print("workload families:")
+    for name in scenarios.available_families():
+        family = scenarios.get_family(name)
+        members = ", ".join(family.members) if family.members else "(empty)"
+        print(f"  {name}: {family.description}")
+        print(f"    members: {members}")
+    print("scenario suites:")
+    for name in scenarios.available_suites():
+        suite = scenarios.get_suite(name)
+        print(f"  {name}: {suite.description}")
+        print(
+            f"    {len(suite.benches)} bench(es) x "
+            f"{len(suite.schemes)} scheme(s), "
+            f"n={suite.n_instructions} warmup={suite.warmup}"
+        )
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -746,14 +596,19 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dist_suite_points(args):
-    """Expand the suite named (or stored in the file) `args.suite`."""
+def _suite_points(args):
+    """The suite `args.suite` names or stores, and its points.
+
+    The argument is a suite file if it names an existing file, ends in
+    ``.json`` or has a directory part; otherwise a registered name.
+    """
     import os
 
     from . import scenarios
 
-    if os.path.isfile(args.suite):
-        suite = scenarios.load_suite_file(args.suite)
+    name = args.suite
+    if os.path.isfile(name) or name.endswith(".json") or os.path.dirname(name):
+        suite = scenarios.load_suite_file(name)
     else:
         suite = scenarios.get_suite(args.suite)
     return suite, suite.points(
@@ -786,7 +641,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             print(f"  {name}: {dist.backend_description(name)}")
         return 0
     if args.dist_cmd == "package":
-        suite, points = _dist_suite_points(args)
+        suite, points = _suite_points(args)
         job = dist.package_job(
             points, args.job_dir, description=f"suite {suite.name!r}"
         )
@@ -875,7 +730,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             args.job_dir, store=store, allow_partial=args.allow_partial
         )
         if args.json and args.csv:
-            # Same contract as campaign/scenarios run: the second
+            # Same contract as campaign and suite run: the second
             # format is an additional plain export.
             dist.merge_job(
                 args.job_dir, store=args.csv,
@@ -1105,85 +960,17 @@ def build_parser() -> argparse.ArgumentParser:
         "grid axis (see 'machines list')",
     )
     _add_override_arg(campaign)
-    campaign.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=[0],
-        help="workload seeds (multiple seeds enable mean/std aggregation)",
-    )
-    campaign.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial)",
-    )
-    _add_backend_arg(campaign)
-    campaign.add_argument(
-        "--json", default=None, help="write results to this JSON file"
-    )
-    campaign.add_argument(
-        "--csv", default=None, help="write results to this CSV file"
-    )
-    campaign.add_argument(
-        "-n",
-        "--instructions",
-        type=int,
-        default=20000,
-        help="measured window length (committed instructions)",
-    )
-    campaign.add_argument(
-        "-w", "--warmup", type=int, default=5000, help="warm-up length"
-    )
-    campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse points already present in the --json/--csv store and "
-        "simulate only missing ones",
-    )
+    _add_grid_args(campaign, suite=False)
 
     scenarios_p = sub.add_parser(
         "scenarios",
-        help="workload corpus: list families/suites, run a named suite",
+        help="workload corpus: list families and suites",
     )
     ssub = scenarios_p.add_subparsers(dest="scenarios_cmd", required=True)
     ssub.add_parser("list", help="list workload families and suites")
-    srun = ssub.add_parser(
-        "run", help="run one named scenario suite as a campaign"
-    )
-    srun.add_argument("suite", help="suite name (see 'scenarios list')")
-    srun.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial)",
-    )
-    _add_backend_arg(srun)
-    srun.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="override the suite's measured window length",
-    )
-    srun.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="override the suite's warm-up length",
-    )
-    srun.add_argument(
-        "--seeds", nargs="+", type=int, default=None,
-        help="override the suite's workload seeds",
-    )
-    srun.add_argument(
-        "--json", default=None, help="write results to this JSON store"
-    )
-    srun.add_argument(
-        "--csv", default=None, help="write results to this CSV store"
-    )
-    srun.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse points already present in the store",
-    )
 
     suite_p = sub.add_parser(
-        "suite", help="export/run scenario suites as JSON data files"
+        "suite", help="run scenario suites; export them as JSON data files"
     )
     suitesub = suite_p.add_subparsers(dest="suite_cmd", required=True)
     sexport = suitesub.add_parser(
@@ -1194,38 +981,15 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="output path (default <suite>.json)",
     )
-    sfile = suitesub.add_parser(
-        "run", help="run a suite data file as a campaign"
+    srun = suitesub.add_parser(
+        "run", help="run a suite, registered or from a data file, as a "
+        "campaign"
     )
-    sfile.add_argument("file", help="suite data file (see 'suite export')")
-    sfile.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial)",
+    srun.add_argument(
+        "suite", help="suite name (see 'scenarios list') or suite file "
+        "(see 'suite export')"
     )
-    _add_backend_arg(sfile)
-    sfile.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="override the suite's measured window length",
-    )
-    sfile.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="override the suite's warm-up length",
-    )
-    sfile.add_argument(
-        "--seeds", nargs="+", type=int, default=None,
-        help="override the suite's workload seeds",
-    )
-    sfile.add_argument(
-        "--json", default=None, help="write results to this JSON store"
-    )
-    sfile.add_argument(
-        "--csv", default=None, help="write results to this CSV store"
-    )
-    sfile.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse points already present in the store",
-    )
+    _add_grid_args(srun, suite=True)
 
     trace_p = sub.add_parser(
         "trace", help="export/import portable .rtrace workload traces"
@@ -1304,18 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     dpackage.add_argument(
         "--job-dir", required=True, help="job directory to create"
     )
-    dpackage.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="override the suite's measured window length",
-    )
-    dpackage.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="override the suite's warm-up length",
-    )
-    dpackage.add_argument(
-        "--seeds", nargs="+", type=int, default=None,
-        help="override the suite's workload seeds",
-    )
+    _add_window_args(dpackage, suite=True)
     dworker = dsub.add_parser(
         "worker",
         help="run one worker: claim from a job directory, or serve the "
@@ -1405,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dserve.add_argument(
         "--watch", metavar="DIR", default=None,
-        help="also adopt dirqueue job directories appearing under DIR",
+        help="also adopt job directories appearing under DIR",
     )
     dserve.add_argument(
         "--weight", action="append", metavar="TENANT=N", default=None,

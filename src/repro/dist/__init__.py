@@ -2,7 +2,7 @@
 
 The campaign engine asks this package *how* to execute a grid: every
 point of every campaign routes through a registered
-:class:`ExecutionBackend`.  Five backends ship built in:
+:class:`ExecutionBackend`.  Four backends ship built in:
 
 ``serial``
     In-process reference execution.  Every other backend is required to
@@ -21,13 +21,6 @@ point of every campaign routes through a registered
     group affinity, so oversized groups split across idle workers.
     Point-level retry/timeout fault tolerance as before.  The protocol
     is the unit a future multi-host dispatcher reuses.
-``dirqueue``
-    Shared-filesystem job directories: a packager writes
-    ``manifest.json`` plus one ``.rtrace`` per (bench, seed), any number
-    of workers (any hosts) claim points via atomic rename and write
-    partial stores, and a merger folds them back deterministically.
-    ``repro-sim dist package|worker|merge|status`` drive the same
-    machinery across real hosts.
 ``service``
     Simulation as a service: submissions route to a long-running
     ``repro-sim dist serve`` daemon over TCP.  The daemon owns one
@@ -36,6 +29,14 @@ point of every campaign routes through a registered
     per-tenant weighted-round-robin fair share; a client disconnect
     re-queues nothing (the daemon finishes the job and holds the
     results for re-attach by job id).
+
+Beside the backends sit shared-filesystem **job directories**
+(:mod:`repro.dist.dirqueue`): a packager writes ``manifest.json`` plus
+one ``.rtrace`` per (bench, seed), any number of workers (any hosts)
+claim points via atomic rename and write partial stores, and a merger
+folds them back deterministically.  ``repro-sim dist
+package|worker|status|merge`` drive them across hosts, and ``dist serve
+--watch`` adopts them into the daemon.
 
 The ``worker`` protocol is transport-agnostic since protocol v2 grew
 :mod:`repro.dist.transport`: the same JSON-lines stream runs over a
@@ -75,7 +76,6 @@ from .backends import (
     register_backend,
 )
 from .dirqueue import (
-    DirectoryQueueBackend,
     JobStatus,
     MergedJob,
     PackagedJob,
@@ -133,7 +133,6 @@ __all__ = [
     "coerce_jobs",
     "jobs_from_env",
     "register_backend",
-    "DirectoryQueueBackend",
     "JobStatus",
     "MergedJob",
     "PackagedJob",

@@ -20,8 +20,8 @@ Two contracts every backend honours:
   trace is generated at most once per executing process.
 
 The ``serial`` and ``process`` backends live here; the subprocess
-``worker`` backend (JSON-lines protocol) and the shared-filesystem
-``dirqueue`` backend are registered lazily from their own modules.
+``worker`` backend (JSON-lines protocol) and the ``service`` client
+are registered lazily from their own modules.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def backend(name: str, **options) -> ExecutionBackend:
     """Build the execution backend registered under *name*.
 
     Keyword *options* are backend-specific (``timeout=``/``retries=``
-    for ``worker``, ``job_dir=``/``keep=`` for ``dirqueue``); unknown
+    for ``worker``, ``address=``/``tenant=`` for ``service``); unknown
     options raise ``TypeError`` from the backend constructor.
     """
     if not isinstance(name, str):
@@ -303,11 +303,6 @@ def _register_builtin_backends() -> None:
 
         return WorkerBackend(**options)
 
-    def _dirqueue_factory(**options):
-        from .dirqueue import DirectoryQueueBackend
-
-        return DirectoryQueueBackend(**options)
-
     def _service_factory(**options):
         from .serve import ServiceBackend
 
@@ -319,12 +314,6 @@ def _register_builtin_backends() -> None:
         "warm pool of repro-sim subprocesses speaking the JSON-lines "
         "worker protocol v2 (trace preload, batched dispatch, "
         "retry/timeout)",
-    )
-    register_backend(
-        "dirqueue",
-        _dirqueue_factory,
-        "shared-filesystem job directory: package, N claiming workers, "
-        "deterministic merge",
     )
     register_backend(
         "service",

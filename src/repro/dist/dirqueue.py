@@ -1,10 +1,12 @@
-"""The ``dirqueue`` backend: shared-filesystem job directories.
+"""Shared-filesystem job directories.
 
 This is the multi-host execution path: a *packager* turns a campaign
 grid into a self-contained **job directory** on a shared filesystem, any
 number of *workers* (on any hosts that see the directory) claim and
 simulate points, and a *merger* folds the partial results back into one
-deterministic store.  No coordinator process exists — the filesystem is
+deterministic store; ``repro-sim dist package|worker|status|merge``
+drive the three stages, and ``dist serve --watch`` adopts job
+directories into the serve daemon.  No coordinator process exists — the filesystem is
 the queue, and atomic ``rename`` is the only synchronisation primitive.
 
 Job directory layout::
@@ -42,16 +44,12 @@ from __future__ import annotations
 import json
 import os
 import socket
-import subprocess
-import sys
-import tempfile
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DistError
 from ..telemetry import get_logger, metrics, tracing
-from .backends import ExecutionBackend, Payload, coerce_jobs
 
 #: Manifest format tag / version for job directories.  A packager with
 #: an active span stores its trace context under an optional ``trace``
@@ -597,79 +595,3 @@ def job_status(job_dir: str) -> JobStatus:
         failed=len(partial.failures),
         workers=partial.workers,
     )
-
-
-# ----------------------------------------------------------------------
-# The backend: package -> local worker subprocesses -> merge
-# ----------------------------------------------------------------------
-def dirqueue_worker_command(job_dir: str, worker_id: str) -> List[str]:
-    """Argv for one local job-directory worker subprocess."""
-    return [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "dist",
-        "worker",
-        job_dir,
-        "--worker-id",
-        worker_id,
-    ]
-
-
-class DirectoryQueueBackend(ExecutionBackend):
-    """Run a campaign through a (possibly temporary) job directory.
-
-    This is the single-host convenience wrapper over the package →
-    workers → merge pipeline: it packages into *job_dir* (a fresh
-    temporary directory by default), spawns ``jobs`` local worker
-    subprocesses that claim from the shared queue, waits, and merges.
-    Multi-host runs use the same three stages through the
-    ``repro-sim dist package|worker|merge`` commands instead.
-    """
-
-    name = "dirqueue"
-
-    def __init__(self, job_dir: Optional[str] = None, keep: bool = False):
-        self.job_dir = job_dir
-        self.keep = keep or job_dir is not None
-
-    def execute(self, points, jobs: int = 1) -> Payload:
-        import shutil
-
-        from .worker import worker_environment
-
-        jobs = coerce_jobs(jobs)
-        job_dir = self.job_dir or tempfile.mkdtemp(prefix="repro-job-")
-        try:
-            package_job(points, job_dir, description="dirqueue backend run")
-            procs = [
-                subprocess.Popen(
-                    dirqueue_worker_command(job_dir, f"w{i}"),
-                    env=worker_environment(),
-                    stdout=subprocess.DEVNULL,
-                )
-                for i in range(min(jobs, len(points)))
-            ]
-            exit_codes = [proc.wait() for proc in procs]
-            merged = merge_job(job_dir, allow_partial=True)
-            payload: Payload = []
-            for index in range(len(points)):
-                if index in merged.runs:
-                    payload.append(
-                        (index, merged.runs[index].result, None)
-                    )
-                elif index in merged.failures:
-                    payload.append((index, None, merged.failures[index]))
-                else:
-                    payload.append(
-                        (
-                            index,
-                            None,
-                            "point was never completed (worker exit "
-                            f"codes: {exit_codes})",
-                        )
-                    )
-            return payload
-        finally:
-            if not self.keep:
-                shutil.rmtree(job_dir, ignore_errors=True)

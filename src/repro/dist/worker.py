@@ -12,11 +12,6 @@ dispatcher reuses the exact same messages, only the transport changes.
 
 Protocol (one JSON document per line, UTF-8):
 
-* request ``{"id": N, "op": "run", "spec": {...}}`` — ``spec`` is a
-  :class:`~repro.spec.RunSpec` dict; the worker executes it through the
-  :func:`repro.run` facade and replies
-  ``{"id": N, "ok": true, "result": {...}}`` with the
-  :class:`~repro.pipeline.SimResult` as a plain dict;
 * request ``{"id": N, "op": "preload", "bench": B, "seed": S,
   "records": R, "rtrace": <base64>}`` — ships one ``(bench, seed)``
   group's exported ``.rtrace`` bytes; the worker pins the decoded
@@ -28,9 +23,12 @@ Protocol (one JSON document per line, UTF-8):
   magic/CRC guards apply — corrupt payloads get an error reply and
   nothing is pinned;
 * request ``{"id": N, "op": "batch-run", "specs": [{...}, ...]}`` —
-  one round trip for a whole run of same-trace points; the reply is
+  each spec is a :class:`~repro.spec.RunSpec` dict, executed through
+  the :func:`repro.run` facade; one round trip serves a whole run of
+  same-trace points.  The reply is
   ``{"id": N, "ok": true, "results": [...]}`` with one
-  ``{"ok": ..., "result"/"error": ...}`` item per spec, so a broken
+  ``{"ok": ..., "result"/"error": ...}`` item per spec (the
+  :class:`~repro.pipeline.SimResult` as a plain dict), so a broken
   point fails alone instead of poisoning its batch;
 * request ``{"id": N, "op": "stats"}`` — serving counters: points
   served, batches, trace-cache hits/misses, result-cache hits, pinned
@@ -51,8 +49,8 @@ pool alive.
 
 Any failure to *execute* a point (unknown scheme, simulation error...)
 is an ``{"ok": false, "error": traceback}`` reply — deterministic, so it
-is never retried.  A malformed request (bad JSON, unknown op, missing
-``spec``) also gets an error reply and the worker keeps serving: one
+is never retried.  A malformed request (bad JSON, unknown op, a
+``batch-run`` without ``specs``) also gets an error reply and the worker keeps serving: one
 corrupt line must not poison a long-lived worker.
 
 Fault tolerance lives in the dispatcher: a worker that dies mid-batch or
@@ -79,7 +77,7 @@ could never have resolved its name.
 
 Two environment knobs exist purely for fault-injection tests and ops
 drills: ``REPRO_DIST_CRASH_FLAG`` / ``REPRO_DIST_HANG_FLAG`` name flag
-files; a worker (protocol or ``dirqueue``, both execute points through
+files; a worker (protocol or job-directory, both execute points through
 :func:`_execute_spec`) that sees its flag file before executing a point
 deletes the file and crashes (``os._exit``) or hangs
 (``REPRO_DIST_HANG_SECONDS``, default 30) — exactly once, since the
@@ -218,7 +216,7 @@ def _execute_spec(spec_dict: dict, state: WorkerState, held: dict):
     where workloads the dispatcher never preloaded still work — or fail
     deterministically.  A by-name workload is kept in *held*, so the
     caller's later misses on it (the rest of one ``batch-run``) replay
-    it instead of generating it again; the ``dirqueue`` worker fills
+    it instead of generating it again; the job-directory worker fills
     *held* with each claimed point's packaged trace.
 
     Returns ``(result, timing)`` where *timing* attributes the point's
@@ -323,18 +321,15 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
 
 
 def handle_request(
-    line: str, state: Optional[WorkerState] = None
+    line: str, state: WorkerState
 ) -> Tuple[Optional[dict], bool]:
     """Process one protocol line; returns ``(reply, keep_serving)``.
 
     Never raises: every failure mode becomes an error reply so the
     dispatcher can tell a *point* failure (deterministic, reported) from
     a *worker* failure (process death, retried).  *state* carries the
-    trace cache and counters between requests; ``None`` serves the
-    request statelessly (protocol v1 behaviour).
+    trace cache and counters between requests.
     """
-    if state is None:
-        state = WorkerState()
     request_id = None
     try:
         request = json.loads(line)
@@ -401,13 +396,7 @@ def handle_request(
                 # worker's own span too (recorded on both ends).
                 reply["spans"] = [record]
             return reply, True
-        if op != "run":
-            raise ValueError(f"unknown op {op!r}")
-        if "spec" not in request:
-            raise ValueError("run request is missing 'spec'")
-        result, timing = _execute_spec(request["spec"], state, {})
-        return {"id": request_id, "ok": True,
-                "result": asdict(result), **timing}, True
+        raise ValueError(f"unknown op {op!r}")
     except Exception:  # noqa: BLE001 — every failure becomes a reply
         return {
             "id": request_id,

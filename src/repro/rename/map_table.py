@@ -40,10 +40,6 @@ class MapEntry:
     def __init__(self) -> None:
         self.providers: List[Optional[DynInst]] = [None, None]
 
-    def present_in(self, cluster: int) -> bool:
-        """True when the value has (or will have) a register in *cluster*."""
-        return self.providers[cluster] is not None
-
     @property
     def replicated(self) -> bool:
         """True when the value occupies registers in both clusters."""

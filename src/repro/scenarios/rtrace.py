@@ -81,11 +81,6 @@ class FrozenTrace(SharedTrace):
         self.seed = seed
         self._columns = columns
 
-    @property
-    def n_recorded(self) -> int:
-        """Length of the recorded committed path."""
-        return len(self._columns)
-
 
 # ----------------------------------------------------------------------
 # Serialisation

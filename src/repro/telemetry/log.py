@@ -383,9 +383,6 @@ class EventLogger:
     def __init__(self, component: str):
         self.component = component
 
-    def is_enabled(self, level: str = "info") -> bool:
-        return enabled(level)
-
     def log(self, level: str, event: str, **fields) -> None:
         write_event(self.component, LEVELS[level], event, fields)
 

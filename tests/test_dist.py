@@ -41,7 +41,7 @@ def serial(points):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = dist.available_backends()
-        for name in ("serial", "process", "worker", "dirqueue"):
+        for name in ("serial", "process", "worker", "service"):
             assert name in names
 
     def test_unknown_backend_lists_available(self):
@@ -116,6 +116,14 @@ def _serve(*lines):
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
+def _batch_request(request_id, point):
+    """A one-spec ``batch-run`` request line for *point*."""
+    return json.dumps({
+        "id": request_id, "op": "batch-run",
+        "specs": [point.spec().to_dict()],
+    })
+
+
 class TestWorkerProtocol:
     def test_ping(self):
         (reply,) = _serve(json.dumps({"id": 1, "op": "ping"}))
@@ -125,13 +133,11 @@ class TestWorkerProtocol:
 
     def test_run_request_matches_direct_execution(self):
         point = CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)
-        (reply,) = _serve(
-            json.dumps(
-                {"id": 7, "op": "run", "spec": point.spec().to_dict()}
-            )
-        )
+        (reply,) = _serve(_batch_request(7, point))
         assert reply["ok"] and reply["id"] == 7
-        assert _result_from_dict(dict(reply["result"])) == run_point(point)
+        (item,) = reply["results"]
+        assert item["ok"]
+        assert _result_from_dict(dict(item["result"])) == run_point(point)
 
     def test_malformed_json_gets_error_reply_and_serving_continues(self):
         replies = _serve("{not json", json.dumps({"id": 2, "op": "ping"}))
@@ -144,25 +150,24 @@ class TestWorkerProtocol:
     def test_unknown_op_and_missing_spec_are_errors(self):
         replies = _serve(
             json.dumps({"id": 1, "op": "teleport"}),
-            json.dumps({"id": 2, "op": "run"}),
+            json.dumps({"id": 2, "op": "batch-run"}),
             json.dumps([1, 2, 3]),
         )
         assert [r["ok"] for r in replies] == [False, False, False]
         assert "teleport" in replies[0]["error"]
-        assert "spec" in replies[1]["error"]
+        assert "specs" in replies[1]["error"]
 
     def test_bad_point_is_an_error_reply_not_a_crash(self):
         point = CampaignPoint(
             "gcc", "no-such-scheme", n_instructions=N, warmup=W
         )
         replies = _serve(
-            json.dumps(
-                {"id": 1, "op": "run", "spec": point.spec().to_dict()}
-            ),
+            _batch_request(1, point),
             json.dumps({"id": 2, "op": "ping"}),
         )
-        assert replies[0]["ok"] is False
-        assert "no-such-scheme" in replies[0]["error"]
+        (item,) = replies[0]["results"]
+        assert item["ok"] is False
+        assert "no-such-scheme" in item["error"]
         assert replies[1]["ok"] is True
 
     def test_shutdown_stops_serving(self):
@@ -328,15 +333,13 @@ class TestProtocolV2:
         replies = _serve(
             json.dumps({"id": 1, "op": "preload", **payload}),
             json.dumps({"id": 2, "op": "stats"}),
-            json.dumps({
-                "id": 3, "op": "run", "spec": point.spec().to_dict(),
-            }),
+            _batch_request(3, point),
         )
         assert replies[0]["ok"] is False
         assert "checksum" in replies[0]["error"]
         assert replies[1]["preloaded_traces"] == 0
         # The worker still serves — by-name resolution, a cache miss.
-        assert replies[2]["ok"] is True
+        assert replies[2]["results"][0]["ok"] is True
 
     def test_preload_round_trips_through_disk_format(self, tmp_path):
         """preload bytes == export_trace file contents, verbatim."""

@@ -1,4 +1,4 @@
-"""Tests for the directory-queue backend: package, claim, merge."""
+"""Tests for job directories: package, claim, merge."""
 
 import json
 import os
@@ -312,21 +312,3 @@ class TestCliPipeline:
         from repro.dist.dirqueue import _drop_claim
 
         _drop_claim("/nonexistent/claim/token.json")
-
-
-class TestDirqueueBackend:
-    def test_backend_identical_to_serial(self, points, serial):
-        """Acceptance: the dirqueue backend (subprocess workers over a
-        temporary job directory) matches the serial backend."""
-        run = run_campaign(points, workers=2, backend="dirqueue")
-        assert [(r.point, r.result) for r in run.results] == [
-            (r.point, r.result) for r in serial
-        ]
-
-    def test_backend_keeps_supplied_job_dir(self, points, tmp_path):
-        job_dir = str(tmp_path / "kept")
-        backend = dist.DirectoryQueueBackend(job_dir=job_dir)
-        results = Campaign(points, workers=2, backend=backend).run()
-        assert len(results) == len(points)
-        assert os.path.isfile(os.path.join(job_dir, "manifest.json"))
-        assert dist.job_status(job_dir).completed == len(points)

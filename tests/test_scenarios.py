@@ -406,7 +406,7 @@ class TestWorkloadCacheIdentity:
 # Suite smoke through the CLI surface
 # ----------------------------------------------------------------------
 class TestScenariosCLI:
-    def test_scenarios_list_and_run(self, tmp_path, capsys):
+    def test_scenarios_list_and_suite_run(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["scenarios", "list"]) == 0
@@ -416,7 +416,7 @@ class TestScenariosCLI:
 
         store = str(tmp_path / "cli.json")
         args = [
-            "scenarios", "run", "smoke",
+            "suite", "run", "smoke",
             "-n", str(N), "-w", str(W), "--json", store,
         ]
         assert main(args) == 0
@@ -444,7 +444,7 @@ class TestScenariosCLI:
         from repro.cli import main
 
         code = main([
-            "scenarios", "run", "smoke", "-n", str(N), "-w", str(W),
+            "suite", "run", "smoke", "-n", str(N), "-w", str(W),
             "--resume",
         ])
         assert code == 2

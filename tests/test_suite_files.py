@@ -105,9 +105,9 @@ class TestSuiteCli:
         suite_file = str(tmp_path / "smoke-export.json")
         store = str(tmp_path / "store.json")
         assert main(["suite", "export", "smoke", "-o", suite_file]) == 0
-        # First run from the registered suite via `scenarios run`.
+        # First run from the registered suite, by name.
         assert main(
-            ["scenarios", "run", "smoke", "-n", N, "-w", W, "--json", store]
+            ["suite", "run", "smoke", "-n", N, "-w", W, "--json", store]
         ) == 0
         capsys.readouterr()
         # Re-running from the exported data file reuses every point.
@@ -123,6 +123,15 @@ class TestSuiteCli:
 
         with pytest.raises(SpecError):
             main(["suite", "run", str(tmp_path / "missing.json")])
+
+    def test_dist_package_missing_json_is_a_file_error(self, tmp_path):
+        """A missing ``*.json`` argument is read as a suite file, so it
+        fails as one, not as an unknown suite name."""
+        from repro.errors import SpecError
+
+        with pytest.raises(SpecError):
+            main(["dist", "package", "missing.json",
+                  "--job-dir", str(tmp_path / "job")])
 
     def test_campaign_nested_override_from_cli(self, tmp_path, capsys):
         store = str(tmp_path / "o.json")

@@ -1,0 +1,415 @@
+"""``dist``: execution backends, job directories, workers, the warm pool
+and the ``serve`` daemon."""
+
+from __future__ import annotations
+
+import argparse
+
+from .campaigns import add_window_args, suite_points
+
+
+def cmd_backends(args: argparse.Namespace) -> int:
+    from .. import dist
+
+    if args.json:
+        import json
+
+        print(json.dumps(
+            [
+                {
+                    "name": name,
+                    "description": dist.backend_description(name),
+                }
+                for name in dist.available_backends()
+            ],
+            indent=1,
+        ))
+        return 0
+    print("execution backends:")
+    for name in dist.available_backends():
+        print(f"  {name}: {dist.backend_description(name)}")
+    return 0
+
+
+def cmd_package(args: argparse.Namespace) -> int:
+    from .. import dist
+
+    suite, points = suite_points(args)
+    job = dist.package_job(
+        points, args.job_dir, description=f"suite {suite.name!r}"
+    )
+    print(f"packaged {job.describe()}")
+    return 0
+
+
+def cmd_worker(args: argparse.Namespace) -> int:
+    modes = sum(
+        1 for on in (args.job_dir is not None, args.stdio,
+                     args.listen is not None) if on
+    )
+    if modes != 1:
+        print(
+            "dist worker needs exactly one mode: a job directory "
+            "(directory-queue), --stdio (protocol on stdin/stdout), "
+            "or --listen HOST:PORT (protocol on a socket)"
+        )
+        return 2
+    from .. import dist
+
+    if args.job_dir is not None:
+        done = dist.run_worker(
+            args.job_dir,
+            worker_id=args.worker_id,
+            max_points=args.max_points,
+        )
+        print(f"worker completed {done} point(s)")
+        return 0
+    if args.listen is not None:
+        return dist.serve_listen(args.listen)
+    return dist.serve_stdio()
+
+
+def cmd_pool_status(args: argparse.Namespace) -> int:
+    # pool status [--jobs N] [--worker ADDR]... [--json FILE]
+    import json
+
+    from .. import dist, telemetry
+
+    remote = list(args.worker or [])
+    pool = dist.shared_pool(remote=remote)
+    pool.ensure(max(args.jobs, len(remote)))
+    stats = pool.stats()
+    stats["telemetry"] = telemetry.metrics.snapshot()
+    print(
+        f"worker pool: {stats['size']} live worker(s), "
+        f"{stats['spawned_total']} spawned / "
+        f"{stats['connects_total']} connect(s) this process, "
+        f"protocol v{dist.PROTOCOL_VERSION}"
+    )
+    print(
+        f"  served {stats['points_served']} point(s) in "
+        f"{stats['batches']} batch(es); trace cache "
+        f"{stats['trace_cache_hits']} hit(s) / "
+        f"{stats['trace_cache_misses']} miss(es), "
+        f"{stats['trace_payloads']} payload(s) exported"
+    )
+    for worker in stats["workers"]:
+        label = (
+            f"{worker.get('transport', '?')} "
+            f"{worker.get('address', '?')}"
+        )
+        if worker.get("busy"):
+            print(f"  {label}: busy serving a dispatcher")
+        elif not worker.get("alive", True):
+            print(f"  {label}: unreachable")
+        else:
+            print(
+                f"  {label}: {worker['points_served']} point(s), "
+                f"{worker['preloaded_traces']} trace(s) pinned"
+            )
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(stats, fh, indent=1)
+        print(f"wrote {args.json}")
+    return 0
+
+
+def cmd_status(args: argparse.Namespace) -> int:
+    from .. import dist
+
+    if args.requeue_lost:
+        moved = dist.requeue_lost(args.job_dir)
+        print(f"requeued {moved} lost point(s)")
+    print(dist.job_status(args.job_dir).describe())
+    return 0
+
+
+def cmd_merge(args: argparse.Namespace) -> int:
+    from .. import dist
+    from ..errors import DistError
+
+    store = args.json or args.csv
+    try:
+        merged = dist.merge_job(
+            args.job_dir, store=store, allow_partial=args.allow_partial
+        )
+        if args.json and args.csv:
+            # Same contract as campaign and suite run: the second
+            # format is an additional plain export.
+            dist.merge_job(
+                args.job_dir, store=args.csv,
+                allow_partial=args.allow_partial,
+            )
+    except DistError as error:
+        print(f"merge failed: {error}")
+        print("(pass --allow-partial to merge what completed)")
+        return 1
+    print(f"merged {merged.describe()}")
+    if store:
+        print(f"wrote {store}")
+    if args.json and args.csv:
+        print(f"wrote {args.csv}")
+    for index in sorted(merged.failures):
+        last = merged.failures[index].strip().splitlines()[-1]
+        print(f"FAILED {merged.points[index].label}: {last}")
+    return 0 if merged.complete else 1
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """`dist serve [run|status|stop]` — the simulation-service daemon."""
+    import json
+
+    from .. import dist
+    from ..errors import ConfigError, DistError
+
+    if args.action in ("status", "stop"):
+        address = args.address or dist.service_address_from_env()
+        if address is None:
+            print(
+                "dist serve status/stop needs the daemon address "
+                "(--address HOST:PORT or REPRO_SERVICE_ADDRESS)"
+            )
+            return 2
+        client = dist.ServiceClient(address=address, tenant="cli")
+        try:
+            if args.action == "stop":
+                client.shutdown(stop_workers=args.stop_workers)
+                print(f"asked daemon at {address} to stop")
+                return 0
+            status = client.status()
+        except (ConfigError, DistError) as error:
+            print(f"service at {address} unavailable: {error}")
+            return 1
+        finally:
+            client.close()
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(status, fh, indent=1)
+            print(f"wrote {args.json}")
+        pool = status.get("pool", {})
+        print(
+            f"serve daemon at {status['address']} "
+            f"(protocol v{status['protocol']}, "
+            f"up {status['uptime']:.0f}s): "
+            f"{status['jobs']['active']} active / "
+            f"{status['jobs']['completed']} completed job(s), "
+            f"{pool.get('points_served', 0)} point(s) served by "
+            f"{status['slots']} slot(s)"
+        )
+        for tenant, row in sorted(status.get("tenants", {}).items()):
+            print(
+                f"  tenant {tenant}: weight {row['weight']}, "
+                f"{row['queued_chunks']} chunk(s) queued, "
+                f"{row['dispatched_chunks']} dispatched, "
+                f"{row['points_served']} point(s) served"
+            )
+        for worker in pool.get("workers", []):
+            label = (
+                f"{worker.get('transport', '?')} "
+                f"{worker.get('address', '?')}"
+            )
+            if worker.get("busy"):
+                print(f"  worker {label}: busy")
+            elif not worker.get("alive", True):
+                print(f"  worker {label}: unreachable")
+            else:
+                print(
+                    f"  worker {label}: "
+                    f"{worker['points_served']} point(s) served"
+                )
+        return 0
+
+    # action == "run": own the pool and serve until interrupted.
+    weights = {}
+    for item in args.weight or []:
+        tenant, eq, value = item.partition("=")
+        if not eq or not tenant:
+            print(f"invalid --weight {item!r} (expected TENANT=N)")
+            return 2
+        try:
+            weights[tenant] = int(value)
+        except ValueError:
+            print(f"invalid --weight {item!r} (expected TENANT=N)")
+            return 2
+    options = {}
+    if args.dist_timeout is not None:
+        options["timeout"] = args.dist_timeout
+    if args.dist_retries is not None:
+        options["retries"] = args.dist_retries
+    try:
+        daemon = dist.ServeDaemon(
+            address=args.address or "127.0.0.1:7731",
+            jobs=args.jobs,
+            remote=tuple(args.worker or ()),
+            watch=args.watch,
+            weights=weights or None,
+            **options,
+        )
+        daemon.start()
+    except (ConfigError, DistError, OSError) as error:
+        print(f"dist serve failed to start: {error}")
+        return 1
+    print(f"serving on {daemon.address} ({daemon.n_slots} slot(s))")
+    try:
+        daemon.wait()
+    except KeyboardInterrupt:
+        print("interrupted; stopping")
+    finally:
+        daemon.stop()
+    return 0
+
+
+def add_parser(sub) -> None:
+    dist_p = sub.add_parser(
+        "dist",
+        help="distributed execution: backends, job packaging, workers, "
+        "merge",
+    )
+    dsub = dist_p.add_subparsers(dest="dist_cmd", required=True)
+    dbackends = dsub.add_parser(
+        "backends", help="list registered execution backends"
+    )
+    dbackends.add_argument(
+        "--json", action="store_true",
+        help="machine-readable name/description list",
+    )
+    dbackends.set_defaults(handler=cmd_backends)
+    dpackage = dsub.add_parser(
+        "package",
+        help="write a suite's points + traces into a job directory",
+    )
+    dpackage.add_argument(
+        "suite", help="suite name (see 'scenarios list') or suite file"
+    )
+    dpackage.add_argument(
+        "--job-dir", required=True, help="job directory to create"
+    )
+    add_window_args(dpackage, suite=True)
+    dpackage.set_defaults(handler=cmd_package)
+    dworker = dsub.add_parser(
+        "worker",
+        help="run one worker: claim from a job directory, or serve the "
+        "stdin/stdout JSON-lines protocol",
+    )
+    dworker.add_argument(
+        "job_dir", nargs="?", default=None,
+        help="job directory to claim points from",
+    )
+    dworker.add_argument(
+        "--stdio", action="store_true",
+        help="serve the JSON-lines worker protocol on stdin/stdout",
+    )
+    dworker.add_argument(
+        "--listen", metavar="HOST:PORT", default=None,
+        help="serve the JSON-lines worker protocol on a TCP socket "
+        "(port 0 picks a free port; prints the bound address)",
+    )
+    dworker.add_argument(
+        "--worker-id", default=None,
+        help="worker id for claims and the partial store "
+        "(default <hostname>-<pid>)",
+    )
+    dworker.add_argument(
+        "--max-points", type=int, default=None,
+        help="stop after completing this many points",
+    )
+    dworker.set_defaults(handler=cmd_worker)
+    dmerge = dsub.add_parser(
+        "merge", help="fold a job's partial stores into one result store"
+    )
+    dmerge.add_argument("job_dir", help="job directory to merge")
+    dmerge.add_argument(
+        "--json", default=None, help="write merged results to this JSON file"
+    )
+    dmerge.add_argument(
+        "--csv", default=None, help="write merged results to this CSV file"
+    )
+    dmerge.add_argument(
+        "--allow-partial", action="store_true",
+        help="merge completed points even if some are failed/missing",
+    )
+    dmerge.set_defaults(handler=cmd_merge)
+    dpool = dsub.add_parser(
+        "pool",
+        help="warm worker pool: spawn/inspect this process's shared pool",
+    )
+    dpoolsub = dpool.add_subparsers(dest="pool_cmd", required=True)
+    dpoolstatus = dpoolsub.add_parser(
+        "status",
+        help="ensure the pool is up and print its serving counters",
+    )
+    dpoolstatus.add_argument(
+        "-j", "--jobs", type=int, default=1,
+        help="worker processes to ensure are live",
+    )
+    dpoolstatus.add_argument(
+        "--worker", action="append", metavar="HOST:PORT", default=None,
+        help="adopt a remote listen-mode worker at this address "
+        "(repeatable)",
+    )
+    dpoolstatus.add_argument(
+        "--json", default=None,
+        help="also write the counters to this JSON file",
+    )
+    dpoolstatus.set_defaults(handler=cmd_pool_status)
+    dserve = dsub.add_parser(
+        "serve",
+        help="simulation service: run the dispatcher daemon, or query/"
+        "stop a running one",
+    )
+    dserve.add_argument(
+        "action", nargs="?", choices=("run", "status", "stop"),
+        default="run",
+        help="run the daemon (default), or talk to a running one",
+    )
+    dserve.add_argument(
+        "--address", metavar="HOST:PORT", default=None,
+        help="daemon address (run default 127.0.0.1:7731; status/stop "
+        "fall back to REPRO_SERVICE_ADDRESS)",
+    )
+    dserve.add_argument(
+        "-j", "--jobs", type=int, default=0,
+        help="local worker subprocesses to spawn (default 0)",
+    )
+    dserve.add_argument(
+        "--worker", action="append", metavar="HOST:PORT", default=None,
+        help="adopt a remote listen-mode worker at this address "
+        "(repeatable)",
+    )
+    dserve.add_argument(
+        "--watch", metavar="DIR", default=None,
+        help="also adopt job directories appearing under DIR",
+    )
+    dserve.add_argument(
+        "--weight", action="append", metavar="TENANT=N", default=None,
+        help="fair-share weight for a tenant (repeatable; default 1)",
+    )
+    dserve.add_argument(
+        "--dist-timeout", metavar="SECONDS", default=None,
+        help="per-request worker reply timeout "
+        "(default REPRO_DIST_TIMEOUT or none)",
+    )
+    dserve.add_argument(
+        "--dist-retries", metavar="N", default=None,
+        help="extra attempts per chunk after a worker failure "
+        "(default REPRO_DIST_RETRIES or 1)",
+    )
+    dserve.add_argument(
+        "--json", default=None,
+        help="status: also write the stats to this JSON file",
+    )
+    dserve.add_argument(
+        "--stop-workers", action="store_true",
+        help="stop: also shut down the daemon's remote workers",
+    )
+    dserve.set_defaults(handler=cmd_serve)
+    dstatus = dsub.add_parser(
+        "status", help="summarise a job directory's progress"
+    )
+    dstatus.add_argument("job_dir", help="job directory to inspect")
+    dstatus.add_argument(
+        "--requeue-lost", action="store_true",
+        help="move claimed-but-unfinished points back into the queue "
+        "(only when their workers are dead)",
+    )
+    dstatus.set_defaults(handler=cmd_status)

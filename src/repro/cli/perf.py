@@ -46,20 +46,14 @@ import json
 import os
 
 from ..errors import ConfigError, PerfError
-from . import provenance
-from .detect import DetectorConfig, compare_profiles
-from .ledger import DEFAULT_LEDGER, Ledger, is_file_ref, resolve_profile
-from .model import Profile, load_profile
-from .perfbench import Benchmark, profile_from_runs
-from .views import render_comparison, render_label_history, render_log
 
 
 def _add_ledger_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger",
-        default=DEFAULT_LEDGER,
+        default=None,
         metavar="DIR",
-        help=f"profile ledger directory (default {DEFAULT_LEDGER})",
+        help="profile ledger directory (default BENCH_history)",
     )
 
 
@@ -89,12 +83,12 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_perf_parser(sub) -> None:
-    """Wire the ``perf`` subcommand into the main parser."""
+def add_parser(sub) -> None:
     perf = sub.add_parser(
         "perf",
         help="perf-profile ledger: record history, detect degradations",
     )
+    perf.set_defaults(handler=cmd_perf)
     psub = perf.add_subparsers(dest="perf_cmd", required=True)
 
     record = psub.add_parser(
@@ -204,7 +198,15 @@ def add_perf_parser(sub) -> None:
     _add_ledger_arg(prune)
 
 
-def _detector_config(args: argparse.Namespace) -> DetectorConfig:
+def _open_ledger(args: argparse.Namespace):
+    from ..perf.ledger import Ledger
+
+    return Ledger() if args.ledger is None else Ledger(args.ledger)
+
+
+def _detector_config(args: argparse.Namespace):
+    from ..perf.detect import DetectorConfig
+
     return DetectorConfig(
         alpha=args.alpha,
         min_effect=args.min_effect,
@@ -214,7 +216,7 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     )
 
 
-def _suite_names(ledger: Ledger, requested: str):
+def _suite_names(ledger, requested: str):
     if requested != "all":
         return [requested]
     recorded = ledger.suites()
@@ -226,15 +228,18 @@ def _suite_names(ledger: Ledger, requested: str):
     return recorded
 
 
-def _write_document(profile: Profile, path: str) -> None:
+def _write_document(profile, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(profile.to_document(), fh, indent=1)
         fh.write("\n")
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    ledger = Ledger(args.ledger)
-    repo_root = os.path.dirname(os.path.abspath(args.ledger)) or "."
+    from ..perf import provenance
+    from ..perf.perfbench import Benchmark, profile_from_runs
+
+    ledger = _open_ledger(args)
+    repo_root = os.path.dirname(os.path.abspath(ledger.root)) or "."
     benchmark = Benchmark.load(os.path.join(repo_root, "BENCHMARK.json"))
     profile = profile_from_runs(args.suite, args.files, benchmark)
     profile = profile.with_provenance(provenance.collect(repo_root))
@@ -250,7 +255,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    ledger = Ledger(args.ledger)
+    from ..perf.detect import compare_profiles
+    from ..perf.ledger import is_file_ref, resolve_profile
+    from ..perf.model import load_profile
+    from ..perf.views import render_comparison
+
+    ledger = _open_ledger(args)
     config = _detector_config(args)
     if args.candidate:
         candidates = [load_profile(args.candidate)]
@@ -293,7 +303,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _diff_suite(ledger: Ledger, args: argparse.Namespace) -> str:
+def _diff_suite(ledger, args: argparse.Namespace) -> str:
     if args.suite is not None:
         return args.suite
     recorded = ledger.suites()
@@ -310,7 +320,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         raise PerfError(
             f"perf diff takes at most two refs, got {len(args.refs)}"
         )
-    ledger = Ledger(args.ledger)
+    from ..perf.detect import compare_profiles
+    from ..perf.ledger import is_file_ref, resolve_profile
+    from ..perf.views import render_comparison
+
+    ledger = _open_ledger(args)
     refs = list(args.refs)
     # Two profile files are one paired A/B: their absolute labels gate.
     paired = len(refs) == 2 and all(is_file_ref(ref) for ref in refs)
@@ -352,7 +366,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
-    ledger = Ledger(args.ledger)
+    from ..perf.views import render_label_history, render_log
+
+    ledger = _open_ledger(args)
     suites = _suite_names(ledger, args.suite)
     if not args.label:
         for suite in suites:
@@ -380,7 +396,7 @@ def _cmd_log(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    ledger = Ledger(args.ledger)
+    ledger = _open_ledger(args)
     for suite in _suite_names(ledger, args.suite):
         removed = ledger.prune(suite, args.keep)
         print(f"{suite}: pruned {len(removed)} entr(y/ies)")

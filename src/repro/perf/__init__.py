@@ -19,8 +19,9 @@ artifact instead of a single checked-in snapshot:
   verdicts improved / stable / degraded / new / vanished; raw
   host-speed (``absolute``) labels gate only in a paired same-host A/B.
 * :mod:`repro.perf.views` — ``perf diff`` / ``perf check`` renderings.
-* :mod:`repro.perf.cli` — the ``repro-sim perf record|check|diff|log|
-  prune`` surface; ``perf check`` is the CI entry point.
+
+The ``repro-sim perf record|check|diff|log|prune`` surface is
+:mod:`repro.cli.perf`; ``perf check`` is the CI entry point.
 """
 
 from .detect import (

@@ -1,7 +1,9 @@
 """Memory-footprint contracts of the simulator.
 
 * ``import repro`` and the simulation modules load neither networkx nor
-  numpy (only the static-partitioning analyses import networkx, lazily).
+  numpy (only the static-partitioning analyses import networkx, lazily),
+  and a pool worker's command line parses without loading the analysis
+  harness or the perf ledger.
 * A finished :class:`Processor` and a dropped :class:`Workload` with a
   materialised trace are freed by reference counting alone: with the
   cyclic collector off they are gone right after ``del``, and a
@@ -71,11 +73,28 @@ def collector_off():
         gc.enable()
 
 
-def test_import_loads_neither_networkx_nor_numpy():
+@pytest.mark.parametrize(
+    "statement, forbidden",
+    [
+        (
+            "import repro, repro.pipeline.processor, repro.dist.worker",
+            ("networkx", "numpy"),
+        ),
+        # A pool worker's start-up: parsing its command line loads
+        # neither the figure harness nor the perf ledger.
+        (
+            "from repro.cli import build_parser; "
+            "build_parser().parse_args(['dist', 'worker', '--stdio'])",
+            ("repro.analysis", "repro.perf"),
+        ),
+    ],
+    ids=["simulator", "worker-parse"],
+)
+def test_import_loads_neither_networkx_nor_numpy(statement, forbidden):
     code = (
         "import sys\n"
-        "import repro, repro.pipeline.processor, repro.dist.worker\n"
-        "print(sorted(m for m in ('networkx', 'numpy') if m in sys.modules))\n"
+        f"{statement}\n"
+        f"print(sorted(m for m in {forbidden!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(

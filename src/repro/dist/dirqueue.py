@@ -6,8 +6,9 @@ number of *workers* (on any hosts that see the directory) claim and
 simulate points, and a *merger* folds the partial results back into one
 deterministic store; ``repro-sim dist package|worker|status|merge``
 drive the three stages, and ``dist serve --watch`` adopts job
-directories into the serve daemon.  No coordinator process exists — the filesystem is
-the queue, and atomic ``rename`` is the only synchronisation primitive.
+directories into the serve daemon.  No coordinator process exists — the
+filesystem is the queue, and atomic ``rename`` is the only
+synchronisation primitive.
 
 Job directory layout::
 

@@ -723,7 +723,7 @@ class ServeDaemon:
     def _finish_directory_job(
         self, job_dir: str, job: _Job, claims: List[dict]
     ) -> None:
-        """Write the adopted job's outputs in the job directory's own formats."""
+        """Write the adopted job's outputs in job-directory formats."""
         from ..analysis.campaign import CampaignRun
         from ..spec.specs import RunSpec
 

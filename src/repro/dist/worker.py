@@ -50,8 +50,9 @@ pool alive.
 Any failure to *execute* a point (unknown scheme, simulation error...)
 is an ``{"ok": false, "error": traceback}`` reply — deterministic, so it
 is never retried.  A malformed request (bad JSON, unknown op, a
-``batch-run`` without ``specs``) also gets an error reply and the worker keeps serving: one
-corrupt line must not poison a long-lived worker.
+``batch-run`` without ``specs``) also gets an error reply and the
+worker keeps serving: one corrupt line must not poison a long-lived
+worker.
 
 Fault tolerance lives in the dispatcher: a worker that dies mid-batch or
 exceeds the batch timeout is killed and replaced, and the batch is

@@ -1,17 +1,21 @@
-"""Analysis harness: metrics, experiments, campaigns, report printers."""
+"""Analysis harness: metrics, experiments, campaigns, report printers.
+
+A campaign point is a :class:`~repro.spec.RunSpec`: :func:`expand_grid`,
+:class:`Sweep` and :class:`ExperimentRunner` build run specs, and
+:class:`CampaignResults` pairs each with its
+:class:`~repro.pipeline.SimResult`.
+"""
 
 from .campaign import (
     AggregateResult,
     Campaign,
     CampaignError,
-    CampaignPoint,
     CampaignResults,
     CampaignRun,
     IncrementalRun,
     apply_override,
     expand_grid,
     run_campaign,
-    run_point,
 )
 from .experiments import (
     FIGURES,
@@ -43,14 +47,12 @@ __all__ = [
     "AggregateResult",
     "Campaign",
     "CampaignError",
-    "CampaignPoint",
     "CampaignResults",
     "CampaignRun",
     "IncrementalRun",
     "apply_override",
     "expand_grid",
     "run_campaign",
-    "run_point",
     "Sweep",
     "sweep",
     "FIGURES",

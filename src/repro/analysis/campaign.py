@@ -6,11 +6,10 @@ variants and seeds.  Running them naively regenerates the same workload
 program and re-decodes the same committed-path trace for every scheme.
 This module executes the whole grid in a single pass instead:
 
-* points resolve machines through the :mod:`repro.spec.machines`
-  registry and apply dotted-path overrides through
-  :mod:`repro.spec.overrides`, and each point executes through the
-  :func:`repro.run` facade — a grid cell and the equivalent declarative
-  :class:`~repro.spec.RunSpec` are the same run;
+* a point is a :class:`~repro.spec.RunSpec`: a machine from the
+  :mod:`repro.spec.machines` registry plus dotted-path overrides from
+  :mod:`repro.spec.overrides`, executed through the :func:`repro.run`
+  facade, so a grid cell and a declarative run are the same object;
 * points are grouped by ``(bench, seed)`` so each group shares one
   generated program and one materialised trace
   (:class:`~repro.workloads.trace.SharedTrace`);
@@ -39,7 +38,7 @@ import math
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import (
     Dict,
     Iterable,
@@ -58,61 +57,13 @@ from ..telemetry import get_logger, metrics, tracing
 from ..spec.machines import machine_config
 from ..spec.overrides import (
     apply_override,
-    apply_overrides,
     normalize_overrides,
-    overrides_from_jsonable,
     overrides_to_jsonable,
     validate_overrides,
 )
+from ..spec.specs import MachineSpec, RunSpec
 
 _log = get_logger("analysis.campaign")
-
-
-@dataclass(frozen=True)
-class CampaignPoint:
-    """One cell of a campaign grid.
-
-    ``machine`` is any name the :mod:`repro.spec.machines` registry
-    resolves (including parametric families like ``bypass-latency-2``).
-    ``overrides`` is a tuple of ``(path, value)`` pairs — dotted paths
-    such as ``clusters.0.iq_size`` or legacy flat names — applied on top
-    of the machine; tuples (not dicts) so points stay hashable and cheap
-    to pickle across worker processes.
-    """
-
-    bench: str
-    scheme: str
-    machine: str = "clustered"
-    overrides: Tuple[Tuple[str, object], ...] = ()
-    seed: int = 0
-    n_instructions: int = 20000
-    warmup: int = 5000
-
-    def config(self) -> ProcessorConfig:
-        """Materialise the machine description for this point."""
-        return apply_overrides(machine_config(self.machine), self.overrides)
-
-    def spec(self):
-        """This point as a declarative :class:`~repro.spec.RunSpec`."""
-        from ..spec.specs import RunSpec
-
-        return RunSpec.from_point(self)
-
-    @property
-    def trace_key(self) -> Tuple[str, int]:
-        """Points sharing this key share one generated workload trace."""
-        return (self.bench, self.seed)
-
-    @property
-    def label(self) -> str:
-        """Human-readable cell name for logs and error messages."""
-        parts = [self.bench, self.scheme]
-        if self.machine != "clustered":
-            parts.append(self.machine)
-        parts.extend(f"{p}={v}" for p, v in self.overrides)
-        if self.seed:
-            parts.append(f"seed={self.seed}")
-        return "/".join(parts)
 
 
 def expand_grid(
@@ -123,7 +74,7 @@ def expand_grid(
     seeds: Sequence[int] = (0,),
     n_instructions: int = 20000,
     warmup: int = 5000,
-) -> List[CampaignPoint]:
+) -> List[RunSpec]:
     """Cross product of benches × schemes × machines × overrides × seeds.
 
     Each entry of *overrides* is one override set — a dict
@@ -141,18 +92,17 @@ def expand_grid(
         base = machine_config(machine)
         for override_set in override_sets:
             validate_overrides(override_set, base)
-    points: List[CampaignPoint] = []
+    points: List[RunSpec] = []
     for bench in benches:
         for seed in seeds:
             for machine in machines:
                 for override in override_sets:
                     for scheme in schemes:
                         points.append(
-                            CampaignPoint(
+                            RunSpec(
                                 bench=bench,
                                 scheme=scheme,
-                                machine=machine,
-                                overrides=tuple(override),
+                                machine=MachineSpec(machine, override),
                                 seed=seed,
                                 n_instructions=n_instructions,
                                 warmup=warmup,
@@ -161,22 +111,11 @@ def expand_grid(
     return points
 
 
-def run_point(point: CampaignPoint) -> SimResult:
-    """Simulate one campaign point (sharing the process-wide caches).
-
-    Routes through the :func:`repro.run` facade, so a campaign point and
-    the equivalent :class:`~repro.spec.RunSpec` are the same execution.
-    """
-    from ..spec.facade import execute
-
-    return execute(point.spec())
-
-
 class CampaignError(ReproError):
     """One or more campaign points failed to simulate.
 
-    ``failures`` maps each failing :class:`CampaignPoint` to the traceback
-    text from its worker, so a campaign over a hundred points reports
+    ``failures`` pairs each failing point with the traceback text
+    from its worker, so a campaign over a hundred points reports
     every broken cell instead of dying on the first.  When the campaign
     ran under a trace, ``trace_id`` is carried in the message so the
     failure can be joined to its span tree (and the retries that
@@ -185,7 +124,7 @@ class CampaignError(ReproError):
 
     def __init__(
         self,
-        failures: List[Tuple[CampaignPoint, str]],
+        failures: List[Tuple[RunSpec, str]],
         trace_id: Optional[str] = None,
     ) -> None:
         self.failures = list(failures)
@@ -201,7 +140,7 @@ class CampaignError(ReproError):
 
 
 def _run_group(
-    group: Sequence[Tuple[int, CampaignPoint]],
+    group: Sequence[Tuple[int, RunSpec]],
 ) -> List[Tuple[int, Optional[SimResult], Optional[str], Optional[dict]]]:
     """Worker entry point: run one shared-trace group of points.
 
@@ -215,7 +154,7 @@ def _run_group(
     the facade's resolve/simulate split) so stores can attribute
     per-point cost.
     """
-    from ..spec.facade import last_timing
+    from ..spec.facade import execute, last_timing
     from ..workloads import workload
 
     # Held (never read) until the group's last point has run.  A bench
@@ -232,7 +171,7 @@ def _run_group(
     for index, point in group:
         t0 = time.perf_counter()
         try:
-            result = run_point(point)
+            result = execute(point)
         except Exception:  # noqa: BLE001 — surfaced via CampaignError
             out.append((index, None, traceback.format_exc(), None))
         else:
@@ -245,8 +184,8 @@ def _run_group(
 
 
 def grouped_points(
-    points: Sequence[CampaignPoint],
-) -> List[List[Tuple[int, CampaignPoint]]]:
+    points: Sequence[RunSpec],
+) -> List[List[Tuple[int, RunSpec]]]:
     """Points bucketed by shared trace, preserving submission order.
 
     Every execution backend dispatches these groups (never individual
@@ -258,7 +197,7 @@ def grouped_points(
     campaign's memory by the groups in flight, not by every
     ``(bench, seed)`` it has touched.
     """
-    buckets: Dict[Tuple[str, int], List[Tuple[int, CampaignPoint]]] = {}
+    buckets: Dict[Tuple[str, int], List[Tuple[int, RunSpec]]] = {}
     order: List[Tuple[str, int]] = []
     for index, point in enumerate(points):
         key = point.trace_key
@@ -279,7 +218,7 @@ class CampaignRun:
     a re-run with different timings still matches the serial oracle.
     """
 
-    point: CampaignPoint
+    point: RunSpec
     result: SimResult
     elapsed_seconds: Optional[float] = field(default=None, compare=False)
     timing: Optional[Dict[str, float]] = field(default=None, compare=False)
@@ -335,8 +274,8 @@ class CampaignResults:
         records = []
         for run in self.runs:
             record: Dict[str, object] = {
-                "point": asdict(run.point),
-                "result": asdict(run.result),
+                "point": _point_record(run.point),
+                "result": run.result.to_dict(),
             }
             if run.elapsed_seconds is not None:
                 record["elapsed_seconds"] = run.elapsed_seconds
@@ -357,8 +296,8 @@ class CampaignResults:
             timing = record.get("timing")
             runs.append(
                 CampaignRun(
-                    point=_point_from_dict(dict(record["point"])),
-                    result=_result_from_dict(dict(record["result"])),
+                    point=_point_from_record(record["point"]),
+                    result=SimResult.from_dict(record["result"]),
                     elapsed_seconds=(
                         float(elapsed) if elapsed is not None else None
                     ),
@@ -402,22 +341,20 @@ class CampaignResults:
         Columns are namespaced ``point.*`` / ``result.*`` because the two
         dataclasses share field names (``scheme``).
         """
-        point_cols = [f.name for f in fields(CampaignPoint) if f.compare]
-        result_cols = [f.name for f in fields(SimResult)]
-        header = [f"point.{c}" for c in point_cols] + [
-            f"result.{c}" for c in result_cols
+        header = [f"point.{c}" for c in _POINT_KEYS] + [
+            f"result.{f.name}" for f in fields(SimResult)
         ] + ["elapsed_seconds"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for run in self.runs:
                 row = [
-                    _encode_point_cell(col, getattr(run.point, col))
-                    for col in point_cols
+                    _encode_cell(value)
+                    for value in _point_record(run.point).values()
                 ]
                 row += [
-                    _encode_cell(getattr(run.result, col))
-                    for col in result_cols
+                    _encode_cell(value)
+                    for value in run.result.to_dict().values()
                 ]
                 row.append(
                     ""
@@ -428,11 +365,14 @@ class CampaignResults:
 
     @classmethod
     def load_csv(cls, path: str) -> "CampaignResults":
-        """Read a result set written by :meth:`save_csv`."""
+        """Read a result set written by :meth:`save_csv`.
+
+        Cells are text; the point and result decoders coerce each one
+        to its field's type.
+        """
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
             runs = []
-            for row in reader:
+            for row in csv.DictReader(fh):
                 point = {
                     k[len("point."):]: v
                     for k, v in row.items()
@@ -446,18 +386,8 @@ class CampaignResults:
                 elapsed = row.get("elapsed_seconds")
                 runs.append(
                     CampaignRun(
-                        point=_point_from_dict(
-                            {
-                                k: _decode_point_cell(k, v)
-                                for k, v in point.items()
-                            }
-                        ),
-                        result=_result_from_dict(
-                            {
-                                k: _decode_result_cell(k, v)
-                                for k, v in result.items()
-                            }
-                        ),
+                        point=_point_from_record(point),
+                        result=SimResult.from_dict(result),
                         elapsed_seconds=float(elapsed) if elapsed else None,
                     )
                 )
@@ -477,14 +407,7 @@ class CampaignResults:
         order: List[Tuple] = []
         for run in self.runs:
             p = run.point
-            key = (
-                p.bench,
-                p.scheme,
-                p.machine,
-                p.overrides,
-                p.n_instructions,
-                p.warmup,
-            )
+            key = (p.bench, p.scheme, p.machine, p.n_instructions, p.warmup)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -492,7 +415,7 @@ class CampaignResults:
         out = []
         for key in order:
             runs = groups[key]
-            bench, scheme, machine, overrides, n_instructions, warmup = key
+            bench, scheme, machine = key[:3]
             means: Dict[str, float] = {}
             stds: Dict[str, float] = {}
             for metric in AGGREGATE_METRICS:
@@ -506,8 +429,8 @@ class CampaignResults:
                 AggregateResult(
                     bench=bench,
                     scheme=scheme,
-                    machine=machine,
-                    overrides=overrides,
+                    machine=machine.name,
+                    overrides=machine.overrides,
                     n_seeds=len(runs),
                     seeds=tuple(r.point.seed for r in runs),
                     means=means,
@@ -570,7 +493,7 @@ class Campaign:
     for serial runs, in exactly one worker elsewhere.
     """
 
-    points: Sequence[CampaignPoint]
+    points: Sequence[RunSpec]
     workers: int = 1
     backend: Union[str, object, None] = None
 
@@ -741,7 +664,7 @@ def _store_format(path: str) -> str:
 
 
 def run_campaign(
-    points: Sequence[CampaignPoint],
+    points: Sequence[RunSpec],
     workers: int = 1,
     store: Optional[str] = None,
     resume: bool = False,
@@ -754,14 +677,14 @@ def run_campaign(
     *resume* as well, points already present in the store are served from
     it and only the missing ones are simulated — the ROADMAP's
     incremental-campaign mode.  Store lookup is by full
-    :class:`CampaignPoint` equality, so changing a window size, seed or
+    :class:`RunSpec` equality, so changing a window size, seed or
     override re-simulates that point rather than reusing a stale result.
 
     *backend* selects the :mod:`repro.dist` execution backend (a
     registered name or an instance); every backend must produce results
     point-for-point identical to ``backend="serial"``.
     """
-    cached: Dict[CampaignPoint, CampaignRun] = {}
+    cached: Dict[RunSpec, CampaignRun] = {}
     if resume:
         if store is None:
             raise ConfigError("resume requires a --json/--csv store path")
@@ -769,7 +692,7 @@ def run_campaign(
             for run in CampaignResults.load(store):
                 cached[run.point] = run
     missing = [p for p in points if p not in cached]
-    fresh: Dict[CampaignPoint, CampaignRun] = {}
+    fresh: Dict[RunSpec, CampaignRun] = {}
     if missing:
         for run in Campaign(missing, workers=workers, backend=backend).run():
             fresh[run.point] = run
@@ -792,20 +715,46 @@ def run_campaign(
 
 
 # ----------------------------------------------------------------------
-# (De)serialisation helpers
+# The flat store record of a point
 # ----------------------------------------------------------------------
-#: SimResult fields that are tuples (JSON/CSV deliver lists/strings).
-_TUPLE_FIELDS = {"balance_distribution", "avg_iq_occupancy", "steered"}
-_DICT_FIELDS = {"committed_by_class", "stalls"}
-_INT_FIELDS = {
-    "cycles",
-    "instructions",
-    "copies_created",
-    "copies_issued",
-    "critical_copies",
-    "slice_remaps",
-}
-_STR_FIELDS = {"benchmark", "scheme", "config_name"}
+#: The record's keys, in store order (also the CSV ``point.*`` columns).
+_POINT_KEYS = (
+    "bench", "scheme", "machine", "overrides", "seed", "n_instructions",
+    "warmup",
+)
+
+
+def _point_record(point: RunSpec) -> Dict[str, object]:
+    """A point as JSON and CSV stores keep it: the machine by name and
+    its overrides as ``[[path, value], ...]``, flat beside the run."""
+    return {
+        "bench": point.bench,
+        "scheme": point.scheme,
+        "machine": point.machine.name,
+        "overrides": overrides_to_jsonable(point.machine.overrides),
+        "seed": point.seed,
+        "n_instructions": point.n_instructions,
+        "warmup": point.warmup,
+    }
+
+
+def _point_from_record(data: Dict[str, object]) -> RunSpec:
+    """Inverse of :func:`_point_record`.
+
+    Accepts CSV text cells (the overrides as JSON text), and omitted
+    keys take :class:`~repro.spec.RunSpec`'s defaults.
+    """
+    overrides = data.get("overrides", ())
+    if isinstance(overrides, str):
+        overrides = json.loads(overrides)
+    return RunSpec(
+        bench=str(data["bench"]),
+        scheme=str(data["scheme"]),
+        machine=MachineSpec(str(data.get("machine", "clustered")), overrides),
+        seed=int(data.get("seed", 0)),
+        n_instructions=int(data.get("n_instructions", 20000)),
+        warmup=int(data.get("warmup", 5000)),
+    )
 
 
 def _encode_cell(value) -> object:
@@ -813,62 +762,3 @@ def _encode_cell(value) -> object:
     if isinstance(value, (int, float, str)):
         return value
     return json.dumps(value)
-
-
-def _encode_point_cell(name: str, value) -> object:
-    """CSV cell encoding for a CampaignPoint column.
-
-    Overrides serialise through the spec layer
-    (:func:`repro.spec.overrides.overrides_to_jsonable`) so dotted-path
-    and legacy flat forms share one wire format with the JSON store and
-    the suite data files.
-    """
-    if name == "overrides":
-        return json.dumps(overrides_to_jsonable(value))
-    return _encode_cell(value)
-
-
-def _decode_point_cell(name: str, text: str):
-    """Inverse of :func:`_encode_point_cell` (decoding is finished by
-    :func:`_point_from_dict`, which re-tuples through the spec layer)."""
-    if name == "overrides":
-        return json.loads(text)
-    return text
-
-
-def _decode_result_cell(name: str, text: str):
-    """Inverse of :func:`_encode_cell` for a SimResult column."""
-    if name in _STR_FIELDS:
-        return text
-    if name in _INT_FIELDS:
-        return int(text)
-    if name in _TUPLE_FIELDS or name in _DICT_FIELDS:
-        return json.loads(text)
-    return float(text)
-
-
-def _point_from_dict(data: Dict[str, object]) -> CampaignPoint:
-    """Build a point from JSON/CSV data (re-tupling the overrides)."""
-    return CampaignPoint(
-        bench=str(data["bench"]),
-        scheme=str(data["scheme"]),
-        machine=str(data.get("machine", "clustered")),
-        overrides=overrides_from_jsonable(data.get("overrides", ())),
-        seed=int(data.get("seed", 0)),
-        n_instructions=int(data.get("n_instructions", 20000)),
-        warmup=int(data.get("warmup", 5000)),
-    )
-
-
-def _result_from_dict(data: Dict[str, object]) -> SimResult:
-    """Build a SimResult from JSON/CSV data (re-tupling tuple fields)."""
-    for name in _TUPLE_FIELDS:
-        if name in data:
-            data[name] = tuple(data[name])
-    if "stalls" in data:
-        data["stalls"] = {k: int(v) for k, v in data["stalls"].items()}
-    if "committed_by_class" in data:
-        data["committed_by_class"] = {
-            k: int(v) for k, v in data["committed_by_class"].items()
-        }
-    return SimResult(**data)

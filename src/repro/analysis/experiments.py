@@ -25,7 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..pipeline import ProcessorConfig, SimResult
 from ..workloads import FIGURE3_ORDER, FIGURE_ORDER
-from .campaign import Campaign, CampaignPoint, run_point
+from ..spec.facade import execute
+from ..spec.specs import RunSpec
+from .campaign import Campaign
 from .metrics import (
     average_distributions,
     gmean_speedup,
@@ -49,8 +51,8 @@ class ExperimentRunner:
     )
 
     # ------------------------------------------------------------------
-    def _point(self, bench: str, scheme: str, machine: str) -> CampaignPoint:
-        return CampaignPoint(
+    def _point(self, bench: str, scheme: str, machine: str) -> RunSpec:
+        return RunSpec(
             bench=bench,
             scheme=scheme,
             machine=machine,
@@ -69,7 +71,7 @@ class ExperimentRunner:
         key = (bench, scheme, machine)
         result = self._cache.get(key)
         if result is None:
-            result = run_point(self._point(bench, scheme, machine))
+            result = execute(self._point(bench, scheme, machine))
             self._cache[key] = result
         return result
 

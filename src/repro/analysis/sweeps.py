@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..pipeline import simulate_baseline
-from ..spec.machines import machine_config
-from ..spec.overrides import apply_override
-from .campaign import Campaign, CampaignPoint
+from .campaign import Campaign, expand_grid
 
 
 @dataclass
@@ -73,24 +71,21 @@ class Sweep:
         return self._base_ipc
 
     def campaign_points(self) -> list:
-        """The sweep expressed as campaign points (validates the param)."""
-        # Validate eagerly so an unknown parameter raises ConfigError
-        # here, not from inside a worker process.
-        base = machine_config(self.machine)
-        for value in self.values:
-            apply_override(base, self.param, value)
-        return [
-            CampaignPoint(
-                bench=self.bench,
-                scheme=self.scheme,
-                machine=self.machine,
-                overrides=((self.param, value),),
-                seed=self.seed,
-                n_instructions=self.n_instructions,
-                warmup=self.warmup,
-            )
-            for value in self.values
-        ]
+        """The sweep expressed as campaign points, one per value.
+
+        :func:`expand_grid` validates every value against the machine,
+        so an unknown parameter raises ConfigError here, not from inside
+        a worker process.
+        """
+        return expand_grid(
+            [self.bench],
+            [self.scheme],
+            machines=(self.machine,),
+            overrides=[((self.param, value),) for value in self.values],
+            seeds=(self.seed,),
+            n_instructions=self.n_instructions,
+            warmup=self.warmup,
+        )
 
     def run(self) -> Dict[object, float]:
         """Speed-up over the base machine at every sweep point."""

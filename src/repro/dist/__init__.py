@@ -2,7 +2,12 @@
 
 The campaign engine asks this package *how* to execute a grid: every
 point of every campaign routes through a registered
-:class:`ExecutionBackend`.  Four backends ship built in:
+:class:`ExecutionBackend`.  A point is a :class:`~repro.spec.RunSpec`
+on every path: backends take run specs, and the worker protocol, the
+service's ``submit`` and job-directory manifests carry
+``spec.to_dict()``, which ``RunSpec.from_dict`` reads back.  Results
+travel as ``SimResult.to_dict()`` / ``SimResult.from_dict``.  Four
+backends ship built in:
 
 ``serial``
     In-process reference execution.  Every other backend is required to

@@ -1,7 +1,7 @@
 """Execution-backend interface and registry, plus the in-process backends.
 
 An :class:`ExecutionBackend` takes an ordered list of
-:class:`~repro.analysis.campaign.CampaignPoint` objects and returns one
+:class:`~repro.spec.RunSpec` points and returns one
 ``(index, result, error)`` triple per point — exactly the payload the
 campaign engine folds into :class:`~repro.analysis.campaign.CampaignResults`.
 Backends register under a name (mirroring the steering-scheme and machine

@@ -159,7 +159,7 @@ def package_job(
             os.path.join(job_dir, _QUEUE, _token_name(index)),
             {
                 "index": index,
-                "spec": point.spec().to_dict(),
+                "spec": point.to_dict(),
                 "trace": trace_filename(*point.trace_key),
             },
         )
@@ -168,7 +168,7 @@ def package_job(
         "format": JOB_FORMAT,
         "version": JOB_VERSION,
         "description": description,
-        "points": [point.spec().to_dict() for point in points],
+        "points": [point.to_dict() for point in points],
         "traces": traces,
     }
     trace_ctx = tracing.current_context()
@@ -206,9 +206,7 @@ def load_manifest_points(job_dir: str) -> List:
             f"{path}: job version {manifest.get('version')} is newer "
             f"than this reader (v{JOB_VERSION})"
         )
-    return [
-        RunSpec.from_dict(spec).to_point() for spec in manifest["points"]
-    ]
+    return [RunSpec.from_dict(spec) for spec in manifest["points"]]
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +343,7 @@ def run_worker(
                 index=entry["index"], trace_id=span.trace_id,
             )
             continue
-        runs.append(CampaignRun(point=spec.to_point(), result=result))
+        runs.append(CampaignRun(point=spec, result=result))
         _save_runs(store, runs)
         _drop_claim(claim_path)
         completed += 1

@@ -714,9 +714,7 @@ class ServeDaemon:
             claims.append(entry)
         if not claims:
             return None
-        points = [
-            RunSpec.from_dict(entry["spec"]).to_point() for entry in claims
-        ]
+        points = [RunSpec.from_dict(entry["spec"]) for entry in claims]
         tenant = f"dir:{os.path.basename(os.path.normpath(job_dir))}"
         return self.submit(tenant, points), claims
 
@@ -735,7 +733,7 @@ class ServeDaemon:
             )
             if error is None:
                 runs.append(CampaignRun(
-                    point=RunSpec.from_dict(entry["spec"]).to_point(),
+                    point=RunSpec.from_dict(entry["spec"]),
                     result=result,
                 ))
             else:
@@ -816,7 +814,7 @@ class ServeDaemon:
         if not isinstance(specs, list):
             raise ValueError("submit request needs a 'specs' list")
         tenant = str(request.get("tenant") or "default")
-        points = [RunSpec.from_dict(spec).to_point() for spec in specs]
+        points = [RunSpec.from_dict(spec) for spec in specs]
         trace = request.get("trace")
         job = self.submit(
             tenant, points, weight=request.get("weight"),
@@ -982,7 +980,7 @@ class ServiceClient:
         """
         fields = {
             "tenant": self.tenant,
-            "specs": [point.spec().to_dict() for point in points],
+            "specs": [point.to_dict() for point in points],
         }
         if weight is not None:
             fields["weight"] = int(weight)

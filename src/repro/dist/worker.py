@@ -96,10 +96,10 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import asdict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import DistError
+from ..pipeline import SimResult
 from ..telemetry import get_logger, metrics, tracing
 from .backends import (
     ExecutionBackend,
@@ -379,7 +379,7 @@ def handle_request(
                 try:
                     result, timing = _execute_spec(spec_dict, state, held)
                     items.append(
-                        {"ok": True, "result": asdict(result), **timing}
+                        {"ok": True, "result": result.to_dict(), **timing}
                     )
                 except Exception:  # noqa: BLE001 — per-point error item
                     failed += 1
@@ -929,13 +929,10 @@ def _reply_entry(index: int, item: Optional[dict], lost: str):
 
     A missing item or one without an ``error`` reports *lost*.
     """
-    from ..analysis.campaign import _result_from_dict
-
     if item and item.get("ok"):
         timing = {k: item[k] for k in _TIMING_KEYS if k in item}
         return (
-            index, _result_from_dict(dict(item["result"])), None,
-            timing or None,
+            index, SimResult.from_dict(item["result"]), None, timing or None,
         )
     return (index, None, str((item or {}).get("error", lost)))
 
@@ -1128,7 +1125,7 @@ class WorkerBackend(ExecutionBackend):
                         else None
                     ),
                     trace=batch_span.context(),
-                    specs=[point.spec().to_dict() for _, point in chunk],
+                    specs=[point.to_dict() for _, point in chunk],
                 )
         except (PeerClosed, PeerTimeout) as err:
             pool.discard(slot)

@@ -70,7 +70,9 @@ class Ledger:
                 ) from error
             profiles.append(Profile.from_document(document))
         profiles.sort(
-            key=lambda p: (p.provenance.recorded_at, p.provenance.key),
+            key=lambda p: (
+                _time_order(p.provenance.recorded_at), p.provenance.key
+            ),
             reverse=True,
         )
         return profiles
@@ -165,6 +167,18 @@ class Ledger:
             os.unlink(path)
             removed.append(path)
         return removed
+
+
+def _time_order(stamp: str) -> str:
+    """*stamp* as ``YYYY-MM-DDTHH:MM:SS.ffffff``, so that date-only,
+    whole-second and sub-second stamps sort by time as text.
+
+    A whole-second stamp reads as the start of its second: as text,
+    ``...:34Z`` would sort after ``...:34.5Z``.
+    """
+    date, _, clock = stamp.rstrip("Z").partition("T")
+    whole, _, fraction = (clock or "00:00:00").partition(".")
+    return f"{date}T{whole}.{fraction:0<6}"
 
 
 def is_file_ref(ref: Optional[str]) -> bool:

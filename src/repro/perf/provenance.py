@@ -19,8 +19,8 @@ import os
 import platform
 import socket
 import subprocess
-import time
 from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 from typing import Optional
 
 from ..errors import ConfigError
@@ -58,7 +58,7 @@ class Provenance:
     host: str = ""
     platform: str = ""
     python: str = ""
-    recorded_at: str = ""  # ISO-8601 UTC, e.g. 2026-08-07T12:00:00Z
+    recorded_at: str = ""  # ISO-8601 UTC, e.g. 2026-08-07T12:00:00.250000Z
 
     @property
     def short_commit(self) -> str:
@@ -154,5 +154,9 @@ def collect(repo_root: Optional[str] = None) -> Provenance:
         host=socket.gethostname(),
         platform=platform.platform(),
         python=platform.python_version(),
-        recorded_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # Microseconds: a parent and its change are often recorded
+        # within one second, and the ledger orders entries by this.
+        recorded_at=datetime.now(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%S.%fZ"
+        ),
     )

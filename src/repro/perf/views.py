@@ -207,7 +207,7 @@ def render_log(ledger: Ledger, suite: str, limit: int = 0) -> str:
         prov = profile.provenance
         branch = f" {prov.branch}" if prov.branch not in ("", "unknown") else ""
         lines.append(
-            f"  {prov.key:<20}  {prov.recorded_at or 'undated':<20} "
+            f"  {prov.key:<20}  {prov.recorded_at or 'undated':<27} "
             f"{len(profile.metrics):>3} metric(s){branch}"
             f"  py{prov.python or '?'}"
         )

@@ -10,8 +10,10 @@ non-critical (Figures 5/8), the workload-balance distribution (Figures
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import json
+import typing
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..isa import DynInst, InstrClass
 
@@ -204,6 +206,26 @@ class SimResult:
     slice_fraction_ldst: float = 0.0
     slice_fraction_br: float = 0.0
 
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-data form: a result store's ``result`` record and a
+        worker reply's ``result`` item."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "SimResult":
+        """Inverse of :meth:`to_dict`, coercing each field to its declared
+        type.
+
+        JSON turns tuples into lists, a CSV cell is text (a container as
+        JSON text), and ``==`` would hide an int read back as ``5.0``;
+        every field comes back as the type the simulator wrote.  Omitted
+        fields with a default take it.
+        """
+        return cls(**{
+            name: _COERCE[name](value) if name in _COERCE else value
+            for name, value in data.items()
+        })
+
     def speedup_over(self, base: "SimResult") -> float:
         """Fractional IPC improvement over *base* (0.36 == +36%)."""
         if base.ipc <= 0:
@@ -234,3 +256,29 @@ class SimResult:
             f"(crit {self.critical_comms_per_instr:6.3f}) "
             f"repl={self.avg_replication:4.1f}"
         )
+
+
+def _coercer(hint):
+    """A function turning decoded JSON/CSV data into a *hint* value."""
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda value: tuple(item(v) for v in _container(value))
+    if origin is dict:
+        key, item = typing.get_args(hint)
+        return lambda value: {
+            key(k): item(v) for k, v in _container(value).items()
+        }
+    return hint
+
+
+def _container(value):
+    """A container field's value; CSV cells hold it as JSON text."""
+    return json.loads(value) if isinstance(value, str) else value
+
+
+#: Field name -> coercion to its declared type (:meth:`SimResult.from_dict`).
+_COERCE = {
+    name: _coercer(hint)
+    for name, hint in typing.get_type_hints(SimResult).items()
+}

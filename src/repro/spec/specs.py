@@ -112,7 +112,12 @@ def _as_machine(value) -> MachineSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One fully-specified simulation, serializable to a plain dict."""
+    """One fully-specified simulation, serializable to a plain dict.
+
+    It is also the campaign engine's point type: a campaign grid is a
+    list of run specs, and frozen fields keep them hashable so result
+    stores and resumes key on them.
+    """
 
     bench: str
     scheme: str = "general-balance"
@@ -132,33 +137,25 @@ class RunSpec:
         self.machine.resolve()
         return self
 
-    # ------------------------------------------------------------------
-    def to_point(self):
-        """The :class:`~repro.analysis.campaign.CampaignPoint` twin."""
-        from ..analysis.campaign import CampaignPoint
+    def config(self) -> ProcessorConfig:
+        """Materialise the machine description for this run."""
+        return self.machine.resolve()
 
-        return CampaignPoint(
-            bench=self.bench,
-            scheme=self.scheme,
-            machine=self.machine.name,
-            overrides=self.machine.overrides,
-            seed=self.seed,
-            n_instructions=self.n_instructions,
-            warmup=self.warmup,
-        )
+    @property
+    def trace_key(self) -> Tuple[str, int]:
+        """Runs sharing this key share one generated workload trace."""
+        return (self.bench, self.seed)
 
-    @classmethod
-    def from_point(cls, point) -> "RunSpec":
-        """Build a spec from a campaign point (exact inverse of
-        :meth:`to_point`)."""
-        return cls(
-            bench=point.bench,
-            scheme=point.scheme,
-            machine=MachineSpec(point.machine, point.overrides),
-            seed=point.seed,
-            n_instructions=point.n_instructions,
-            warmup=point.warmup,
-        )
+    @property
+    def label(self) -> str:
+        """Human-readable cell name for logs and error messages."""
+        parts = [self.bench, self.scheme]
+        if self.machine.name != "clustered":
+            parts.append(self.machine.name)
+        parts.extend(f"{p}={v}" for p, v in self.machine.overrides)
+        if self.seed:
+            parts.append(f"seed={self.seed}")
+        return "/".join(parts)
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-data form, stable across releases."""
@@ -242,8 +239,8 @@ class SuiteSpec:
         n_instructions: Optional[int] = None,
         warmup: Optional[int] = None,
         seeds: Optional[Sequence[int]] = None,
-    ) -> List:
-        """Expand the suite into campaign points.
+    ) -> List[RunSpec]:
+        """Expand the suite into its :class:`RunSpec` points.
 
         The window sizes and seeds can be overridden per run (smoke jobs
         shrink them; scenario studies widen them) without touching the

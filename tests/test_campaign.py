@@ -1,17 +1,22 @@
 """Tests for the campaign engine: grids, shared traces, stores, workers."""
 
+import dataclasses
+import filecmp
+import os
+import shutil
+
 import pytest
 
 from repro.analysis.campaign import (
     Campaign,
     CampaignError,
-    CampaignPoint,
     CampaignResults,
     expand_grid,
     run_campaign,
-    run_point,
 )
 from repro.errors import ConfigError
+from repro.spec import MachineSpec, RunSpec
+from repro.spec.facade import execute
 from repro.workloads import (
     clear_workload_cache,
     reset_trace_stats,
@@ -25,6 +30,20 @@ W = 150
 
 def tiny_grid(benches=("gcc", "li"), schemes=("modulo", "general-balance")):
     return expand_grid(list(benches), list(schemes), n_instructions=N, warmup=W)
+
+
+def shape(value):
+    """*value*'s type, recursively through containers and dataclasses:
+    ``==`` cannot tell ``5`` from ``5.0``, so a lossy decoder hides."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(
+            shape(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(shape(v) for v in value)
+    if isinstance(value, dict):
+        return dict, tuple((k, shape(v)) for k, v in value.items())
+    return type(value)
 
 
 class TestGridExpansion:
@@ -44,7 +63,7 @@ class TestGridExpansion:
         (point,) = expand_grid(["go"], ["fifo"], n_instructions=123, warmup=45)
         assert point.bench == "go"
         assert point.scheme == "fifo"
-        assert point.machine == "clustered"
+        assert point.machine.name == "clustered"
         assert point.n_instructions == 123
         assert point.warmup == 45
 
@@ -69,31 +88,33 @@ class TestGridExpansion:
             n_instructions=N,
             warmup=W,
         )
-        assert [p.overrides for p in points] == [
+        assert [p.machine.overrides for p in points] == [
             (("bypass_ports", 1),),
             (("bypass_ports", 3),),
         ]
 
     def test_override_applies_to_config(self):
-        point = CampaignPoint(
-            "gcc", "modulo", overrides=(("bypass_ports", 1),)
+        point = RunSpec(
+            "gcc", "modulo", MachineSpec(overrides=(("bypass_ports", 1),))
         )
         assert point.config().bypass_ports == 1
 
     def test_cluster_override_applies_symmetrically(self):
-        point = CampaignPoint("gcc", "modulo", overrides=(("iq_size", 12),))
+        point = RunSpec(
+            "gcc", "modulo", MachineSpec(overrides=(("iq_size", 12),))
+        )
         config = point.config()
         assert config.clusters[0].iq_size == 12
         assert config.clusters[1].iq_size == 12
 
     def test_unknown_machine_raises(self):
         with pytest.raises(ConfigError):
-            CampaignPoint("gcc", "modulo", machine="quantum").config()
+            RunSpec("gcc", "modulo", machine="quantum").config()
 
     def test_unknown_override_raises(self):
         with pytest.raises(ConfigError):
-            CampaignPoint(
-                "gcc", "modulo", overrides=(("warp_factor", 9),)
+            RunSpec(
+                "gcc", "modulo", MachineSpec(overrides=(("warp_factor", 9),))
             ).config()
 
 
@@ -150,9 +171,9 @@ class TestExecution:
         with pytest.raises(KeyError):
             results.result(bench="li")  # two schemes match
 
-    def test_run_point_matches_campaign(self):
-        point = CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)
-        direct = run_point(point)
+    def test_execute_matches_campaign(self):
+        point = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
+        direct = execute(point)
         via_engine = Campaign([point]).run()[0].result
         assert direct == via_engine
 
@@ -160,8 +181,8 @@ class TestExecution:
 class TestFailureSurfacing:
     def test_serial_failure_names_the_point(self):
         points = [
-            CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W),
-            CampaignPoint("gcc", "no-such-scheme", n_instructions=N, warmup=W),
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec("gcc", "no-such-scheme", n_instructions=N, warmup=W),
         ]
         with pytest.raises(CampaignError) as info:
             Campaign(points).run()
@@ -174,8 +195,8 @@ class TestFailureSurfacing:
 
     def test_parallel_failure_surfaces_from_worker(self):
         points = [
-            CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W),
-            CampaignPoint("li", "no-such-scheme", n_instructions=N, warmup=W),
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec("li", "no-such-scheme", n_instructions=N, warmup=W),
         ]
         with pytest.raises(CampaignError) as info:
             Campaign(points, workers=2).run()
@@ -184,7 +205,7 @@ class TestFailureSurfacing:
     def test_good_points_do_not_mask_failures(self):
         """A failing cell fails the campaign even with healthy siblings."""
         points = tiny_grid() + [
-            CampaignPoint("gcc", "broken", n_instructions=N, warmup=W)
+            RunSpec("gcc", "broken", n_instructions=N, warmup=W)
         ]
         with pytest.raises(CampaignError):
             Campaign(points).run()
@@ -211,12 +232,25 @@ class TestStores:
             (r.point, r.result) for r in results
         ]
 
+    @pytest.mark.parametrize("ext", ["json", "csv"])
+    def test_round_trip_keeps_field_types(self, results, tmp_path, ext):
+        """An int field comes back an int, a tuple a tuple of its items'
+        types, in the point and the result alike."""
+        path = str(tmp_path / f"results.{ext}")
+        results.save(path)
+        loaded = CampaignResults.load(path)
+        assert [(shape(r.point), shape(r.result)) for r in loaded] == [
+            (shape(r.point), shape(r.result)) for r in results
+        ]
+        assert type(loaded[0].result.cycles) is int
+        assert type(loaded[0].result.steered[0]) is int
+
     def test_csv_round_trip_with_overrides(self, tmp_path):
         points = [
-            CampaignPoint(
+            RunSpec(
                 "li",
                 "modulo",
-                overrides=(("bypass_ports", 1),),
+                MachineSpec(overrides=(("bypass_ports", 1),)),
                 n_instructions=N,
                 warmup=W,
             )
@@ -234,14 +268,14 @@ class TestStores:
         stores byte-exactly — resume keys on full point equality, so a
         lossy round trip would silently re-simulate every such point."""
         points = [
-            CampaignPoint(
+            RunSpec(
                 "li",
                 "modulo",
-                overrides=(
+                MachineSpec(overrides=(
                     ("clusters.0.iq_size", 128),
                     ("l1d.size_kb", 32),
                     ("bypass_latency", 2),
-                ),
+                )),
                 n_instructions=N,
                 warmup=W,
             )
@@ -251,12 +285,60 @@ class TestStores:
         results.save(store)
         loaded = CampaignResults.load(store)
         assert loaded[0].point == points[0]
-        assert loaded[0].point.overrides == points[0].overrides
+        assert loaded[0].point.machine.overrides == points[0].machine.overrides
         assert loaded[0].result == results[0].result
         # And the store serves the point on resume without re-simulating.
         rerun = run_campaign(points, store=store, resume=True)
         assert rerun.n_simulated == 0
         assert rerun.n_cached == 1
+
+
+#: Stores written by ``run_campaign(pinned_grid(), store=...json)`` and
+#: ``save_csv`` before campaign points were run specs; the store format
+#: must not move under a refactor.
+PINNED = os.path.join(os.path.dirname(__file__), "stores")
+
+
+def pinned_grid():
+    """The points the stores under ``tests/stores/`` hold, in order."""
+    return expand_grid(
+        ["gcc"], ["modulo", "general-balance"],
+        overrides=({"clusters.0.iq_size": 24, "bypass_latency": 2},),
+        n_instructions=300, warmup=100,
+    ) + expand_grid(
+        ["li"], ["fifo"], machines=("bypass-latency-2",), seeds=(1,),
+        n_instructions=300, warmup=100,
+    )
+
+
+class TestPinnedStoreFormats:
+    def test_json_and_csv_hold_the_same_runs(self):
+        json_runs = CampaignResults.load(os.path.join(PINNED, "campaign.json"))
+        csv_runs = CampaignResults.load(os.path.join(PINNED, "campaign.csv"))
+        assert [r.point for r in json_runs] == pinned_grid()
+        assert [(r.point, r.result) for r in json_runs] == [
+            (r.point, r.result) for r in csv_runs
+        ]
+        assert all(r.elapsed_seconds for r in json_runs)
+        assert all(r.timing for r in json_runs)
+        assert all(r.elapsed_seconds for r in csv_runs)
+
+    @pytest.mark.parametrize("ext", ["json", "csv"])
+    def test_resaves_byte_for_byte(self, tmp_path, ext):
+        pinned = os.path.join(PINNED, f"campaign.{ext}")
+        copy = str(tmp_path / f"copy.{ext}")
+        CampaignResults.load(pinned).save(copy)
+        assert filecmp.cmp(pinned, copy, shallow=False)
+
+    @pytest.mark.parametrize("ext", ["json", "csv"])
+    def test_resume_serves_every_point(self, tmp_path, ext):
+        store = str(tmp_path / f"store.{ext}")
+        shutil.copy(os.path.join(PINNED, f"campaign.{ext}"), store)
+        run = run_campaign(pinned_grid(), store=store, resume=True)
+        assert (run.n_cached, run.n_simulated) == (3, 0)
+        assert filecmp.cmp(
+            os.path.join(PINNED, f"campaign.{ext}"), store, shallow=False
+        )
 
 
 class TestAggregation:
@@ -369,7 +451,7 @@ class TestSweepIntegration:
         s = Sweep("bypass_ports", [1, 3], bench="li",
                   n_instructions=N, warmup=W)
         points = s.campaign_points()
-        assert [p.overrides for p in points] == [
+        assert [p.machine.overrides for p in points] == [
             (("bypass_ports", 1),),
             (("bypass_ports", 3),),
         ]

@@ -7,18 +7,18 @@ import time
 
 import pytest
 
+import repro
 from repro import dist
 from repro.analysis.campaign import (
     Campaign,
     CampaignError,
-    CampaignPoint,
     expand_grid,
     run_campaign,
-    run_point,
-    _result_from_dict,
 )
 from repro.dist.worker import _TaskBoard
 from repro.errors import ConfigError, DistError
+from repro.pipeline import SimResult
+from repro.spec import RunSpec
 
 #: Tiny windows: these tests exercise dispatch, not timing.
 N = 400
@@ -120,7 +120,7 @@ def _batch_request(request_id, point):
     """A one-spec ``batch-run`` request line for *point*."""
     return json.dumps({
         "id": request_id, "op": "batch-run",
-        "specs": [point.spec().to_dict()],
+        "specs": [point.to_dict()],
     })
 
 
@@ -132,12 +132,12 @@ class TestWorkerProtocol:
         }
 
     def test_run_request_matches_direct_execution(self):
-        point = CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)
+        point = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
         (reply,) = _serve(_batch_request(7, point))
         assert reply["ok"] and reply["id"] == 7
         (item,) = reply["results"]
         assert item["ok"]
-        assert _result_from_dict(dict(item["result"])) == run_point(point)
+        assert SimResult.from_dict(item["result"]) == repro.run(point)
 
     def test_malformed_json_gets_error_reply_and_serving_continues(self):
         replies = _serve("{not json", json.dumps({"id": 2, "op": "ping"}))
@@ -158,7 +158,7 @@ class TestWorkerProtocol:
         assert "specs" in replies[1]["error"]
 
     def test_bad_point_is_an_error_reply_not_a_crash(self):
-        point = CampaignPoint(
+        point = RunSpec(
             "gcc", "no-such-scheme", n_instructions=N, warmup=W
         )
         replies = _serve(
@@ -189,8 +189,8 @@ class TestWorkerBackend:
 
     def test_point_failure_surfaces_as_campaign_error(self):
         bad = [
-            CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W),
-            CampaignPoint(
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec(
                 "gcc", "no-such-scheme", n_instructions=N, warmup=W
             ),
         ]
@@ -234,7 +234,7 @@ class TestWorkerBackend:
         flag.write_text("zzz")
         monkeypatch.setenv("REPRO_DIST_HANG_FLAG", str(flag))
         monkeypatch.setenv("REPRO_DIST_HANG_SECONDS", "60")
-        pts = [CampaignPoint("li", "modulo", n_instructions=N, warmup=W)]
+        pts = [RunSpec("li", "modulo", n_instructions=N, warmup=W)]
         # Generous vs normal point latency (worker start + import is
         # ~2s), small enough to keep the test quick.
         pool = dist.WorkerPool()
@@ -246,7 +246,7 @@ class TestWorkerBackend:
         finally:
             pool.shutdown()
         assert not flag.exists()
-        assert results[0].result == run_point(pts[0])
+        assert results[0].result == repro.run(pts[0])
 
     def test_retries_exhausted_reports_the_failure(self):
         """A command that always dies consumes every retry, then the
@@ -260,7 +260,7 @@ class TestWorkerBackend:
                 "import sys; sys.stdin.readline(); sys.exit(3)",
             ],
         )
-        pts = [CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)]
+        pts = [RunSpec("gcc", "modulo", n_instructions=N, warmup=W)]
         with pytest.raises(CampaignError, match="2 attempt"):
             Campaign(pts, backend=backend).run()
 
@@ -284,8 +284,8 @@ def _rtrace_payload(bench="gcc", seed=0, records=N + W):
 class TestProtocolV2:
     def test_preload_then_batch_run_matches_serial(self):
         pts = [
-            CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W),
-            CampaignPoint(
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec(
                 "gcc", "general-balance", n_instructions=N, warmup=W
             ),
         ]
@@ -294,7 +294,7 @@ class TestProtocolV2:
             json.dumps({
                 "id": 2,
                 "op": "batch-run",
-                "specs": [p.spec().to_dict() for p in pts],
+                "specs": [p.to_dict() for p in pts],
             }),
             json.dumps({"id": 3, "op": "stats"}),
         )
@@ -303,9 +303,7 @@ class TestProtocolV2:
         assert batch["ok"] and len(batch["results"]) == 2
         for point, item in zip(pts, batch["results"]):
             assert item["ok"]
-            assert _result_from_dict(dict(item["result"])) == run_point(
-                point
-            )
+            assert SimResult.from_dict(item["result"]) == repro.run(point)
         # Both points executed against the pinned FrozenTrace.
         assert stats["preloaded_traces"] == 1
         assert stats["trace_cache_hits"] == 2
@@ -329,7 +327,7 @@ class TestProtocolV2:
             json_module.dumps(doc).encode("utf-8")
         )
         payload["rtrace"] = base64.b64encode(corrupt).decode("ascii")
-        point = CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)
+        point = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
         replies = _serve(
             json.dumps({"id": 1, "op": "preload", **payload}),
             json.dumps({"id": 2, "op": "stats"}),
@@ -354,17 +352,15 @@ class TestProtocolV2:
         assert base64.b64decode(payload["rtrace"]) == path.read_bytes()
 
     def test_batch_run_isolates_bad_points(self):
-        good = CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)
-        bad = CampaignPoint(
+        good = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
+        bad = RunSpec(
             "gcc", "no-such-scheme", n_instructions=N, warmup=W
         )
         (reply,) = _serve(
             json.dumps({
                 "id": 1,
                 "op": "batch-run",
-                "specs": [
-                    good.spec().to_dict(), bad.spec().to_dict(),
-                ],
+                "specs": [good.to_dict(), bad.to_dict()],
             })
         )
         assert reply["ok"]
@@ -586,6 +582,6 @@ class TestWarmPool:
                 "sys.exit(3)",
             ],
         )
-        pts = [CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W)]
+        pts = [RunSpec("gcc", "modulo", n_instructions=N, warmup=W)]
         with pytest.raises(CampaignError, match="KABOOM from worker"):
             Campaign(pts, backend=backend).run()

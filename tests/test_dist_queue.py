@@ -9,12 +9,12 @@ import pytest
 from repro import dist
 from repro.analysis.campaign import (
     Campaign,
-    CampaignPoint,
     CampaignResults,
     expand_grid,
     run_campaign,
 )
 from repro.errors import DistError
+from repro.spec import RunSpec
 from repro.workloads import (
     clear_workload_cache,
     reset_trace_stats,
@@ -198,11 +198,11 @@ class TestWorkersAndMerge:
         self, tmp_path
     ):
         pts = [
-            CampaignPoint("gcc", "modulo", n_instructions=N, warmup=W),
-            CampaignPoint(
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec(
                 "gcc", "no-such-scheme", n_instructions=N, warmup=W
             ),
-            CampaignPoint(
+            RunSpec(
                 "gcc", "general-balance", n_instructions=N, warmup=W
             ),
         ]
@@ -251,7 +251,7 @@ class TestWorkersAndMerge:
                 json.dump(
                     {
                         "index": index,
-                        "spec": points[index].spec().to_dict(),
+                        "spec": points[index].to_dict(),
                         "trace": dist.trace_filename(
                             *points[index].trace_key
                         ),

@@ -306,7 +306,7 @@ def test_worker_batch_without_preload_generates_each_program_once(
 ):
     """A worker's by-name fallback holds what it resolves for the rest
     of its ``batch-run``, and lets go when the batch ends."""
-    specs = [point.spec().to_dict() for point in _grid(seeds=(141,))]
+    specs = [point.to_dict() for point in _grid(seeds=(141,))]
     state = WorkerState()
     request = json.dumps({"id": 1, "op": "batch-run", "specs": specs})
     with collector_off():

@@ -601,6 +601,67 @@ class TestLedger:
         only.append(second)
         assert only.baseline_for("core", second) is None
 
+    def test_change_recorded_in_the_parents_second_lists_first(
+        self, tmp_path
+    ):
+        """The parent's commit key sorts higher and its whole-second
+        stamp reads as text after any sub-second stamp of that second;
+        neither may make it the newest entry."""
+        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
+        parent = profile([metric("m", (1.0,))]).with_provenance(
+            perf.Provenance(
+                commit=COMMIT_C, recorded_at="2026-10-19T05:04:34Z"
+            )
+        )
+        change = profile([metric("m", (1.1,))]).with_provenance(
+            perf.Provenance(
+                commit=COMMIT_A, recorded_at="2026-10-19T05:04:34.600000Z"
+            )
+        )
+        ledger.append(parent)
+        ledger.append(change)
+        assert [p.provenance.commit for p in ledger.log("core")] == [
+            COMMIT_A, COMMIT_C
+        ]
+        assert ledger.baseline_for("core", change).provenance.commit == (
+            COMMIT_C
+        )
+
+    def test_collected_stamps_order_within_one_second(self, tmp_path):
+        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
+        first, second = perf.collect("."), perf.collect(".")
+        assert first.recorded_at[19] == "."
+        assert first.recorded_at < second.recorded_at
+        parent = profile([metric("m", (1.0,))]).with_provenance(
+            perf.Provenance(commit=COMMIT_C, recorded_at=first.recorded_at)
+        )
+        change = profile([metric("m", (1.1,))]).with_provenance(
+            perf.Provenance(commit=COMMIT_A, recorded_at=second.recorded_at)
+        )
+        ledger.append(parent)
+        ledger.append(change)
+        assert ledger.baseline_for("core", change).provenance.commit == (
+            COMMIT_C
+        )
+
+    def test_stamps_of_every_precision_sort_by_time(self, tmp_path):
+        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
+        stamps = [
+            "2026-10-18",
+            "2026-10-17T23:59:59.999999Z",
+            "2026-10-17T00:00:01Z",
+            "2026-10-17T00:00:00.500000Z",
+            "2026-10-17T00:00:00Z",
+            "2026-10-16",
+        ]
+        for index, stamp in enumerate(stamps):
+            ledger.append(profile([metric("m", (1.0,))]).with_provenance(
+                perf.Provenance(commit=f"{index:x}" * 40, recorded_at=stamp)
+            ))
+        assert [
+            p.provenance.recorded_at for p in ledger.log("core")
+        ] == stamps
+
     def test_prune_keeps_the_newest(self, tmp_path):
         ledger, _, _ = self.seed(tmp_path)
         third = profile([metric("m", (1.2,))], commit=COMMIT_C,

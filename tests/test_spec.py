@@ -90,8 +90,6 @@ class TestMachineRegistry:
             machine_config("test-tiny")
 
     def test_registered_machine_resolves_in_campaign_point(self):
-        from repro.analysis.campaign import CampaignPoint
-
         register_machine(
             "test-wide",
             lambda: apply_override(
@@ -99,7 +97,7 @@ class TestMachineRegistry:
             ),
         )
         try:
-            point = CampaignPoint("gcc", "modulo", machine="test-wide")
+            point = RunSpec("gcc", "modulo", machine="test-wide")
             assert point.config().clusters[0].issue_width == 6
         finally:
             unregister_machine("test-wide")
@@ -251,7 +249,7 @@ class TestEagerGridValidation:
             n_instructions=N,
             warmup=W,
         )
-        assert point.overrides == (("clusters.0.iq_size", 128),)
+        assert point.machine.overrides == (("clusters.0.iq_size", 128),)
         assert point.config().clusters[0].iq_size == 128
 
 
@@ -312,10 +310,6 @@ class TestRunSpec:
     def test_machine_string_coerces(self):
         spec = RunSpec(bench="gcc", machine="baseline")
         assert spec.machine == MachineSpec("baseline")
-
-    def test_point_round_trip(self):
-        spec = self.spec()
-        assert RunSpec.from_point(spec.to_point()) == spec
 
     def test_missing_bench_raises_spec_error(self):
         with pytest.raises(SpecError, match="bench"):
@@ -388,17 +382,17 @@ class TestRunFacade:
         with pytest.raises(ConfigError, match="RunSpec"):
             repro.run(42)
 
-    def test_run_point_routes_through_facade(self):
-        from repro.analysis.campaign import CampaignPoint, run_point
+    def test_campaign_point_routes_through_facade(self):
+        from repro.analysis.campaign import Campaign
 
-        point = CampaignPoint(
+        spec = RunSpec(
             "gcc",
             "modulo",
-            overrides=(("clusters.0.iq_size", 32),),
+            MachineSpec("clustered", (("clusters.0.iq_size", 32),)),
             n_instructions=N,
             warmup=W,
         )
-        assert run_point(point) == repro.run(point.spec())
+        assert Campaign([spec]).run()[0].result == repro.run(spec)
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TestDataFileSuites:
         try:
             assert scenarios.get_suite("custom-suite-file-test") is suite
             (point,) = suite.points(n_instructions=500, warmup=100)
-            assert point.overrides == (("clusters.0.iq_size", 128),)
+            assert point.machine.overrides == (("clusters.0.iq_size", 128),)
         finally:
             scenarios.suites._SUITES.pop("custom-suite-file-test", None)
 
@@ -141,7 +141,7 @@ class TestSuiteCli:
              "--json", store]
         ) == 0
         (run,) = CampaignResults.load_json(store)
-        assert run.point.overrides == (("clusters.0.iq_size", 16),)
+        assert run.point.machine.overrides == (("clusters.0.iq_size", 16),)
 
     def test_run_nested_override_from_cli(self, capsys):
         assert main(
@@ -165,4 +165,4 @@ class TestSuiteCli:
         ).save(suite_file)
         assert main(["suite", "run", suite_file, "--json", store]) == 0
         (run,) = CampaignResults.load_json(store)
-        assert run.point.overrides == (("clusters.0.iq_size", 16),)
+        assert run.point.machine.overrides == (("clusters.0.iq_size", 16),)

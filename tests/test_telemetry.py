@@ -15,13 +15,13 @@ from repro import dist, telemetry
 from repro.analysis.campaign import (
     Campaign,
     CampaignError,
-    CampaignPoint,
     CampaignResults,
     expand_grid,
 )
 from repro.dist import serve as serve_module
 from repro.dist.worker import WorkerState, handle_request
 from repro.errors import ConfigError
+from repro.spec import RunSpec
 from repro.telemetry import log as log_module
 from repro.telemetry import tracing
 from repro.telemetry.metrics import MetricsRegistry
@@ -304,7 +304,7 @@ class TestCampaignTelemetry:
 
     def test_campaign_error_names_the_trace(self):
         bad = [
-            CampaignPoint(
+            RunSpec(
                 "gcc", "no-such-scheme", n_instructions=N, warmup=W
             )
         ]
@@ -371,7 +371,7 @@ class TestMixedPeers:
         request = {
             "id": 1,
             "op": "batch-run",
-            "specs": [p.spec().to_dict() for p in points],
+            "specs": [p.to_dict() for p in points],
         }
         if trace is not None:
             request["trace"] = trace

@@ -245,6 +245,9 @@ class CampaignResults:
     def result(self, **match) -> SimResult:
         """The single result whose point matches all given fields.
 
+        A machine matches as a :class:`~repro.spec.MachineSpec`, such as
+        ``machine=MachineSpec("baseline")``.
+
         >>> # results.result(bench="gcc", scheme="modulo", seed=0)
         """
         hits = [

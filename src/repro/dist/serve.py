@@ -723,19 +723,15 @@ class ServeDaemon:
     ) -> None:
         """Write the adopted job's outputs in job-directory formats."""
         from ..analysis.campaign import CampaignRun
-        from ..spec.specs import RunSpec
 
         worker_id = f"serve-{os.getpid()}"
         runs: List[CampaignRun] = []
-        for entry, item in zip(claims, job.items):
+        for entry, point, item in zip(claims, job.points, job.items):
             _, result, error, *_ = _reply_entry(
                 entry["index"], item, "point lost"
             )
             if error is None:
-                runs.append(CampaignRun(
-                    point=RunSpec.from_dict(entry["spec"]),
-                    result=result,
-                ))
+                runs.append(CampaignRun(point=point, result=result))
             else:
                 _record_failure(job_dir, entry, worker_id, error)
         if runs:

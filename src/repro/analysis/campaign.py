@@ -52,7 +52,7 @@ from typing import (
 )
 
 from ..errors import ConfigError, ReproError
-from ..pipeline import ProcessorConfig, SimResult
+from ..pipeline import SimResult
 from ..telemetry import get_logger, metrics, tracing
 from ..spec.machines import machine_config
 from ..spec.overrides import (
@@ -374,8 +374,9 @@ class CampaignResults:
         to its field's type.
         """
         with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
             runs = []
-            for row in csv.DictReader(fh):
+            for row in reader:
                 point = {
                     k[len("point."):]: v
                     for k, v in row.items()

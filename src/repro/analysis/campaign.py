@@ -36,8 +36,6 @@ import csv
 import json
 import math
 import os
-import time
-import traceback
 from dataclasses import dataclass, field, fields
 from typing import (
     Dict,
@@ -139,50 +137,6 @@ class CampaignError(ReproError):
         super().__init__(message)
 
 
-def _run_group(
-    group: Sequence[Tuple[int, RunSpec]],
-) -> List[Tuple[int, Optional[SimResult], Optional[str], Optional[dict]]]:
-    """Worker entry point: run one shared-trace group of points.
-
-    All points in a group target the same ``(bench, seed)``, so the first
-    simulation generates the program and trace and the rest replay them:
-    the group holds its workload until its last point, and the workload
-    cache serves the same object to every point while it is held.
-    Exceptions are captured per point (with the full traceback) rather
-    than raised, so a broken scheme cannot take down its group mates.
-    Each entry carries a trailing timing dict (``elapsed_seconds`` plus
-    the facade's resolve/simulate split) so stores can attribute
-    per-point cost.
-    """
-    from ..spec.facade import execute, last_timing
-    from ..workloads import workload
-
-    # Held (never read) until the group's last point has run.  A bench
-    # that does not resolve fails each point below with its own error.
-    bench, seed = group[0][1].trace_key
-    try:
-        held = workload(bench, seed=seed)
-    except Exception:  # noqa: BLE001 — reported per point
-        held = None
-
-    out: List[
-        Tuple[int, Optional[SimResult], Optional[str], Optional[dict]]
-    ] = []
-    for index, point in group:
-        t0 = time.perf_counter()
-        try:
-            result = execute(point)
-        except Exception:  # noqa: BLE001 — surfaced via CampaignError
-            out.append((index, None, traceback.format_exc(), None))
-        else:
-            meta = {"elapsed_seconds": round(time.perf_counter() - t0, 6)}
-            split = last_timing()
-            if split:
-                meta.update(split)
-            out.append((index, result, None, meta))
-    return out
-
-
 def grouped_points(
     points: Sequence[RunSpec],
 ) -> List[List[Tuple[int, RunSpec]]]:
@@ -222,6 +176,15 @@ class CampaignRun:
     result: SimResult
     elapsed_seconds: Optional[float] = field(default=None, compare=False)
     timing: Optional[Dict[str, float]] = field(default=None, compare=False)
+
+    @classmethod
+    def timed(
+        cls, point: RunSpec, result: SimResult, timing: Optional[dict]
+    ) -> "CampaignRun":
+        """A run from a payload entry's result and timing dict."""
+        rest = dict(timing or {})
+        elapsed = rest.pop("elapsed_seconds", None)
+        return cls(point, result, elapsed, rest or None)
 
 
 class CampaignResults:
@@ -543,10 +506,8 @@ class Campaign:
         via :func:`repro.telemetry.tracing.current_span` and propagates
         its context through whatever protocol it speaks, so one trace id
         joins the campaign to each dispatched chunk, worker batch and
-        retry.  Backend payload entries are ``(index, result, error)``
-        triples, optionally extended with a timing dict — both shapes
-        are accepted so old backends (and old service daemons) keep
-        working.
+        retry.  Backend payload entries are ``(index, result, error,
+        timing)``, always four fields.
         """
         from ..dist import coerce_jobs
 
@@ -578,14 +539,12 @@ class Campaign:
         results: Dict[int, SimResult] = {}
         meta: Dict[int, dict] = {}
         failures: List[Tuple[int, str]] = []
-        for entry in payload:
-            index, result, error = entry[0], entry[1], entry[2]
+        for index, result, error, timing in payload:
             if error is not None:
                 failures.append((index, error))
             else:
                 results[index] = result
-                if len(entry) > 3 and isinstance(entry[3], dict):
-                    meta[index] = entry[3]
+                meta[index] = timing or {}
         point_seconds = metrics.histogram("campaign.point_seconds")
         simulate_seconds = metrics.histogram("campaign.simulate_seconds")
         resolve_seconds = metrics.histogram("campaign.resolve_seconds")
@@ -629,16 +588,7 @@ class Campaign:
         )
         return CampaignResults(
             [
-                CampaignRun(
-                    point,
-                    results[i],
-                    elapsed_seconds=meta.get(i, {}).get("elapsed_seconds"),
-                    timing={
-                        k: v
-                        for k, v in meta.get(i, {}).items()
-                        if k != "elapsed_seconds"
-                    } or None,
-                )
+                CampaignRun.timed(point, results[i], meta[i])
                 for i, point in enumerate(self.points)
             ]
         )

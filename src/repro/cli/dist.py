@@ -69,6 +69,21 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return dist.serve_stdio()
 
 
+def _print_workers(workers, prefix: str, busy: str, served) -> None:
+    """One line per pool worker row: *busy*, unreachable or served."""
+    for worker in workers:
+        if worker.get("busy"):
+            state = busy
+        elif not worker.get("alive", True):
+            state = "unreachable"
+        else:
+            state = served(worker)
+        print(
+            f"  {prefix}{worker.get('transport', '?')} "
+            f"{worker.get('address', '?')}: {state}"
+        )
+
+
 def cmd_pool_status(args: argparse.Namespace) -> int:
     # pool status [--jobs N] [--worker ADDR]... [--json FILE]
     import json
@@ -93,20 +108,11 @@ def cmd_pool_status(args: argparse.Namespace) -> int:
         f"{stats['trace_cache_misses']} miss(es), "
         f"{stats['trace_payloads']} payload(s) exported"
     )
-    for worker in stats["workers"]:
-        label = (
-            f"{worker.get('transport', '?')} "
-            f"{worker.get('address', '?')}"
-        )
-        if worker.get("busy"):
-            print(f"  {label}: busy serving a dispatcher")
-        elif not worker.get("alive", True):
-            print(f"  {label}: unreachable")
-        else:
-            print(
-                f"  {label}: {worker['points_served']} point(s), "
-                f"{worker['preloaded_traces']} trace(s) pinned"
-            )
+    _print_workers(
+        stats["workers"], "", "busy serving a dispatcher",
+        lambda worker: f"{worker['points_served']} point(s), "
+        f"{worker['preloaded_traces']} trace(s) pinned",
+    )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(stats, fh, indent=1)
@@ -203,20 +209,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"{row['dispatched_chunks']} dispatched, "
                 f"{row['points_served']} point(s) served"
             )
-        for worker in pool.get("workers", []):
-            label = (
-                f"{worker.get('transport', '?')} "
-                f"{worker.get('address', '?')}"
-            )
-            if worker.get("busy"):
-                print(f"  worker {label}: busy")
-            elif not worker.get("alive", True):
-                print(f"  worker {label}: unreachable")
-            else:
-                print(
-                    f"  worker {label}: "
-                    f"{worker['points_served']} point(s) served"
-                )
+        _print_workers(
+            pool.get("workers", []), "worker ", "busy",
+            lambda worker: f"{worker['points_served']} point(s) served",
+        )
         return 0
 
     # action == "run": own the pool and serve until interrupted.

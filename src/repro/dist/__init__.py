@@ -6,8 +6,14 @@ point of every campaign routes through a registered
 on every path: backends take run specs, and the worker protocol, the
 service's ``submit`` and job-directory manifests carry
 ``spec.to_dict()``, which ``RunSpec.from_dict`` reads back.  Results
-travel as ``SimResult.to_dict()`` / ``SimResult.from_dict``.  Four
-backends ship built in:
+travel as ``SimResult.to_dict()`` / ``SimResult.from_dict``.
+
+One executor, :func:`run_group`, runs every point wherever it runs:
+the serial backend per shared-trace group, the process backend over a
+pool, a protocol worker per ``batch-run`` and a job-directory worker per
+claimed point.  It returns the four-field ``(index, result, error,
+timing)`` :data:`Payload` entry of every backend.  Four backends ship
+built in:
 
 ``serial``
     In-process reference execution.  Every other backend is required to
@@ -73,12 +79,14 @@ from .backends import (
     Payload,
     ProcessBackend,
     SerialBackend,
+    WorkerState,
     available_backends,
     backend,
     backend_description,
     coerce_jobs,
     jobs_from_env,
     register_backend,
+    run_group,
 )
 from .dirqueue import (
     JobStatus,
@@ -132,12 +140,14 @@ __all__ = [
     "Payload",
     "ProcessBackend",
     "SerialBackend",
+    "WorkerState",
     "available_backends",
     "backend",
     "backend_description",
     "coerce_jobs",
     "jobs_from_env",
     "register_backend",
+    "run_group",
     "JobStatus",
     "MergedJob",
     "PackagedJob",

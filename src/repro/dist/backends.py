@@ -1,11 +1,13 @@
-"""Execution-backend interface and registry, plus the in-process backends.
+"""Execution-backend interface and registry, the in-process backends,
+and the one point executor every backend ends in.
 
 An :class:`ExecutionBackend` takes an ordered list of
 :class:`~repro.spec.RunSpec` points and returns one
-``(index, result, error)`` triple per point — exactly the payload the
-campaign engine folds into :class:`~repro.analysis.campaign.CampaignResults`.
-Backends register under a name (mirroring the steering-scheme and machine
-registries) and resolve through :func:`backend`::
+``(index, result, error, timing)`` entry per point — exactly the payload
+the campaign engine folds into
+:class:`~repro.analysis.campaign.CampaignResults`.  Backends register
+under a name (mirroring the steering-scheme and machine registries) and
+resolve through :func:`backend`::
 
     from repro.dist import backend
     payload = backend("process").execute(points, jobs=4)
@@ -19,27 +21,35 @@ Two contracts every backend honours:
   (:func:`~repro.analysis.campaign.grouped_points`), so each workload
   trace is generated at most once per executing process.
 
-The ``serial`` and ``process`` backends live here; the subprocess
-``worker`` backend (JSON-lines protocol) and the ``service`` client
-are registered lazily from their own modules.
+Wherever a point runs (here, a pool child, a protocol or job-directory
+worker) it runs through :func:`run_group`.  The ``serial`` and
+``process`` backends live here; the subprocess ``worker`` backend
+(JSON-lines protocol) and the ``service`` client are registered lazily
+from their own modules.
 """
 
 from __future__ import annotations
 
+import collections
+import json
 import os
 import sys
+import time
+import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..pipeline import SimResult
+from ..spec.specs import RunSpec
 
-#: What every backend returns: one entry per input point, in any order.
-#: ``error`` is a traceback/description string for failed points.  An
-#: entry may carry an optional fourth element — a per-point timing dict
-#: (``elapsed_seconds`` / ``resolve_seconds`` / ``simulate_seconds``) —
-#: which the campaign engine reads when present; three-element entries
-#: stay valid, so old backends interoperate unchanged.
-Payload = List[Tuple[int, Optional[SimResult], Optional[str]]]
+#: What every backend returns: one ``(index, result, error, timing)``
+#: entry per input point, in any order, always four fields.  A failed
+#: point has a traceback/description ``error`` and ``None`` result and
+#: timing; a completed one has the timing dict (``elapsed_seconds``,
+#: plus ``resolve_seconds`` / ``simulate_seconds`` unless memo-served).
+Payload = List[
+    Tuple[int, Optional[SimResult], Optional[str], Optional[dict]]
+]
 
 
 def coerce_jobs(value, source: str = "jobs") -> int:
@@ -170,10 +180,11 @@ class ExecutionBackend:
     ) -> Payload:
         """Run every point; never raises for individual point failures.
 
-        Returns one ``(index, result, error)`` triple per point.  Point
-        failures are reported as error strings; only infrastructure
-        problems the backend cannot work around (e.g. an unreachable
-        job directory) raise :class:`~repro.errors.DistError`.
+        Returns one ``(index, result, error, timing)`` entry per point.
+        Point failures are reported as error strings; only
+        infrastructure problems the backend cannot work around (e.g. an
+        unreachable job directory) raise
+        :class:`~repro.errors.DistError`.
         """
         raise NotImplementedError
 
@@ -233,6 +244,124 @@ def backend(name: str, **options) -> ExecutionBackend:
 
 
 # ----------------------------------------------------------------------
+# The point executor
+# ----------------------------------------------------------------------
+#: Most results a :class:`WorkerState` memoises (LRU).  Results are
+#: small (a few dozen scalars), so this bounds memory without ever
+#: evicting within one realistic campaign's working set.
+RESULT_CACHE_LIMIT = 512
+
+
+class WorkerState:
+    """An executor's caches and counters, kept across :func:`run_group`
+    calls by a protocol worker and a job-directory worker.
+
+    ``traces`` maps ``(bench, seed)`` to ``(workload, usable_records)``,
+    the traces a protocol worker pinned from ``preload`` requests;
+    *usable_records* is the window the dispatcher promised the trace
+    covers.  ``results`` is a bounded LRU of spec → result: execution is
+    deterministic (the backends' core contract), so a spec served before
+    — a repeated grid cell, a campaign re-run on a warm pool — comes from
+    memory instead of being simulated again.  The counters feed the
+    worker protocol's ``stats`` op.
+    """
+
+    def __init__(self) -> None:
+        self.traces = collections.OrderedDict()
+        self.results = collections.OrderedDict()
+        self.points_served = 0
+        self.batches = 0
+        self.preloads = 0
+        self.trace_cache_hits = 0
+        self.trace_cache_misses = 0
+        self.result_cache_hits = 0
+
+    def stats(self) -> Dict[str, object]:
+        return {
+            "pid": os.getpid(),
+            "points_served": self.points_served,
+            "batches": self.batches,
+            "preloads": self.preloads,
+            "preloaded_traces": len(self.traces),
+            "pinned": [list(key) for key in self.traces],
+            "trace_cache_hits": self.trace_cache_hits,
+            "trace_cache_misses": self.trace_cache_misses,
+            "result_cache_hits": self.result_cache_hits,
+            "result_cache_size": len(self.results),
+        }
+
+
+def run_group(
+    group: Sequence[Tuple[int, RunSpec]],
+    state: Optional[WorkerState] = None,
+    held: Optional[dict] = None,
+) -> Payload:
+    """Run ``(index, RunSpec)`` pairs; one payload entry per point.
+
+    Never raises: a failing point gets its own traceback as its error.
+    A point served before comes from *state*'s memo; any other replays
+    a pinned trace that covers its window, or the workload *held* keeps
+    for its ``(bench, seed)``, or resolves the workload by name into
+    *held*, so a group generates its workload once.  A fresh state and
+    dict serve when none is given.  The timing has ``elapsed_seconds``,
+    plus the resolve/simulate split of a point that was simulated.
+    """
+    from ..spec.facade import execute_resolved, last_timing
+
+    state = state if state is not None else WorkerState()
+    held = held if held is not None else {}
+    out: Payload = []
+    for index, spec in group:
+        t0 = time.perf_counter()
+        memo_key = json.dumps(
+            spec.to_dict(), sort_keys=True, separators=(",", ":")
+        )
+        result = state.results.get(memo_key)
+        split = {}
+        try:
+            if result is not None:
+                state.results.move_to_end(memo_key)
+                state.result_cache_hits += 1
+            else:
+                result = execute_resolved(
+                    _workload_for(spec, state, held),
+                    spec.scheme,
+                    spec.machine.resolve(),
+                    spec.n_instructions,
+                    spec.warmup,
+                    spec.seed,
+                )
+                split = last_timing()
+                state.results[memo_key] = result
+                if len(state.results) > RESULT_CACHE_LIMIT:
+                    state.results.popitem(last=False)
+        except Exception:  # noqa: BLE001 — reported per point
+            out.append((index, None, traceback.format_exc(), None))
+            continue
+        state.points_served += 1
+        timing = {"elapsed_seconds": round(time.perf_counter() - t0, 6)}
+        out.append((index, result, None, {**timing, **split}))
+    return out
+
+
+def _workload_for(spec: RunSpec, state: WorkerState, held: dict):
+    """*spec*'s workload: a pinned trace covering its window, else the
+    one *held* keeps, else resolved by name (and kept in *held*)."""
+    from ..workloads import workload
+
+    key = spec.trace_key
+    pinned = state.traces.get(key)
+    if pinned is not None and spec.warmup + spec.n_instructions <= pinned[1]:
+        state.traces.move_to_end(key)
+        state.trace_cache_hits += 1
+        return pinned[0]
+    state.trace_cache_misses += 1
+    if key not in held:
+        held[key] = workload(spec.bench, seed=spec.seed)
+    return held[key]
+
+
+# ----------------------------------------------------------------------
 # In-process backends
 # ----------------------------------------------------------------------
 class SerialBackend(ExecutionBackend):
@@ -242,11 +371,11 @@ class SerialBackend(ExecutionBackend):
     description = "in-process, one point at a time (the reference)"
 
     def execute(self, points, jobs: int = 1) -> Payload:
-        from ..analysis.campaign import _run_group, grouped_points
+        from ..analysis.campaign import grouped_points
 
         out: Payload = []
         for group in grouped_points(points):
-            out.extend(_run_group(group))
+            out.extend(run_group(group))
         return out
 
 
@@ -263,7 +392,7 @@ class ProcessBackend(ExecutionBackend):
     description = "ProcessPoolExecutor over shared-trace groups"
 
     def execute(self, points, jobs: int = 1) -> Payload:
-        from ..analysis.campaign import _run_group, grouped_points
+        from ..analysis.campaign import grouped_points
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = coerce_jobs(jobs)
@@ -273,9 +402,9 @@ class ProcessBackend(ExecutionBackend):
         max_workers = min(jobs, len(groups))
         try:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                payloads = list(pool.map(_run_group, groups))
+                payloads = list(pool.map(run_group, groups))
         except Exception as error:  # noqa: BLE001 — pool infrastructure
-            # (_run_group never raises: per-point errors come back as
+            # (run_group never raises: per-point errors come back as
             # strings, so anything caught here is pool machinery.)
             from ..telemetry import get_logger, metrics
 
@@ -290,8 +419,8 @@ class ProcessBackend(ExecutionBackend):
                 error=f"{type(error).__name__}: {error}",
                 groups=len(groups),
             )
-            payloads = [_run_group(group) for group in groups]
-        return [triple for payload in payloads for triple in payload]
+            payloads = [run_group(group) for group in groups]
+        return [entry for payload in payloads for entry in payload]
 
 
 def _register_builtin_backends() -> None:

@@ -24,8 +24,10 @@ Workers need *only* this package and the traces — the packaged
 ``.rtrace`` files carry the exact committed paths, so a worker host
 needs neither the workload generator nor its RNG, and its results are
 byte-identical to a serial run of the same grid (the replay
-guarantee).  A worker executes each point through the protocol
-workers' executor, :func:`repro.dist.worker._execute_spec`.  Claiming
+guarantee).  A worker executes each point through
+:func:`repro.dist.backends.run_group`, the one executor of every
+backend, so a partial store's runs carry the same results, errors and
+timing keys as a serial run of the same points.  Claiming
 renames ``queue/point-N.json`` into ``claimed/``; rename is atomic on
 POSIX, so when two workers race for one point exactly one wins and the
 loser moves on.  Completed points are appended
@@ -269,19 +271,21 @@ def run_worker(
 ) -> int:
     """Claim and simulate points until the queue is empty.
 
-    Each point runs through the protocol workers' own executor
-    (:func:`~repro.dist.worker._execute_spec`) against its packaged
-    ``.rtrace``, loaded once per ``(bench, seed)``.  Results accumulate
-    in this worker's partial store (``results/<worker_id>.json``),
-    rewritten atomically after every point so a crash never corrupts
-    completed work.  Point failures are recorded under ``failed/`` and
-    do not stop the worker.  Returns the number of points completed
-    successfully.
+    Each point runs through :func:`~repro.dist.backends.run_group`, the
+    executor every backend shares, against its packaged ``.rtrace``,
+    loaded once per ``(bench, seed)``; a spec repeated in the job is
+    answered from the worker's result memo.  Results, with their timing,
+    accumulate in this worker's partial store
+    (``results/<worker_id>.json``), rewritten atomically after every
+    point so a crash never corrupts completed work.  Point failures are
+    recorded under ``failed/`` and do not stop the worker.  Returns the
+    number of points completed successfully.
     """
     from ..analysis.campaign import CampaignResults, CampaignRun
     from ..scenarios.rtrace import import_trace
     from ..spec.specs import RunSpec
-    from .worker import WorkerState, _execute_spec
+    from .backends import WorkerState, run_group
+    from .worker import _fault_injection
 
     load_manifest_points(job_dir)  # validates the directory
     worker_id = worker_id or default_worker_id()
@@ -319,22 +323,25 @@ def run_worker(
         )
         try:
             spec = RunSpec.from_dict(entry["spec"])
-            key = (spec.bench, spec.seed)
-            if key not in held:
+            if spec.trace_key not in held:
                 trace_path = os.path.join(job_dir, _TRACES, entry["trace"])
                 wl = import_trace(trace_path)
-                if (wl.name, wl.seed) != key:
+                if (wl.name, wl.seed) != spec.trace_key:
                     raise DistError(
                         f"{trace_path} records {wl.name!r} seed {wl.seed}, "
                         f"but the claimed point needs {spec.bench!r} seed "
                         f"{spec.seed}"
                     )
-                held[key] = wl
-            result, _ = _execute_spec(entry["spec"], state, held)
+                held[spec.trace_key] = wl
         except Exception:  # noqa: BLE001 — recorded, queue keeps moving
-            _record_failure(
-                job_dir, entry, worker_id, traceback.format_exc()
+            error = traceback.format_exc()
+        else:
+            _fault_injection()
+            ((_, result, error, timing),) = run_group(
+                [(entry["index"], spec)], state, held
             )
+        if error is not None:
+            _record_failure(job_dir, entry, worker_id, error)
             _drop_claim(claim_path)
             failed += 1
             metrics.counter("dirqueue.points_failed_total").inc()
@@ -343,7 +350,7 @@ def run_worker(
                 index=entry["index"], trace_id=span.trace_id,
             )
             continue
-        runs.append(CampaignRun(point=spec, result=result))
+        runs.append(CampaignRun.timed(spec, result, timing))
         _save_runs(store, runs)
         _drop_claim(claim_path)
         completed += 1
@@ -483,8 +490,9 @@ def merge_job(
     Lookup is by full point equality against the manifest — the same
     rule ``resume=True`` uses — so duplicated work deduplicates and a
     stale partial store from a different grid is ignored rather than
-    merged.  With *store*, completed points are written there in grid
-    order; points already in the store from earlier runs are preserved.
+    merged; a point the grid repeats needs one run per repeat.  With
+    *store*, completed points are written there in grid order; points
+    already in the store from earlier runs are preserved.
     An incomplete job raises :class:`~repro.errors.DistError` unless
     *allow_partial* is set.
     """
@@ -504,8 +512,13 @@ def merge_job(
         for run in CampaignResults.load_json(
             os.path.join(results_dir, name)
         ):
+            # A repeated point's runs fill its indexes in turn, so each
+            # index keeps its own run's timing; a run finding them all
+            # filled is a duplicate (a requeued point finished twice).
             for index in index_of.get(run.point, ()):
-                runs.setdefault(index, run)
+                if index not in runs:
+                    runs[index] = run
+                    break
     failures: Dict[int, str] = {}
     failed_dir = os.path.join(job_dir, _FAILED)
     for name in sorted(os.listdir(failed_dir)):

@@ -79,6 +79,7 @@ from .transport import (
     PeerClosed,
     PeerTimeout,
     SocketTransport,
+    answer_request,
     listen_socket,
     parse_address,
     serve_socket_connection,
@@ -727,11 +728,11 @@ class ServeDaemon:
         worker_id = f"serve-{os.getpid()}"
         runs: List[CampaignRun] = []
         for entry, point, item in zip(claims, job.points, job.items):
-            _, result, error, *_ = _reply_entry(
+            _, result, error, timing = _reply_entry(
                 entry["index"], item, "point lost"
             )
             if error is None:
-                runs.append(CampaignRun(point=point, result=result))
+                runs.append(CampaignRun.timed(point, result, timing))
             else:
                 _record_failure(job_dir, entry, worker_id, error)
         if runs:
@@ -766,44 +767,23 @@ class ServeDaemon:
 
     def _handle_line(self, line: str):
         """One service request → ``(reply, keep_serving)``; never raises."""
-        import json as _json
-        import traceback as _traceback
+        return answer_request(
+            line,
+            {
+                "shutdown": self._handle_shutdown,
+                "submit": self._handle_submit,
+                "collect": self._handle_collect,
+                "status": lambda request: self.status(),
+            },
+            SERVICE_PROTOCOL_VERSION,
+        )
 
-        request_id = None
-        try:
-            request = _json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError(
-                    f"request must be an object, got {request!r}"
-                )
-            request_id = request.get("id")
-            op = request.get("op")
-            if op == "ping":
-                return {
-                    "id": request_id, "ok": True,
-                    "protocol": SERVICE_PROTOCOL_VERSION,
-                }, True
-            if op == "shutdown":
-                if request.get("stop_workers"):
-                    self._stop_remote_workers = True
-                return {"id": request_id, "ok": True, "bye": True}, False
-            if op == "submit":
-                return self._handle_submit(request_id, request), True
-            if op == "collect":
-                return self._handle_collect(request_id, request), True
-            if op == "status":
-                return {
-                    "id": request_id, "ok": True, **self.status()
-                }, True
-            raise ValueError(f"unknown op {op!r}")
-        except Exception:  # noqa: BLE001 — every failure becomes a reply
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": _traceback.format_exc(),
-            }, True
+    def _handle_shutdown(self, request) -> dict:
+        if request.get("stop_workers"):
+            self._stop_remote_workers = True
+        return {"bye": True}
 
-    def _handle_submit(self, request_id, request) -> dict:
+    def _handle_submit(self, request) -> dict:
         from ..spec.specs import RunSpec
 
         specs = request.get("specs")
@@ -816,12 +796,9 @@ class ServeDaemon:
             tenant, points, weight=request.get("weight"),
             trace=trace if isinstance(trace, dict) else None,
         )
-        return {
-            "id": request_id, "ok": True,
-            "job": job.id, "n_points": len(points),
-        }
+        return {"job": job.id, "n_points": len(points)}
 
-    def _handle_collect(self, request_id, request) -> dict:
+    def _handle_collect(self, request) -> dict:
         job_id = str(request.get("job") or "")
         job = self.job(job_id)
         if job is None:
@@ -834,13 +811,8 @@ class ServeDaemon:
             job.done.is_set()
         )
         if not done:
-            return {
-                "id": request_id, "ok": True,
-                "done": False, "remaining": job.remaining,
-            }
-        reply = {
-            "id": request_id, "ok": True, "done": True, "items": job.items,
-        }
+            return {"done": False, "remaining": job.remaining}
+        reply = {"done": True, "items": job.items}
         if job.traced:
             reply["spans"] = job.spans()
         return reply

@@ -31,7 +31,10 @@ cares about the transport kind:
 
 :class:`LineChannel` adds the request/reply discipline both protocols
 share: monotonically increasing ``id`` fields, one reply per request,
-reply-id matching, JSON decode guarding.
+reply-id matching, JSON decode guarding.  On the serving side
+:func:`answer_request` is the one request frame of both servers (the
+protocol worker and the ``dist serve`` daemon): it parses a line,
+dispatches its op and turns any failure into an error reply.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import queue
 import socket
 import subprocess
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+import traceback
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, DistError
 
@@ -380,6 +384,36 @@ class LineChannel:
 
     def describe(self) -> Dict[str, object]:
         return self.transport.describe()
+
+
+def answer_request(
+    line: str, ops: Dict[str, Callable[[dict], dict]], protocol: int
+) -> Tuple[dict, bool]:
+    """One JSON-lines request → ``(reply, keep_serving)``; never raises.
+
+    *ops* maps an op name to a handler returning the reply's fields
+    after ``{"id": ..., "ok": true}``; ``ping`` echoes *protocol*, and a
+    ``bye`` field ends serving.  Bad JSON, an unknown op or a handler's
+    exception becomes an ``{"ok": false, "error": traceback}`` reply and
+    serving goes on: one corrupt line must not poison a server.
+    """
+    request_id = None
+    try:
+        request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError(f"request must be an object, got {request!r}")
+        request_id = request.get("id")
+        op = request.get("op")
+        if op == "ping":
+            return {"id": request_id, "ok": True, "protocol": protocol}, True
+        if op not in ops:
+            raise ValueError(f"unknown op {op!r}")
+        reply = {"id": request_id, "ok": True, **ops[op](request)}
+        return reply, not reply.get("bye")
+    except Exception:  # noqa: BLE001 — every failure becomes a reply
+        return {
+            "id": request_id, "ok": False, "error": traceback.format_exc(),
+        }, True
 
 
 def serve_socket_connection(conn: socket.socket, handle_line) -> bool:

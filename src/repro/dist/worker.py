@@ -45,7 +45,10 @@ replayed for any spec its recorded window covers, and a spec the worker
 has already served is answered from a bounded result memo without
 re-simulating — so re-running a campaign against a warm pool costs one
 JSON round trip per batch, which is the entire point of keeping the
-pool alive.
+pool alive.  Both caches live in the worker's
+:class:`~repro.dist.backends.WorkerState`, and a ``batch-run`` executes
+its specs through :func:`~repro.dist.backends.run_group`, the executor
+every backend shares.
 
 Any failure to *execute* a point (unknown scheme, simulation error...)
 is an ``{"ok": false, "error": traceback}`` reply — deterministic, so it
@@ -78,18 +81,17 @@ could never have resolved its name.
 
 Two environment knobs exist purely for fault-injection tests and ops
 drills: ``REPRO_DIST_CRASH_FLAG`` / ``REPRO_DIST_HANG_FLAG`` name flag
-files; a worker (protocol or job-directory, both execute points through
-:func:`_execute_spec`) that sees its flag file before executing a point
+files; a protocol worker that sees its flag file before executing a
+``batch-run`` (a job-directory worker: before executing a claimed point)
 deletes the file and crashes (``os._exit``) or hangs
 (``REPRO_DIST_HANG_SECONDS``, default 30) — exactly once, since the
-flag is consumed.
+flag is consumed.  The in-process backends never look at the flags.
 """
 
 from __future__ import annotations
 
 import atexit
 import base64
-import collections
 import json
 import os
 import sys
@@ -104,10 +106,12 @@ from ..telemetry import get_logger, metrics, tracing
 from .backends import (
     ExecutionBackend,
     Payload,
+    WorkerState,
     coerce_jobs,
     coerce_retries,
     coerce_timeout,
     retries_from_env,
+    run_group,
     timeout_from_env,
 )
 from .transport import (
@@ -116,6 +120,7 @@ from .transport import (
     PeerTimeout,
     SocketTransport,
     StdioTransport,
+    answer_request,
     listen_socket,
     parse_address,
     serve_socket_connection,
@@ -144,15 +149,8 @@ def _fault_injection() -> None:
     hang = os.environ.get("REPRO_DIST_HANG_FLAG")
     if hang and os.path.exists(hang):
         os.remove(hang)
-        import time
-
         time.sleep(float(os.environ.get("REPRO_DIST_HANG_SECONDS", "30")))
 
-
-#: Most results a worker memoises (LRU).  Results are small (a few
-#: dozen scalars), so this bounds memory without ever evicting within
-#: one realistic campaign's working set.
-RESULT_CACHE_LIMIT = 512
 
 #: Most traces a worker keeps pinned (LRU by preload or use).  Two
 #: seeds of the eight-bench ``paper-table1`` grid fit on one worker, so
@@ -161,131 +159,16 @@ RESULT_CACHE_LIMIT = 512
 TRACE_PIN_LIMIT = 16
 
 
-class WorkerState:
-    """One worker process's serving state: caches + counters.
-
-    ``traces`` maps ``(bench, seed)`` to ``(workload, usable_records)``
-    where *usable_records* is the window length the dispatcher promised
-    the trace covers (the export cushion is on top).  It is an LRU of at
-    most :data:`TRACE_PIN_LIMIT` entries; a preload reply names the keys
-    it evicted, so the dispatcher's ledger stays true.  ``results`` is a
-    bounded LRU of spec → result: execution is deterministic (the
-    backends' core contract), so re-dispatching a spec this worker has
-    already simulated — a campaign re-run or resume on a warm pool —
-    is served from memory instead of re-simulated.  The counters feed
-    the ``stats`` op, which the warm-pool tests use to prove reuse
-    ("second execute spawns zero processes") and cache behaviour.
-    """
-
-    def __init__(self) -> None:
-        self.traces: (
-            "collections.OrderedDict[Tuple[str, int], Tuple[object, int]]"
-        ) = collections.OrderedDict()
-        self.results: "collections.OrderedDict[str, object]" = (
-            collections.OrderedDict()
-        )
-        self.points_served = 0
-        self.batches = 0
-        self.preloads = 0
-        self.trace_cache_hits = 0
-        self.trace_cache_misses = 0
-        self.result_cache_hits = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "pid": os.getpid(),
-            "points_served": self.points_served,
-            "batches": self.batches,
-            "preloads": self.preloads,
-            "preloaded_traces": len(self.traces),
-            "pinned": [list(key) for key in self.traces],
-            "trace_cache_hits": self.trace_cache_hits,
-            "trace_cache_misses": self.trace_cache_misses,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_size": len(self.results),
-        }
-
-
-def _execute_spec(spec_dict: dict, state: WorkerState, held: dict):
-    """Run one RunSpec dict, replaying a pinned trace when one covers it.
-
-    A cache hit executes against the preloaded
-    :class:`~repro.scenarios.rtrace.FrozenTrace` workload (zero
-    regeneration); a miss takes the workload *held* keys by
-    ``(bench, seed)``, and failing that resolves it by name, which is
-    where workloads the dispatcher never preloaded still work — or fail
-    deterministically.  A by-name workload is kept in *held*, so the
-    caller's later misses on it (the rest of one ``batch-run``) replay
-    it instead of generating it again; the job-directory worker fills
-    *held* with each claimed point's packaged trace.
-
-    Returns ``(result, timing)`` where *timing* attributes the point's
-    cost (``elapsed_seconds`` always; the facade's resolve/simulate
-    split when the point was actually simulated rather than memo-hit).
-    """
-    from ..spec.facade import execute_resolved, last_timing
-    from ..spec.specs import RunSpec
-    from ..workloads import workload
-
-    spec = RunSpec.from_dict(spec_dict)
-    _fault_injection()
-    t0 = time.perf_counter()
-    # Deterministic execution makes the result pure in the spec, so a
-    # spec this worker has served before (campaign re-run/resume on a
-    # warm pool) comes from the memo — dispatch cost, zero simulation.
-    memo_key = json.dumps(
-        spec.to_dict(), sort_keys=True, separators=(",", ":")
-    )
-    cached = state.results.get(memo_key)
-    if cached is not None:
-        state.results.move_to_end(memo_key)
-        state.result_cache_hits += 1
-        state.points_served += 1
-        metrics.counter("worker.result_cache_hits").inc()
-        metrics.counter("worker.points_served").inc()
-        return cached, {
-            "elapsed_seconds": round(time.perf_counter() - t0, 6)
-        }
-    key = (spec.bench, spec.seed)
-    pinned = state.traces.get(key)
-    if pinned is not None and spec.warmup + spec.n_instructions <= pinned[1]:
-        state.traces.move_to_end(key)
-        state.trace_cache_hits += 1
-        metrics.counter("worker.trace_cache_hits").inc()
-        wl = pinned[0]
-    else:
-        state.trace_cache_misses += 1
-        metrics.counter("worker.trace_cache_misses").inc()
-        wl = held.get(key)
-        if wl is None:
-            wl = held[key] = workload(spec.bench, seed=spec.seed)
-    result = execute_resolved(
-        wl,
-        spec.scheme,
-        spec.machine.resolve(),
-        spec.n_instructions,
-        spec.warmup,
-        spec.seed,
-    )
-    state.results[memo_key] = result
-    if len(state.results) > RESULT_CACHE_LIMIT:
-        state.results.popitem(last=False)
-    state.points_served += 1
-    metrics.counter("worker.points_served").inc()
-    timing = {"elapsed_seconds": round(time.perf_counter() - t0, 6)}
-    split = last_timing()
-    if split:
-        timing.update(split)
-    metrics.histogram("worker.point_seconds").observe(
-        timing["elapsed_seconds"]
-    )
-    return result, timing
-
-
 def _handle_preload(request: dict, state: WorkerState) -> dict:
     from ..scenarios.rtrace import import_trace_bytes
 
+    missing = [
+        field
+        for field in ("bench", "seed", "records", "rtrace")
+        if field not in request
+    ]
+    if missing:
+        raise ValueError(f"preload request is missing {', '.join(missing)}")
     bench = str(request["bench"])
     seed = int(request["seed"])
     # Pin under the *requested* name: a dispatcher-side workload
@@ -311,7 +194,6 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
     while len(traces) > TRACE_PIN_LIMIT:
         evicted.append(list(traces.popitem(last=False)[0]))
     state.preloads += 1
-    metrics.counter("worker.preloads").inc()
     _log.debug(
         "worker.preload", bench=bench, seed=seed, records=usable,
         evicted=len(evicted),
@@ -321,89 +203,72 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
     }
 
 
+def _handle_batch_run(request: dict, state: WorkerState) -> dict:
+    """Run a ``batch-run``'s specs through :func:`run_group`.
+
+    A spec that does not decode fails alone, as its own error item.
+    """
+    from ..spec.specs import RunSpec
+
+    specs = request.get("specs")
+    if not isinstance(specs, list):
+        raise ValueError("batch-run request needs a 'specs' list")
+    # The optional trace context: absent from old dispatchers, ignored
+    # by old workers — the version stays 2 either way.
+    span = tracing.start_span(
+        "worker.batch",
+        parent=request.get("trace"),
+        pid=os.getpid(),
+        points=len(specs),
+    )
+    _fault_injection()
+    items: List[Optional[dict]] = [None] * len(specs)
+    group = []
+    for index, spec in enumerate(specs):
+        try:
+            group.append((index, RunSpec.from_dict(spec)))
+        except Exception:  # noqa: BLE001 — per-point error item
+            items[index] = {"ok": False, "error": traceback.format_exc()}
+    for index, result, error, timing in run_group(group, state):
+        items[index] = (
+            {"ok": False, "error": error} if error is not None
+            else {"ok": True, "result": result.to_dict(), **timing}
+        )
+    state.batches += 1
+    failed = sum(1 for item in items if not item["ok"])
+    if failed:
+        span.annotate(failed=failed)
+    record = span.end()
+    reply = {"results": items}
+    if request.get("trace") is not None:
+        # Ride the reply so the dispatcher's log holds the worker's own
+        # span too (recorded on both ends).
+        reply["spans"] = [record]
+    return reply
+
+
 def handle_request(
     line: str, state: WorkerState
-) -> Tuple[Optional[dict], bool]:
+) -> Tuple[dict, bool]:
     """Process one protocol line; returns ``(reply, keep_serving)``.
 
     Never raises: every failure mode becomes an error reply so the
     dispatcher can tell a *point* failure (deterministic, reported) from
     a *worker* failure (process death, retried).  *state* carries the
-    trace cache and counters between requests.
+    trace cache, the result memo and the counters between requests.
     """
-    request_id = None
-    try:
-        request = json.loads(line)
-        if not isinstance(request, dict):
-            raise ValueError(f"request must be an object, got {request!r}")
-        request_id = request.get("id")
-        op = request.get("op")
-        if op == "ping":
-            return {"id": request_id, "ok": True,
-                    "protocol": PROTOCOL_VERSION}, True
-        if op == "shutdown":
-            return {"id": request_id, "ok": True, "bye": True}, False
-        if op == "stats":
-            return {"id": request_id, "ok": True, **state.stats()}, True
-        if op == "preload":
-            missing = [
-                field
-                for field in ("bench", "seed", "records", "rtrace")
-                if field not in request
-            ]
-            if missing:
-                raise ValueError(
-                    f"preload request is missing {', '.join(missing)}"
-                )
-            return {
-                "id": request_id, "ok": True,
-                **_handle_preload(request, state),
-            }, True
-        if op == "batch-run":
-            specs = request.get("specs")
-            if not isinstance(specs, list):
-                raise ValueError("batch-run request needs a 'specs' list")
-            # The optional trace context: absent from old dispatchers,
-            # ignored by old workers — the version stays 2 either way.
-            span = tracing.start_span(
-                "worker.batch",
-                parent=request.get("trace"),
-                pid=os.getpid(),
-                points=len(specs),
-            )
-            items = []
-            failed = 0
-            # The batch owns the workloads its by-name misses resolve.
-            held: dict = {}
-            for spec_dict in specs:
-                try:
-                    result, timing = _execute_spec(spec_dict, state, held)
-                    items.append(
-                        {"ok": True, "result": result.to_dict(), **timing}
-                    )
-                except Exception:  # noqa: BLE001 — per-point error item
-                    failed += 1
-                    items.append(
-                        {"ok": False, "error": traceback.format_exc()}
-                    )
-            state.batches += 1
-            metrics.counter("worker.batches").inc()
-            if failed:
-                span.annotate(failed=failed)
-            record = span.end()
-            reply = {"id": request_id, "ok": True, "results": items}
-            if request.get("trace") is not None:
-                # Ride the reply so the dispatcher's log holds the
-                # worker's own span too (recorded on both ends).
-                reply["spans"] = [record]
-            return reply, True
-        raise ValueError(f"unknown op {op!r}")
-    except Exception:  # noqa: BLE001 — every failure becomes a reply
-        return {
-            "id": request_id,
-            "ok": False,
-            "error": traceback.format_exc(),
-        }, True
+    return answer_request(
+        line,
+        {
+            "shutdown": lambda request: {"bye": True},
+            "stats": lambda request: {
+                "protocol": PROTOCOL_VERSION, **state.stats()
+            },
+            "preload": lambda request: _handle_preload(request, state),
+            "batch-run": lambda request: _handle_batch_run(request, state),
+        },
+        PROTOCOL_VERSION,
+    )
 
 
 def serve_stdio(stdin=None, stdout=None) -> int:
@@ -934,7 +799,7 @@ def _reply_entry(index: int, item: Optional[dict], lost: str):
         return (
             index, SimResult.from_dict(item["result"]), None, timing or None,
         )
-    return (index, None, str((item or {}).get("error", lost)))
+    return (index, None, str((item or {}).get("error", lost)), None)
 
 
 class WorkerBackend(ExecutionBackend):
@@ -1184,7 +1049,7 @@ class WorkerBackend(ExecutionBackend):
                 tasks.put(slot, outcome.retry)
             elif outcome.error is not None:
                 for index, _ in task[3]:
-                    entries[index] = (index, None, outcome.error)
+                    entries[index] = (index, None, outcome.error, None)
             else:
                 for (index, _), item in zip(task[3], outcome.items):
                     entries[index] = _reply_entry(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..isa import DynInst, InstrClass
@@ -209,8 +209,15 @@ class SimResult:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-data form: a result store's ``result`` record and a
-        worker reply's ``result`` item."""
-        return asdict(self)
+        worker reply's ``result`` item.
+
+        A shallow copy in field order: the tuples are immutable and
+        shared, the two dicts are fresh copies.
+        """
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
+        data["committed_by_class"] = dict(self.committed_by_class)
+        data["stalls"] = dict(self.stalls)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimResult":
@@ -258,6 +265,10 @@ class SimResult:
             f"(crit {self.critical_comms_per_instr:6.3f}) "
             f"repl={self.avg_replication:4.1f}"
         )
+
+
+#: :class:`SimResult`'s field names, in declaration order.
+_FIELD_NAMES = tuple(f.name for f in fields(SimResult))
 
 
 def _coercer(hint):

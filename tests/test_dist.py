@@ -170,12 +170,94 @@ class TestWorkerProtocol:
         assert "no-such-scheme" in item["error"]
         assert replies[1]["ok"] is True
 
+    def test_malformed_spec_fails_alone_in_its_batch(self):
+        good = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
+        (reply,) = _serve(json.dumps({
+            "id": 1, "op": "batch-run",
+            "specs": [good.to_dict(), {"scheme": "modulo"}, good.to_dict()],
+        }))
+        first, bad, again = reply["results"]
+        assert first["ok"] and again["ok"]
+        assert again["result"] == first["result"]
+        assert bad["ok"] is False and "bench" in bad["error"]
+
     def test_shutdown_stops_serving(self):
         replies = _serve(
             json.dumps({"id": 1, "op": "shutdown"}),
             json.dumps({"id": 2, "op": "ping"}),  # never reached
         )
         assert replies == [{"id": 1, "ok": True, "bye": True}]
+
+
+def _entries_by_backend(name, points, tmp_path):
+    """The payload of *points* run the way backend *name* runs them;
+    a job directory's merged runs stand in for its payload."""
+    if name in ("serial", "process"):
+        return dist.backend(name).execute(points, jobs=2)
+    if name == "worker":
+        pool = dist.WorkerPool()
+        try:
+            return dist.backend("worker", pool=pool).execute(points)
+        finally:
+            pool.shutdown()
+    job_dir = str(tmp_path / "job")
+    dist.package_job(points, job_dir)
+    dist.run_worker(job_dir, worker_id="w")
+    merged = dist.merge_job(job_dir, allow_partial=True)
+    return [
+        (i, run.result, None,
+         {"elapsed_seconds": run.elapsed_seconds, **(run.timing or {})})
+        for i, run in merged.runs.items()
+    ] + [(i, None, error, None) for i, error in merged.failures.items()]
+
+
+class TestOneExecutor:
+    """Serial, process, protocol and job-directory workers all run a
+    point through ``run_group``, so their payloads agree in full."""
+
+    GRID = [
+        RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+        RunSpec("gcc", "general-balance", n_instructions=N, warmup=W),
+        RunSpec("gcc", "no-such-scheme", n_instructions=N, warmup=W),
+        RunSpec("li", "modulo", n_instructions=N, warmup=W),
+        RunSpec("gcc", "modulo", n_instructions=N, warmup=W),  # repeat
+    ]
+
+    @staticmethod
+    def _normalised(payload):
+        return sorted(
+            (
+                index,
+                result,
+                error.strip().splitlines()[-1] if error else None,
+                sorted(timing) if timing is not None else None,
+            )
+            for index, result, error, timing in payload
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self._normalised(dist.run_group(enumerate(self.GRID)))
+
+    def test_reference_shape(self, reference):
+        full = ["elapsed_seconds", "resolve_seconds", "simulate_seconds"]
+        assert [entry[0] for entry in reference] == list(range(5))
+        assert reference[2][1] is None and reference[2][3] is None
+        assert "no-such-scheme" in reference[2][2]
+        assert reference[0][3] == full
+        # The repeated point comes from the memo: same result, no split.
+        assert reference[4][1] == reference[0][1]
+        assert reference[4][3] == ["elapsed_seconds"]
+
+    @pytest.mark.parametrize(
+        "name", ["serial", "process", "worker", "job-directory"]
+    )
+    def test_payload_matches_across_backends(
+        self, name, reference, tmp_path
+    ):
+        payload = _entries_by_backend(name, self.GRID, tmp_path)
+        assert all(len(entry) == 4 for entry in payload)
+        assert self._normalised(payload) == reference
 
 
 class TestWorkerBackend:

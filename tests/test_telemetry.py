@@ -280,27 +280,19 @@ class TestCampaignTelemetry:
         again = Campaign(points, backend="serial").run()
         assert list(again) == list(serial)  # timing is compare=False
 
-    def test_three_tuple_payloads_still_work(self, points, serial):
-        """An old-style backend returning (index, result, error) triples
-        is decoded unchanged; timing is simply absent."""
-
-        class OldBackend(dist.ExecutionBackend):
-            def execute(self, pts, jobs=1):
-                from repro.analysis.campaign import (
-                    _run_group,
-                    grouped_points,
-                )
-
-                return [
-                    entry[:3]
-                    for group in grouped_points(pts)
-                    for entry in _run_group(group)
-                ]
-
-        results = Campaign(points, backend=OldBackend()).run()
-        assert list(results) == list(serial)
-        assert all(r.elapsed_seconds is None for r in results)
-        assert all(r.timing is None for r in results)
+    def test_memo_hit_carries_only_elapsed_seconds(self, points):
+        """A point repeated in one group is simulated once: the executor
+        answers the repeat from its memo, timed but with no split."""
+        state = WorkerState()
+        first, again = dist.run_group(
+            [(0, points[0]), (1, points[0])], state
+        )
+        assert again[:3] == (1, first[1], None)
+        assert set(first[3]) == {
+            "elapsed_seconds", "resolve_seconds", "simulate_seconds",
+        }
+        assert set(again[3]) == {"elapsed_seconds"}
+        assert state.result_cache_hits == 1
 
     def test_campaign_error_names_the_trace(self):
         bad = [

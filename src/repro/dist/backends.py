@@ -318,11 +318,11 @@ def run_group(
         )
         result = state.results.get(memo_key)
         split = {}
-        try:
-            if result is not None:
-                state.results.move_to_end(memo_key)
-                state.result_cache_hits += 1
-            else:
+        if result is not None:
+            state.results.move_to_end(memo_key)
+            state.result_cache_hits += 1
+        else:
+            try:
                 result = execute_resolved(
                     _workload_for(spec, state, held),
                     spec.scheme,
@@ -331,13 +331,13 @@ def run_group(
                     spec.warmup,
                     spec.seed,
                 )
-                split = last_timing()
-                state.results[memo_key] = result
-                if len(state.results) > RESULT_CACHE_LIMIT:
-                    state.results.popitem(last=False)
-        except Exception:  # noqa: BLE001 — reported per point
-            out.append((index, None, traceback.format_exc(), None))
-            continue
+            except Exception:  # noqa: BLE001 — reported per point
+                out.append((index, None, traceback.format_exc(), None))
+                continue
+            split = last_timing()
+            state.results[memo_key] = result
+            if len(state.results) > RESULT_CACHE_LIMIT:
+                state.results.popitem(last=False)
         state.points_served += 1
         timing = {"elapsed_seconds": round(time.perf_counter() - t0, 6)}
         out.append((index, result, None, {**timing, **split}))

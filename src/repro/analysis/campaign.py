@@ -16,9 +16,8 @@ This module executes the whole grid in a single pass instead:
 * groups are dispatched through a pluggable execution backend from
   :mod:`repro.dist` — ``workers=1`` runs on the in-process ``serial``
   backend, ``workers>1`` defaults to the ``process`` pool backend, and
-  ``backend="worker"`` / ``backend="service"`` fan the same points out
-  over the warm pool of protocol subprocesses or a ``dist serve``
-  daemon;
+  ``backend="worker"`` fans the same points out over the warm pool of
+  protocol subprocesses;
 * results round-trip through JSON and CSV stores, and a seed-aggregation
   layer reports mean/std per (bench, scheme, machine) for multi-seed
   scenario studies.
@@ -451,7 +450,7 @@ class Campaign:
 
     Execution is delegated to a :mod:`repro.dist` backend.  ``backend``
     is a registered backend name (``"serial"``, ``"process"``,
-    ``"worker"``, ``"service"``) or an
+    ``"worker"``) or an
     :class:`~repro.dist.ExecutionBackend` instance; ``None`` (the
     default) keeps the historical behaviour — in-process serial for
     ``workers=1``, the process-pool backend for ``workers>1``.  Grouping

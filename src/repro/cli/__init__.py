@@ -27,16 +27,15 @@ Installed as ``repro-sim``; ``python -m repro.cli`` runs the same::
     repro-sim dist worker job/           # claim+simulate until empty
     repro-sim dist status job/
     repro-sim dist merge job/ --json results.json
-    repro-sim telemetry dump             # logging config + metrics registry
     repro-sim perf record --suite core-columnar runs/*.out   # perfbench runs
     repro-sim perf check                 # report vs the ledger
     repro-sim -v campaign ...            # structured event log on stderr
 
 Each command group is one module of this package (``simulate``,
-``figures``, ``campaigns``, ``traces``, ``dist``, ``telemetry``,
-``perf``).  A module's ``add_parser(sub)`` adds its commands and sets
-each command's ``handler``; the handlers import their subsystem when
-they run, so building the parser loads none of them.  A pool worker
+``figures``, ``campaigns``, ``traces``, ``dist``, ``perf``).  A
+module's ``add_parser(sub)`` adds its commands and sets each command's
+``handler``; the handlers import their subsystem when they run, so
+building the parser loads none of them.  A pool worker
 (``dist worker --stdio``) therefore starts without the analysis
 harness or the perf ledger.
 """
@@ -46,9 +45,9 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from . import campaigns, dist, figures, perf, simulate, telemetry, traces
+from . import campaigns, dist, figures, perf, simulate, traces
 
-_GROUPS = (simulate, figures, campaigns, traces, dist, telemetry, perf)
+_GROUPS = (simulate, figures, campaigns, traces, dist, perf)
 
 
 def build_parser() -> argparse.ArgumentParser:

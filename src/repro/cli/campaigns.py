@@ -55,13 +55,6 @@ def _add_grid_args(parser: argparse.ArgumentParser, suite: bool) -> None:
         "death/timeout (default: the REPRO_DIST_RETRIES knob, i.e. 1)",
     )
     parser.add_argument(
-        "--service-address",
-        default=None,
-        metavar="HOST:PORT",
-        help="service backend: the dist serve daemon to submit to "
-        "(default: the REPRO_SERVICE_ADDRESS knob)",
-    )
-    parser.add_argument(
         "--json", default=None, help="write results to this JSON store"
     )
     parser.add_argument(
@@ -84,23 +77,10 @@ def _backend_arg(args: argparse.Namespace):
     backend = args.backend
     timeout = args.dist_timeout
     retries = args.dist_retries
-    address = args.service_address
-    if timeout is None and retries is None and address is None:
+    if timeout is None and retries is None:
         return backend, None
-    if backend not in ("worker", "service"):
-        print(
-            "--dist-timeout/--dist-retries/--service-address apply to "
-            "--backend worker or --backend service"
-        )
-        return None, 2
-    if backend == "service" and (timeout is not None or retries is not None):
-        print(
-            "--dist-timeout/--dist-retries belong to the daemon "
-            "(see 'dist serve'), not to the service client"
-        )
-        return None, 2
-    if backend == "worker" and address is not None:
-        print("--service-address applies to --backend service only")
+    if backend != "worker":
+        print("--dist-timeout/--dist-retries apply to --backend worker")
         return None, 2
     from .. import dist
     from ..errors import ConfigError
@@ -110,8 +90,6 @@ def _backend_arg(args: argparse.Namespace):
         options["timeout"] = timeout
     if retries is not None:
         options["retries"] = retries
-    if address is not None:
-        options["address"] = address
     try:
         return dist.backend(backend, **options), None
     except ConfigError as error:

@@ -1,5 +1,5 @@
-"""``dist``: execution backends, job directories, workers, the warm pool
-and the ``serve`` daemon."""
+"""``dist``: execution backends, job directories, workers and the warm
+pool."""
 
 from __future__ import annotations
 
@@ -69,21 +69,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return dist.serve_stdio()
 
 
-def _print_workers(workers, prefix: str, busy: str, served) -> None:
-    """One line per pool worker row: *busy*, unreachable or served."""
-    for worker in workers:
-        if worker.get("busy"):
-            state = busy
-        elif not worker.get("alive", True):
-            state = "unreachable"
-        else:
-            state = served(worker)
-        print(
-            f"  {prefix}{worker.get('transport', '?')} "
-            f"{worker.get('address', '?')}: {state}"
-        )
-
-
 def cmd_pool_status(args: argparse.Namespace) -> int:
     # pool status [--jobs N] [--worker ADDR]... [--json FILE]
     import json
@@ -108,11 +93,20 @@ def cmd_pool_status(args: argparse.Namespace) -> int:
         f"{stats['trace_cache_misses']} miss(es), "
         f"{stats['trace_payloads']} payload(s) exported"
     )
-    _print_workers(
-        stats["workers"], "", "busy serving a dispatcher",
-        lambda worker: f"{worker['points_served']} point(s), "
-        f"{worker['preloaded_traces']} trace(s) pinned",
-    )
+    for worker in stats["workers"]:
+        if worker.get("busy"):
+            state = "busy serving a dispatcher"
+        elif not worker.get("alive", True):
+            state = "unreachable"
+        else:
+            state = (
+                f"{worker['points_served']} point(s), "
+                f"{worker['preloaded_traces']} trace(s) pinned"
+            )
+        print(
+            f"  {worker.get('transport', '?')} "
+            f"{worker.get('address', '?')}: {state}"
+        )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(stats, fh, indent=1)
@@ -159,100 +153,6 @@ def cmd_merge(args: argparse.Namespace) -> int:
         last = merged.failures[index].strip().splitlines()[-1]
         print(f"FAILED {merged.points[index].label}: {last}")
     return 0 if merged.complete else 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """`dist serve [run|status|stop]` — the simulation-service daemon."""
-    import json
-
-    from .. import dist
-    from ..errors import ConfigError, DistError
-
-    if args.action in ("status", "stop"):
-        address = args.address or dist.service_address_from_env()
-        if address is None:
-            print(
-                "dist serve status/stop needs the daemon address "
-                "(--address HOST:PORT or REPRO_SERVICE_ADDRESS)"
-            )
-            return 2
-        client = dist.ServiceClient(address=address, tenant="cli")
-        try:
-            if args.action == "stop":
-                client.shutdown(stop_workers=args.stop_workers)
-                print(f"asked daemon at {address} to stop")
-                return 0
-            status = client.status()
-        except (ConfigError, DistError) as error:
-            print(f"service at {address} unavailable: {error}")
-            return 1
-        finally:
-            client.close()
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(status, fh, indent=1)
-            print(f"wrote {args.json}")
-        pool = status.get("pool", {})
-        print(
-            f"serve daemon at {status['address']} "
-            f"(protocol v{status['protocol']}, "
-            f"up {status['uptime']:.0f}s): "
-            f"{status['jobs']['active']} active / "
-            f"{status['jobs']['completed']} completed job(s), "
-            f"{pool.get('points_served', 0)} point(s) served by "
-            f"{status['slots']} slot(s)"
-        )
-        for tenant, row in sorted(status.get("tenants", {}).items()):
-            print(
-                f"  tenant {tenant}: weight {row['weight']}, "
-                f"{row['queued_chunks']} chunk(s) queued, "
-                f"{row['dispatched_chunks']} dispatched, "
-                f"{row['points_served']} point(s) served"
-            )
-        _print_workers(
-            pool.get("workers", []), "worker ", "busy",
-            lambda worker: f"{worker['points_served']} point(s) served",
-        )
-        return 0
-
-    # action == "run": own the pool and serve until interrupted.
-    weights = {}
-    for item in args.weight or []:
-        tenant, eq, value = item.partition("=")
-        if not eq or not tenant:
-            print(f"invalid --weight {item!r} (expected TENANT=N)")
-            return 2
-        try:
-            weights[tenant] = int(value)
-        except ValueError:
-            print(f"invalid --weight {item!r} (expected TENANT=N)")
-            return 2
-    options = {}
-    if args.dist_timeout is not None:
-        options["timeout"] = args.dist_timeout
-    if args.dist_retries is not None:
-        options["retries"] = args.dist_retries
-    try:
-        daemon = dist.ServeDaemon(
-            address=args.address or "127.0.0.1:7731",
-            jobs=args.jobs,
-            remote=tuple(args.worker or ()),
-            watch=args.watch,
-            weights=weights or None,
-            **options,
-        )
-        daemon.start()
-    except (ConfigError, DistError, OSError) as error:
-        print(f"dist serve failed to start: {error}")
-        return 1
-    print(f"serving on {daemon.address} ({daemon.n_slots} slot(s))")
-    try:
-        daemon.wait()
-    except KeyboardInterrupt:
-        print("interrupted; stopping")
-    finally:
-        daemon.stop()
-    return 0
 
 
 def add_parser(sub) -> None:
@@ -348,57 +248,6 @@ def add_parser(sub) -> None:
         help="also write the counters to this JSON file",
     )
     dpoolstatus.set_defaults(handler=cmd_pool_status)
-    dserve = dsub.add_parser(
-        "serve",
-        help="simulation service: run the dispatcher daemon, or query/"
-        "stop a running one",
-    )
-    dserve.add_argument(
-        "action", nargs="?", choices=("run", "status", "stop"),
-        default="run",
-        help="run the daemon (default), or talk to a running one",
-    )
-    dserve.add_argument(
-        "--address", metavar="HOST:PORT", default=None,
-        help="daemon address (run default 127.0.0.1:7731; status/stop "
-        "fall back to REPRO_SERVICE_ADDRESS)",
-    )
-    dserve.add_argument(
-        "-j", "--jobs", type=int, default=0,
-        help="local worker subprocesses to spawn (default 0)",
-    )
-    dserve.add_argument(
-        "--worker", action="append", metavar="HOST:PORT", default=None,
-        help="adopt a remote listen-mode worker at this address "
-        "(repeatable)",
-    )
-    dserve.add_argument(
-        "--watch", metavar="DIR", default=None,
-        help="also adopt job directories appearing under DIR",
-    )
-    dserve.add_argument(
-        "--weight", action="append", metavar="TENANT=N", default=None,
-        help="fair-share weight for a tenant (repeatable; default 1)",
-    )
-    dserve.add_argument(
-        "--dist-timeout", metavar="SECONDS", default=None,
-        help="per-request worker reply timeout "
-        "(default REPRO_DIST_TIMEOUT or none)",
-    )
-    dserve.add_argument(
-        "--dist-retries", metavar="N", default=None,
-        help="extra attempts per chunk after a worker failure "
-        "(default REPRO_DIST_RETRIES or 1)",
-    )
-    dserve.add_argument(
-        "--json", default=None,
-        help="status: also write the stats to this JSON file",
-    )
-    dserve.add_argument(
-        "--stop-workers", action="store_true",
-        help="stop: also shut down the daemon's remote workers",
-    )
-    dserve.set_defaults(handler=cmd_serve)
     dstatus = dsub.add_parser(
         "status", help="summarise a job directory's progress"
     )

@@ -46,7 +46,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     """``trace show TOKEN``: render one distributed trace as a tree.
 
     *TOKEN* is a trace id (any unique prefix) or any span attribute
-    value — most usefully a service job id.  Spans come from the
+    value — most usefully a job-directory worker id.  Spans come from the
     JSON-lines telemetry log (``--log`` or ``REPRO_LOG_FILE``).
     """
     from .. import telemetry
@@ -136,13 +136,13 @@ def add_parser(sub) -> None:
     tinfo.set_defaults(handler=cmd_info)
     tshow = tsub.add_parser(
         "show",
-        help="render a distributed trace (by job id or trace-id prefix) "
-        "from the telemetry log",
+        help="render a distributed trace (by trace-id prefix or span "
+        "attribute) from the telemetry log",
     )
     tshow.add_argument(
         "token", nargs="?", default=None,
         help="trace id (prefix) or a span attribute value such as a "
-        "service job id; omit to list recorded traces",
+        "job-directory worker id; omit to list recorded traces",
     )
     tshow.add_argument(
         "--log", metavar="FILE", default=None,

@@ -3,16 +3,16 @@
 The campaign engine asks this package *how* to execute a grid: every
 point of every campaign routes through a registered
 :class:`ExecutionBackend`.  A point is a :class:`~repro.spec.RunSpec`
-on every path: backends take run specs, and the worker protocol, the
-service's ``submit`` and job-directory manifests carry
-``spec.to_dict()``, which ``RunSpec.from_dict`` reads back.  Results
-travel as ``SimResult.to_dict()`` / ``SimResult.from_dict``.
+on every path: backends take run specs, and the worker protocol and
+job-directory manifests carry ``spec.to_dict()``, which
+``RunSpec.from_dict`` reads back.  Results travel as
+``SimResult.to_dict()`` / ``SimResult.from_dict``.
 
 One executor, :func:`run_group`, runs every point wherever it runs:
 the serial backend per shared-trace group, the process backend over a
 pool, a protocol worker per ``batch-run`` and a job-directory worker per
 claimed point.  It returns the four-field ``(index, result, error,
-timing)`` :data:`Payload` entry of every backend.  Four backends ship
+timing)`` :data:`Payload` entry of every backend.  Three backends ship
 built in:
 
 ``serial``
@@ -30,24 +30,14 @@ built in:
     ``execute()`` calls — campaign resumes and repeated runs reuse live
     workers and their pinned traces — and preloading frees points from
     group affinity, so oversized groups split across idle workers.
-    Point-level retry/timeout fault tolerance as before.  The protocol
-    is the unit a future multi-host dispatcher reuses.
-``service``
-    Simulation as a service: submissions route to a long-running
-    ``repro-sim dist serve`` daemon over TCP.  The daemon owns one
-    shared :class:`WorkerPool` (local and/or remote listen-mode
-    workers) and admits jobs from many concurrent clients with
-    per-tenant weighted-round-robin fair share; a client disconnect
-    re-queues nothing (the daemon finishes the job and holds the
-    results for re-attach by job id).
+    Point-level retry/timeout fault tolerance as before.
 
 Beside the backends sit shared-filesystem **job directories**
 (:mod:`repro.dist.dirqueue`): a packager writes ``manifest.json`` plus
 one ``.rtrace`` per (bench, seed), any number of workers (any hosts)
 claim points via atomic rename and write partial stores, and a merger
 folds them back deterministically.  ``repro-sim dist
-package|worker|status|merge`` drive them across hosts, and ``dist serve
---watch`` adopts them into the daemon.
+package|worker|status|merge`` drive them across hosts.
 
 The ``worker`` protocol is transport-agnostic since protocol v2 grew
 :mod:`repro.dist.transport`: the same JSON-lines stream runs over a
@@ -61,17 +51,16 @@ Quickstart::
     points = expand_grid(["gcc", "li"], ["modulo", "general-balance"])
     run = run_campaign(points, workers=2, backend="worker")
 
-    # Multi-host, by hand:
+    # Listen-mode workers (`repro-sim dist worker --listen HOST:PORT`)
+    # on other hosts, adopted by address:
     from repro import dist
+    remote = dist.backend("worker", remote=["10.0.0.5:7831"])
+    run = run_campaign(points, workers=1, backend=remote)
+
+    # Multi-host, by hand:
     dist.package_job(points, "/shared/job-1")
     # ... on each host:   repro-sim dist worker /shared/job-1
     merged = dist.merge_job("/shared/job-1", store="results.json")
-
-    # As a service (daemon started with `repro-sim dist serve`):
-    run = run_campaign(
-        points, workers=2,
-        backend=dist.backend("service", address="127.0.0.1:7731"),
-    )
 """
 
 from .backends import (
@@ -125,15 +114,6 @@ from .worker import (
     stdio_worker_command,
     worker_environment,
 )
-from .serve import (
-    SERVICE_PROTOCOL_VERSION,
-    FairScheduler,
-    ServeDaemon,
-    ServiceBackend,
-    ServiceClient,
-    service_address_from_env,
-    service_tenant_from_env,
-)
 
 __all__ = [
     "ExecutionBackend",
@@ -179,11 +159,4 @@ __all__ = [
     "shutdown_shared_pools",
     "stdio_worker_command",
     "worker_environment",
-    "SERVICE_PROTOCOL_VERSION",
-    "FairScheduler",
-    "ServeDaemon",
-    "ServiceBackend",
-    "ServiceClient",
-    "service_address_from_env",
-    "service_tenant_from_env",
 ]

@@ -24,8 +24,7 @@ Two contracts every backend honours:
 Wherever a point runs (here, a pool child, a protocol or job-directory
 worker) it runs through :func:`run_group`.  The ``serial`` and
 ``process`` backends live here; the subprocess ``worker`` backend
-(JSON-lines protocol) and the ``service`` client are registered lazily
-from their own modules.
+(JSON-lines protocol) is registered lazily from its own module.
 """
 
 from __future__ import annotations
@@ -223,9 +222,9 @@ def backend_description(name: str) -> str:
 def backend(name: str, **options) -> ExecutionBackend:
     """Build the execution backend registered under *name*.
 
-    Keyword *options* are backend-specific (``timeout=``/``retries=``
-    for ``worker``, ``address=``/``tenant=`` for ``service``); unknown
-    options raise ``TypeError`` from the backend constructor.
+    Keyword *options* are backend-specific (``timeout=``, ``retries=``
+    and ``remote=`` for ``worker``); unknown options raise
+    ``TypeError`` from the backend constructor.
     """
     if not isinstance(name, str):
         raise ConfigError(
@@ -303,10 +302,14 @@ def run_group(
     a pinned trace that covers its window, or the workload *held* keeps
     for its ``(bench, seed)``, or resolves the workload by name into
     *held*, so a group generates its workload once.  A fresh state and
-    dict serve when none is given.  The timing has ``elapsed_seconds``,
-    plus the resolve/simulate split of a point that was simulated.
+    dict serve when none is given.
+
+    The timing has ``elapsed_seconds``, plus, for a point that was
+    simulated, ``resolve_seconds`` (the memo lookup, the workload —
+    generated here when resolved by name — and the machine) and
+    ``simulate_seconds`` (:func:`~repro.spec.facade.execute_resolved`).
     """
-    from ..spec.facade import execute_resolved, last_timing
+    from ..spec.facade import execute_resolved
 
     state = state if state is not None else WorkerState()
     held = held if held is not None else {}
@@ -323,10 +326,13 @@ def run_group(
             state.result_cache_hits += 1
         else:
             try:
+                wl = _workload_for(spec, state, held)
+                config = spec.machine.resolve()
+                t1 = time.perf_counter()
                 result = execute_resolved(
-                    _workload_for(spec, state, held),
+                    wl,
                     spec.scheme,
-                    spec.machine.resolve(),
+                    config,
                     spec.n_instructions,
                     spec.warmup,
                     spec.seed,
@@ -334,7 +340,10 @@ def run_group(
             except Exception:  # noqa: BLE001 — reported per point
                 out.append((index, None, traceback.format_exc(), None))
                 continue
-            split = last_timing()
+            split = {
+                "resolve_seconds": round(t1 - t0, 6),
+                "simulate_seconds": round(time.perf_counter() - t1, 6),
+            }
             state.results[memo_key] = result
             if len(state.results) > RESULT_CACHE_LIMIT:
                 state.results.popitem(last=False)
@@ -432,23 +441,12 @@ def _register_builtin_backends() -> None:
 
         return WorkerBackend(**options)
 
-    def _service_factory(**options):
-        from .serve import ServiceBackend
-
-        return ServiceBackend(**options)
-
     register_backend(
         "worker",
         _worker_factory,
         "warm pool of repro-sim subprocesses speaking the JSON-lines "
         "worker protocol v2 (trace preload, batched dispatch, "
         "retry/timeout)",
-    )
-    register_backend(
-        "service",
-        _service_factory,
-        "submit to a repro-sim dist serve daemon over TCP "
-        "(shared worker fleet, fair multi-tenant admission)",
     )
 
 

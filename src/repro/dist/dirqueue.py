@@ -5,8 +5,7 @@ grid into a self-contained **job directory** on a shared filesystem, any
 number of *workers* (on any hosts that see the directory) claim and
 simulate points, and a *merger* folds the partial results back into one
 deterministic store; ``repro-sim dist package|worker|status|merge``
-drive the three stages, and ``dist serve --watch`` adopts job
-directories into the serve daemon.  No coordinator process exists — the
+drive the three stages.  No coordinator process exists — the
 filesystem is the queue, and atomic ``rename`` is the only
 synchronisation primitive.
 
@@ -299,7 +298,7 @@ def run_worker(
         "dirqueue.worker", parent=manifest_ctx, worker=worker_id,
         dir=job_dir,
     )
-    store = _partial_store(job_dir, worker_id)
+    store = os.path.join(job_dir, _RESULTS, f"{worker_id}.json")
     state = WorkerState()
     held: Dict[Tuple[str, int], object] = {}
     backlog: List[str] = []
@@ -341,20 +340,31 @@ def run_worker(
                 [(entry["index"], spec)], state, held
             )
         if error is not None:
-            _record_failure(job_dir, entry, worker_id, error)
-            _drop_claim(claim_path)
+            _write_json(
+                os.path.join(
+                    job_dir, _FAILED, _token_name(int(entry["index"]))
+                ),
+                {
+                    "index": entry["index"],
+                    "spec": entry["spec"],
+                    "worker": worker_id,
+                    "error": error,
+                },
+            )
             failed += 1
             metrics.counter("dirqueue.points_failed_total").inc()
             _log.warning(
                 "dirqueue.point-failed", worker=worker_id,
                 index=entry["index"], trace_id=span.trace_id,
             )
-            continue
-        runs.append(CampaignRun.timed(spec, result, timing))
-        _save_runs(store, runs)
+        else:
+            runs.append(CampaignRun.timed(spec, result, timing))
+            tmp = store + ".tmp"
+            CampaignResults(runs).save_json(tmp)
+            os.replace(tmp, store)
+            completed += 1
+            metrics.counter("dirqueue.points_completed_total").inc()
         _drop_claim(claim_path)
-        completed += 1
-        metrics.counter("dirqueue.points_completed_total").inc()
     span.annotate(completed=completed, failed=failed)
     span.end(status="error" if failed else "ok")
     _log.info(
@@ -362,35 +372,6 @@ def run_worker(
         failed=failed, trace_id=span.trace_id,
     )
     return completed
-
-
-def _partial_store(job_dir: str, worker_id: str) -> str:
-    """Path of *worker_id*'s partial store inside *job_dir*."""
-    return os.path.join(job_dir, _RESULTS, f"{worker_id}.json")
-
-
-def _save_runs(store: str, runs: List) -> None:
-    """Rewrite the partial store *store* with *runs*, atomically."""
-    from ..analysis.campaign import CampaignResults
-
-    tmp = store + ".tmp"
-    CampaignResults(runs).save_json(tmp)
-    os.replace(tmp, store)
-
-
-def _record_failure(
-    job_dir: str, entry: dict, worker_id: str, error: str
-) -> None:
-    """Write the ``failed/`` record of claimed point *entry*."""
-    _write_json(
-        os.path.join(job_dir, _FAILED, _token_name(int(entry["index"]))),
-        {
-            "index": entry["index"],
-            "spec": entry["spec"],
-            "worker": worker_id,
-            "error": error,
-        },
-    )
 
 
 def _drop_claim(claim_path: str) -> None:

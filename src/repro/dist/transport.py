@@ -9,9 +9,7 @@ direction.  This module abstracts *which* byte stream behind a
   subprocess via its stdin/stdout pipes (the classic warm-pool worker),
   with stderr captured into a bounded tail for crash forensics;
 * :class:`SocketTransport` — a TCP connection to a remote
-  ``repro-sim dist worker --listen HOST:PORT`` process (or to a
-  ``repro-sim dist serve`` daemon, which speaks a JSON-lines service
-  protocol over the same transport).
+  ``repro-sim dist worker --listen HOST:PORT`` process.
 
 Failure modes are normalised so the dispatcher's retry machinery never
 cares about the transport kind:
@@ -26,15 +24,13 @@ cares about the transport kind:
 * a **half-open** connection (the peer vanished without FIN — host
   power-off, dropped NAT entry) produces no EOF at all; it manifests as
   a reply timeout (:class:`PeerTimeout`), which the dispatcher already
-  treats as "kill and retry".  Idle half-open peers are caught by the
-  heartbeat ping the serve daemon sends between dispatches.
+  treats as "kill and retry".
 
-:class:`LineChannel` adds the request/reply discipline both protocols
-share: monotonically increasing ``id`` fields, one reply per request,
-reply-id matching, JSON decode guarding.  On the serving side
-:func:`answer_request` is the one request frame of both servers (the
-protocol worker and the ``dist serve`` daemon): it parses a line,
-dispatches its op and turns any failure into an error reply.
+:class:`LineChannel` adds the request/reply discipline: monotonically
+increasing ``id`` fields, one reply per request, reply-id matching,
+JSON decode guarding.  On the serving side,
+:func:`serve_socket_connection` drives one accepted connection through
+a line handler.
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ import queue
 import socket
 import subprocess
 import threading
-import traceback
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, DistError
 
@@ -338,9 +333,9 @@ class LineChannel:
 
     Serialises one JSON request per line with a monotonically increasing
     ``id``, waits for the matching reply, and maps every stream-level
-    failure onto :class:`PeerClosed` / :class:`PeerTimeout` so callers
-    (the worker pool's retry machinery, the service client) share one
-    error model regardless of transport.
+    failure onto :class:`PeerClosed` / :class:`PeerTimeout`, so the
+    worker pool's retry machinery has one error model whatever the
+    transport.
     """
 
     def __init__(self, transport: Transport):
@@ -386,40 +381,10 @@ class LineChannel:
         return self.transport.describe()
 
 
-def answer_request(
-    line: str, ops: Dict[str, Callable[[dict], dict]], protocol: int
-) -> Tuple[dict, bool]:
-    """One JSON-lines request → ``(reply, keep_serving)``; never raises.
-
-    *ops* maps an op name to a handler returning the reply's fields
-    after ``{"id": ..., "ok": true}``; ``ping`` echoes *protocol*, and a
-    ``bye`` field ends serving.  Bad JSON, an unknown op or a handler's
-    exception becomes an ``{"ok": false, "error": traceback}`` reply and
-    serving goes on: one corrupt line must not poison a server.
-    """
-    request_id = None
-    try:
-        request = json.loads(line)
-        if not isinstance(request, dict):
-            raise ValueError(f"request must be an object, got {request!r}")
-        request_id = request.get("id")
-        op = request.get("op")
-        if op == "ping":
-            return {"id": request_id, "ok": True, "protocol": protocol}, True
-        if op not in ops:
-            raise ValueError(f"unknown op {op!r}")
-        reply = {"id": request_id, "ok": True, **ops[op](request)}
-        return reply, not reply.get("bye")
-    except Exception:  # noqa: BLE001 — every failure becomes a reply
-        return {
-            "id": request_id, "ok": False, "error": traceback.format_exc(),
-        }, True
-
-
 def serve_socket_connection(conn: socket.socket, handle_line) -> bool:
     """Drive one accepted connection through a line handler.
 
-    *handle_line* maps one request line to ``(reply_dict_or_None,
+    *handle_line* maps one request line to ``(reply_dict,
     keep_serving)``.  Returns ``False`` when the handler asked the whole
     server to stop (a ``shutdown`` op), ``True`` when the client merely
     disconnected and the server should accept the next connection.
@@ -442,16 +407,15 @@ def serve_socket_connection(conn: socket.socket, handle_line) -> bool:
                 if not line.strip():
                     continue
                 reply, keep_serving = handle_line(line)
-                if reply is not None:
-                    try:
-                        conn.sendall(
-                            json.dumps(
-                                reply, separators=(",", ":")
-                            ).encode("utf-8")
-                            + b"\n"
+                try:
+                    conn.sendall(
+                        json.dumps(reply, separators=(",", ":")).encode(
+                            "utf-8"
                         )
-                    except OSError:
-                        return True
+                        + b"\n"
+                    )
+                except OSError:
+                    return True
                 if not keep_serving:
                     return False
     finally:
@@ -466,7 +430,7 @@ def listen_socket(address) -> socket.socket:
 
     Port 0 binds an ephemeral port; read the actual one back via
     ``sock.getsockname()[1]``.  ``SO_REUSEADDR`` is set so a restarted
-    daemon can rebind its old address immediately.
+    worker can rebind its old address immediately.
     """
     if isinstance(address, str):
         host, port = parse_address(address, default_host="0.0.0.0")

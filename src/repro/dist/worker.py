@@ -61,13 +61,10 @@ Fault tolerance lives in the dispatcher: a worker that dies mid-batch or
 exceeds the batch timeout is killed and replaced, and the batch is
 retried (``retries`` times) on whichever worker next drains the queue —
 safe precisely because execution is deterministic.  One chunk attempt
-(:meth:`WorkerBackend._attempt`) does this for both dispatchers, the
-backend's own threads and the ``dist serve`` daemon's; each keeps only
-its queue, its result sink and what it does with a slot whose worker
-cannot be reached.  The dispatcher captures each worker's stderr and
-attaches its tail to the failure messages, so a crashing worker's
-traceback lands in the recorded error instead of leaking to the
-console.
+is :meth:`WorkerBackend._attempt`.  The dispatcher captures each
+worker's stderr and attaches its tail to the failure messages, so a
+crashing worker's traceback lands in the recorded error instead of
+leaking to the console.
 
 Because traces travel in-band, points are no longer affinity-bound to
 the one worker that generated their workload: once a group's trace is
@@ -120,7 +117,6 @@ from .transport import (
     PeerTimeout,
     SocketTransport,
     StdioTransport,
-    answer_request,
     listen_socket,
     parse_address,
     serve_socket_connection,
@@ -254,21 +250,36 @@ def handle_request(
 
     Never raises: every failure mode becomes an error reply so the
     dispatcher can tell a *point* failure (deterministic, reported) from
-    a *worker* failure (process death, retried).  *state* carries the
-    trace cache, the result memo and the counters between requests.
+    a *worker* failure (process death, retried).  Bad JSON, an unknown
+    op or a handler's exception becomes an ``{"ok": false, "error":
+    traceback}`` reply and serving goes on: one corrupt line must not
+    poison a long-lived worker.  *state* carries the trace cache, the
+    result memo and the counters between requests.
     """
-    return answer_request(
-        line,
-        {
-            "shutdown": lambda request: {"bye": True},
-            "stats": lambda request: {
-                "protocol": PROTOCOL_VERSION, **state.stats()
-            },
-            "preload": lambda request: _handle_preload(request, state),
-            "batch-run": lambda request: _handle_batch_run(request, state),
-        },
-        PROTOCOL_VERSION,
-    )
+    request_id = None
+    try:
+        request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError(f"request must be an object, got {request!r}")
+        request_id = request.get("id")
+        op = request.get("op")
+        if op == "shutdown":
+            return {"id": request_id, "ok": True, "bye": True}, False
+        if op == "ping":
+            fields = {"protocol": PROTOCOL_VERSION}
+        elif op == "stats":
+            fields = {"protocol": PROTOCOL_VERSION, **state.stats()}
+        elif op == "preload":
+            fields = _handle_preload(request, state)
+        elif op == "batch-run":
+            fields = _handle_batch_run(request, state)
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        return {"id": request_id, "ok": True, **fields}, True
+    except Exception:  # noqa: BLE001 — every failure becomes a reply
+        return {
+            "id": request_id, "ok": False, "error": traceback.format_exc(),
+        }, True
 
 
 def serve_stdio(stdin=None, stdout=None) -> int:
@@ -295,9 +306,10 @@ def serve_listen(address, stdout=None) -> int:
     announces the bound address on *stdout* so launchers can parse it,
     and accepts one dispatcher connection at a time.  One persistent
     :class:`WorkerState` serves every connection, so pinned traces and
-    the result memo survive dispatcher reconnects — a restarted daemon
-    reattaches to a still-warm worker.  A dispatcher disconnect just
-    means "accept the next one"; only a ``shutdown`` op ends the loop.
+    the result memo survive dispatcher reconnects — a restarted
+    dispatcher reattaches to a still-warm worker.  A dispatcher
+    disconnect just means "accept the next one"; only a ``shutdown`` op
+    ends the loop.
     """
     sock = listen_socket(address)
     host, port = sock.getsockname()[:2]
@@ -414,9 +426,9 @@ class WorkerPool:
 
         A slot's channel matches replies to requests by id, so only one
         thread may run a request cycle on it at a time.  Dispatcher
-        threads hold their slot's lock per chunk; out-of-band users
-        (``stats``, the serve daemon's heartbeat) try-acquire and skip
-        busy slots instead of corrupting the stream.
+        threads hold their slot's lock per chunk; :meth:`stats`
+        try-acquires it and skips a busy slot instead of corrupting the
+        stream.
         """
         with self._lock:
             lock = self._slot_locks.get(slot)
@@ -498,8 +510,7 @@ class WorkerPool:
 
         Remote workers only get their connection closed (they go back to
         listening for the next dispatcher) unless *stop_remote* sends
-        them the ``shutdown`` op too — that is the serve daemon's
-        stop-the-fleet path.
+        them the ``shutdown`` op too.
         """
         with self._lock:
             workers, self._workers = self._workers, []
@@ -563,7 +574,7 @@ class WorkerPool:
                 self._payloads.pop(key, None)
 
     # -- observability -------------------------------------------------
-    def stats(self, timeout: Optional[float] = 10) -> Dict[str, object]:
+    def stats(self) -> Dict[str, object]:
         """Pool totals plus each worker's ``stats`` op reply.
 
         Every entry carries the transport/address columns, so remote and
@@ -574,7 +585,7 @@ class WorkerPool:
         ``trace_payloads`` counts the payloads built over the pool's
         lifetime: across one campaign it grows by one per group no
         worker already held.  ``payloads_cached`` counts those cached
-        now, which is 0 once every campaign or served job has finished.
+        now, which is 0 once every campaign has finished.
         """
         per_worker: List[Dict[str, object]] = []
         with self._lock:
@@ -593,7 +604,7 @@ class WorkerPool:
                 per_worker.append({**worker.describe(), "busy": True})
                 continue
             try:
-                reply = worker.request("stats", timeout=timeout)
+                reply = worker.request("stats", timeout=10)
             except (PeerClosed, PeerTimeout):
                 continue
             finally:
@@ -775,31 +786,29 @@ class _Attempt(NamedTuple):
 
     Exactly one of *items* (done: one reply item per point), *retry*
     (the task to queue again) and *error* (failed: the message for every
-    point) is set.  *spans* holds the span records the attempt finished,
-    worker-side ones included, for sinks that collect them.
+    point) is set.
     """
 
     items: Optional[List[dict]] = None
     retry: Optional[_Chunk] = None
     error: Optional[str] = None
-    spans: Sequence[dict] = ()
 
 
 #: Per-point timing fields a ``batch-run`` reply item may carry.
 _TIMING_KEYS = ("elapsed_seconds", "resolve_seconds", "simulate_seconds")
 
 
-def _reply_entry(index: int, item: Optional[dict], lost: str):
-    """The backend payload entry for point *index* from its reply item.
-
-    A missing item or one without an ``error`` reports *lost*.
-    """
+def _reply_entry(index: int, item: Optional[dict]):
+    """The backend payload entry for point *index* from its reply item."""
     if item and item.get("ok"):
         timing = {k: item[k] for k in _TIMING_KEYS if k in item}
         return (
             index, SimResult.from_dict(item["result"]), None, timing or None,
         )
-    return (index, None, str((item or {}).get("error", lost)), None)
+    return (
+        index, None, str((item or {}).get("error", "worker error reply")),
+        None,
+    )
 
 
 class WorkerBackend(ExecutionBackend):
@@ -951,18 +960,18 @@ class WorkerBackend(ExecutionBackend):
             for bench, seed in reply.get("evicted", ()):
                 worker.preloaded.pop((bench, seed), None)
 
-    def _attempt(self, pool, slot, task: _Chunk, parent, **attrs) -> _Attempt:
+    def _attempt(self, pool, slot, task: _Chunk, parent) -> _Attempt:
         """One attempt at *task* on the worker in *slot*.
 
-        The attempt is one ``dispatch`` span (tagged with *attrs*): a
-        first attempt hangs off *parent*, a retry off the failed
-        attempt's span, so the trace tree shows which failure each retry
-        answered.  Under the slot lock it preloads the chunk's trace and
-        sends one ``batch-run`` whose span context makes the worker's
-        own span its child.  A worker that dies, times out or cannot be
-        reached is discarded and the chunk comes back as a retry until
-        ``retries`` extra attempts are spent; an ``ok: false`` reply is
-        deterministic and fails the chunk at once.
+        The attempt is one ``dispatch`` span: a first attempt hangs off
+        *parent*, a retry off the failed attempt's span, so the trace
+        tree shows which failure each retry answered.  Under the slot
+        lock it preloads the chunk's trace and sends one ``batch-run``
+        whose span context makes the worker's own span its child.  A
+        worker that dies, times out or cannot be reached is discarded
+        and the chunk comes back as a retry until ``retries`` extra
+        attempts are spent; an ``ok: false`` reply is deterministic and
+        fails the chunk at once.
         """
         attempts, key, needed, chunk, retry_of = task
         span = tracing.start_span(
@@ -973,7 +982,6 @@ class WorkerBackend(ExecutionBackend):
             bench=key[0],
             seed=key[1],
             points=len(chunk),
-            **attrs,
         )
         metrics.counter("dispatch.chunks_total").inc()
         batch_span = None
@@ -995,41 +1003,37 @@ class WorkerBackend(ExecutionBackend):
         except (PeerClosed, PeerTimeout) as err:
             pool.discard(slot)
             error = f"{type(err).__name__}: {err}"
-            spans = []
             if batch_span is not None:
-                spans.append(batch_span.end(status="error", error=error))
-            spans.append(span.end(status="error", error=error))
+                batch_span.end(status="error", error=error)
+            span.end(status="error", error=error)
             _log.warning(
                 "dispatch.worker-failed", slot=slot, attempt=attempts + 1,
-                trace_id=span.trace_id, error=error[:300], **attrs,
+                trace_id=span.trace_id, error=error[:300],
             )
             if attempts < self.retries:
                 metrics.counter("dispatch.retries_total").inc()
                 return _Attempt(
-                    retry=(attempts + 1, key, needed, chunk, span.context()),
-                    spans=spans,
+                    retry=(attempts + 1, key, needed, chunk, span.context())
                 )
             return _Attempt(
                 error=(
                     f"worker failed after {attempts + 1} attempt(s): "
                     f"{error} [trace {span.trace_id}]"
-                ),
-                spans=spans,
+                )
             )
         # Worker-side spans ride the reply; record them here so the
         # dispatcher's log holds the whole tree even for remote
         # workers whose own log lives on another host.
-        spans = list(reply.get("spans") or ())
-        for record in spans:
+        for record in reply.get("spans") or ():
             tracing.record_span(record)
         if not reply.get("ok"):
             error = str(reply.get("error", "worker error reply"))
-            spans.append(batch_span.end(status="error", error=error))
-            spans.append(span.end(status="error", error=error))
-            return _Attempt(error=error, spans=spans)
-        spans.append(batch_span.end())
-        spans.append(span.end())
-        return _Attempt(items=reply.get("results") or [], spans=spans)
+            batch_span.end(status="error", error=error)
+            span.end(status="error", error=error)
+            return _Attempt(error=error)
+        batch_span.end()
+        span.end()
+        return _Attempt(items=reply.get("results") or [])
 
     def _drain(self, pool, slot, tasks, entries, parent_ctx) -> None:
         """One dispatcher thread: attempt *slot*'s chunks until none remain."""
@@ -1052,6 +1056,4 @@ class WorkerBackend(ExecutionBackend):
                     entries[index] = (index, None, outcome.error, None)
             else:
                 for (index, _), item in zip(task[3], outcome.items):
-                    entries[index] = _reply_entry(
-                        index, item, "worker error reply"
-                    )
+                    entries[index] = _reply_entry(index, item)

@@ -15,23 +15,10 @@ resolution) is defined exactly once.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Optional, Union
 
 from ..errors import ConfigError
 from .specs import MachineSpec, RunSpec, SuiteSpec
-
-#: Per-thread timing of the most recent :func:`execute_resolved` call —
-#: how long workload/trace resolution (decode) took vs the simulation
-#: proper.  Campaign stores read this to attribute per-point cost.
-_last_timing = threading.local()
-
-
-def last_timing() -> Optional[dict]:
-    """``{"resolve_seconds", "simulate_seconds"}`` of this thread's most
-    recent :func:`execute_resolved` call, or ``None``."""
-    return getattr(_last_timing, "value", None)
 
 
 def execute_resolved(
@@ -57,20 +44,12 @@ def execute_resolved(
     from ..pipeline.processor import Processor
     from ..workloads import Workload, workload
 
-    t0 = time.perf_counter()
     wl = bench if isinstance(bench, Workload) else workload(bench, seed=seed)
     scheme = make_steering(steering) if isinstance(steering, str) else steering
     cfg = config if config is not None else ProcessorConfig.default()
     if getattr(scheme, "requires_fifo_issue", False) and not cfg.fifo_issue:
         cfg = cfg.with_fifo_issue()
-    t1 = time.perf_counter()
-    result = Processor(wl, cfg, scheme).run(n_instructions, warmup=warmup)
-    t2 = time.perf_counter()
-    _last_timing.value = {
-        "resolve_seconds": round(t1 - t0, 6),
-        "simulate_seconds": round(t2 - t1, 6),
-    }
-    return result
+    return Processor(wl, cfg, scheme).run(n_instructions, warmup=warmup)
 
 
 def execute(spec: RunSpec):

@@ -1,4 +1,4 @@
-"""Observability for the simulation service: logging, tracing, metrics.
+"""Observability for campaigns and workers: logging, tracing, metrics.
 
 Three coordinated layers, all silent-by-default:
 
@@ -10,7 +10,7 @@ Three coordinated layers, all silent-by-default:
   reconstructed by ``repro-sim trace show``.
 * :mod:`repro.telemetry.metrics` — one process-wide registry of
   counters/gauges/histograms behind ``telemetry.metrics``, surfaced by
-  the ``--json`` status endpoints and ``repro-sim telemetry dump``.
+  ``dist pool status --json``.
 """
 
 from .log import (

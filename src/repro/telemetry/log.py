@@ -403,7 +403,7 @@ _loggers: Dict[str, EventLogger] = {}
 
 
 def get_logger(component: str) -> EventLogger:
-    """The process-wide logger for *component* (e.g. ``"dist.serve"``)."""
+    """The process-wide logger for *component* (e.g. ``"dist.worker"``)."""
     logger = _loggers.get(component)
     if logger is None:
         with _lock:

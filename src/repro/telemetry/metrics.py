@@ -1,16 +1,12 @@
 """A process-wide metrics registry: counters, gauges, histograms.
 
-The runtime previously kept its numbers in scattered ad-hoc dicts —
-``WorkerPool.stats()`` counters, the serve daemon's per-tenant depths
-and dispatch log, nothing at all for per-point simulate/decode cost.
-This module gives them one home: named instruments registered on a
-shared :data:`metrics` registry whose :meth:`~MetricsRegistry.snapshot`
-is surfaced by ``dist pool status --json``, ``dist serve status
---json``, and ``repro-sim telemetry dump``.
+Named instruments live on a shared :data:`metrics` registry whose
+:meth:`~MetricsRegistry.snapshot` is surfaced by ``dist pool status
+--json``; ``perfbench`` reads the steering memo counters directly.
 
-Instruments are cheap (a lock and a few floats) and process-local; a
-worker's metrics describe that worker's process and ride its ``stats``
-protocol reply, they are not merged magically across a fleet.
+Instruments are cheap (a lock and a few floats) and process-local: a
+worker's metrics describe that worker's process and are not merged
+across a fleet.
 """
 
 from __future__ import annotations

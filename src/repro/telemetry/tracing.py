@@ -1,18 +1,18 @@
 """Distributed tracing: spans, propagation contexts, and trace trees.
 
 A :class:`Span` names one stage of a distributed job — ``campaign``,
-``submit``, ``dispatch``, ``worker.batch`` — with a shared ``trace_id``,
+``dispatch``, ``batch-run``, ``worker.batch`` — with a shared ``trace_id``,
 its own ``span_id``, an optional parent, a wall-clock start, a
 monotonic duration, and free-form attributes.  Finished spans become
-plain dicts: recorded into a bounded in-process ring (for status
-endpoints and tests), written through the structured log sink as
+plain dicts: recorded into a bounded in-process ring (read by
+tests), written through the structured log sink as
 ``event: "span"`` lines, and small enough to ride protocol replies so
 a worker's spans land in the dispatcher's log too.
 
 Propagation is an optional ``trace`` field — ``{"trace_id", "span_id"}``
 — on protocol requests.  Old peers ignore unknown fields and new peers
-tolerate its absence, so the worker protocol (v2) and service protocol
-(v1) versions are unchanged.
+tolerate its absence, so the worker protocol version (v2) is
+unchanged.
 
 Because both ends record, the same span may appear twice in one log
 file (a local worker and its dispatcher share ``REPRO_LOG_FILE``);

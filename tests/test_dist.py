@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import threading
 import time
 
 import pytest
@@ -38,11 +39,26 @@ def serial(points):
     return Campaign(points, backend="serial").run()
 
 
+def _assert_identical(results, serial):
+    assert [(r.point, r.result) for r in results] == [
+        (r.point, r.result) for r in serial
+    ]
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = dist.available_backends()
-        for name in ("serial", "process", "worker", "service"):
+        for name in ("serial", "process", "worker"):
             assert name in names
+
+    def test_backends_json_lists_exactly_the_builtins(self, capsys):
+        from repro.cli import main
+
+        assert main(["dist", "backends", "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert {entry["name"] for entry in listed} == {
+            "serial", "process", "worker",
+        }
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ConfigError, match="serial"):
@@ -105,6 +121,64 @@ class TestJobsValidation:
     def test_run_campaign_rejects_bad_workers(self, points):
         with pytest.raises(ConfigError, match="positive integer"):
             run_campaign(points, workers=-1)
+
+
+class TestKnobValidation:
+    def test_timeout_accepts_numbers_and_none_spellings(self):
+        assert dist.backends.coerce_timeout(None) is None
+        assert dist.backends.coerce_timeout("none") is None
+        assert dist.backends.coerce_timeout("inf") is None
+        assert dist.backends.coerce_timeout("2.5") == 2.5
+        assert dist.backends.coerce_timeout(30) == 30.0
+
+    @pytest.mark.parametrize("bad", ["soon", 0, -1, "-2.5", True, []])
+    def test_bad_timeout_raises_config_error(self, bad):
+        with pytest.raises(ConfigError, match="positive number"):
+            dist.backends.coerce_timeout(bad)
+
+    def test_retries_accepts_zero(self):
+        assert dist.backends.coerce_retries(0) == 0
+        assert dist.backends.coerce_retries("3") == 3
+
+    @pytest.mark.parametrize("bad", ["many", -1, 2.5, True, None])
+    def test_bad_retries_raises_config_error(self, bad):
+        with pytest.raises(ConfigError, match="non-negative integer"):
+            dist.backends.coerce_retries(bad)
+
+    def test_env_knobs_reach_worker_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIST_TIMEOUT", "12.5")
+        monkeypatch.setenv("REPRO_DIST_RETRIES", "4")
+        backend = dist.WorkerBackend()
+        assert backend.timeout == 12.5
+        assert backend.retries == 4
+
+    def test_bad_env_knob_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIST_TIMEOUT", "soon")
+        with pytest.raises(ConfigError, match="REPRO_DIST_TIMEOUT"):
+            dist.WorkerBackend()
+
+    def test_explicit_arguments_beat_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIST_TIMEOUT", "12.5")
+        assert dist.WorkerBackend(timeout=None).timeout is None
+        assert dist.WorkerBackend(timeout=3).timeout == 3.0
+
+    def test_cli_rejects_bad_dist_timeout(self, points):
+        from repro.cli import main
+
+        code = main([
+            "campaign", "-b", "gcc", "-s", "modulo",
+            "--backend", "worker", "--dist-timeout", "soon",
+        ])
+        assert code == 2
+
+    def test_cli_rejects_dist_flags_without_matching_backend(self):
+        from repro.cli import main
+
+        code = main([
+            "campaign", "-b", "gcc", "-s", "modulo",
+            "--backend", "serial", "--dist-timeout", "5",
+        ])
+        assert code == 2
 
 
 def _serve(*lines):
@@ -522,6 +596,36 @@ class TestUnreachableSlots:
         assert [(r.point, r.result) for r in results] == [
             (r.point, r.result) for r in serial
         ]
+
+
+class TestListenWorkers:
+    def _listen_worker(self):
+        """One in-process listen-mode worker; returns its address."""
+        out = io.StringIO()
+        thread = threading.Thread(
+            target=dist.serve_listen, args=("127.0.0.1:0", out), daemon=True
+        )
+        thread.start()
+        deadline = time.monotonic() + 10
+        while "\n" not in out.getvalue():
+            assert time.monotonic() < deadline, "worker never announced"
+            time.sleep(0.01)
+        return out.getvalue().split()[-1]
+
+    def test_pool_adopts_remote_worker_directly(self, points, serial):
+        """WorkerBackend with a remote pool: the listen worker serves it."""
+        address = self._listen_worker()
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            backend = dist.WorkerBackend(pool=pool)
+            results = Campaign(points, backend=backend).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        _assert_identical(results, serial)
+        assert stats["connects_total"] == 1
+        assert stats["spawned_total"] == 0
+        assert stats["workers"][0]["transport"] == "socket"
 
 
 class TestWarmPool:

@@ -70,13 +70,6 @@ def test_distributed_campaign():
     assert "identical to the serial run" in out
 
 
-def test_simulation_service():
-    out = run_example("simulation_service.py", "smoke", "900")
-    assert "daemon serving on 127.0.0.1:" in out
-    assert "tenant alice" in out and "tenant bob" in out
-    assert out.count("identical to the serial run") == 2
-
-
 def test_slice_analysis():
     out = run_example("slice_analysis.py", "li")
     assert "static slices" in out

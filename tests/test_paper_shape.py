@@ -3,7 +3,9 @@
 These tests assert the *shape* of the results — who wins, in what order,
 and roughly by how much — not absolute numbers (our substrate is a
 synthetic-workload simulator, not the authors' SimpleScalar + SpecInt95
-setup; see EXPERIMENTS.md for the measured-vs-paper comparison).
+setup).  The figure benchmarks in ``benchmarks/`` print the paper's
+numbers beside the measured ones (their ``paper:`` lines), and ROADMAP
+item 1 tabulates the measured-vs-paper comparison.
 
 The windows are kept moderate so the whole module runs in about a minute;
 the benchmark harness re-runs the same experiments with larger windows.

@@ -1,9 +1,9 @@
 """Tests for repro.telemetry: logging, tracing, metrics, and wiring.
 
-The distributed scenarios mirror test_dist / test_service: a worker
-crash consumed by a retry, a daemon restart forcing a resubmit, and
-mixed old/new protocol peers — here asserting that the *telemetry*
-survives each of them with a complete, well-parented span tree.
+The distributed scenarios mirror test_dist: a worker crash consumed by
+a retry and mixed old/new protocol peers — here asserting that the
+*telemetry* survives each of them with a complete, well-parented span
+tree.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.analysis.campaign import (
     CampaignResults,
     expand_grid,
 )
-from repro.dist import serve as serve_module
 from repro.dist.worker import WorkerState, handle_request
 from repro.errors import ConfigError
 from repro.spec import RunSpec
@@ -294,6 +293,27 @@ class TestCampaignTelemetry:
         assert set(again[3]) == {"elapsed_seconds"}
         assert state.result_cache_hits == 1
 
+    def test_workload_generation_lands_in_resolve_seconds(
+        self, points, monkeypatch
+    ):
+        """A group generates its workload by name once, inside its first
+        point's resolve phase: the cost shows in that point's
+        resolve_seconds, and the second point reuses the workload."""
+        import repro.workloads as workloads
+
+        delay = 0.2
+        generate = workloads.workload
+
+        def slow_workload(*args, **kwargs):
+            time.sleep(delay)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(workloads, "workload", slow_workload)
+        (first, second) = sorted(dist.backend("serial").execute(points))
+        assert first[3]["resolve_seconds"] >= delay
+        assert first[3]["elapsed_seconds"] >= first[3]["resolve_seconds"]
+        assert second[3]["resolve_seconds"] < delay
+
     def test_campaign_error_names_the_trace(self):
         bad = [
             RunSpec(
@@ -411,85 +431,3 @@ class TestMixedPeers:
         (record,) = reply["spans"]
         assert record["name"] == "worker.batch"
         assert "parent_id" not in record
-
-
-# ----------------------------------------------------------------------
-# Service daemon
-# ----------------------------------------------------------------------
-class TestServiceTelemetry:
-    def test_service_campaign_produces_complete_trace(
-        self, tmp_path, monkeypatch, points, serial
-    ):
-        path = _log_file(tmp_path, monkeypatch)
-        daemon = dist.ServeDaemon(address="127.0.0.1:0", jobs=1).start()
-        try:
-            backend = dist.backend("service", address=daemon.address)
-            results = Campaign(points, backend=backend).run()
-            status = daemon.status()
-        finally:
-            daemon.stop()
-        assert list(results) == list(serial)
-        assert all(r.elapsed_seconds > 0 for r in results)
-        telemetry.flush()
-        spans = tracing.load_spans(str(path))
-        names = {s["name"] for s in spans}
-        assert {"campaign", "submit", "job", "admit", "dispatch",
-                "batch-run", "worker.batch"} <= names
-        campaign_span = next(s for s in spans if s["name"] == "campaign")
-        assert all(
-            s["trace_id"] == campaign_span["trace_id"] for s in spans
-        )
-        assert tracing.check_span_trees(spans) == []
-        assert status["telemetry"]["serve.submits_total"]["value"] >= 1
-
-    def test_daemon_restart_resubmit_appears_in_the_trace(
-        self, tmp_path, monkeypatch, points
-    ):
-        """After a daemon restart the client resubmits; the trace shows
-        both submits, and the completed job's tree is intact."""
-        path = _log_file(tmp_path, monkeypatch)
-        monkeypatch.setattr(serve_module, "RECONNECT_DELAY", 0.1)
-        first = dist.ServeDaemon(address="127.0.0.1:0", jobs=1).start()
-        address = first.address
-        client = dist.ServiceClient(
-            address=address, tenant="t", reconnects=50
-        )
-        root = tracing.start_span("campaign")
-        second = None
-        try:
-            with tracing.activate(root):
-                client.submit(points)
-                client.close()
-                first.stop()
-                deadline = time.monotonic() + 30
-                while True:
-                    try:
-                        second = dist.ServeDaemon(
-                            address=address, jobs=1
-                        ).start()
-                        break
-                    except Exception:
-                        assert time.monotonic() < deadline, (
-                            "port never freed"
-                        )
-                        time.sleep(0.2)
-                items = client.run(points)  # fresh submit, fresh job id
-        finally:
-            client.close()
-            if second is not None:
-                second.stop()
-        root.end()
-        telemetry.flush()
-        assert len(items) == len(points) and all(i["ok"] for i in items)
-        spans = tracing.load_spans(str(path))
-        mine = [s for s in spans if s["trace_id"] == root.trace_id]
-        submits = [s for s in mine if s["name"] == "submit"]
-        assert len(submits) == 2  # original + post-restart resubmit
-        done = [
-            s for s in mine
-            if s["name"] == "job" and s["status"] == "ok"
-        ]
-        assert len(done) >= 1  # the resubmitted job completed
-        # Whatever completed, completed with full telemetry.
-        ok_spans = [s for s in mine if s["status"] == "ok"]
-        assert tracing.check_span_trees(ok_spans) == []

@@ -44,10 +44,8 @@ class TestParseAddress:
             parse_address(bad)
 
     def test_error_names_the_source(self):
-        with pytest.raises(ConfigError, match="REPRO_SERVICE_ADDRESS"):
-            parse_address(
-                "nope", source="environment variable REPRO_SERVICE_ADDRESS"
-            )
+        with pytest.raises(ConfigError, match="remote worker address"):
+            parse_address("nope", source="remote worker address")
 
     def test_format_is_inverse(self):
         assert format_address(parse_address("a:1")) == "a:1"

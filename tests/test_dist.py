@@ -598,19 +598,24 @@ class TestUnreachableSlots:
         ]
 
 
+def _listen_thread():
+    """One in-process listen-mode worker: ``(address, thread)``."""
+    out = io.StringIO()
+    thread = threading.Thread(
+        target=dist.serve_listen, args=("127.0.0.1:0", out), daemon=True
+    )
+    thread.start()
+    deadline = time.monotonic() + 10
+    while "\n" not in out.getvalue():
+        assert time.monotonic() < deadline, "worker never announced"
+        time.sleep(0.01)
+    return out.getvalue().split()[-1], thread
+
+
 class TestListenWorkers:
     def _listen_worker(self):
         """One in-process listen-mode worker; returns its address."""
-        out = io.StringIO()
-        thread = threading.Thread(
-            target=dist.serve_listen, args=("127.0.0.1:0", out), daemon=True
-        )
-        thread.start()
-        deadline = time.monotonic() + 10
-        while "\n" not in out.getvalue():
-            assert time.monotonic() < deadline, "worker never announced"
-            time.sleep(0.01)
-        return out.getvalue().split()[-1]
+        return _listen_thread()[0]
 
     def test_pool_adopts_remote_worker_directly(self, points, serial):
         """WorkerBackend with a remote pool: the listen worker serves it."""
@@ -626,6 +631,353 @@ class TestListenWorkers:
         assert stats["connects_total"] == 1
         assert stats["spawned_total"] == 0
         assert stats["workers"][0]["transport"] == "socket"
+
+    def test_remote_fleet_identical_to_serial(self, points, serial):
+        """Two listen workers, no local one: each slot is a socket."""
+        addresses = [self._listen_worker(), self._listen_worker()]
+        pool = dist.WorkerPool(remote=addresses)
+        try:
+            backend = dist.WorkerBackend(pool=pool)
+            results = Campaign(points, workers=2, backend=backend).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        _assert_identical(results, serial)
+        assert stats["spawned_total"] == 0
+        assert stats["connects_total"] == 2
+        assert sorted(w["address"] for w in stats["workers"]) == sorted(
+            addresses
+        )
+        assert all(w["transport"] == "socket" for w in stats["workers"])
+        assert stats["points_served"] == len(points)
+
+    def test_backend_by_name_adopts_remote_workers(self, points, serial):
+        """``dist.backend("worker", remote=[...])`` serves through the
+        shared pool for that fleet, which connects instead of spawning."""
+        address = self._listen_worker()
+        pool = dist.shared_pool(remote=[address])
+        try:
+            backend = dist.backend("worker", remote=[address])
+            results = Campaign(points, backend=backend).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        _assert_identical(results, serial)
+        assert stats["remote_addresses"] == [address]
+        assert stats["connects_total"] == 1
+        assert stats["spawned_total"] == 0
+
+    def test_mixed_fleet_puts_remote_slots_first(self, points, serial):
+        """Slots up to the remote count connect; the rest spawn."""
+        address = self._listen_worker()
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            backend = dist.WorkerBackend(pool=pool)
+            results = Campaign(points, workers=2, backend=backend).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        _assert_identical(results, serial)
+        assert (stats["connects_total"], stats["spawned_total"]) == (1, 1)
+        first, second = stats["workers"]
+        assert (first["transport"], first["address"]) == ("socket", address)
+        assert second["transport"] == "stdio"
+
+    def test_listen_worker_keeps_its_memo_across_dispatchers(
+        self, points, serial
+    ):
+        """A worker outlives the pool that borrowed it: the next
+        dispatcher's identical campaign comes from the worker's memo."""
+        address = self._listen_worker()
+        first = dist.WorkerPool(remote=[address])
+        try:
+            Campaign(points, backend=dist.WorkerBackend(pool=first)).run()
+        finally:
+            first.shutdown()
+        second = dist.WorkerPool(remote=[address])
+        try:
+            results = Campaign(
+                points, backend=dist.WorkerBackend(pool=second)
+            ).run()
+            stats = second.stats()
+        finally:
+            second.shutdown(stop_remote=True)
+        _assert_identical(results, serial)
+        (worker,) = stats["workers"]
+        assert worker["result_cache_hits"] == len(points)
+        assert worker["points_served"] == 2 * len(points)
+
+    def test_only_stop_remote_ends_the_listen_loop(self):
+        """``shutdown()`` hands a borrowed worker back still listening;
+        ``shutdown(stop_remote=True)`` ends its accept loop."""
+        address, thread = _listen_thread()
+        borrower = dist.WorkerPool(remote=[address])
+        borrower.ensure(1)
+        borrower.shutdown()
+        thread.join(timeout=0.5)
+        assert thread.is_alive()
+        owner = dist.WorkerPool(remote=[address])
+        owner.ensure(1)
+        assert owner.size == 1
+        owner.shutdown(stop_remote=True)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_timed_out_remote_worker_is_reconnected(self, tmp_path,
+                                                    monkeypatch):
+        """A remote worker that hangs past the timeout loses its
+        connection, not its slot: the retry reconnects to the same
+        worker, whose memo already holds the point it finished late."""
+        address = self._listen_worker()
+        flag = tmp_path / "hang-once"
+        flag.write_text("zzz")
+        # The in-process listen worker reads these when serving.
+        monkeypatch.setenv("REPRO_DIST_HANG_FLAG", str(flag))
+        monkeypatch.setenv("REPRO_DIST_HANG_SECONDS", "2.5")
+        pts = [RunSpec("li", "modulo", n_instructions=N, warmup=W)]
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            backend = dist.WorkerBackend(pool=pool, timeout=2, retries=1)
+            results = Campaign(pts, backend=backend).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        assert not flag.exists()
+        assert results[0].result == repro.run(pts[0])
+        assert stats["connects_total"] == 2
+        assert stats["workers"][0]["result_cache_hits"] == 1
+
+    def test_crashing_listen_worker_is_retried_on_its_peer(
+        self, listen_process, tmp_path
+    ):
+        """A listen worker that dies mid-batch cannot be reconnected:
+        its slot retires and the surviving peer runs the retried chunk."""
+        from repro.telemetry import metrics
+        from repro.workloads import SPECINT95
+
+        pts = expand_grid(
+            sorted(SPECINT95), ["modulo"], n_instructions=N, warmup=W
+        )
+        expected = [r.result for r in Campaign(pts, backend="serial").run()]
+        flag = tmp_path / "crash-once"
+        flag.write_text("boom")
+        crashing, first = listen_process(REPRO_DIST_CRASH_FLAG=str(flag))
+        healthy, second = listen_process()
+        retries = metrics.counter("dispatch.retries_total").value
+        pool = dist.WorkerPool(remote=[first, second])
+        try:
+            backend = dist.WorkerBackend(pool=pool, retries=1)
+            results = Campaign(pts, workers=2, backend=backend).run()
+        finally:
+            pool.shutdown(stop_remote=True)
+        assert [r.result for r in results] == expected
+        assert not flag.exists()  # the crash really happened
+        assert crashing.wait(timeout=10) == 3
+        assert healthy.wait(timeout=10) == 0
+        assert metrics.counter("dispatch.retries_total").value > retries
+
+    def test_unreachable_remote_slot_stays_in_stats(self):
+        address = _dead_address()
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            pool.ensure(1)  # best-effort for remote slots: no raise
+            stats = pool.stats()
+        finally:
+            pool.shutdown()
+        assert stats["size"] == 0
+        assert stats["workers"] == [
+            {"transport": "socket", "address": address, "alive": False}
+        ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda remote: dist.WorkerPool(remote=remote),
+            lambda remote: dist.WorkerBackend(remote=remote),
+            lambda remote: dist.backend("worker", remote=remote),
+        ],
+        ids=["pool", "backend", "backend-by-name"],
+    )
+    def test_bad_remote_address_raises_config_error(self, make):
+        with pytest.raises(ConfigError, match="remote worker address"):
+            make(["127.0.0.1:1", "nope"])
+
+    def test_listen_worker_answers_ping_over_the_socket(self):
+        from repro.dist.transport import LineChannel
+
+        address, thread = _listen_thread()
+        channel = LineChannel(dist.SocketTransport(address))
+        try:
+            reply = channel.request("ping", timeout=10)
+            assert reply["ok"]
+            assert reply["protocol"] == dist.PROTOCOL_VERSION
+            assert channel.request("shutdown", timeout=10)["bye"]
+        finally:
+            channel.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_dispatcher_vanishing_mid_batch_leaves_worker_serving(self):
+        """A dispatcher that sends a batch and disconnects before the
+        reply costs the worker nothing: the next dispatcher is served,
+        and the abandoned batch's result waits in the memo."""
+        import socket
+
+        address, thread = _listen_thread()
+        point = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
+        conn = socket.create_connection(dist.parse_address(address))
+        conn.sendall((_batch_request(1, point) + "\n").encode("utf-8"))
+        conn.close()
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            results = Campaign(
+                [point], backend=dist.WorkerBackend(pool=pool)
+            ).run()
+            stats = pool.stats()
+        finally:
+            pool.shutdown(stop_remote=True)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert results[0].result == repro.run(point)
+        assert stats["workers"][0]["result_cache_hits"] == 1
+
+
+class TestPayloadRelease:
+    """The dispatcher-side trace payload cache holds only campaigns in
+    flight (``perfbench`` reads ``trace_payloads`` from these stats)."""
+
+    KEY = ("gcc", 0)
+
+    def test_finished_campaigns_release_their_payloads(self):
+        pool = dist.WorkerPool()
+        backend = dist.WorkerBackend(pool=pool)
+        try:
+            for seed in (1, 2, 3):
+                grid = expand_grid(
+                    ["gcc", "li"], ["modulo"], seeds=(seed,),
+                    n_instructions=N, warmup=W,
+                )
+                Campaign(grid, backend=backend).run()
+                assert pool.stats()["payloads_cached"] == 0
+            assert pool.stats()["trace_payloads"] == 6
+        finally:
+            pool.shutdown()
+
+    def test_release_drops_only_the_named_groups(self):
+        pool = dist.WorkerPool()
+        pool.trace_payload(self.KEY, N + W)
+        pool.trace_payload(("li", 0), N + W)
+        pool.release_payloads([self.KEY, ("never", 9)])
+        assert set(pool._payloads) == {("li", 0)}
+        pool.release_payloads([("li", 0)])
+        assert pool.stats()["payloads_cached"] == 0
+
+    def test_payload_exported_once_until_outgrown_or_released(self):
+        pool = dist.WorkerPool()
+        records, encoded = pool.trace_payload(self.KEY, N + W)
+        assert records == N + W and encoded
+        assert pool.trace_payload(self.KEY, N) == (records, encoded)
+        assert pool.payloads_built == 1
+        # A longer window re-exports; the shorter cached one cannot serve.
+        assert pool.trace_payload(self.KEY, 2 * (N + W))[0] == 2 * (N + W)
+        assert pool.payloads_built == 2
+        pool.release_payloads([self.KEY])
+        pool.trace_payload(self.KEY, N)
+        assert pool.payloads_built == 3
+
+    def test_failed_export_is_cached_as_by_name_resolution(self):
+        pool = dist.WorkerPool()
+        assert pool.trace_payload(("no-such-bench", 0), N) is None
+        assert pool.trace_payload(("no-such-bench", 0), N) is None
+        assert pool.payloads_built == 1
+
+    def test_local_workers_report_stdio_transport_and_pid(self):
+        pool = dist.WorkerPool()
+        try:
+            pool.ensure(1)
+            (worker,) = pool.stats()["workers"]
+        finally:
+            pool.shutdown()
+        assert worker["transport"] == "stdio"
+        assert worker["address"] == f"pid:{worker['pid']}"
+
+
+class TestPoolStatusCli:
+    """``dist pool status --worker`` reports adopted listen workers."""
+
+    def test_reports_a_remote_worker(self, tmp_path, capsys):
+        from repro.cli import main
+
+        address, thread = _listen_thread()
+        stats_file = tmp_path / "pool.json"
+        try:
+            assert main([
+                "dist", "pool", "status", "--worker", address,
+                "--json", str(stats_file),
+            ]) == 0
+        finally:
+            dist.shared_pool(remote=[address]).shutdown(stop_remote=True)
+        out = capsys.readouterr().out
+        assert f"socket {address}: 0 point(s)" in out
+        stats = json.loads(stats_file.read_text())
+        assert stats["connects_total"] == 1 and stats["spawned_total"] == 0
+        assert stats["telemetry"]["pool.connects_total"]["value"] >= 1
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_reports_local_workers(self, tmp_path, capsys):
+        from repro.cli import main
+
+        stats_file = tmp_path / "pool.json"
+        assert main([
+            "dist", "pool", "status", "-j", "1", "--json", str(stats_file),
+        ]) == 0
+        stats = json.loads(stats_file.read_text())
+        assert stats["size"] >= 1 and stats["remote_addresses"] == []
+        assert {w["transport"] for w in stats["workers"]} == {"stdio"}
+        out = capsys.readouterr().out
+        assert "worker pool: " in out and "stdio pid:" in out
+
+    def test_marks_an_unreachable_worker(self, capsys):
+        from repro.cli import main
+
+        address = _dead_address()
+        try:
+            assert main([
+                "dist", "pool", "status", "--worker", address,
+            ]) == 0
+        finally:
+            dist.shared_pool(remote=[address]).shutdown()
+        assert f"socket {address}: unreachable" in capsys.readouterr().out
+
+
+class TestRemovedSurfaces:
+    """The daemon's command line is gone: argparse rejects it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "serve"],
+            ["dist", "serve", "status"],
+            ["dist", "serve", "stop"],
+            ["telemetry", "dump"],
+            ["campaign", "-b", "gcc", "-s", "modulo",
+             "--service-address", "127.0.0.1:1"],
+            ["suite", "run", "smoke", "--service-address", "127.0.0.1:1"],
+        ],
+        ids=[
+            "dist-serve", "dist-serve-status", "dist-serve-stop",
+            "telemetry-dump", "campaign-service-address",
+            "suite-run-service-address",
+        ],
+    )
+    def test_argv_is_a_usage_error(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestWarmPool:

@@ -314,6 +314,91 @@ class TestCampaignTelemetry:
         assert first[3]["elapsed_seconds"] >= first[3]["resolve_seconds"]
         assert second[3]["resolve_seconds"] < delay
 
+    def test_pinned_trace_is_replayed_without_generation(
+        self, points, serial, monkeypatch
+    ):
+        """A pinned trace that covers the window serves the point:
+        nothing is generated by name inside the resolve phase."""
+        import repro.workloads as workloads
+
+        spec = points[0]
+        state = WorkerState()
+        state.traces[spec.trace_key] = (
+            workloads.workload(spec.bench, seed=spec.seed), N + W,
+        )
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("workload generated by name")
+
+        monkeypatch.setattr(workloads, "workload", no_generation)
+        ((_, result, error, timing),) = dist.run_group([(0, spec)], state)
+        assert error is None
+        assert result == serial[0].result
+        assert set(timing) == {
+            "elapsed_seconds", "resolve_seconds", "simulate_seconds",
+        }
+        assert (state.trace_cache_hits, state.trace_cache_misses) == (1, 0)
+
+    def test_warm_worker_rerun_carries_only_elapsed_seconds(self, points):
+        """A re-run on a warm pool is answered from the worker's memo:
+        the reply items are timed, with no phase split."""
+        pool = dist.WorkerPool()
+        try:
+            backend = dist.backend("worker", pool=pool)
+            first = backend.execute(points)
+            again = backend.execute(points)
+        finally:
+            pool.shutdown()
+        assert [entry[1] for entry in again] == [entry[1] for entry in first]
+        assert all(
+            set(entry[3]) == {
+                "elapsed_seconds", "resolve_seconds", "simulate_seconds",
+            }
+            for entry in first
+        )
+        assert all(set(entry[3]) == {"elapsed_seconds"} for entry in again)
+
+    @pytest.mark.parametrize("name", ["serial", "process", "worker"])
+    def test_phases_fit_inside_elapsed(self, name, points):
+        """Every backend reports run_group's own clock: a simulated
+        point's resolve and simulate phases lie inside its elapsed
+        time (each field is rounded to the microsecond).  The worker
+        backend gets a fresh pool: a warm one answers from its memo."""
+        pool = dist.WorkerPool()
+        options = {"pool": pool} if name == "worker" else {}
+        try:
+            payload = dist.backend(name, **options).execute(points, jobs=2)
+        finally:
+            pool.shutdown()
+        assert sorted(entry[0] for entry in payload) == [0, 1]
+        for _, result, error, timing in payload:
+            assert error is None and result is not None
+            assert timing["resolve_seconds"] >= 0
+            assert timing["simulate_seconds"] > 0
+            assert timing["elapsed_seconds"] + 2e-6 >= (
+                timing["resolve_seconds"] + timing["simulate_seconds"]
+            )
+
+    def test_execute_resolved_returns_the_result_alone(self, points):
+        """The facade returns the bare result; timing lives only in
+        run_group's payload, with no thread-local side channel."""
+        from repro.pipeline import SimResult
+        from repro.spec import facade
+        from repro.workloads import workload
+
+        spec = points[0]
+        result = facade.execute_resolved(
+            workload(spec.bench, seed=spec.seed),
+            spec.scheme,
+            spec.machine.resolve(),
+            spec.n_instructions,
+            spec.warmup,
+            spec.seed,
+        )
+        assert isinstance(result, SimResult)
+        assert result == facade.execute(spec)
+        assert not hasattr(facade, "last_timing")
+
     def test_campaign_error_names_the_trace(self):
         bad = [
             RunSpec(
@@ -431,3 +516,73 @@ class TestMixedPeers:
         (record,) = reply["spans"]
         assert record["name"] == "worker.batch"
         assert "parent_id" not in record
+
+
+# ----------------------------------------------------------------------
+# Listen-mode workers
+# ----------------------------------------------------------------------
+class TestListenWorkerTelemetry:
+    """A listen worker logs on its own host, if at all: the spans riding
+    its replies must give the dispatcher's sink the complete tree."""
+
+    def test_remote_campaign_trace_is_complete_in_the_dispatcher_log(
+        self, tmp_path, monkeypatch, points, serial, listen_process
+    ):
+        path = _log_file(tmp_path, monkeypatch)
+        proc, address = listen_process(**{log_module.FILE_ENV: None})
+        pool = dist.WorkerPool(remote=[address])
+        try:
+            backend = dist.WorkerBackend(pool=pool)
+            results = Campaign(points, backend=backend).run()
+        finally:
+            pool.shutdown(stop_remote=True)
+        assert list(results) == list(serial)
+        assert proc.wait(timeout=10) == 0
+        telemetry.flush()
+        spans = tracing.load_spans(str(path))
+        names = {s["name"] for s in spans}
+        assert {"campaign", "dispatch", "batch-run", "worker.batch"} <= names
+        campaign = next(s for s in spans if s["name"] == "campaign")
+        assert all(s["trace_id"] == campaign["trace_id"] for s in spans)
+        assert tracing.check_span_trees(spans) == []
+
+    def test_crashed_listen_worker_retry_is_a_child_span(
+        self, tmp_path, monkeypatch, listen_process
+    ):
+        """The chunk a dead listen worker dropped is retried on its peer,
+        under the failed attempt's span, with the tree intact.  A
+        reconnect that races the worker's exit may fail one more chunk;
+        that attempt, too, has exactly one successful retry."""
+        from repro.workloads import SPECINT95
+
+        path = _log_file(tmp_path, monkeypatch)
+        pts = expand_grid(
+            sorted(SPECINT95), ["modulo"], n_instructions=N, warmup=W
+        )
+        flag = tmp_path / "crash-once"
+        flag.write_text("boom")
+        quiet = {log_module.FILE_ENV: None}
+        _, first = listen_process(REPRO_DIST_CRASH_FLAG=str(flag), **quiet)
+        _, second = listen_process(**quiet)
+        pool = dist.WorkerPool(remote=[first, second])
+        try:
+            backend = dist.WorkerBackend(pool=pool, retries=1)
+            results = Campaign(pts, workers=2, backend=backend).run()
+        finally:
+            pool.shutdown(stop_remote=True)
+        assert not flag.exists()  # the crash really happened
+        assert len(results) == len(pts)
+        telemetry.flush()
+        spans = tracing.load_spans(str(path))
+        dispatches = [s for s in spans if s["name"] == "dispatch"]
+        failed = [s for s in dispatches if s["status"] == "error"]
+        assert failed
+        for span in failed:
+            assert span["attrs"]["attempt"] == 1
+            (retry,) = [
+                s for s in dispatches
+                if s.get("parent_id") == span["span_id"]
+            ]
+            assert retry["status"] == "ok"
+            assert retry["attrs"]["attempt"] == 2
+        assert tracing.check_span_trees(spans) == []

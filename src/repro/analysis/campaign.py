@@ -50,7 +50,7 @@ from typing import (
 
 from ..errors import ConfigError, ReproError
 from ..pipeline import SimResult
-from ..telemetry import get_logger, metrics, tracing
+from ..telemetry import tracing
 from ..spec.machines import machine_config
 from ..spec.overrides import (
     apply_override,
@@ -59,8 +59,6 @@ from ..spec.overrides import (
     validate_overrides,
 )
 from ..spec.specs import MachineSpec, RunSpec
-
-_log = get_logger("analysis.campaign")
 
 
 def expand_grid(
@@ -521,14 +519,6 @@ class Campaign:
             points=len(self.points),
             workers=self.workers,
         )
-        _log.info(
-            "campaign.start",
-            trace_id=span.trace_id,
-            backend=span.attrs.get("backend"),
-            points=len(self.points),
-            workers=self.workers,
-        )
-        metrics.counter("campaign.points_total").inc(len(self.points))
         try:
             with tracing.activate(span):
                 payload = backend.execute(self.points, jobs=self.workers)
@@ -544,25 +534,9 @@ class Campaign:
             else:
                 results[index] = result
                 meta[index] = timing or {}
-        point_seconds = metrics.histogram("campaign.point_seconds")
-        simulate_seconds = metrics.histogram("campaign.simulate_seconds")
-        resolve_seconds = metrics.histogram("campaign.resolve_seconds")
-        for timing in meta.values():
-            elapsed = timing.get("elapsed_seconds")
-            if elapsed is not None:
-                point_seconds.observe(elapsed)
-            if timing.get("simulate_seconds") is not None:
-                simulate_seconds.observe(timing["simulate_seconds"])
-                resolve_seconds.observe(timing.get("resolve_seconds", 0.0))
         if failures:
             failures.sort()
-            metrics.counter("campaign.failures_total").inc(len(failures))
             span.end(status="error", error=f"{len(failures)} point(s) failed")
-            _log.warning(
-                "campaign.failed",
-                trace_id=span.trace_id,
-                failures=len(failures),
-            )
             raise CampaignError(
                 [(self.points[i], error) for i, error in failures],
                 trace_id=span.trace_id,
@@ -578,13 +552,7 @@ class Campaign:
                 [(p, "backend returned no result") for p in missing],
                 trace_id=span.trace_id,
             )
-        record = span.end()
-        _log.info(
-            "campaign.done",
-            trace_id=span.trace_id,
-            duration=record["duration"],
-            points=len(self.points),
-        )
+        span.end()
         return CampaignResults(
             [
                 CampaignRun.timed(point, results[i], meta[i])

@@ -22,14 +22,14 @@ Installed as ``repro-sim``; ``python -m repro.cli`` runs the same::
     repro-sim trace import gcc.rtrace --check
     repro-sim trace show job-123-1 --log events.jsonl   # span tree
     repro-sim dist backends              # list execution backends
-    repro-sim dist pool status -j 2      # warm pool health + counters
+    repro-sim dist pool status --worker HOST:PORT   # listen-worker counters
     repro-sim dist package smoke --job-dir job/   # multi-host pipeline
     repro-sim dist worker job/           # claim+simulate until empty
     repro-sim dist status job/
     repro-sim dist merge job/ --json results.json
     repro-sim perf record --suite core-columnar runs/*.out   # perfbench runs
     repro-sim perf check                 # report vs the ledger
-    repro-sim -v campaign ...            # structured event log on stderr
+    repro-sim -v campaign ...            # span records on stderr
 
 Each command group is one module of this package (``simulate``,
 ``figures``, ``campaigns``, ``traces``, ``dist``, ``perf``).  A
@@ -43,6 +43,7 @@ harness or the perf ledger.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 from . import campaigns, dist, figures, perf, simulate, traces
@@ -62,10 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-v",
         "--verbose",
-        action="count",
-        default=0,
-        help="structured event logging on stderr (-v info, -vv debug; "
-        "REPRO_LOG_LEVEL/REPRO_LOG_FILE take precedence)",
+        action="store_true",
+        help="write telemetry span records as JSON lines to stderr "
+        "(to REPRO_LOG_FILE instead when it is set)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for group in _GROUPS:
@@ -74,9 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A :class:`~repro.errors.ConfigError` (a bad name, address or value
+    the parser could not check) is printed as one line and exits 2,
+    like a usage error.
+    """
     args = build_parser().parse_args(argv)
+    from ..errors import ConfigError
     from ..telemetry import configure
 
     configure(verbose=args.verbose)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as error:
+        print(f"repro-sim: error: {error}", file=sys.stderr)
+        return 2

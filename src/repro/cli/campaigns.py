@@ -72,7 +72,8 @@ def _backend_arg(args: argparse.Namespace):
 
     Returns ``(backend, error)``: a name, a constructed instance (when
     option flags need passing through), or an exit code when the flags
-    contradict each other or fail validation.
+    contradict each other.  A flag value that fails validation raises
+    :class:`~repro.errors.ConfigError`, which ``main`` reports.
     """
     backend = args.backend
     timeout = args.dist_timeout
@@ -83,18 +84,13 @@ def _backend_arg(args: argparse.Namespace):
         print("--dist-timeout/--dist-retries apply to --backend worker")
         return None, 2
     from .. import dist
-    from ..errors import ConfigError
 
     options = {}
     if timeout is not None:
         options["timeout"] = timeout
     if retries is not None:
         options["retries"] = retries
-    try:
-        return dist.backend(backend, **options), None
-    except ConfigError as error:
-        print(f"invalid backend options: {error}")
-        return None, 2
+    return dist.backend(backend, **options), None
 
 
 def suite_points(args: argparse.Namespace):

@@ -70,16 +70,14 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_pool_status(args: argparse.Namespace) -> int:
-    # pool status [--jobs N] [--worker ADDR]... [--json FILE]
+    # pool status --worker ADDR [--worker ADDR]... [--json FILE]
     import json
 
-    from .. import dist, telemetry
+    from .. import dist
 
-    remote = list(args.worker or [])
-    pool = dist.shared_pool(remote=remote)
-    pool.ensure(max(args.jobs, len(remote)))
+    pool = dist.shared_pool(remote=args.worker)
+    pool.ensure(len(args.worker))
     stats = pool.stats()
-    stats["telemetry"] = telemetry.metrics.snapshot()
     print(
         f"worker pool: {stats['size']} live worker(s), "
         f"{stats['spawned_total']} spawned / "
@@ -226,22 +224,17 @@ def add_parser(sub) -> None:
     )
     dmerge.set_defaults(handler=cmd_merge)
     dpool = dsub.add_parser(
-        "pool",
-        help="warm worker pool: spawn/inspect this process's shared pool",
+        "pool", help="warm worker pool: inspect listen-mode workers",
     )
     dpoolsub = dpool.add_subparsers(dest="pool_cmd", required=True)
     dpoolstatus = dpoolsub.add_parser(
         "status",
-        help="ensure the pool is up and print its serving counters",
+        help="connect to listen-mode workers and print their serving "
+        "counters",
     )
     dpoolstatus.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes to ensure are live",
-    )
-    dpoolstatus.add_argument(
-        "--worker", action="append", metavar="HOST:PORT", default=None,
-        help="adopt a remote listen-mode worker at this address "
-        "(repeatable)",
+        "--worker", action="append", metavar="HOST:PORT", required=True,
+        help="a listen-mode worker's address (repeatable; at least one)",
     )
     dpoolstatus.add_argument(
         "--json", default=None,

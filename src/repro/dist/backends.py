@@ -415,18 +415,10 @@ class ProcessBackend(ExecutionBackend):
         except Exception as error:  # noqa: BLE001 — pool infrastructure
             # (run_group never raises: per-point errors come back as
             # strings, so anything caught here is pool machinery.)
-            from ..telemetry import get_logger, metrics
-
             print(
                 f"campaign: worker pool failed ({type(error).__name__}: "
                 f"{error}); falling back to serial execution",
                 file=sys.stderr,
-            )
-            metrics.counter("process.serial_fallbacks_total").inc()
-            get_logger("dist.backends").warning(
-                "process.serial-fallback",
-                error=f"{type(error).__name__}: {error}",
-                groups=len(groups),
             )
             payloads = [run_group(group) for group in groups]
         return [entry for payload in payloads for entry in payload]

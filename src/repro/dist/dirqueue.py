@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DistError
-from ..telemetry import get_logger, metrics, tracing
+from ..telemetry import tracing
 
 #: Manifest format tag / version for job directories.  A packager with
 #: an active span stores its trace context under an optional ``trace``
@@ -59,8 +59,6 @@ from ..telemetry import get_logger, metrics, tracing
 #: hosts join the packaging campaign's trace.
 JOB_FORMAT = "repro-dist-job"
 JOB_VERSION = 1
-
-_log = get_logger("dist.dirqueue")
 
 _QUEUE = "queue"
 _CLAIMED = "claimed"
@@ -176,12 +174,6 @@ def package_job(
     if trace_ctx is not None:
         manifest["trace"] = trace_ctx
     _write_json(manifest_path, manifest)
-    metrics.counter("dirqueue.jobs_packaged_total").inc()
-    _log.info(
-        "dirqueue.package", dir=job_dir, points=len(points),
-        traces=len(traces),
-        trace_id=trace_ctx.get("trace_id") if trace_ctx else None,
-    )
     return PackagedJob(
         job_dir=job_dir, n_points=len(points), n_traces=len(traces)
     )
@@ -316,10 +308,6 @@ def run_worker(
         if entry is None:
             break
         claim_path = entry.pop("_claim_path")
-        _log.debug(
-            "dirqueue.claim", worker=worker_id, index=entry["index"],
-            trace_id=span.trace_id,
-        )
         try:
             spec = RunSpec.from_dict(entry["spec"])
             if spec.trace_key not in held:
@@ -352,25 +340,15 @@ def run_worker(
                 },
             )
             failed += 1
-            metrics.counter("dirqueue.points_failed_total").inc()
-            _log.warning(
-                "dirqueue.point-failed", worker=worker_id,
-                index=entry["index"], trace_id=span.trace_id,
-            )
         else:
             runs.append(CampaignRun.timed(spec, result, timing))
             tmp = store + ".tmp"
             CampaignResults(runs).save_json(tmp)
             os.replace(tmp, store)
             completed += 1
-            metrics.counter("dirqueue.points_completed_total").inc()
         _drop_claim(claim_path)
     span.annotate(completed=completed, failed=failed)
     span.end(status="error" if failed else "ok")
-    _log.info(
-        "dirqueue.worker-done", worker=worker_id, completed=completed,
-        failed=failed, trace_id=span.trace_id,
-    )
     return completed
 
 
@@ -513,11 +491,6 @@ def merge_job(
         failures=failures,
         workers=tuple(workers),
         store=store,
-    )
-    _log.info(
-        "dirqueue.merge", dir=job_dir, completed=len(runs),
-        failed=len(failures), missing=len(merged.missing),
-        workers=len(workers),
     )
     if not merged.complete and not allow_partial:
         raise DistError(

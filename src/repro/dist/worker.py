@@ -99,7 +99,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import DistError
 from ..pipeline import SimResult
-from ..telemetry import get_logger, metrics, tracing
+from ..telemetry import metrics, tracing
 from .backends import (
     ExecutionBackend,
     Payload,
@@ -129,8 +129,6 @@ from .transport import (
 #: replies — all read with ``.get()`` on both ends, so old and new
 #: peers interoperate and the version stays 2.
 PROTOCOL_VERSION = 2
-
-_log = get_logger("dist.worker")
 
 
 # ----------------------------------------------------------------------
@@ -190,10 +188,6 @@ def _handle_preload(request: dict, state: WorkerState) -> dict:
     while len(traces) > TRACE_PIN_LIMIT:
         evicted.append(list(traces.popitem(last=False)[0]))
     state.preloads += 1
-    _log.debug(
-        "worker.preload", bench=bench, seed=seed, records=usable,
-        evicted=len(evicted),
-    )
     return {
         "bench": bench, "seed": seed, "records": usable, "evicted": evicted,
     }
@@ -287,7 +281,6 @@ def serve_stdio(stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     state = WorkerState()
-    _log.info("worker.start", transport="stdio")
     for line in stdin:
         if not line.strip():
             continue
@@ -317,7 +310,6 @@ def serve_listen(address, stdout=None) -> int:
     out.write(f"listening on {host}:{port}\n")
     out.flush()
     state = WorkerState()
-    _log.info("worker.start", transport="socket", address=f"{host}:{port}")
     try:
         while True:
             conn, _ = sock.accept()
@@ -445,14 +437,8 @@ class WorkerPool:
         if slot < len(self.remote):
             worker = _PoolWorker(SocketTransport(self.remote[slot]))
             self.connects_total += 1
-            metrics.counter("pool.connects_total").inc()
-            _log.info(
-                "pool.connect", slot=slot, address=self.remote[slot]
-            )
             return worker
         self.spawned_total += 1
-        metrics.counter("pool.spawned_total").inc()
-        _log.info("pool.spawn", slot=slot)
         return _PoolWorker(
             StdioTransport(self.command, env=worker_environment())
         )
@@ -502,8 +488,6 @@ class WorkerPool:
             if slot < len(self._workers) and self._workers[slot] is not None:
                 self._workers[slot].close()
                 self._workers[slot] = None
-                metrics.counter("pool.discards_total").inc()
-                _log.warning("pool.discard", slot=slot)
 
     def shutdown(self, stop_remote: bool = False) -> None:
         """Stop every local worker and empty the pool.
@@ -983,7 +967,6 @@ class WorkerBackend(ExecutionBackend):
             seed=key[1],
             points=len(chunk),
         )
-        metrics.counter("dispatch.chunks_total").inc()
         batch_span = None
         try:
             worker = pool.worker_at(slot)
@@ -1006,10 +989,6 @@ class WorkerBackend(ExecutionBackend):
             if batch_span is not None:
                 batch_span.end(status="error", error=error)
             span.end(status="error", error=error)
-            _log.warning(
-                "dispatch.worker-failed", slot=slot, attempt=attempts + 1,
-                trace_id=span.trace_id, error=error[:300],
-            )
             if attempts < self.retries:
                 metrics.counter("dispatch.retries_total").inc()
                 return _Attempt(
@@ -1042,8 +1021,14 @@ class WorkerBackend(ExecutionBackend):
             if task is None:
                 return
             try:
-                pool.worker_at(slot)
-            except PeerClosed:
+                worker = pool.worker_at(slot)
+                if task[0] and slot < len(pool.remote):
+                    # A retry: a listener that just died may still have
+                    # accepted the reconnect, so it must answer first.
+                    with pool.slot_lock(slot):
+                        worker.request("ping", timeout=self.timeout)
+            except (PeerClosed, PeerTimeout):
+                pool.discard(slot)
                 if tasks.retire(slot, task):
                     return
             outcome = self._attempt(pool, slot, task, parent_ctx)

@@ -1,35 +1,27 @@
-"""Observability for campaigns and workers: logging, tracing, metrics.
+"""Observability for campaigns and workers: one sink, spans, counters.
 
-Three coordinated layers, all silent-by-default:
+All three are off or silent by default, and every signal has a reader:
 
-* :mod:`repro.telemetry.log` — structured JSON-lines event logging
-  (``get_logger(component)``), enabled via ``REPRO_LOG_LEVEL`` /
-  ``REPRO_LOG_FILE`` or the CLI's ``-v``.
+* :mod:`repro.telemetry.log` — the JSON-lines sink: each record one
+  line, written synchronously to ``REPRO_LOG_FILE`` or, with the CLI's
+  ``-v``, to stderr.
 * :mod:`repro.telemetry.tracing` — spans with trace/span ids propagated
-  as an optional ``trace`` protocol field, recorded on both ends, and
-  reconstructed by ``repro-sim trace show``.
+  as an optional ``trace`` protocol field, recorded through the sink on
+  both ends, and reconstructed by ``repro-sim trace show`` and checked
+  by :func:`check_span_trees`.
 * :mod:`repro.telemetry.metrics` — one process-wide registry of
-  counters/gauges/histograms behind ``telemetry.metrics``, surfaced by
-  ``dist pool status --json``.
+  counters behind ``telemetry.metrics``, read by ``perfbench``, the
+  tests and CI.
 """
 
 from .log import (
-    EventLogger,
     FILE_ENV,
-    LEVEL_ENV,
-    LEVELS,
-    coerce_level,
     configure,
-    enabled,
-    flush,
-    get_logger,
     reset,
     sink_path,
 )
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     metrics,
 )
@@ -42,7 +34,6 @@ from .tracing import (
     current_span,
     load_spans,
     new_trace_id,
-    recent_spans,
     record_span,
     render_trace,
     resolve_trace_id,
@@ -51,20 +42,11 @@ from .tracing import (
 )
 
 __all__ = [
-    "EventLogger",
     "FILE_ENV",
-    "LEVEL_ENV",
-    "LEVELS",
-    "coerce_level",
     "configure",
-    "enabled",
-    "flush",
-    "get_logger",
     "reset",
     "sink_path",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "metrics",
     "tracing",
@@ -75,7 +57,6 @@ __all__ = [
     "current_span",
     "load_spans",
     "new_trace_id",
-    "recent_spans",
     "record_span",
     "render_trace",
     "resolve_trace_id",

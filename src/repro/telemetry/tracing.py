@@ -4,10 +4,9 @@ A :class:`Span` names one stage of a distributed job — ``campaign``,
 ``dispatch``, ``batch-run``, ``worker.batch`` — with a shared ``trace_id``,
 its own ``span_id``, an optional parent, a wall-clock start, a
 monotonic duration, and free-form attributes.  Finished spans become
-plain dicts: recorded into a bounded in-process ring (read by
-tests), written through the structured log sink as
-``event: "span"`` lines, and small enough to ride protocol replies so
-a worker's spans land in the dispatcher's log too.
+plain dicts: written through the telemetry sink as ``event: "span"``
+lines, and small enough to ride protocol replies so a worker's spans
+land in the dispatcher's log too.
 
 Propagation is an optional ``trace`` field — ``{"trace_id", "span_id"}``
 — on protocol requests.  Old peers ignore unknown fields and new peers
@@ -26,12 +25,9 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .log import get_logger
-
-_log = get_logger("trace")
+from . import log
 
 #: Trace ids are 16 hex chars, span ids 8 — long enough to never collide
 #: within one campaign, short enough to read in a log line.
@@ -40,9 +36,6 @@ _SPAN_BYTES = 4
 
 #: A propagation context as it travels on the wire.
 Context = Dict[str, str]
-
-_recent_lock = threading.Lock()
-_recent: deque = deque(maxlen=4096)
 
 
 def new_trace_id() -> str:
@@ -153,38 +146,22 @@ def start_span(
     return Span(name, trace_id=trace_id, parent_id=parent_id, attrs=attrs)
 
 
+#: The span fields a sink line carries, and :func:`load_spans` reads.
+_SPAN_FIELDS = (
+    "name", "trace_id", "span_id", "parent_id", "start", "duration",
+    "status", "error", "attrs",
+)
+
+
 def record_span(doc: Dict[str, Any]) -> None:
-    """Keep *doc* in the in-process ring and write it to the log sink."""
+    """Write *doc* to the telemetry sink as one ``span`` line.
+
+    Junk a peer ships in a ``spans`` reply field (not a dict, no
+    ``span_id``) is dropped, never raised on.
+    """
     if not isinstance(doc, dict) or not doc.get("span_id"):
         return
-    with _recent_lock:
-        _recent.append(doc)
-    _log.info(
-        "span",
-        name=doc.get("name"),
-        trace_id=doc.get("trace_id"),
-        span_id=doc.get("span_id"),
-        parent_id=doc.get("parent_id"),
-        start=doc.get("start"),
-        duration=doc.get("duration"),
-        status=doc.get("status"),
-        error=doc.get("error"),
-        attrs=doc.get("attrs"),
-    )
-
-
-def recent_spans(trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
-    """Recently recorded spans in this process (newest last)."""
-    with _recent_lock:
-        spans = list(_recent)
-    if trace_id is not None:
-        spans = [s for s in spans if s.get("trace_id") == trace_id]
-    return spans
-
-
-def clear_recent() -> None:
-    with _recent_lock:
-        _recent.clear()
+    log.emit("span", {key: doc.get(key) for key in _SPAN_FIELDS})
 
 
 # --------------------------------------------------------------------------

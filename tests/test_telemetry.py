@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry: logging, tracing, metrics, and wiring.
+"""Tests for repro.telemetry: the sink, tracing, counters, and wiring.
 
 The distributed scenarios mirror test_dist: a worker crash consumed by
 a retry and mixed old/new protocol peers — here asserting that the
@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro import dist, telemetry
+from repro import dist
 from repro.analysis.campaign import (
     Campaign,
     CampaignError,
@@ -19,7 +19,6 @@ from repro.analysis.campaign import (
     expand_grid,
 )
 from repro.dist.worker import WorkerState, handle_request
-from repro.errors import ConfigError
 from repro.spec import RunSpec
 from repro.telemetry import log as log_module
 from repro.telemetry import tracing
@@ -32,14 +31,11 @@ W = 120
 
 @pytest.fixture(autouse=True)
 def clean_telemetry(monkeypatch):
-    """Every test starts silent and with an empty span ring."""
-    monkeypatch.delenv(log_module.LEVEL_ENV, raising=False)
+    """Every test starts with the sink off."""
     monkeypatch.delenv(log_module.FILE_ENV, raising=False)
     log_module.reset()
-    tracing.clear_recent()
     yield
     log_module.reset()
-    tracing.clear_recent()
 
 
 @pytest.fixture(scope="module")
@@ -63,66 +59,40 @@ def _log_file(tmp_path, monkeypatch):
     return path
 
 
+def _records(path):
+    """Every line of a JSONL sink, parsed (a line that is not JSON fails)."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 # ----------------------------------------------------------------------
-# Structured logging
+# The sink
 # ----------------------------------------------------------------------
-class TestLogging:
+class TestSink:
     def test_silent_by_default(self, capfd):
-        assert not log_module.enabled("error")
-        telemetry.get_logger("test").error("test.event", detail=1)
+        tracing.start_span("s").end()
         assert capfd.readouterr().err == ""
 
     def test_file_sink_writes_jsonl_with_session_header(
         self, tmp_path, monkeypatch
     ):
         path = _log_file(tmp_path, monkeypatch)
-        telemetry.get_logger("test").info("test.event", answer=42)
-        telemetry.flush()
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
+        record = tracing.start_span("s", answer=42).end()
+        lines = _records(path)  # end() wrote the span before returning
+        assert [line["event"] for line in lines] == [
+            "telemetry.session", "span",
         ]
-        assert lines[0]["event"] == "telemetry.session"
         assert "python" in lines[0]  # the provenance stamp rode along
-        event = lines[1]
-        assert event["component"] == "test"
-        assert event["event"] == "test.event"
-        assert event["answer"] == 42
-        assert event["level"] == "info"
-        assert {"ts", "mono", "pid", "host"} <= set(event)
+        span = lines[1]
+        assert {key: span[key] for key in record} == record
+        assert {"ts", "mono", "pid", "host"} <= set(span)
 
-    def test_level_filters_below_threshold(self, tmp_path, monkeypatch):
-        path = _log_file(tmp_path, monkeypatch)
-        monkeypatch.setenv(log_module.LEVEL_ENV, "warning")
-        log_module.reset()
-        logger = telemetry.get_logger("test")
-        logger.info("test.dropped")
-        logger.warning("test.kept")
-        telemetry.flush()
-        events = [
-            json.loads(line)["event"]
-            for line in path.read_text().splitlines()
+    def test_verbose_writes_to_stderr(self, capfd):
+        log_module.configure(verbose=True)
+        tracing.start_span("s").end()
+        lines = capfd.readouterr().err.splitlines()
+        assert [json.loads(line)["event"] for line in lines] == [
+            "telemetry.session", "span",
         ]
-        assert "test.kept" in events
-        assert "test.dropped" not in events
-
-    def test_bad_level_names_the_env_var(self, monkeypatch):
-        monkeypatch.setenv(log_module.LEVEL_ENV, "loud")
-        with pytest.raises(ConfigError, match=log_module.LEVEL_ENV):
-            log_module.configure()
-
-    def test_verbose_maps_to_info_then_debug(self):
-        log_module.configure(verbose=1)
-        assert log_module.enabled("info")
-        assert not log_module.enabled("debug")
-        log_module.configure(verbose=2)
-        assert log_module.enabled("debug")
-
-    def test_explicit_env_level_beats_verbose(self, monkeypatch):
-        monkeypatch.setenv(log_module.LEVEL_ENV, "error")
-        log_module.configure(verbose=2)
-        assert not log_module.enabled("debug")
-        assert log_module.enabled("error")
 
     def test_unwritable_file_falls_back_to_stderr(
         self, tmp_path, monkeypatch, capfd
@@ -131,11 +101,41 @@ class TestLogging:
             log_module.FILE_ENV, str(tmp_path / "no-such-dir" / "x.jsonl")
         )
         log_module.reset()
-        telemetry.get_logger("test").info("test.event")
-        telemetry.flush()
+        span = tracing.start_span("s")
+        span.end()
         err = capfd.readouterr().err
         assert "telemetry.sink-error" in err
-        assert "test.event" in err  # the event still landed
+        assert span.span_id in err  # the span still landed
+
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        _log_file(tmp_path, monkeypatch)
+        before = threading.active_count()
+        for _ in range(3):
+            tracing.start_span("s").end()
+        assert threading.active_count() == before
+
+    def test_process_backend_log_parses_with_unique_spans(
+        self, tmp_path, monkeypatch, serial
+    ):
+        """Forked pool children share the parent's open sink: every line
+        is still one whole record, and no span is written twice."""
+        path = _log_file(tmp_path, monkeypatch)
+        pts = expand_grid(
+            ["gcc", "li"], ["modulo"], n_instructions=N, warmup=W,
+        )
+        # The sink is open before the fork, as in a CLI run that logs.
+        tracing.start_span("before-fork").end()
+        Campaign(pts, workers=2, backend="process").run()
+        records = _records(path)
+        span_ids = [r["span_id"] for r in records if r["event"] == "span"]
+        assert len(span_ids) == len(set(span_ids)) == 2
+        assert {r["name"] for r in records if r["event"] == "span"} == {
+            "before-fork", "campaign",
+        }
+        sessions = [r for r in records if r["event"] == "telemetry.session"]
+        assert len(sessions) == 1
 
 
 # ----------------------------------------------------------------------
@@ -148,29 +148,6 @@ class TestMetrics:
         registry.counter("c").inc(4)
         assert registry.counter("c").value == 5
         assert registry.snapshot()["c"] == {"type": "counter", "value": 5}
-
-    def test_gauge_set_and_callback(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(2.5)
-        assert registry.snapshot()["g"]["value"] == 2.5
-        registry.gauge("g").set_function(lambda: 7)
-        assert registry.snapshot()["g"]["value"] == 7
-
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            hist.observe(value)
-        doc = registry.snapshot()["h"]
-        assert doc["count"] == 4
-        assert doc["min"] == 0.05 and doc["max"] == 5.0
-        assert doc["buckets"] == {"le_0.1": 1, "le_1": 3, "le_10": 4}
-
-    def test_type_conflict_raises_config_error(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ConfigError, match="already registered"):
-            registry.gauge("x")
 
     def test_reset_drops_instruments(self):
         registry = MetricsRegistry()
@@ -430,7 +407,6 @@ class TestCampaignTelemetry:
         assert not flag.exists()  # the crash really happened
         assert list(results) == list(serial)
         assert all(r.elapsed_seconds > 0 for r in results)
-        telemetry.flush()
         spans = tracing.load_spans(str(path))
         dispatches = [s for s in spans if s["name"] == "dispatch"]
         failed = [s for s in dispatches if s["status"] == "error"]
@@ -458,6 +434,33 @@ class TestCampaignTelemetry:
         assert list(results) == list(serial)
         assert all(r.elapsed_seconds > 0 for r in results)
         assert all(r.timing["simulate_seconds"] > 0 for r in results)
+
+
+# ----------------------------------------------------------------------
+# Reading the sink back: trace show
+# ----------------------------------------------------------------------
+class TestTraceShow:
+    def test_renders_and_checks_a_logged_campaign(
+        self, tmp_path, monkeypatch, points, capsys
+    ):
+        from repro.cli import main
+
+        path = _log_file(tmp_path, monkeypatch)
+        Campaign(points, backend="serial").run()
+        (campaign,) = tracing.load_spans(str(path))
+        token = campaign["trace_id"][:6]
+        assert main(["trace", "show", "--log", str(path), token,
+                     "--check"]) == 0
+        out = capsys.readouterr().out
+        assert f"trace {campaign['trace_id']}" in out
+        assert "campaign" in out and "backend=serial" in out
+
+    def test_unreadable_log_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["trace", "show", "--log", missing]) == 2
+        assert "cannot read trace log" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -497,13 +500,21 @@ class TestMixedPeers:
         assert record["trace_id"] == ctx["trace_id"]
         assert record["parent_id"] == ctx["span_id"]
 
-    def test_malformed_peer_span_records_are_ignored(self):
+    def test_malformed_peer_span_records_are_ignored(
+        self, tmp_path, monkeypatch
+    ):
         """Junk a peer might ship in a spans field is dropped, never
         raised on (old peers may send shapes we have never seen)."""
+        path = _log_file(tmp_path, monkeypatch)
         tracing.record_span(None)
         tracing.record_span("junk")
         tracing.record_span({"name": "x"})  # no span_id
-        assert tracing.recent_spans() == []
+        assert not path.exists()  # nothing reached the sink
+        good = tracing.start_span("s")
+        tracing.record_span(good.end(record=False))
+        assert [r["event"] for r in _records(path)] == [
+            "telemetry.session", "span",
+        ]
 
     def test_old_peer_trace_context_is_tolerated(self, points):
         """A garbage trace field degrades to a fresh trace, and the
@@ -538,7 +549,6 @@ class TestListenWorkerTelemetry:
             pool.shutdown(stop_remote=True)
         assert list(results) == list(serial)
         assert proc.wait(timeout=10) == 0
-        telemetry.flush()
         spans = tracing.load_spans(str(path))
         names = {s["name"] for s in spans}
         assert {"campaign", "dispatch", "batch-run", "worker.batch"} <= names
@@ -572,7 +582,6 @@ class TestListenWorkerTelemetry:
             pool.shutdown(stop_remote=True)
         assert not flag.exists()  # the crash really happened
         assert len(results) == len(pts)
-        telemetry.flush()
         spans = tracing.load_spans(str(path))
         dispatches = [s for s in spans if s["name"] == "dispatch"]
         failed = [s for s in dispatches if s["status"] == "error"]

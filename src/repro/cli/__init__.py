@@ -22,7 +22,6 @@ Installed as ``repro-sim``; ``python -m repro.cli`` runs the same::
     repro-sim trace import gcc.rtrace --check
     repro-sim trace show job-123-1 --log events.jsonl   # span tree
     repro-sim dist backends              # list execution backends
-    repro-sim dist pool status --worker HOST:PORT   # listen-worker counters
     repro-sim dist package smoke --job-dir job/   # multi-host pipeline
     repro-sim dist worker job/           # claim+simulate until empty
     repro-sim dist status job/

@@ -1,5 +1,4 @@
-"""``dist``: execution backends, job directories, workers and the warm
-pool."""
+"""``dist``: execution backends, job directories and workers."""
 
 from __future__ import annotations
 
@@ -43,15 +42,10 @@ def cmd_package(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    modes = sum(
-        1 for on in (args.job_dir is not None, args.stdio,
-                     args.listen is not None) if on
-    )
-    if modes != 1:
+    if (args.job_dir is not None) == args.stdio:
         print(
             "dist worker needs exactly one mode: a job directory "
-            "(directory-queue), --stdio (protocol on stdin/stdout), "
-            "or --listen HOST:PORT (protocol on a socket)"
+            "(directory-queue) or --stdio (protocol on stdin/stdout)"
         )
         return 2
     from .. import dist
@@ -64,52 +58,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
         )
         print(f"worker completed {done} point(s)")
         return 0
-    if args.listen is not None:
-        return dist.serve_listen(args.listen)
     return dist.serve_stdio()
-
-
-def cmd_pool_status(args: argparse.Namespace) -> int:
-    # pool status --worker ADDR [--worker ADDR]... [--json FILE]
-    import json
-
-    from .. import dist
-
-    pool = dist.shared_pool(remote=args.worker)
-    pool.ensure(len(args.worker))
-    stats = pool.stats()
-    print(
-        f"worker pool: {stats['size']} live worker(s), "
-        f"{stats['spawned_total']} spawned / "
-        f"{stats['connects_total']} connect(s) this process, "
-        f"protocol v{dist.PROTOCOL_VERSION}"
-    )
-    print(
-        f"  served {stats['points_served']} point(s) in "
-        f"{stats['batches']} batch(es); trace cache "
-        f"{stats['trace_cache_hits']} hit(s) / "
-        f"{stats['trace_cache_misses']} miss(es), "
-        f"{stats['trace_payloads']} payload(s) exported"
-    )
-    for worker in stats["workers"]:
-        if worker.get("busy"):
-            state = "busy serving a dispatcher"
-        elif not worker.get("alive", True):
-            state = "unreachable"
-        else:
-            state = (
-                f"{worker['points_served']} point(s), "
-                f"{worker['preloaded_traces']} trace(s) pinned"
-            )
-        print(
-            f"  {worker.get('transport', '?')} "
-            f"{worker.get('address', '?')}: {state}"
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=1)
-        print(f"wrote {args.json}")
-    return 0
 
 
 def cmd_status(args: argparse.Namespace) -> int:
@@ -194,11 +143,6 @@ def add_parser(sub) -> None:
         help="serve the JSON-lines worker protocol on stdin/stdout",
     )
     dworker.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help="serve the JSON-lines worker protocol on a TCP socket "
-        "(port 0 picks a free port; prints the bound address)",
-    )
-    dworker.add_argument(
         "--worker-id", default=None,
         help="worker id for claims and the partial store "
         "(default <hostname>-<pid>)",
@@ -223,24 +167,6 @@ def add_parser(sub) -> None:
         help="merge completed points even if some are failed/missing",
     )
     dmerge.set_defaults(handler=cmd_merge)
-    dpool = dsub.add_parser(
-        "pool", help="warm worker pool: inspect listen-mode workers",
-    )
-    dpoolsub = dpool.add_subparsers(dest="pool_cmd", required=True)
-    dpoolstatus = dpoolsub.add_parser(
-        "status",
-        help="connect to listen-mode workers and print their serving "
-        "counters",
-    )
-    dpoolstatus.add_argument(
-        "--worker", action="append", metavar="HOST:PORT", required=True,
-        help="a listen-mode worker's address (repeatable; at least one)",
-    )
-    dpoolstatus.add_argument(
-        "--json", default=None,
-        help="also write the counters to this JSON file",
-    )
-    dpoolstatus.set_defaults(handler=cmd_pool_status)
     dstatus = dsub.add_parser(
         "status", help="summarise a job directory's progress"
     )

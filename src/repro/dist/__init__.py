@@ -30,19 +30,17 @@ built in:
     ``execute()`` calls — campaign resumes and repeated runs reuse live
     workers and their pinned traces — and preloading frees points from
     group affinity, so oversized groups split across idle workers.
-    Point-level retry/timeout fault tolerance as before.
+    Point-level retry/timeout fault tolerance as before.  The pool's
+    workers are local subprocesses, driven over their stdin/stdout
+    (:mod:`repro.dist.transport`).
 
 Beside the backends sit shared-filesystem **job directories**
 (:mod:`repro.dist.dirqueue`): a packager writes ``manifest.json`` plus
 one ``.rtrace`` per (bench, seed), any number of workers (any hosts)
 claim points via atomic rename and write partial stores, and a merger
 folds them back deterministically.  ``repro-sim dist
-package|worker|status|merge`` drive them across hosts.
-
-The ``worker`` protocol is transport-agnostic since protocol v2 grew
-:mod:`repro.dist.transport`: the same JSON-lines stream runs over a
-subprocess pipe (``--stdio``) or a TCP socket (``--listen HOST:PORT``),
-so a ``WorkerPool`` can adopt remote workers by address.
+package|worker|status|merge`` drive them across hosts; they are the one
+way to run points on another host.
 
 Quickstart::
 
@@ -51,13 +49,8 @@ Quickstart::
     points = expand_grid(["gcc", "li"], ["modulo", "general-balance"])
     run = run_campaign(points, workers=2, backend="worker")
 
-    # Listen-mode workers (`repro-sim dist worker --listen HOST:PORT`)
-    # on other hosts, adopted by address:
+    # Multi-host, over a shared filesystem:
     from repro import dist
-    remote = dist.backend("worker", remote=["10.0.0.5:7831"])
-    run = run_campaign(points, workers=1, backend=remote)
-
-    # Multi-host, by hand:
     dist.package_job(points, "/shared/job-1")
     # ... on each host:   repro-sim dist worker /shared/job-1
     merged = dist.merge_job("/shared/job-1", store="results.json")
@@ -95,19 +88,14 @@ from .transport import (
     LineChannel,
     PeerClosed,
     PeerTimeout,
-    SocketTransport,
     StdioTransport,
-    Transport,
     TransportError,
-    format_address,
-    parse_address,
 )
 from .worker import (
     PROTOCOL_VERSION,
     WorkerBackend,
     WorkerPool,
     handle_request,
-    serve_listen,
     serve_stdio,
     shared_pool,
     shutdown_shared_pools,
@@ -143,17 +131,12 @@ __all__ = [
     "LineChannel",
     "PeerClosed",
     "PeerTimeout",
-    "SocketTransport",
     "StdioTransport",
-    "Transport",
     "TransportError",
-    "format_address",
-    "parse_address",
     "PROTOCOL_VERSION",
     "WorkerBackend",
     "WorkerPool",
     "handle_request",
-    "serve_listen",
     "serve_stdio",
     "shared_pool",
     "shutdown_shared_pools",

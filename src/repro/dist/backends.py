@@ -223,8 +223,8 @@ def backend(name: str, **options) -> ExecutionBackend:
     """Build the execution backend registered under *name*.
 
     Keyword *options* are backend-specific (``timeout=``, ``retries=``
-    and ``remote=`` for ``worker``); unknown options raise
-    ``TypeError`` from the backend constructor.
+    and ``pool=`` for ``worker``); unknown options raise ``TypeError``
+    from the backend constructor.
     """
     if not isinstance(name, str):
         raise ConfigError(

@@ -6,9 +6,9 @@ JSON request/response protocol over stdin/stdout.  Since protocol v2
 the dispatcher side is built around a :class:`WorkerPool` — a
 *process-lifetime* pool of protocol workers that is shared across
 ``execute()`` calls and campaign resumes, so steady-state dispatch costs
-a JSON round trip, not an interpreter spawn.  This is deliberately the
-smallest protocol a *multi-host* dispatcher needs — a future SSH/socket
-dispatcher reuses the exact same messages, only the transport changes.
+a JSON round trip, not an interpreter spawn.  The pool is local to
+one host; points reach other hosts through job directories
+(:mod:`repro.dist.dirqueue`).
 
 Protocol (one JSON document per line, UTF-8):
 
@@ -111,16 +111,7 @@ from .backends import (
     run_group,
     timeout_from_env,
 )
-from .transport import (
-    LineChannel,
-    PeerClosed,
-    PeerTimeout,
-    SocketTransport,
-    StdioTransport,
-    listen_socket,
-    parse_address,
-    serve_socket_connection,
-)
+from .transport import LineChannel, PeerClosed, PeerTimeout, StdioTransport
 
 #: Protocol major version, echoed by ``ping`` replies.  v2 added
 #: ``preload`` / ``batch-run`` / ``stats`` on top of v1's ``run``.
@@ -292,36 +283,6 @@ def serve_stdio(stdin=None, stdout=None) -> int:
     return 0
 
 
-def serve_listen(address, stdout=None) -> int:
-    """Worker main loop for socket mode: serve dispatchers in turn.
-
-    Binds *address* (``HOST:PORT``; port 0 picks an ephemeral port),
-    announces the bound address on *stdout* so launchers can parse it,
-    and accepts one dispatcher connection at a time.  One persistent
-    :class:`WorkerState` serves every connection, so pinned traces and
-    the result memo survive dispatcher reconnects — a restarted
-    dispatcher reattaches to a still-warm worker.  A dispatcher
-    disconnect just means "accept the next one"; only a ``shutdown`` op
-    ends the loop.
-    """
-    sock = listen_socket(address)
-    host, port = sock.getsockname()[:2]
-    out = stdout if stdout is not None else sys.stdout
-    out.write(f"listening on {host}:{port}\n")
-    out.flush()
-    state = WorkerState()
-    try:
-        while True:
-            conn, _ = sock.accept()
-            keep_serving = serve_socket_connection(
-                conn, lambda line: handle_request(line, state)
-            )
-            if not keep_serving:
-                return 0
-    finally:
-        sock.close()
-
-
 # ----------------------------------------------------------------------
 # Dispatcher side
 # ----------------------------------------------------------------------
@@ -382,28 +343,11 @@ class WorkerPool:
     during an ``execute()``, and a worker that dies is replaced in its
     slot on demand.  Pools are cheap to create empty — processes only
     spawn when :meth:`ensure` / :meth:`worker_at` need them.
-
-    *remote* adopts already-running listen-mode workers
-    (``repro-sim dist worker --listen``) by ``HOST:PORT`` address: slot
-    *i* for ``i < len(remote)`` is a socket connection to ``remote[i]``
-    (re-established on demand after a drop; ``connects_total`` counts
-    every successful connect) and only the slots beyond the remote list
-    spawn local subprocesses.  The pool *borrows* remote workers — its
-    :meth:`shutdown` closes their connections but leaves the processes
-    listening for the next dispatcher, unless ``stop_remote=True``.
     """
 
-    def __init__(
-        self,
-        command: Optional[Sequence[str]] = None,
-        remote: Sequence[str] = (),
-    ):
+    def __init__(self, command: Optional[Sequence[str]] = None):
         self.command = list(command) if command else stdio_worker_command()
-        self.remote: List[str] = [str(address) for address in remote]
-        for address in self.remote:
-            parse_address(address, source="remote worker address")
         self.spawned_total = 0
-        self.connects_total = 0
         self._workers: List[Optional[_PoolWorker]] = []
         self._lock = threading.Lock()
         self._slot_locks: Dict[int, threading.RLock] = {}
@@ -428,34 +372,10 @@ class WorkerPool:
                 lock = self._slot_locks[slot] = threading.RLock()
             return lock
 
-    def _connect(self, slot: int) -> _PoolWorker:
-        """Spawn (local slot) or connect (remote slot) a worker.
-
-        Raises :class:`PeerClosed` when a remote slot's worker is not
-        reachable — callers treat that like any other worker failure.
-        """
-        if slot < len(self.remote):
-            worker = _PoolWorker(SocketTransport(self.remote[slot]))
-            self.connects_total += 1
-            return worker
-        self.spawned_total += 1
-        return _PoolWorker(
-            StdioTransport(self.command, env=worker_environment())
-        )
-
     def ensure(self, n: int) -> None:
-        """Grow the pool to at least *n* live workers.
-
-        Remote slots are best-effort here: a worker that is not up yet
-        is retried on demand by :meth:`worker_at` (and its chunks are
-        handed to reachable slots by the dispatcher's retry machinery).
-        """
+        """Grow the pool to at least *n* live workers."""
         for slot in range(n):
-            try:
-                self.worker_at(slot)
-            except PeerClosed:
-                if slot >= len(self.remote):
-                    raise
+            self.worker_at(slot)
 
     @property
     def size(self) -> int:
@@ -465,11 +385,7 @@ class WorkerPool:
         )
 
     def worker_at(self, slot: int) -> _PoolWorker:
-        """The live worker in *slot*, spawning/reconnecting if needed.
-
-        Raises :class:`PeerClosed` when a remote slot cannot be
-        (re)connected.
-        """
+        """The live worker in *slot*, spawning one if needed."""
         with self._lock:
             while len(self._workers) <= slot:
                 self._workers.append(None)
@@ -478,7 +394,10 @@ class WorkerPool:
                 if worker is not None:
                     worker.close()
                     self._workers[slot] = None
-                worker = self._connect(slot)
+                self.spawned_total += 1
+                worker = _PoolWorker(
+                    StdioTransport(self.command, env=worker_environment())
+                )
                 self._workers[slot] = worker
             return worker
 
@@ -489,22 +408,15 @@ class WorkerPool:
                 self._workers[slot].close()
                 self._workers[slot] = None
 
-    def shutdown(self, stop_remote: bool = False) -> None:
-        """Stop every local worker and empty the pool.
-
-        Remote workers only get their connection closed (they go back to
-        listening for the next dispatcher) unless *stop_remote* sends
-        them the ``shutdown`` op too.
-        """
+    def shutdown(self) -> None:
+        """Stop every worker and empty the pool."""
         with self._lock:
             workers, self._workers = self._workers, []
-        for slot, worker in enumerate(workers):
+        for worker in workers:
             if worker is None:
                 continue
             try:
-                if worker.alive() and (
-                    stop_remote or slot >= len(self.remote)
-                ):
+                if worker.alive():
                     worker.request("shutdown", timeout=2)
             except (PeerClosed, PeerTimeout):
                 pass
@@ -559,33 +471,25 @@ class WorkerPool:
 
     # -- observability -------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Pool totals plus each worker's ``stats`` op reply.
+        """Pool totals plus each live worker's ``stats`` op reply.
 
-        Every entry carries the transport/address columns, so remote and
-        local workers are distinguishable in status displays; a remote
-        slot that is currently unreachable still appears (``alive``
-        false), and a slot busy serving a dispatcher thread is reported
-        ``busy`` instead of having its reply stream corrupted.
-        ``trace_payloads`` counts the payloads built over the pool's
-        lifetime: across one campaign it grows by one per group no
-        worker already held.  ``payloads_cached`` counts those cached
-        now, which is 0 once every campaign has finished.
+        Every entry carries its ``slot``; a slot busy serving a
+        dispatcher thread is reported ``busy`` instead of having its
+        reply stream corrupted.  ``trace_payloads`` counts the payloads
+        built over the pool's lifetime: across one campaign it grows by
+        one per group no worker already held.  ``payloads_cached``
+        counts those cached now, which is 0 once every campaign has
+        finished.
         """
         per_worker: List[Dict[str, object]] = []
         with self._lock:
             workers = list(enumerate(self._workers))
         for slot, worker in workers:
             if worker is None or not worker.alive():
-                if slot < len(self.remote):
-                    per_worker.append({
-                        "transport": "socket",
-                        "address": self.remote[slot],
-                        "alive": False,
-                    })
                 continue
             lock = self.slot_lock(slot)
             if not lock.acquire(timeout=0.5):
-                per_worker.append({**worker.describe(), "busy": True})
+                per_worker.append({"slot": slot, "busy": True})
                 continue
             try:
                 reply = worker.request("stats", timeout=10)
@@ -595,7 +499,7 @@ class WorkerPool:
                 lock.release()
             if reply.get("ok"):
                 per_worker.append({
-                    **worker.describe(),
+                    "slot": slot,
                     **{k: v for k, v in reply.items()
                        if k not in ("id", "ok")},
                 })
@@ -605,8 +509,6 @@ class WorkerPool:
         return {
             "size": self.size,
             "spawned_total": self.spawned_total,
-            "connects_total": self.connects_total,
-            "remote_addresses": list(self.remote),
             "trace_payloads": self.payloads_built,
             "payloads_cached": len(self._payloads),
             "points_served": total("points_served"),
@@ -620,16 +522,13 @@ class WorkerPool:
 
 
 #: Process-lifetime pools shared by every pool-less WorkerBackend, keyed by
-#: worker argv + remote fleet so test backends with injected commands or
-#: different remote addresses never share workers.  Torn down atexit.
-_SHARED_POOLS: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], WorkerPool] = {}
+#: worker argv so test backends with injected commands never share
+#: workers.  Torn down atexit.
+_SHARED_POOLS: Dict[Tuple[str, ...], WorkerPool] = {}
 _SHARED_POOLS_LOCK = threading.Lock()
 
 
-def shared_pool(
-    command: Optional[Sequence[str]] = None,
-    remote: Sequence[str] = (),
-) -> WorkerPool:
+def shared_pool(command: Optional[Sequence[str]] = None) -> WorkerPool:
     """The process-wide :class:`WorkerPool` for *command* (created lazily).
 
     This is what makes the backend warm across ``execute()`` calls,
@@ -639,12 +538,11 @@ def shared_pool(
     survive between campaigns.
     """
     argv = tuple(command) if command else tuple(stdio_worker_command())
-    key = (argv, tuple(str(address) for address in remote))
     with _SHARED_POOLS_LOCK:
-        pool = _SHARED_POOLS.get(key)
+        pool = _SHARED_POOLS.get(argv)
         if pool is None:
-            pool = WorkerPool(list(argv), remote=list(key[1]))
-            _SHARED_POOLS[key] = pool
+            pool = WorkerPool(list(argv))
+            _SHARED_POOLS[argv] = pool
         return pool
 
 
@@ -690,31 +588,11 @@ class _TaskBoard:
     def __init__(self, n_slots: int):
         self._pending: List[List[_Chunk]] = [[] for _ in range(n_slots)]
         self._started = [False] * n_slots
-        self._stopped = [False] * n_slots
         self._lock = threading.Lock()
 
     def put(self, slot: int, chunk: _Chunk) -> None:
         with self._lock:
             self._pending[slot].append(chunk)
-
-    def retire(self, slot: int, chunk: _Chunk) -> bool:
-        """Hand *chunk* and the rest of *slot*'s list to another slot.
-
-        Used when *slot*'s worker is unreachable: its thread stops and
-        the next slot whose thread still runs takes its chunks over.
-        Returns ``False``, handing nothing over, when no other thread
-        runs — this one then spends the chunk's attempts itself, so a
-        fleet that is entirely unreachable still terminates.
-        """
-        with self._lock:
-            n = len(self._pending)
-            for heir in ((slot + step) % n for step in range(1, n)):
-                if not self._stopped[heir]:
-                    self._stopped[slot] = True
-                    self._pending[heir] += [chunk, *self._pending[slot]]
-                    self._pending[slot] = []
-                    return True
-            return False
 
     def take(self, slot: int) -> Optional[_Chunk]:
         with self._lock:
@@ -727,11 +605,7 @@ class _TaskBoard:
                 if started
             ]
             victim = max(open_lists, key=len)
-            if victim:
-                return victim.pop()
-            # This slot's thread stops: nothing may be handed to it now.
-            self._stopped[slot] = True
-            return None
+            return victim.pop() if victim else None
 
 
 def _chunks_for_groups(
@@ -813,16 +687,11 @@ class WorkerBackend(ExecutionBackend):
         ``REPRO_DIST_RETRIES`` environment knob (itself default 1).
     command:
         Override the worker argv (tests inject crashing commands).
-    remote:
-        ``HOST:PORT`` addresses of already-running listen-mode workers
-        to adopt.  The first ``len(remote)`` pool slots connect there
-        instead of spawning subprocesses; set ``jobs`` to the remote
-        count to use only remote workers.
     pool:
         The :class:`WorkerPool` to dispatch through; the caller owns its
         lifetime.  Without one, the process-lifetime :func:`shared_pool`
-        for *command* and *remote* serves, so its workers and preloaded
-        traces persist across ``execute()`` calls.
+        for *command* serves, so its workers and preloaded traces
+        persist across ``execute()`` calls.
     """
 
     name = "worker"
@@ -835,7 +704,6 @@ class WorkerBackend(ExecutionBackend):
         timeout=_UNSET,
         retries=_UNSET,
         command: Optional[Sequence[str]] = None,
-        remote: Sequence[str] = (),
         pool: Optional[WorkerPool] = None,
     ):
         self.timeout = (
@@ -847,9 +715,6 @@ class WorkerBackend(ExecutionBackend):
             else coerce_retries(retries)
         )
         self.command = list(command) if command else stdio_worker_command()
-        self.remote = [str(address) for address in remote]
-        for address in self.remote:
-            parse_address(address, source="remote worker address")
         self.pool = pool
 
     def execute(self, points, jobs: int = 1) -> Payload:
@@ -860,7 +725,7 @@ class WorkerBackend(ExecutionBackend):
         if not groups:
             return []
         n_workers = min(jobs, len(points))
-        pool = self.pool or shared_pool(self.command, remote=self.remote)
+        pool = self.pool or shared_pool(self.command)
         # Chunk i is affine to slot i % n_workers: re-running the same
         # grid sends each spec back to the worker that served it last
         # time (whose memo and pinned trace cover it).  Idle dispatcher
@@ -952,10 +817,9 @@ class WorkerBackend(ExecutionBackend):
         tree shows which failure each retry answered.  Under the slot
         lock it preloads the chunk's trace and sends one ``batch-run``
         whose span context makes the worker's own span its child.  A
-        worker that dies, times out or cannot be reached is discarded
-        and the chunk comes back as a retry until ``retries`` extra
-        attempts are spent; an ``ok: false`` reply is deterministic and
-        fails the chunk at once.
+        worker that dies or times out is discarded and the chunk comes
+        back as a retry until ``retries`` extra attempts are spent; an
+        ``ok: false`` reply is deterministic and fails the chunk at once.
         """
         attempts, key, needed, chunk, retry_of = task
         span = tracing.start_span(
@@ -1001,8 +865,8 @@ class WorkerBackend(ExecutionBackend):
                 )
             )
         # Worker-side spans ride the reply; record them here so the
-        # dispatcher's log holds the whole tree even for remote
-        # workers whose own log lives on another host.
+        # dispatcher's log holds the whole tree even when the worker's
+        # own sink is off.
         for record in reply.get("spans") or ():
             tracing.record_span(record)
         if not reply.get("ok"):
@@ -1020,17 +884,6 @@ class WorkerBackend(ExecutionBackend):
             task = tasks.take(slot)
             if task is None:
                 return
-            try:
-                worker = pool.worker_at(slot)
-                if task[0] and slot < len(pool.remote):
-                    # A retry: a listener that just died may still have
-                    # accepted the reconnect, so it must answer first.
-                    with pool.slot_lock(slot):
-                        worker.request("ping", timeout=self.timeout)
-            except (PeerClosed, PeerTimeout):
-                pool.discard(slot)
-                if tasks.retire(slot, task):
-                    return
             outcome = self._attempt(pool, slot, task, parent_ctx)
             if outcome.retry is not None:
                 # Back on this slot's list, for its replacement worker

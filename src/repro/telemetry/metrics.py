@@ -3,7 +3,7 @@
 Named counters live on a shared :data:`metrics` registry.  Each has a
 reader: ``perfbench`` and ``tests/test_trace_columns.py`` read the
 steering memo counters (``steering.memo.hits`` / ``.misses``), and CI's
-listen-worker smoke and ``tests/test_dist.py`` read
+crash-once warm-pool step and ``tests/test_dist.py`` read
 ``dispatch.retries_total``.
 
 Counters are process-local: a worker's counters describe that worker's

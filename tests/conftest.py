@@ -78,52 +78,3 @@ def gcc_base_result():
 def default_config():
     """A fresh clustered-machine configuration."""
     return ProcessorConfig.default()
-
-
-@pytest.fixture()
-def listen_process():
-    """Factory for listen-mode worker subprocesses on ephemeral ports.
-
-    ``listen_process(**env)`` starts ``repro-sim dist worker --listen
-    127.0.0.1:0`` and returns ``(process, address)``.  *env* sets (or,
-    given ``None``, removes) variables in that worker's environment
-    only, so a fault-injection flag never reaches this process's own
-    in-process workers.  Teardown reaps every worker started, killing
-    one that is still running after 10 s.
-    """
-    import select
-    import subprocess
-    import sys
-
-    from repro import dist
-
-    started = []
-
-    def start(**env):
-        full = dist.worker_environment()
-        for name, value in env.items():
-            if value is None:
-                full.pop(name, None)
-            else:
-                full[name] = value
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "dist", "worker",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, text=True, env=full,
-        )
-        started.append(proc)
-        ready, _, _ = select.select([proc.stdout], [], [], 60)
-        line = proc.stdout.readline() if ready else ""
-        assert line.startswith("listening on "), (
-            f"worker never announced its address: {line!r}"
-        )
-        return proc, line.split()[-1]
-
-    yield start
-    for proc in started:
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()

@@ -3,8 +3,6 @@
 import io
 import json
 import sys
-import threading
-import time
 
 import pytest
 
@@ -545,341 +543,6 @@ class TestTaskBoard:
         assert board.take(0) == "b2"  # slot 1 started: open to stealing
         assert board.take(1) is None
 
-    def test_retire_hands_a_slots_chunks_to_a_running_slot(self):
-        board = _TaskBoard(3)
-        assert board.take(1) is None  # slot 1's thread has stopped
-        board.put(0, "a1")
-        board.put(0, "a2")
-        assert board.take(0) == "a1"
-        # Slot 0's worker is unreachable: slot 2 inherits both chunks.
-        assert board.retire(0, "a1")
-        assert board.take(2) == "a1"
-        assert board.take(2) == "a2"
-        # The last running slot keeps its chunk.
-        assert not board.retire(2, "b")
-
-
-def _dead_address():
-    """A ``HOST:PORT`` nothing listens on: bound, then closed."""
-    import socket
-
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    address = dist.format_address(sock.getsockname()[:2])
-    sock.close()
-    return address
-
-
-class TestUnreachableSlots:
-    def test_unreachable_fleet_fails_every_point(self):
-        pts = expand_grid(
-            ["gcc", "li"], ["modulo"], n_instructions=N, warmup=W
-        )
-        backend = dist.WorkerBackend(remote=[_dead_address()], retries=1)
-        start = time.monotonic()
-        payload = backend.execute(pts, jobs=1)
-        assert time.monotonic() - start < 30
-        assert sorted(index for index, *_ in payload) == [0, 1]
-        for _, result, error, *_ in payload:
-            assert result is None
-            assert "worker failed after 2 attempt(s)" in error
-
-    def test_dead_remote_slot_beside_a_local_one_matches_serial(
-        self, points, serial
-    ):
-        pool = dist.WorkerPool(remote=[_dead_address()])
-        try:
-            backend = dist.WorkerBackend(pool=pool, retries=1)
-            results = Campaign(points, workers=2, backend=backend).run()
-        finally:
-            pool.shutdown()
-        assert [(r.point, r.result) for r in results] == [
-            (r.point, r.result) for r in serial
-        ]
-
-
-def _listen_thread():
-    """One in-process listen-mode worker: ``(address, thread)``."""
-    out = io.StringIO()
-    thread = threading.Thread(
-        target=dist.serve_listen, args=("127.0.0.1:0", out), daemon=True
-    )
-    thread.start()
-    deadline = time.monotonic() + 10
-    while "\n" not in out.getvalue():
-        assert time.monotonic() < deadline, "worker never announced"
-        time.sleep(0.01)
-    return out.getvalue().split()[-1], thread
-
-
-class TestListenWorkers:
-    def _listen_worker(self):
-        """One in-process listen-mode worker; returns its address."""
-        return _listen_thread()[0]
-
-    def test_pool_adopts_remote_worker_directly(self, points, serial):
-        """WorkerBackend with a remote pool: the listen worker serves it."""
-        address = self._listen_worker()
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            backend = dist.WorkerBackend(pool=pool)
-            results = Campaign(points, backend=backend).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        _assert_identical(results, serial)
-        assert stats["connects_total"] == 1
-        assert stats["spawned_total"] == 0
-        assert stats["workers"][0]["transport"] == "socket"
-
-    def test_remote_fleet_identical_to_serial(self, points, serial):
-        """Two listen workers, no local one: each slot is a socket."""
-        addresses = [self._listen_worker(), self._listen_worker()]
-        pool = dist.WorkerPool(remote=addresses)
-        try:
-            backend = dist.WorkerBackend(pool=pool)
-            results = Campaign(points, workers=2, backend=backend).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        _assert_identical(results, serial)
-        assert stats["spawned_total"] == 0
-        assert stats["connects_total"] == 2
-        assert sorted(w["address"] for w in stats["workers"]) == sorted(
-            addresses
-        )
-        assert all(w["transport"] == "socket" for w in stats["workers"])
-        assert stats["points_served"] == len(points)
-
-    def test_backend_by_name_adopts_remote_workers(self, points, serial):
-        """``dist.backend("worker", remote=[...])`` serves through the
-        shared pool for that fleet, which connects instead of spawning."""
-        address = self._listen_worker()
-        pool = dist.shared_pool(remote=[address])
-        try:
-            backend = dist.backend("worker", remote=[address])
-            results = Campaign(points, backend=backend).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        _assert_identical(results, serial)
-        assert stats["remote_addresses"] == [address]
-        assert stats["connects_total"] == 1
-        assert stats["spawned_total"] == 0
-
-    def test_mixed_fleet_puts_remote_slots_first(self, points, serial):
-        """Slots up to the remote count connect; the rest spawn."""
-        address = self._listen_worker()
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            backend = dist.WorkerBackend(pool=pool)
-            results = Campaign(points, workers=2, backend=backend).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        _assert_identical(results, serial)
-        assert (stats["connects_total"], stats["spawned_total"]) == (1, 1)
-        first, second = stats["workers"]
-        assert (first["transport"], first["address"]) == ("socket", address)
-        assert second["transport"] == "stdio"
-
-    def test_listen_worker_keeps_its_memo_across_dispatchers(
-        self, points, serial
-    ):
-        """A worker outlives the pool that borrowed it: the next
-        dispatcher's identical campaign comes from the worker's memo."""
-        address = self._listen_worker()
-        first = dist.WorkerPool(remote=[address])
-        try:
-            Campaign(points, backend=dist.WorkerBackend(pool=first)).run()
-        finally:
-            first.shutdown()
-        second = dist.WorkerPool(remote=[address])
-        try:
-            results = Campaign(
-                points, backend=dist.WorkerBackend(pool=second)
-            ).run()
-            stats = second.stats()
-        finally:
-            second.shutdown(stop_remote=True)
-        _assert_identical(results, serial)
-        (worker,) = stats["workers"]
-        assert worker["result_cache_hits"] == len(points)
-        assert worker["points_served"] == 2 * len(points)
-
-    def test_only_stop_remote_ends_the_listen_loop(self):
-        """``shutdown()`` hands a borrowed worker back still listening;
-        ``shutdown(stop_remote=True)`` ends its accept loop."""
-        address, thread = _listen_thread()
-        borrower = dist.WorkerPool(remote=[address])
-        borrower.ensure(1)
-        borrower.shutdown()
-        thread.join(timeout=0.5)
-        assert thread.is_alive()
-        owner = dist.WorkerPool(remote=[address])
-        owner.ensure(1)
-        assert owner.size == 1
-        owner.shutdown(stop_remote=True)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_timed_out_remote_worker_is_reconnected(self, tmp_path,
-                                                    monkeypatch):
-        """A remote worker that hangs past the timeout loses its
-        connection, not its slot: the retry reconnects to the same
-        worker, whose memo already holds the point it finished late."""
-        address = self._listen_worker()
-        flag = tmp_path / "hang-once"
-        flag.write_text("zzz")
-        # The in-process listen worker reads these when serving.
-        monkeypatch.setenv("REPRO_DIST_HANG_FLAG", str(flag))
-        monkeypatch.setenv("REPRO_DIST_HANG_SECONDS", "2.5")
-        pts = [RunSpec("li", "modulo", n_instructions=N, warmup=W)]
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            backend = dist.WorkerBackend(pool=pool, timeout=2, retries=1)
-            results = Campaign(pts, backend=backend).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        assert not flag.exists()
-        assert results[0].result == repro.run(pts[0])
-        assert stats["connects_total"] == 2
-        assert stats["workers"][0]["result_cache_hits"] == 1
-
-    def test_crashing_listen_worker_is_retried_on_its_peer(
-        self, listen_process, tmp_path
-    ):
-        """A listen worker that dies mid-batch cannot be reconnected:
-        its slot retires and the surviving peer runs the retried chunk."""
-        from repro.telemetry import metrics
-        from repro.workloads import SPECINT95
-
-        pts = expand_grid(
-            sorted(SPECINT95), ["modulo"], n_instructions=N, warmup=W
-        )
-        expected = [r.result for r in Campaign(pts, backend="serial").run()]
-        flag = tmp_path / "crash-once"
-        flag.write_text("boom")
-        crashing, first = listen_process(REPRO_DIST_CRASH_FLAG=str(flag))
-        healthy, second = listen_process()
-        retries = metrics.counter("dispatch.retries_total").value
-        pool = dist.WorkerPool(remote=[first, second])
-        try:
-            backend = dist.WorkerBackend(pool=pool, retries=1)
-            results = Campaign(pts, workers=2, backend=backend).run()
-        finally:
-            pool.shutdown(stop_remote=True)
-        assert [r.result for r in results] == expected
-        assert not flag.exists()  # the crash really happened
-        assert crashing.wait(timeout=10) == 3
-        assert healthy.wait(timeout=10) == 0
-        assert metrics.counter("dispatch.retries_total").value > retries
-
-    def test_retry_skips_a_listener_that_accepts_but_never_answers(self):
-        """A dying listener may still accept the retry's reconnect and
-        then drop it.  The retry pings first, so the chunk goes to the
-        peer instead of spending its last attempt on the dead slot."""
-        import socket
-
-        from repro.workloads import SPECINT95
-
-        pts = expand_grid(
-            sorted(SPECINT95), ["modulo"], n_instructions=N, warmup=W
-        )
-        expected = [r.result for r in Campaign(pts, backend="serial").run()]
-        dying = socket.socket()
-        dying.bind(("127.0.0.1", 0))
-        dying.listen(8)
-
-        def drop_every_connection():
-            while True:
-                try:
-                    conn, _ = dying.accept()
-                except OSError:
-                    return
-                conn.close()
-
-        threading.Thread(target=drop_every_connection, daemon=True).start()
-        first = dist.format_address(dying.getsockname()[:2])
-        second, thread = _listen_thread()
-        pool = dist.WorkerPool(remote=[first, second])
-        try:
-            backend = dist.WorkerBackend(pool=pool, retries=1)
-            results = Campaign(pts, workers=2, backend=backend).run()
-        finally:
-            pool.shutdown(stop_remote=True)
-            dying.close()
-        assert [r.result for r in results] == expected
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_unreachable_remote_slot_stays_in_stats(self):
-        address = _dead_address()
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            pool.ensure(1)  # best-effort for remote slots: no raise
-            stats = pool.stats()
-        finally:
-            pool.shutdown()
-        assert stats["size"] == 0
-        assert stats["workers"] == [
-            {"transport": "socket", "address": address, "alive": False}
-        ]
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda remote: dist.WorkerPool(remote=remote),
-            lambda remote: dist.WorkerBackend(remote=remote),
-            lambda remote: dist.backend("worker", remote=remote),
-        ],
-        ids=["pool", "backend", "backend-by-name"],
-    )
-    def test_bad_remote_address_raises_config_error(self, make):
-        with pytest.raises(ConfigError, match="remote worker address"):
-            make(["127.0.0.1:1", "nope"])
-
-    def test_listen_worker_answers_ping_over_the_socket(self):
-        from repro.dist.transport import LineChannel
-
-        address, thread = _listen_thread()
-        channel = LineChannel(dist.SocketTransport(address))
-        try:
-            reply = channel.request("ping", timeout=10)
-            assert reply["ok"]
-            assert reply["protocol"] == dist.PROTOCOL_VERSION
-            assert channel.request("shutdown", timeout=10)["bye"]
-        finally:
-            channel.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_dispatcher_vanishing_mid_batch_leaves_worker_serving(self):
-        """A dispatcher that sends a batch and disconnects before the
-        reply costs the worker nothing: the next dispatcher is served,
-        and the abandoned batch's result waits in the memo."""
-        import socket
-
-        address, thread = _listen_thread()
-        point = RunSpec("gcc", "modulo", n_instructions=N, warmup=W)
-        conn = socket.create_connection(dist.parse_address(address))
-        conn.sendall((_batch_request(1, point) + "\n").encode("utf-8"))
-        conn.close()
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            results = Campaign(
-                [point], backend=dist.WorkerBackend(pool=pool)
-            ).run()
-            stats = pool.stats()
-        finally:
-            pool.shutdown(stop_remote=True)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert results[0].result == repro.run(point)
-        assert stats["workers"][0]["result_cache_hits"] == 1
-
-
 class TestPayloadRelease:
     """The dispatcher-side trace payload cache holds only campaigns in
     flight (``perfbench`` reads ``trace_payloads`` from these stats)."""
@@ -929,55 +592,20 @@ class TestPayloadRelease:
         assert pool.trace_payload(("no-such-bench", 0), N) is None
         assert pool.payloads_built == 1
 
-    def test_local_workers_report_stdio_transport_and_pid(self):
+    def test_local_workers_report_their_slot_and_pid(self):
         pool = dist.WorkerPool()
         try:
             pool.ensure(1)
+            pid = pool.worker_at(0).transport.proc.pid
             (worker,) = pool.stats()["workers"]
         finally:
             pool.shutdown()
-        assert worker["transport"] == "stdio"
-        assert worker["address"] == f"pid:{worker['pid']}"
-
-
-class TestPoolStatusCli:
-    """``dist pool status --worker`` reports adopted listen workers."""
-
-    def test_reports_a_remote_worker(self, tmp_path, capsys):
-        from repro.cli import main
-
-        address, thread = _listen_thread()
-        stats_file = tmp_path / "pool.json"
-        try:
-            assert main([
-                "dist", "pool", "status", "--worker", address,
-                "--json", str(stats_file),
-            ]) == 0
-        finally:
-            dist.shared_pool(remote=[address]).shutdown(stop_remote=True)
-        out = capsys.readouterr().out
-        assert f"socket {address}: 0 point(s)" in out
-        stats = json.loads(stats_file.read_text())
-        assert stats["connects_total"] == 1 and stats["spawned_total"] == 0
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_marks_an_unreachable_worker(self, capsys):
-        from repro.cli import main
-
-        address = _dead_address()
-        try:
-            assert main([
-                "dist", "pool", "status", "--worker", address,
-            ]) == 0
-        finally:
-            dist.shared_pool(remote=[address]).shutdown()
-        assert f"socket {address}: unreachable" in capsys.readouterr().out
+        assert (worker["slot"], worker["pid"]) == (0, pid)
 
 
 class TestRemovedSurfaces:
-    """Removed command lines (the daemon's, `pool status` without a
-    worker or with `-j`): argparse rejects them."""
+    """Removed command lines (the daemon's, `pool status`, listen-mode
+    workers): argparse rejects them."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -991,12 +619,14 @@ class TestRemovedSurfaces:
             ["suite", "run", "smoke", "--service-address", "127.0.0.1:1"],
             ["dist", "pool", "status"],
             ["dist", "pool", "status", "-j", "2"],
+            ["dist", "worker", "--listen", "127.0.0.1:0"],
+            ["dist", "pool", "status", "--worker", "x:1"],
         ],
         ids=[
             "dist-serve", "dist-serve-status", "dist-serve-stop",
             "telemetry-dump", "campaign-service-address",
             "suite-run-service-address", "pool-status-without-worker",
-            "pool-status-jobs",
+            "pool-status-jobs", "worker-listen", "pool-status-worker",
         ],
     )
     def test_argv_is_a_usage_error(self, argv, capsys):
@@ -1012,10 +642,11 @@ class TestRemovedSurfaces:
         [
             (["campaign", "-b", "gcc", "-s", "modulo", "--backend",
               "service"], "unknown execution backend 'service'"),
-            (["dist", "pool", "status", "--worker", "nope"],
-             "must look like HOST:PORT, got 'nope'"),
+            (["campaign", "-b", "gcc", "-s", "modulo", "--backend",
+              "worker", "--dist-timeout", "soon"],
+             "timeout must be a positive number of seconds or none"),
         ],
-        ids=["campaign-service-backend", "pool-status-bad-address"],
+        ids=["campaign-service-backend", "campaign-bad-dist-timeout"],
     )
     def test_config_error_is_one_line_and_exit_2(self, argv, message, capsys):
         """A ConfigError the parser cannot catch ends the command with its
@@ -1091,6 +722,33 @@ class TestWarmPool:
         assert dist.shared_pool() is dist.shared_pool()
         other = dist.shared_pool([sys.executable, "-c", "pass"])
         assert other is not dist.shared_pool()
+
+    def test_shutdown_leaves_no_open_pipes(self):
+        """Stopping the workers closes their pipes, so the garbage
+        collector finds no unclosed file to warn about."""
+        import gc
+        import time
+        import warnings
+        import weakref
+
+        pool = dist.WorkerPool()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pool.ensure(2)
+            transports = []
+            for slot in range(2):
+                worker = pool.worker_at(slot)
+                worker.request("ping", timeout=60)
+                transports.append(weakref.ref(worker.transport))
+            del worker
+            pool.shutdown()
+            deadline = time.monotonic() + 10
+            while any(ref() is not None for ref in transports):
+                assert time.monotonic() < deadline, "a worker outlived it"
+                gc.collect()
+                time.sleep(0.01)
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_split_group_identical_to_serial(self):
         """One oversized group spreads over both workers (the jobs=2

@@ -7,6 +7,7 @@ tree.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -422,6 +423,36 @@ class TestCampaignTelemetry:
         # worker.batch chain under it.
         assert tracing.check_span_trees(spans) == []
 
+    def test_quiet_worker_spans_reach_the_dispatcher_log(
+        self, tmp_path, monkeypatch, points, serial
+    ):
+        """Spans ride the reply: a worker whose own sink is off still
+        leaves the whole tree in the dispatcher's log."""
+        path = _log_file(tmp_path, monkeypatch)
+        pool = dist.WorkerPool(
+            ["env", "-u", log_module.FILE_ENV, *dist.stdio_worker_command()]
+        )
+        try:
+            backend = dist.backend("worker", pool=pool)
+            results = Campaign(points, backend=backend).run()
+        finally:
+            pool.shutdown()
+        assert list(results) == list(serial)
+        sessions = [
+            r for r in _records(path) if r["event"] == "telemetry.session"
+        ]
+        assert [r["pid"] for r in sessions] == [os.getpid()]
+        spans = tracing.load_spans(str(path))
+        names = {s["name"] for s in spans}
+        assert {"campaign", "dispatch", "batch-run", "worker.batch"} <= names
+        assert all(
+            s["attrs"]["pid"] != os.getpid()
+            for s in spans if s["name"] == "worker.batch"
+        )
+        campaign = next(s for s in spans if s["name"] == "campaign")
+        assert all(s["trace_id"] == campaign["trace_id"] for s in spans)
+        assert tracing.check_span_trees(spans) == []
+
     def test_worker_campaign_collects_worker_side_timing(
         self, points, serial
     ):
@@ -527,71 +558,3 @@ class TestMixedPeers:
         (record,) = reply["spans"]
         assert record["name"] == "worker.batch"
         assert "parent_id" not in record
-
-
-# ----------------------------------------------------------------------
-# Listen-mode workers
-# ----------------------------------------------------------------------
-class TestListenWorkerTelemetry:
-    """A listen worker logs on its own host, if at all: the spans riding
-    its replies must give the dispatcher's sink the complete tree."""
-
-    def test_remote_campaign_trace_is_complete_in_the_dispatcher_log(
-        self, tmp_path, monkeypatch, points, serial, listen_process
-    ):
-        path = _log_file(tmp_path, monkeypatch)
-        proc, address = listen_process(**{log_module.FILE_ENV: None})
-        pool = dist.WorkerPool(remote=[address])
-        try:
-            backend = dist.WorkerBackend(pool=pool)
-            results = Campaign(points, backend=backend).run()
-        finally:
-            pool.shutdown(stop_remote=True)
-        assert list(results) == list(serial)
-        assert proc.wait(timeout=10) == 0
-        spans = tracing.load_spans(str(path))
-        names = {s["name"] for s in spans}
-        assert {"campaign", "dispatch", "batch-run", "worker.batch"} <= names
-        campaign = next(s for s in spans if s["name"] == "campaign")
-        assert all(s["trace_id"] == campaign["trace_id"] for s in spans)
-        assert tracing.check_span_trees(spans) == []
-
-    def test_crashed_listen_worker_retry_is_a_child_span(
-        self, tmp_path, monkeypatch, listen_process
-    ):
-        """The chunk a dead listen worker dropped is retried on its peer,
-        under the failed attempt's span, with the tree intact.  A
-        reconnect that races the worker's exit may fail one more chunk;
-        that attempt, too, has exactly one successful retry."""
-        from repro.workloads import SPECINT95
-
-        path = _log_file(tmp_path, monkeypatch)
-        pts = expand_grid(
-            sorted(SPECINT95), ["modulo"], n_instructions=N, warmup=W
-        )
-        flag = tmp_path / "crash-once"
-        flag.write_text("boom")
-        quiet = {log_module.FILE_ENV: None}
-        _, first = listen_process(REPRO_DIST_CRASH_FLAG=str(flag), **quiet)
-        _, second = listen_process(**quiet)
-        pool = dist.WorkerPool(remote=[first, second])
-        try:
-            backend = dist.WorkerBackend(pool=pool, retries=1)
-            results = Campaign(pts, workers=2, backend=backend).run()
-        finally:
-            pool.shutdown(stop_remote=True)
-        assert not flag.exists()  # the crash really happened
-        assert len(results) == len(pts)
-        spans = tracing.load_spans(str(path))
-        dispatches = [s for s in spans if s["name"] == "dispatch"]
-        failed = [s for s in dispatches if s["status"] == "error"]
-        assert failed
-        for span in failed:
-            assert span["attrs"]["attempt"] == 1
-            (retry,) = [
-                s for s in dispatches
-                if s.get("parent_id") == span["span_id"]
-            ]
-            assert retry["status"] == "ok"
-            assert retry["attrs"]["attempt"] == 2
-        assert tracing.check_span_trees(spans) == []

@@ -377,13 +377,6 @@ class WorkerPool:
         for slot in range(n):
             self.worker_at(slot)
 
-    @property
-    def size(self) -> int:
-        """Live workers currently in the pool."""
-        return sum(
-            1 for w in self._workers if w is not None and w.alive()
-        )
-
     def worker_at(self, slot: int) -> _PoolWorker:
         """The live worker in *slot*, spawning one if needed."""
         with self._lock:
@@ -507,7 +500,6 @@ class WorkerPool:
             return sum(int(w.get(field, 0)) for w in per_worker)
 
         return {
-            "size": self.size,
             "spawned_total": self.spawned_total,
             "trace_payloads": self.payloads_built,
             "payloads_cached": len(self._payloads),

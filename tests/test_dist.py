@@ -14,7 +14,7 @@ from repro.analysis.campaign import (
     expand_grid,
     run_campaign,
 )
-from repro.dist.worker import _TaskBoard
+from repro.dist.worker import _TaskBoard, _chunks_for_groups, _reply_entry
 from repro.errors import ConfigError, DistError
 from repro.pipeline import SimResult
 from repro.spec import RunSpec
@@ -543,6 +543,116 @@ class TestTaskBoard:
         assert board.take(0) == "b2"  # slot 1 started: open to stealing
         assert board.take(1) is None
 
+    def test_own_chunks_come_first_in_order(self):
+        board = _TaskBoard(1)
+        for chunk in ("a", "b", "c"):
+            board.put(0, chunk)
+        assert [board.take(0) for _ in range(4)] == ["a", "b", "c", None]
+
+    def test_steals_the_tail_of_the_fullest_started_slot(self):
+        board = _TaskBoard(3)
+        board.put(1, "b1")
+        board.put(2, "c1")
+        board.put(2, "c2")
+        board.put(2, "c3")
+        assert board.take(1) == "b1"
+        assert board.take(2) == "c1"
+        assert board.take(0) == "c3"  # slot 2 holds the most: steal its tail
+        assert board.take(1) == "c2"
+        assert board.take(2) is None
+
+    def test_empty_board_hands_out_nothing(self):
+        board = _TaskBoard(2)
+        assert board.take(0) is None
+        assert board.take(1) is None
+
+
+def _indexed(points):
+    return list(enumerate(points))
+
+
+class TestChunksForGroups:
+    """How shared-trace groups become dispatchable chunks."""
+
+    def _group(self, bench, schemes, n=N):
+        return _indexed(expand_grid(
+            [bench], schemes, n_instructions=n, warmup=W,
+        ))
+
+    def test_one_group_splits_over_the_workers(self):
+        group = self._group(
+            "gcc", ["modulo", "general-balance", "br-slice", "ldst-slice"]
+        )
+        chunks = _chunks_for_groups([group], 2)
+        assert [len(chunk[3]) for chunk in chunks] == [2, 2]
+        assert [item for chunk in chunks for item in chunk[3]] == group
+
+    def test_a_group_never_splits_below_one_point(self):
+        group = self._group("gcc", ["modulo"])
+        chunks = _chunks_for_groups([group], 4)
+        assert len(chunks) == 1 and chunks[0][3] == group
+
+    def test_chunk_count_follows_the_group_weight(self):
+        big = self._group(
+            "gcc", ["modulo", "general-balance", "br-slice", "ldst-slice"]
+        )
+        small = self._group("li", ["modulo"])
+        # Four workers over five points: the 4-point group gets
+        # round(4 * 4 / 5) = 3 chunks, the 1-point group round(0.8) = 1.
+        chunks = _chunks_for_groups([big, small], 4)
+        assert [(chunk[1], len(chunk[3])) for chunk in chunks] == [
+            (("gcc", 0), 2), (("gcc", 0), 1), (("gcc", 0), 1),
+            (("li", 0), 1),
+        ]
+
+    def test_uneven_split_puts_the_extra_points_first(self):
+        group = self._group(
+            "gcc", ["modulo", "general-balance", "br-slice"]
+        )
+        chunks = _chunks_for_groups([group], 2)
+        assert [len(chunk[3]) for chunk in chunks] == [2, 1]
+
+    def test_chunks_start_fresh_and_cover_the_longest_window(self):
+        group = _indexed([
+            RunSpec("gcc", "modulo", n_instructions=N, warmup=W),
+            RunSpec("gcc", "general-balance", n_instructions=2 * N,
+                    warmup=W),
+        ])
+        (chunk,) = _chunks_for_groups([group], 1)
+        retries, key, needed, items, parent = chunk
+        assert (retries, key, needed, parent) == (0, ("gcc", 0), 2 * N + W,
+                                                  None)
+        assert items == group
+
+
+class TestReplyEntry:
+    def _result(self):
+        return repro.run(RunSpec("gcc", "modulo", n_instructions=N, warmup=W))
+
+    def test_ok_item_carries_result_and_timing(self):
+        result = self._result()
+        item = {
+            "ok": True, "result": result.to_dict(),
+            "elapsed_seconds": 1.5, "simulate_seconds": 1.0,
+        }
+        assert _reply_entry(3, item) == (
+            3, result, None,
+            {"elapsed_seconds": 1.5, "simulate_seconds": 1.0},
+        )
+
+    def test_ok_item_without_timing_has_none(self):
+        result = self._result()
+        entry = _reply_entry(0, {"ok": True, "result": result.to_dict()})
+        assert entry == (0, result, None, None)
+
+    def test_error_item_keeps_the_worker_message(self):
+        assert _reply_entry(2, {"ok": False, "error": "boom"}) == (
+            2, None, "boom", None,
+        )
+
+    def test_missing_item_is_a_generic_error(self):
+        assert _reply_entry(5, None) == (5, None, "worker error reply", None)
+
 class TestPayloadRelease:
     """The dispatcher-side trace payload cache holds only campaigns in
     flight (``perfbench`` reads ``trace_payloads`` from these stats)."""
@@ -601,6 +711,223 @@ class TestPayloadRelease:
         finally:
             pool.shutdown()
         assert (worker["slot"], worker["pid"]) == (0, pid)
+
+
+#: A stand-in worker that answers every request with ``ok`` and exits
+#: at EOF: pool bookkeeping tests need live slots, not simulations.
+_ECHO_WORKER = [
+    sys.executable, "-u", "-c",
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    request = json.loads(line)\n"
+    "    print(json.dumps({'id': request['id'], 'ok': True}))\n"
+    "    if request['op'] == 'shutdown':\n"
+    "        break\n",
+]
+
+
+class TestPoolLifecycle:
+    """Slot bookkeeping of the local warm pool."""
+
+    def test_pool_worker_answers_ping_over_stdio(self):
+        pool = dist.WorkerPool()
+        try:
+            reply = pool.worker_at(0).request("ping", timeout=60)
+        finally:
+            pool.shutdown()
+        assert reply == {"id": 1, "ok": True, "protocol": 2}
+
+    def test_ensure_is_idempotent(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        try:
+            pool.ensure(2)
+            pool.ensure(2)
+            pool.ensure(1)
+            assert pool.spawned_total == 2
+        finally:
+            pool.shutdown()
+
+    def test_worker_at_replaces_a_dead_worker(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        try:
+            first = pool.worker_at(0)
+            first.transport.proc.kill()
+            first.transport.proc.wait(timeout=30)
+            second = pool.worker_at(0)
+            assert second is not first and second.alive()
+            assert pool.spawned_total == 2
+            assert second.request("ping", timeout=30)["ok"]
+        finally:
+            pool.shutdown()
+
+    def test_discard_closes_and_forgets_the_slot(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        try:
+            first = pool.worker_at(0)
+            pool.discard(0)
+            assert not first.alive()
+            pool.discard(0)  # an empty slot: nothing to do
+            pool.discard(5)  # a slot never used: nothing to do
+            assert pool.worker_at(0) is not first
+            assert pool.spawned_total == 2
+        finally:
+            pool.shutdown()
+
+    def test_shutdown_stops_every_worker_and_the_pool_stays_usable(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        pool.ensure(2)
+        workers = [pool.worker_at(slot) for slot in range(2)]
+        pool.shutdown()
+        assert not any(worker.alive() for worker in workers)
+        assert pool.stats()["workers"] == []
+        try:
+            pool.ensure(1)
+            assert pool.spawned_total == 3
+        finally:
+            pool.shutdown()
+
+    def test_shutdown_of_an_unspawned_pool_is_harmless(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        pool.shutdown()
+        assert pool.spawned_total == 0
+
+    def test_empty_pool_stats_are_zero(self):
+        stats = dist.WorkerPool(_ECHO_WORKER).stats()
+        assert stats["workers"] == []
+        assert all(
+            stats[key] == 0 for key in (
+                "spawned_total", "trace_payloads", "payloads_cached",
+                "points_served", "batches", "preloads",
+                "trace_cache_hits", "trace_cache_misses",
+                "result_cache_hits",
+            )
+        )
+
+    def test_stats_skip_dead_workers(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        try:
+            pool.ensure(2)
+            dead = pool.worker_at(1).transport.proc
+            dead.kill()
+            dead.wait(timeout=30)
+            assert [w["slot"] for w in pool.stats()["workers"]] == [0]
+        finally:
+            pool.shutdown()
+
+    def test_stats_report_a_busy_slot_without_touching_it(self):
+        import threading
+
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_slot():
+            with pool.slot_lock(0):
+                held.set()
+                release.wait(30)
+
+        try:
+            pool.ensure(1)
+            holder = threading.Thread(target=hold_slot)
+            holder.start()
+            held.wait(30)
+            try:
+                assert pool.stats()["workers"] == [{"slot": 0, "busy": True}]
+            finally:
+                release.set()
+                holder.join(30)
+            # The slot's stream is intact: the next request is answered.
+            assert pool.worker_at(0).request("ping", timeout=30)["ok"]
+        finally:
+            pool.shutdown()
+
+    def test_slot_locks_are_per_slot_and_stable(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        assert pool.slot_lock(0) is pool.slot_lock(0)
+        assert pool.slot_lock(0) is not pool.slot_lock(1)
+
+    def test_timed_out_worker_is_replaced_in_its_slot(
+        self, tmp_path, monkeypatch
+    ):
+        flag = tmp_path / "hang-once"
+        flag.write_text("zzz")
+        monkeypatch.setenv("REPRO_DIST_HANG_FLAG", str(flag))
+        monkeypatch.setenv("REPRO_DIST_HANG_SECONDS", "60")
+        pts = [RunSpec("gcc", "modulo", n_instructions=N, warmup=W)]
+        pool = dist.WorkerPool()
+        try:
+            pool.ensure(1)
+            hung_pid = pool.worker_at(0).transport.proc.pid
+            backend = dist.WorkerBackend(pool=pool, timeout=8, retries=1)
+            results = Campaign(pts, backend=backend).run()
+            assert pool.spawned_total == 2
+            assert pool.worker_at(0).transport.proc.pid != hung_pid
+        finally:
+            pool.shutdown()
+        assert results[0].result == repro.run(pts[0])
+
+    def test_pool_memo_serves_a_second_backend(self, points, serial):
+        """Two backends over one pool share its workers' result memo."""
+        pool = dist.WorkerPool()
+        try:
+            Campaign(points, workers=2,
+                     backend=dist.WorkerBackend(pool=pool)).run()
+            again = Campaign(points, workers=2,
+                             backend=dist.WorkerBackend(pool=pool)).run()
+            assert pool.spawned_total == 2
+            assert pool.stats()["result_cache_hits"] == len(points)
+        finally:
+            pool.shutdown()
+        _assert_identical(again, serial)
+
+
+class TestWorkerBackendOptions:
+    def test_backend_by_name_dispatches_through_the_given_pool(self):
+        pool = dist.WorkerPool(_ECHO_WORKER)
+        backend = dist.backend("worker", pool=pool, timeout=5, retries=0)
+        assert isinstance(backend, dist.WorkerBackend)
+        assert (backend.pool, backend.timeout, backend.retries) == (
+            pool, 5.0, 0,
+        )
+
+    def test_pool_less_backend_uses_the_shared_pool_for_its_command(self):
+        backend = dist.WorkerBackend(command=_ECHO_WORKER)
+        assert backend.pool is None
+        assert backend.command == _ECHO_WORKER
+        assert dist.shared_pool(backend.command) is dist.shared_pool(
+            _ECHO_WORKER
+        )
+
+    @pytest.mark.parametrize("via", ["backend", "backend-by-name"])
+    def test_unknown_option_is_a_type_error(self, via):
+        with pytest.raises(TypeError):
+            if via == "backend":
+                dist.WorkerBackend(remote=["127.0.0.1:1"])
+            else:
+                dist.backend("worker", remote=["127.0.0.1:1"])
+
+    def test_pool_takes_no_remote_fleet(self):
+        with pytest.raises(TypeError):
+            dist.WorkerPool(remote=["127.0.0.1:1"])
+
+    def test_worker_command_runs_this_interpreter_over_stdio(self):
+        from repro.dist.worker import stdio_worker_command
+
+        command = stdio_worker_command()
+        assert command[0] == sys.executable
+        assert command[-3:] == ["dist", "worker", "--stdio"]
+
+    def test_worker_environment_puts_this_source_first(self, monkeypatch):
+        import os
+
+        from repro.dist.worker import worker_environment
+
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        assert worker_environment()["PYTHONPATH"] == (
+            src + os.pathsep + "elsewhere"
+        )
+        monkeypatch.delenv("PYTHONPATH")
+        assert worker_environment()["PYTHONPATH"] == src
 
 
 class TestRemovedSurfaces:

@@ -17,6 +17,9 @@ which cluster each instruction is dispatched to.  The processor:
   fresh), and :meth:`on_commit` for every committed instruction (the
   criticality feedback used by the priority scheme).
 
+A scheme that keeps the base class's no-op :meth:`on_dispatch`,
+:meth:`on_cycle` or :meth:`on_commit` is not called for that hook.
+
 The context is the documented read surface (presence masks, IQ
 occupancy, ready counts, the dispatch batch, the steering-decision
 memo); see :mod:`repro.core.steering.context`.

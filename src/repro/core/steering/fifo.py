@@ -47,11 +47,12 @@ class FifoSteering(SteeringScheme):
             # inter-cluster communications (the paper measures 0.162 of
             # them per instruction for this scheme).  Only *in-flight*
             # producers continue a chain — a committed value does not pin
-            # new chains to its cluster.
+            # new chains to its cluster.  A producer that has issued left
+            # its FIFO, so it is no tail either.
             providers = ctx.map_table.entries[srcs[0]].providers
             for cluster in (0, 1):
                 provider = providers[cluster]
-                if provider is None or provider.issued:
+                if provider is None or provider.issue_cycle >= 0:
                     continue
                 iq = iqs[cluster]
                 index = iq._where.get(provider.seq)

@@ -10,13 +10,14 @@ committed path, subject to:
   wrong path; instead, fetch stops at a mispredicted branch and resumes a
   configurable number of cycles after the branch resolves, which models the
   squash-and-refill penalty;
-* **back-pressure** — the caller bounds the number of instructions it can
-  accept (decode buffer space).
+* **back-pressure** — the unit fills the decode buffer it was given and
+  stops when the buffer is full.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, Optional
 
 from ..isa import DynInst
 from ..memory import MemoryHierarchy
@@ -25,12 +26,18 @@ from .predictors import CombinedPredictor
 
 
 class FetchUnit:
-    """Produces DynInst groups from the trace oracle's columns.
+    """Fetches DynInst groups from the trace oracle's columns into the
+    decode buffer.
 
     The committed path arrives as a
     :class:`~repro.workloads.columns.TraceColumns` set; the unit indexes
     its parallel arrays directly, so array indexing and packed-flag tests
     replace per-record iterator calls and attribute chains.
+
+    *decode_buffer* is the deque :meth:`fetch` appends to, holding at
+    most *decode_buffer_size* instructions; a
+    :class:`~repro.pipeline.processor.Processor` passes its own, and its
+    fetch stage attribute ``_fetch`` is this unit's bound :meth:`fetch`.
     """
 
     def __init__(
@@ -40,12 +47,26 @@ class FetchUnit:
         predictor: CombinedPredictor,
         fetch_width: int = 8,
         redirect_penalty: int = 1,
+        decode_buffer: Optional[Deque[DynInst]] = None,
+        decode_buffer_size: int = 16,
     ) -> None:
         self.columns = columns
+        self.decode_buffer: Deque[DynInst] = (
+            deque() if decode_buffer is None else decode_buffer
+        )
+        self.decode_buffer_size = decode_buffer_size
         self.hierarchy = hierarchy
         self.predictor = predictor
         self.fetch_width = fetch_width
         self.redirect_penalty = redirect_penalty
+        # The columns grow in place (``TraceColumns.fill`` extends every
+        # list, the cached line ids included), so the loop holds them.
+        self._arrays = (
+            columns.insts,
+            columns.flags,
+            columns.mem_addrs,
+            columns.line_ids(hierarchy.l1i.line_bytes),
+        )
         self._col_pos = 0
         self._seq = 0
         self._icache_stall_until = -1
@@ -62,49 +83,47 @@ class FetchUnit:
         return seq
 
     # ------------------------------------------------------------------
-    def fetch(self, cycle: int, budget: int) -> List[DynInst]:
-        """Fetch up to ``min(budget, fetch_width)`` instructions.
+    def fetch(self, cycle: int) -> None:
+        """Append this cycle's fetch group to the decode buffer.
 
-        Returns the fetched group (possibly empty while stalled).  Running
+        The group holds up to ``fetch_width`` instructions and no more
+        than the buffer has room for; it is empty while fetch stalls.  A
+        full buffer ends the cycle before any stall is counted.  Running
         past the end of a frozen trace raises
         :class:`~repro.errors.ScenarioError` when the next record is
         needed, before its I-cache line is checked.
         """
+        buffer = self.decode_buffer
+        space = self.decode_buffer_size - len(buffer)
+        if space <= 0:
+            return
         if self._stalling_branch is not None:
             branch = self._stalling_branch
             if branch.complete_cycle < 0 or cycle <= (
                 branch.complete_cycle + self.redirect_penalty
             ):
                 self.mispredict_stall_cycles += 1
-                return []
+                return
             self._stalling_branch = None
             self._last_line = -1  # redirect refetches the target line
         if cycle < self._icache_stall_until:
             self.icache_stall_cycles += 1
-            return []
+            return
 
-        cols = self.columns
         hierarchy = self.hierarchy
-        line_bytes = hierarchy.l1i.line_bytes
-        insts = cols.insts
-        flags = cols.flags
-        addrs = cols.mem_addrs
-        lines = cols.line_ids(line_bytes)
-        limit = min(budget, self.fetch_width)
+        insts, flags, addrs, lines = self._arrays
+        limit = min(space, self.fetch_width)
         idx = self._col_pos
         seq = self._seq
         last_line = self._last_line
         predictor_update = self.predictor.predict_and_update
         n = len(insts)
-        group: List[DynInst] = []
+        append = buffer.append
         fetched = 0
         while fetched < limit:
             if idx >= n:
-                cols.require(idx + 1)  # extend, or ScenarioError (frozen)
-                insts = cols.insts
-                flags = cols.flags
-                addrs = cols.mem_addrs
-                lines = cols.line_ids(line_bytes)
+                # Extend in place, or ScenarioError (frozen).
+                self.columns.require(idx + 1)
                 n = len(insts)
             line = lines[idx]
             inst = insts[idx]
@@ -121,7 +140,7 @@ class FetchUnit:
             seq += 1
             idx += 1
             dyn.fetch_cycle = cycle
-            group.append(dyn)
+            append(dyn)
             fetched += 1
             if f & CONTROL:
                 if f & CONDITIONAL:
@@ -140,7 +159,6 @@ class FetchUnit:
         self._seq = seq
         self._last_line = last_line
         self.fetched += fetched
-        return group
 
     @property
     def stalled(self) -> bool:

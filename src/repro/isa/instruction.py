@@ -55,6 +55,7 @@ class Instruction:
     issue_srcs: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     store_data_src: Optional[int] = field(init=False, repr=False, compare=False)
     is_memory: bool = field(init=False, repr=False, compare=False)
+    executes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cls = class_of(self.opcode)
@@ -71,6 +72,11 @@ class Instruction:
             self,
             "is_memory",
             cls is InstrClass.LOAD or cls is InstrClass.STORE,
+        )
+        object.__setattr__(
+            self,
+            "executes",
+            cls is not InstrClass.JUMP and cls is not InstrClass.NOP,
         )
 
     def _validate(self) -> None:
@@ -94,6 +100,8 @@ class Instruction:
     # has completed by then (see DESIGN.md modelling notes).
     # ``store_data_src`` — the data register of a store, None otherwise.
     # ``is_memory`` — true for loads and stores.
+    # ``executes`` — false for jumps and nops, which complete at dispatch
+    # without entering a window.
     # All precomputed in ``__post_init__`` (hot-path reads).
 
     @property
@@ -147,7 +155,6 @@ class DynInst:
         "copy_reg",
         "ea_done_cycle",
         "mem_latency",
-        "issued",
         "completed",
         "providers",
         "copy_srcs",
@@ -186,7 +193,6 @@ class DynInst:
         self.copy_reg = -1  # logical register being copied
         self.ea_done_cycle = -1
         self.mem_latency = 0
-        self.issued = False
         self.completed = False
         # DynInst providers whose completion gates issue (None = ready).
         self.providers: list = []

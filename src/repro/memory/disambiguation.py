@@ -17,6 +17,7 @@ timed access.  Stores stay queued until commit performs their write.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import DynInst, InstrClass
@@ -24,6 +25,10 @@ from .hierarchy import MemoryHierarchy
 
 #: Word granularity used for store-to-load forwarding checks.
 _WORD_MASK = ~0x3
+
+#: The barrier seq when every queued store's address is known: no load
+#: is younger.
+_NO_BARRIER = float("inf")
 
 
 def _assign_complete(dyn: DynInst, complete_cycle: int, cycle: int) -> None:
@@ -62,7 +67,11 @@ class DisambiguationQueue:
         self._stores: List[DynInst] = []
         self._waiting_loads: List[Tuple[int, DynInst]] = []
         self._ea_wheel: Dict[int, List[DynInst]] = {}
-        self._outstanding: List[int] = []  # completion cycles of misses
+        #: Leading entries of ``_stores`` whose address is known (a lower
+        #: bound between calls to :meth:`step`, which advances it).
+        self._known_stores = 0
+        #: Completion cycles of outstanding misses, a min-heap.
+        self._outstanding: List[int] = []
         self.loads_forwarded = 0
         self.loads_accessed = 0
         self.stores_written = 0
@@ -104,6 +113,12 @@ class DisambiguationQueue:
         from an older matching store or access the D-cache (subject to
         port and outstanding-miss limits).
 
+        The barrier is found from ``_known_stores``, the number of
+        leading queued stores whose address is known: an address, once
+        known, stays known, so the count only advances here and drops
+        only when :meth:`commit_store` removes a counted store.  Each
+        store is passed once, however long a load waits behind it.
+
         The event-driven walk requires loads to be announced through
         :meth:`queue_address`; a standalone queue (``event_driven=False``,
         the constructor default) instead polls ``ea_done_cycle`` over the
@@ -120,60 +135,67 @@ class DisambiguationQueue:
         waiting = self._waiting_loads
         if not waiting:
             return
-        # Filtered only when a load may be scheduled: cycles only grow,
-        # so a later filter drops a superset of the entries this cycle's
-        # would have, and nothing else reads the list.
-        if self._outstanding:
-            self._outstanding = [c for c in self._outstanding if c > cycle]
-        barrier = -1
-        for store in self._stores:
-            ea = store.ea_done_cycle
+        # Retired only when a load may be scheduled: nothing else reads
+        # the heap, and a later retirement drops a superset of the
+        # completions this cycle's would have.
+        outstanding = self._outstanding
+        while outstanding and outstanding[0] <= cycle:
+            heappop(outstanding)
+        stores = self._stores
+        n_stores = len(stores)
+        known = self._known_stores
+        while known < n_stores:
+            ea = stores[known].ea_done_cycle
             if ea < 0 or ea > cycle:
-                barrier = store.seq
                 break
+            known += 1
+        self._known_stores = known
+        barrier = stores[known].seq if known < n_stores else _NO_BARRIER
+        hierarchy = self.hierarchy
+        complete = self._complete
         scheduled: List[int] = []
         for index, (seq, dyn) in enumerate(waiting):
-            if 0 <= barrier < seq:
+            if seq > barrier:
                 # An older store has an unknown address: the paper's rule
                 # forbids executing this load — and, the list being in
                 # program order, every load after this one too.
                 break
-            forwarder = self._find_forwarder(dyn)
-            if forwarder is not None:
-                self._complete(dyn, cycle + self.forward_latency, cycle)
+            # Forward from a queued store older than the load that
+            # writes the same word, if there is one.
+            target = dyn.mem_addr & _WORD_MASK
+            forwarded = False
+            for store in reversed(stores):
+                if store.seq < seq and store.mem_addr & _WORD_MASK == target:
+                    forwarded = True
+                    break
+            if forwarded:
+                complete(dyn, cycle + self.forward_latency, cycle)
                 dyn.mem_latency = self.forward_latency
                 self.loads_forwarded += 1
                 scheduled.append(index)
                 continue
-            if len(self._outstanding) >= self.max_outstanding_misses:
+            if len(outstanding) >= self.max_outstanding_misses:
                 continue
-            if not self.hierarchy.claim_dcache_port(cycle):
+            if not hierarchy.claim_dcache_port(cycle):
                 continue
-            latency = self.hierarchy.load_latency(dyn.mem_addr)
-            self._complete(dyn, cycle + latency, cycle)
+            latency = hierarchy.load_latency(dyn.mem_addr)
+            complete(dyn, cycle + latency, cycle)
             dyn.mem_latency = latency
             self.loads_accessed += 1
             scheduled.append(index)
-            if latency > self.hierarchy.timing.l1_hit:
-                self._outstanding.append(dyn.complete_cycle)
+            if latency > hierarchy.timing.l1_hit:
+                heappush(outstanding, dyn.complete_cycle)
         for index in reversed(scheduled):
             del waiting[index]
-
-    def _find_forwarder(self, load: DynInst) -> Optional[DynInst]:
-        """Youngest queued store older than *load* writing the same word."""
-        target = load.mem_addr & _WORD_MASK
-        seq = load.seq
-        for store in reversed(self._stores):
-            if store.seq < seq and store.mem_addr & _WORD_MASK == target:
-                return store
-        return None
 
     # ------------------------------------------------------------------
     # Per-cycle load scheduling (reference scan, kept for exactness)
     # ------------------------------------------------------------------
     def _step_scan(self, cycle: int) -> None:
         """Reference implementation: walk the whole queue every cycle."""
-        self._outstanding = [c for c in self._outstanding if c > cycle]
+        outstanding = self._outstanding
+        while outstanding and outstanding[0] <= cycle:
+            heappop(outstanding)
         store_addr_known = True
         pending_stores: List[DynInst] = []
         for dyn in self._queue:
@@ -197,7 +219,7 @@ class DisambiguationQueue:
                 dyn.mem_latency = self.forward_latency
                 self.loads_forwarded += 1
                 continue
-            if len(self._outstanding) >= self.max_outstanding_misses:
+            if len(outstanding) >= self.max_outstanding_misses:
                 continue
             if not self.hierarchy.claim_dcache_port(cycle):
                 continue
@@ -206,7 +228,7 @@ class DisambiguationQueue:
             dyn.mem_latency = latency
             self.loads_accessed += 1
             if latency > self.hierarchy.timing.l1_hit:
-                self._outstanding.append(dyn.complete_cycle)
+                heappush(outstanding, dyn.complete_cycle)
 
     @staticmethod
     def _scan_forwarder(
@@ -238,9 +260,12 @@ class DisambiguationQueue:
         except ValueError:
             pass
         try:
-            self._stores.remove(dyn)
+            index = self._stores.index(dyn)
         except ValueError:
-            pass
+            return True
+        del self._stores[index]
+        if index < self._known_stores:
+            self._known_stores -= 1
         return True
 
     def retire_load(self, dyn: DynInst) -> None:

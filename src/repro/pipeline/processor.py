@@ -13,7 +13,10 @@ an instruction in one cycle.
 
 There is one pipeline.  Fetch indexes the trace's columns, commit
 retires from the ROB, and the fused dispatch loop steers and renames in
-one pass.  Two issue schedulers implement identical timing semantics:
+one pass.  The fetch stage attribute ``_fetch`` is the fetch unit's
+bound :meth:`FetchUnit.fetch`, which appends each group straight into
+the decode buffer.  Two issue schedulers implement identical timing
+semantics:
 
 * ``event`` (default, production) — event-driven wakeup/select.  Window
   entries carry pending-operand counters, and a completion calendar
@@ -93,14 +96,18 @@ _SIMPLE_INT = InstrClass.SIMPLE_INT
 _COMPLEX_INT = InstrClass.COMPLEX_INT
 _FP = InstrClass.FP
 _BRANCH = InstrClass.BRANCH
-_JUMP = InstrClass.JUMP
-_NOP = InstrClass.NOP
 _LOAD = InstrClass.LOAD
 _STORE = InstrClass.STORE
 
 
 class Processor:
-    """Timing model of the two-cluster machine."""
+    """Timing model of the two-cluster machine.
+
+    :meth:`step` calls each stage through an instance attribute
+    (``_commit_stage``, ``lsq.step``, ``_issue_stage``,
+    ``_dispatch_stage``, ``_fetch``) once per cycle; ``_fetch`` is the
+    fetch unit's bound :meth:`~repro.frontend.FetchUnit.fetch`.
+    """
 
     def __init__(
         self,
@@ -152,13 +159,19 @@ class Processor:
             dcache_ports=config.dcache_ports,
         )
         self.predictor = CombinedPredictor()
+        self.decode_buffer: Deque[DynInst] = deque()
         self.fetch_unit = FetchUnit(
             workload.shared_trace().columns(),
             self.hierarchy,
             self.predictor,
             fetch_width=config.fetch_width,
             redirect_penalty=config.redirect_penalty,
+            decode_buffer=self.decode_buffer,
+            decode_buffer_size=config.decode_buffer,
         )
+        # The fetch stage is the fetch unit's one loop: it appends each
+        # group straight into the decode buffer.
+        self._fetch = self.fetch_unit.fetch
         self.map_table = MapTable()
         self.free_lists = make_free_lists(
             [c.phys_regs for c in config.clusters],
@@ -214,7 +227,6 @@ class Processor:
             event_driven=self._event_driven,
         )
         self.rob = ReorderBuffer(config.max_in_flight)
-        self.decode_buffer: Deque[DynInst] = deque()
         self.stats = SimStats()
         self.cycle = 0
         # Updated in place by the issue stage; the steering context
@@ -233,12 +245,17 @@ class Processor:
         self._unfused_dispatch = not self._event_driven
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
+        self._steer_ctx.batch = self.decode_buffer
         self._choose_fn = steering.choose_cluster
-        self._on_dispatch_fn = steering.on_dispatch
         # Schemes that keep the base no-op hooks are skipped entirely
-        # (the commit/cycle loops would otherwise pay a bound-method call
-        # per instruction/cycle for nothing).
+        # (the dispatch, commit and cycle loops would otherwise pay a
+        # bound-method call per instruction or cycle for nothing).
         scheme_cls = type(steering)
+        self._on_dispatch_fn = (
+            steering.on_dispatch
+            if scheme_cls.on_dispatch is not SteeringScheme.on_dispatch
+            else None
+        )
         self._on_commit_hook = (
             steering.on_commit
             if scheme_cls.on_commit is not SteeringScheme.on_commit
@@ -256,6 +273,8 @@ class Processor:
         # Per-cycle hot-loop constants (attribute-chain hoists).
         self._issue_widths = tuple(c.issue_width for c in config.clusters)
         self._retire_width = config.retire_width
+        self._rob_entries = self.rob._entries
+        self._rob_capacity = self.rob.capacity
         # The dispatch stage's structures and constants, unpacked once
         # per cycle: none of them is rebound after construction.  What
         # is (the stats object, per run) or may be patched on the
@@ -263,8 +282,6 @@ class Processor:
         self._dispatch_env = (
             config.decode_width,
             self._steer_ctx,
-            self.rob._entries,
-            self.rob.capacity,
             self.map_table,
             self.map_table.masks,
             self.map_table.entries,
@@ -401,9 +418,12 @@ class Processor:
         helper boundaries per retire; :meth:`FreeList.release` is called
         only to raise its overflow error.
         """
-        rob_entries = self.rob._entries
+        rob_entries = self._rob_entries
         if not rob_entries:
             return
+        cc = rob_entries[0].complete_cycle
+        if cc < 0 or cc > cycle:
+            return  # the head has not completed: nothing retires
         budget = self._retire_width
         stats = self.stats
         lsq = self.lsq
@@ -542,11 +562,14 @@ class Processor:
                         index += 1
                         continue
                     dyn.issue_cycle = cycle
-                    dyn.issued = True
                     if bypass_latency:
                         cc = cycle + bypass_latency
                         dyn.complete_cycle = cc
-                        events.setdefault(cc, []).append(dyn)
+                        bucket = events.get(cc)
+                        if bucket is None:
+                            events[cc] = [dyn]
+                        else:
+                            bucket.append(dyn)
                     else:
                         # A zero-latency bypass completes *this* cycle:
                         # the calendar wakes the remote consumer at once,
@@ -577,13 +600,17 @@ class Processor:
                         fu.issue(dyn, cycle)
                         simple_used = fu._simple_used
                     dyn.issue_cycle = cycle
-                    dyn.issued = True
                     if cls is load:
                         # complete_cycle is set by the disambiguation queue;
                         # park the load on its address wheel until the
                         # address is ready (inline queue_address).
-                        dyn.ea_done_cycle = cycle + 1
-                        ea_wheel.setdefault(cycle + 1, []).append(dyn)
+                        cc = cycle + 1
+                        dyn.ea_done_cycle = cc
+                        bucket = ea_wheel.get(cc)
+                        if bucket is None:
+                            ea_wheel[cc] = [dyn]
+                        else:
+                            bucket.append(dyn)
                     else:
                         if cls is store:
                             dyn.ea_done_cycle = cycle + 1
@@ -594,7 +621,11 @@ class Processor:
                         # Every latency is at least one cycle, so a register
                         # writer's completion lands in a future bucket.
                         if dyn.inst.dst is not None:
-                            events.setdefault(cc, []).append(dyn)
+                            bucket = events.get(cc)
+                            if bucket is None:
+                                events[cc] = [dyn]
+                            else:
+                                bucket.append(dyn)
                     if dyn.copy_srcs:
                         self._mark_critical_copies(dyn, cycle)
                 del ready[index]
@@ -636,7 +667,6 @@ class Processor:
                     if not bypass.claim(cycle, cluster):
                         continue
                     dyn.issue_cycle = cycle
-                    dyn.issued = True
                     dyn.complete_cycle = cycle + bypass.latency
                     self.stats.copies_issued += 1
                     iq.remove(dyn)
@@ -646,7 +676,6 @@ class Processor:
                     continue
                 fu.issue(dyn, cycle)
                 dyn.issue_cycle = cycle
-                dyn.issued = True
                 cls = dyn.cls
                 if cls is _LOAD:
                     dyn.ea_done_cycle = cycle + 1
@@ -716,11 +745,14 @@ class Processor:
         buffer = self.decode_buffer
         if not buffer:
             return
+        rob_entries = self._rob_entries
+        rob_capacity = self._rob_capacity
+        if len(rob_entries) >= rob_capacity:
+            self.stats.stall_rob += 1
+            return
         (
-            budget,
+            width,
             ctx,
-            rob_entries,
-            rob_capacity,
             map_table,
             masks,
             entries,
@@ -737,9 +769,7 @@ class Processor:
             renamer,
             waiting,
         ) = self._dispatch_env
-        ctx.batch = buffer
         stats = self.stats
-        steered = stats.steered
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
         unfused = self._unfused_dispatch
@@ -747,10 +777,14 @@ class Processor:
         popleft = buffer.popleft
         complex_int = _COMPLEX_INT
         fp = _FP
-        jump = _JUMP
-        nop = _NOP
         load = _LOAD
         store = _STORE
+        budget = width
+        # The fused path's dispatches, and how many went to cluster 1,
+        # added to ``stats.steered`` once per group (the helper counts
+        # its own).
+        helper_dispatched = 0
+        to_cluster1 = 0
         while budget and buffer:
             dyn = buffer[0]
             if len(rob_entries) >= rob_capacity:
@@ -778,6 +812,7 @@ class Processor:
                     break
                 popleft()
                 budget -= 1
+                helper_dispatched += 1
                 continue
             inst = dyn.inst
             srcs = inst.issue_srcs
@@ -804,7 +839,7 @@ class Processor:
             dst_cluster = (1 if dst >= FP_BASE else cluster) if (
                 dst is not None
             ) else cluster
-            executes = cls is not jump and cls is not nop
+            executes = inst.executes
             slow = False
             if missing is not None:
                 # Fused copy insertion.  Only the clear-cut case stays
@@ -950,6 +985,7 @@ class Processor:
                     break
                 popleft()
                 budget -= 1
+                helper_dispatched += 1
                 continue
             # Inline rename: the sources resolved locally above, the
             # destination remaps in place.
@@ -1029,10 +1065,16 @@ class Processor:
             # monotonicity holds by in-order dispatch (copies never
             # enter the ROB).
             rob_entries.append(dyn)
-            steered[cluster] += 1
-            on_dispatch(ctx, dyn, cluster)
+            to_cluster1 += cluster
+            if on_dispatch is not None:
+                on_dispatch(ctx, dyn, cluster)
             popleft()
             budget -= 1
+        fused = width - budget - helper_dispatched
+        if fused:
+            steered = stats.steered
+            steered[0] += fused - to_cluster1
+            steered[1] += to_cluster1
 
     def _dispatch_one_slow(
         self, dyn: DynInst, cluster: int, cycle: int
@@ -1064,7 +1106,7 @@ class Processor:
                 self.stats.stall_regs += 1
                 return False
             cluster = plan.cluster
-        executes = dyn.cls not in (_JUMP, _NOP)
+        executes = dyn.inst.executes
         if not self._reserve_window(dyn, cluster, plan, executes):
             self.stats.stall_iq += 1
             return False
@@ -1084,7 +1126,8 @@ class Processor:
             self.lsq.add(dyn)
         self.rob.push(dyn)
         self.stats.steered[cluster] += 1
-        self._on_dispatch_fn(self._steer_ctx, dyn, cluster)
+        if self._on_dispatch_fn is not None:
+            self._on_dispatch_fn(self._steer_ctx, dyn, cluster)
         return True
 
     def _replan_other_cluster(self, dyn: DynInst, cluster: int, plan):
@@ -1162,15 +1205,6 @@ class Processor:
             raise SimulationError(
                 f"{self.iqs[cluster].name}: insert into a full queue"
             )
-
-    # ------------------------------------------------------------------
-    def _fetch(self, cycle: int) -> None:
-        space = self.config.decode_buffer - len(self.decode_buffer)
-        if space <= 0:
-            return
-        group = self.fetch_unit.fetch(cycle, space)
-        if group:
-            self.decode_buffer.extend(group)
 
 
 def _set_complete_cycle(dyn: DynInst, complete_cycle: int, cycle: int) -> None:

@@ -49,9 +49,8 @@ class TestPackaging:
         job_dir = str(tmp_path / "job")
         job = dist.package_job(points, job_dir, description="test grid")
         assert job.n_points == len(points) and job.n_traces == 2
-        manifest = json.load(
-            open(os.path.join(job_dir, "manifest.json"))
-        )
+        with open(os.path.join(job_dir, "manifest.json")) as f:
+            manifest = json.load(f)
         assert manifest["format"] == "repro-dist-job"
         assert len(manifest["points"]) == len(points)
         assert sorted(manifest["traces"]) == [

@@ -1,4 +1,11 @@
-"""Unit tests for the trace-driven fetch unit (columns-backed)."""
+"""Unit tests for the trace-driven fetch unit (columns-backed).
+
+The unit has one loop, :meth:`FetchUnit.fetch`, which appends each
+cycle's group to the decode buffer it was given; the tests read a
+cycle's group off an emptied buffer.
+"""
+
+from collections import deque
 
 from repro.frontend import CombinedPredictor, FetchUnit
 from repro.memory import MemoryHierarchy
@@ -14,25 +21,57 @@ def make_fetch(bench="gcc", **kwargs):
     )
 
 
-def drain(fetch, cycles, budget=8):
-    groups = []
-    for cycle in range(cycles):
-        groups.append(fetch.fetch(cycle, budget))
-    return groups
+def fetch_group(fetch, cycle):
+    """The group fetched at *cycle* into an emptied decode buffer."""
+    fetch.decode_buffer.clear()
+    fetch.fetch(cycle)
+    return list(fetch.decode_buffer)
+
+
+def drain(fetch, cycles):
+    return [fetch_group(fetch, cycle) for cycle in range(cycles)]
 
 
 class TestBasicFetch:
     def test_fetch_width_respected(self):
-        fetch = make_fetch(fetch_width=8)
-        for cycle, group in enumerate(drain(make_fetch(), 50)):
-            assert len(group) <= 8
+        fetch = make_fetch(fetch_width=4)
+        groups = drain(fetch, 50)
+        assert all(len(group) <= 4 for group in groups)
+        assert any(len(group) == 4 for group in groups)
 
-    def test_budget_respected(self):
-        fetch = make_fetch()
-        # warm the I-cache first so the budget is the only limit
-        drain(fetch, 200)
-        group = fetch.fetch(1000, 3)
-        assert len(group) <= 3
+    def test_appends_to_the_given_buffer(self):
+        buffer = deque()
+        fetch = make_fetch(decode_buffer=buffer)
+        assert fetch.decode_buffer is buffer
+        for cycle in range(50):
+            fetch.fetch(cycle)
+        assert len(buffer) == fetch.fetched > 0
+
+    def test_buffer_space_bounds_the_group(self):
+        fetch = make_fetch(decode_buffer_size=16)
+        buffer = fetch.decode_buffer
+        longest = 0
+        for cycle in range(300):
+            buffer.clear()
+            buffer.extend([None] * 13)
+            fetch.fetch(cycle)
+            assert len(buffer) <= 16
+            longest = max(longest, len(buffer))
+            for dyn in list(buffer)[13:]:
+                if dyn.mispredicted:
+                    dyn.complete_cycle = cycle  # resolve, so fetch resumes
+        assert longest == 16
+
+    def test_full_buffer_fetches_nothing_and_counts_no_stall(self):
+        fetch = make_fetch(decode_buffer_size=8)
+        fetch.fetch(0)  # cold I-cache miss: a counted stall
+        stalls = fetch.icache_stall_cycles
+        assert stalls == 0 and not fetch.decode_buffer
+        fetch.decode_buffer.extend([None] * 8)
+        fetch.fetch(1)
+        assert len(fetch.decode_buffer) == 8
+        assert fetch.icache_stall_cycles == stalls
+        assert fetch.fetched == 0
 
     def test_sequence_numbers_monotonic(self):
         fetch = make_fetch()
@@ -43,7 +82,7 @@ class TestBasicFetch:
     def test_fetch_cycle_recorded(self):
         fetch = make_fetch()
         for cycle in range(50):
-            for dyn in fetch.fetch(cycle, 8):
+            for dyn in fetch_group(fetch, cycle):
                 assert dyn.fetch_cycle == cycle
 
     def test_program_order_matches_trace(self):
@@ -60,7 +99,7 @@ class TestGroupTermination:
     def test_taken_branch_ends_group(self):
         fetch = make_fetch()
         for cycle in range(300):
-            group = fetch.fetch(cycle, 8)
+            group = fetch_group(fetch, cycle)
             for i, dyn in enumerate(group):
                 if dyn.inst.is_control and dyn.taken:
                     assert i == len(group) - 1
@@ -70,31 +109,29 @@ class TestGroupTermination:
         mispredicted = None
         cycle = 0
         while mispredicted is None and cycle < 2000:
-            for dyn in fetch.fetch(cycle, 8):
+            for dyn in fetch_group(fetch, cycle):
                 if dyn.mispredicted:
                     mispredicted = dyn
             cycle += 1
         assert mispredicted is not None, "go must mispredict eventually"
         # While unresolved, fetch delivers nothing.
         assert fetch.stalled
-        assert fetch.fetch(cycle, 8) == []
+        assert fetch_group(fetch, cycle) == []
         # Resolve the branch; fetch resumes after the redirect penalty.
         mispredicted.complete_cycle = cycle + 1
-        assert fetch.fetch(cycle + 1, 8) == []
-        resumed = fetch.fetch(
-            cycle + 2 + fetch.redirect_penalty, 8
-        )
+        assert fetch_group(fetch, cycle + 1) == []
+        resumed = fetch_group(fetch, cycle + 2 + fetch.redirect_penalty)
         assert resumed
         assert not fetch.stalled
 
     def test_icache_cold_start_stalls(self):
         fetch = make_fetch()
-        assert fetch.fetch(0, 8) == []  # first line is a cold miss
+        assert fetch_group(fetch, 0) == []  # first line is a cold miss
         assert fetch.icache_stall_cycles >= 0
         # After the miss latency, instructions flow.
         produced = []
         for cycle in range(1, 40):
-            produced.extend(fetch.fetch(cycle, 8))
+            produced.extend(fetch_group(fetch, cycle))
         assert produced
 
 

@@ -45,12 +45,17 @@ _SPANS_PATH = os.path.join(
 #: ``clustered-fifo``: 20.5 while FIFO wakeup, select, placement and
 #: steering still called ``mark_ready``, ``ready_view`` /
 #: ``issue_ready``, ``place``, ``provider``, ``tails_producing`` and
-#: ``occupancy``; 10.7 once the stages inlined those too.  Each budget
-#: keeps the measured level and leaves room for a few per-instruction
-#: calls a future feature may need.
+#: ``occupancy``; 10.7 once the stages inlined those too.  Then 10.58
+#: and 8.89 once fetch appended into the decode buffer from a bound
+#: ``FetchUnit.fetch`` with its trace arrays held (no ``_fetch`` wrapper
+#: or ``line_ids`` call per cycle), the disambiguation queue searched
+#: for a forwarding store inline, and fifo's base no-op ``on_dispatch``
+#: stopped being called.  Each budget keeps the measured level and
+#: leaves room for a few per-instruction calls a future feature may
+#: need.
 CALLS_PER_INSTR_BUDGET = {
-    ("general-balance", "clustered"): 15,
-    ("fifo", "clustered-fifo"): 13,
+    ("general-balance", "clustered"): 13,
+    ("fifo", "clustered-fifo"): 11,
 }
 
 
@@ -88,12 +93,14 @@ def test_stage_spans_once_per_cycle(scheme, machine):
     steering.choose_cluster = counted_choose
     processor = Processor(_gcc(4000), machine_config(machine), steering)
     steerable = [0]
+    # ``None`` when the scheme keeps the base no-op hook (fifo).
     on_dispatch = processor._on_dispatch_fn
 
     def counted_dispatch(ctx, dyn, cluster):
         if dyn.cls is not InstrClass.COMPLEX_INT and dyn.cls is not InstrClass.FP:
             steerable[0] += 1
-        return on_dispatch(ctx, dyn, cluster)
+        if on_dispatch is not None:
+            on_dispatch(ctx, dyn, cluster)
 
     processor._on_dispatch_fn = counted_dispatch
     spans = spans_mod.Spans()

@@ -87,7 +87,6 @@ class TestDynInst:
         assert dyn.cluster == -1
         assert dyn.issue_cycle == -1
         assert dyn.complete_cycle == -1
-        assert not dyn.issued
         assert not dyn.is_copy
 
     def test_delegated_properties(self):

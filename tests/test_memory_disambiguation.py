@@ -1,9 +1,11 @@
 """Unit tests for the central disambiguation queue (paper §2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.steering import make_steering
-from repro.isa import DynInst, Instruction, Opcode
+from repro.isa import DynInst, InstrClass, Instruction, Opcode
 from repro.memory import DisambiguationQueue, MemoryHierarchy
 from repro.pipeline import Processor
 from repro.spec.machines import machine_config
@@ -202,6 +204,137 @@ class TestEventDrivenLoadScheduling:
         lsq.queue_address(ld, 1)
         lsq.step(1)
         assert seen and seen[0][0] == 0 and seen[0][2] == 1
+
+
+    def test_barrier_after_stale_commits(self):
+        # Stores complete and commit while no load waits, so ``step``
+        # never advances the known-store count; a load arriving later
+        # must still find the barrier at the first unknown store.
+        lsq = self.make_event_lsq()
+        stores = [store(i, 0x100 + 4 * i) for i in range(3)]
+        for st_ in stores:
+            lsq.add(st_)
+        stores[0].ea_done_cycle = 1
+        stores[1].ea_done_cycle = 1
+        lsq.step(1)
+        assert lsq.commit_store(stores[0], 2)
+        younger = load(3, 0x300)
+        lsq.add(younger)
+        younger.ea_done_cycle = 3
+        lsq.queue_address(younger, 3)
+        lsq.step(3)  # stores[2] has no address: it is the barrier
+        assert younger.complete_cycle == -1
+        assert lsq.commit_store(stores[1], 4)
+        stores[2].ea_done_cycle = 5
+        lsq.step(4)
+        assert younger.complete_cycle == -1
+        lsq.step(5)
+        assert younger.complete_cycle > 5
+
+
+#: One memory operation of a generated sequence: (is a store, cache line
+#: 0-5, word in the line 0-3, cycles from dispatch to address issue).
+#: Long issue delays keep store addresses unknown while older stores
+#: commit, which is when a stale known-store count would show.
+_OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 5),
+        st.integers(0, 3),
+        st.integers(0, 20),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+def _drive(ops, event_driven, width, commit_blocked, ports, misses):
+    """Run *ops* through one queue the way the processor does, cycle by
+    cycle: commit in order, schedule loads, issue address computations
+    (out of order), then dispatch in program order.  Returns the load
+    completion cycles, the commit cycles and the counters."""
+    lsq = DisambiguationQueue(
+        MemoryHierarchy(dcache_ports=ports),
+        max_outstanding_misses=misses,
+        event_driven=event_driven,
+    )
+    program = []
+    for seq, (is_store, line, word, delay) in enumerate(ops):
+        addr = 0x1000 * (line + 1) + 4 * word
+        dyn = store(seq, addr) if is_store else load(seq, addr)
+        dispatch = seq // width
+        program.append((dyn, dispatch, dispatch + 1 + delay))
+    commits = {}
+    head = 0
+    cycle = 0
+    while head < len(program):
+        assert cycle < 5000, "generated sequence wedged"
+        # Commit: in order, up to *width* a cycle, unless blocked.
+        retired = 0
+        while (
+            head < len(program)
+            and retired < width
+            and not commit_blocked[cycle % len(commit_blocked)]
+        ):
+            dyn, dispatch, _ = program[head]
+            if dispatch >= cycle or not 0 <= dyn.complete_cycle <= cycle:
+                break
+            if dyn.cls is InstrClass.STORE:
+                if not lsq.commit_store(dyn, cycle):
+                    break
+            else:
+                lsq.retire_load(dyn)
+            commits[dyn.seq] = cycle
+            head += 1
+            retired += 1
+        if event_driven:
+            lsq.step(cycle)
+        else:
+            lsq._step_scan(cycle)
+        # Issue: the address computation finishes next cycle.
+        for dyn, _, issue in program:
+            if issue == cycle:
+                dyn.ea_done_cycle = cycle + 1
+                if dyn.cls is InstrClass.STORE:
+                    dyn.complete_cycle = cycle + 1
+                else:
+                    lsq.queue_address(dyn, cycle + 1)
+        # Dispatch, in program order.
+        for dyn, dispatch, _ in program:
+            if dispatch == cycle:
+                lsq.add(dyn)
+        cycle += 1
+    loads = {
+        dyn.seq: (dyn.complete_cycle, dyn.mem_latency)
+        for dyn, _, _ in program
+        if dyn.cls is InstrClass.LOAD
+    }
+    return loads, commits, lsq.stats()
+
+
+class TestEventMatchesScan:
+    """The event-driven walk, with its incremental store barrier and its
+    miss heap, schedules every load exactly as the reference scan does.
+    Addresses resolve out of order and commits stall at random, so
+    stores often commit while the known-store count is stale."""
+
+    @given(
+        ops=_OPS,
+        width=st.integers(1, 4),
+        # Cycles commit may not retire, repeating; at least one may.
+        commit_blocked=st.lists(st.booleans(), max_size=11).map(
+            lambda blocked: blocked + [False]
+        ),
+        ports=st.integers(1, 3),
+        misses=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_completions_and_counters(
+        self, ops, width, commit_blocked, ports, misses
+    ):
+        event = _drive(ops, True, width, commit_blocked, ports, misses)
+        scan = _drive(ops, False, width, commit_blocked, ports, misses)
+        assert event == scan
 
 
 class TestCommitSide:

@@ -801,7 +801,8 @@ class TestPerfCli:
         ) == 1
         out = capsys.readouterr().out
         assert "DEGRADED" in out and "perf check FAILED" in out
-        assert "DEGRADED" in open(report).read()
+        with open(report) as f:
+            assert "DEGRADED" in f.read()
 
     def test_check_improvement_passes(self, tmp_path, capsys):
         self.seed_pair(tmp_path, cand_factor=2.0)

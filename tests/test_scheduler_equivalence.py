@@ -249,6 +249,7 @@ class TestDispatchRouting:
             scheduler=scheduler,
         )
         helper = processor._dispatch_one_slow
+        # ``None`` when the scheme keeps the base no-op hook (fifo).
         on_dispatch = processor._on_dispatch_fn
         dispatched = []
         total = [0]
@@ -261,7 +262,8 @@ class TestDispatchRouting:
 
         def counting_hook(ctx, dyn, cluster):
             total[0] += 1
-            on_dispatch(ctx, dyn, cluster)
+            if on_dispatch is not None:
+                on_dispatch(ctx, dyn, cluster)
 
         processor._dispatch_one_slow = counting
         processor._on_dispatch_fn = counting_hook

@@ -43,7 +43,8 @@ class TestDataFileSuites:
         suite = scenarios.export_suite("paper-table1", path)
         assert SuiteSpec.load(path) == suite
         # The file is plain JSON a human can diff and edit.
-        data = json.loads(open(path).read())
+        with open(path) as f:
+            data = json.load(f)
         assert data["format"] == "repro-suite"
         assert data["benches"] == list(FIGURE_ORDER)
 

@@ -64,7 +64,7 @@ class TestBasicFetch:
 
     def test_full_buffer_fetches_nothing_and_counts_no_stall(self):
         fetch = make_fetch(decode_buffer_size=8)
-        fetch.fetch(0)  # cold I-cache miss: a counted stall
+        fetch.fetch(0)  # cold I-cache miss: cycle 1 would count a stall
         stalls = fetch.icache_stall_cycles
         assert stalls == 0 and not fetch.decode_buffer
         fetch.decode_buffer.extend([None] * 8)

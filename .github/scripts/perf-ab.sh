@@ -60,12 +60,9 @@ for w in $workloads; do
     --no-append -o "fresh/$w.base.json" "${base_runs[@]}"
   python -m repro.cli perf record --suite "$w" --no-append \
     -o "fresh/$w.json" "${change_runs[@]}"
-  # The diff only reports; the check below decides.  Its per-layer
-  # labels have 3 traced runs a side, so Welch's t has about 2 degrees
-  # of freedom, and one slow traced run kept a doubled dispatch time at
-  # p = 0.064 in local runs: alpha 0.1 lets the diff name that layer.
+  # The diff only reports; the check below decides.
   python -m repro.cli perf diff "fresh/$w.base.json" "fresh/$w.json" \
-    --alpha 0.1 -o "fresh/$w.diff.txt"
+    -o "fresh/$w.diff.txt"
   python -m repro.cli perf check --baseline "fresh/$w.base.json" \
     --candidate "fresh/$w.json" -o "fresh/$w.check.txt" || status=1
 done

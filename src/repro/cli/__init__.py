@@ -27,7 +27,8 @@ Installed as ``repro-sim``; ``python -m repro.cli`` runs the same::
     repro-sim dist status job/
     repro-sim dist merge job/ --json results.json
     repro-sim perf record --suite core-columnar runs/*.out   # perfbench runs
-    repro-sim perf check                 # report vs the ledger
+    repro-sim perf check --baseline base.json --candidate change.json
+    repro-sim perf diff --suite core-columnar   # previous vs latest entry
     repro-sim -v campaign ...            # span records on stderr
 
 Each command group is one module of this package (``simulate``,

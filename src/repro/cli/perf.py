@@ -8,8 +8,7 @@ The ledger workflow::
     done
     repro-sim perf record --suite core-columnar runs/core-columnar.*.out
     git add BENCH_history && git commit
-    repro-sim perf check               # report against recorded history
-    repro-sim perf diff --suite core-columnar
+    repro-sim perf diff --suite core-columnar   # previous vs latest
     repro-sim perf log --suite core-columnar
 
 The same-session A/B that gates host speed::
@@ -24,19 +23,17 @@ The same-session A/B that gates host speed::
 run), builds one profile of the workload with one sample per run (see
 :mod:`repro.perf.perfbench`), stamps it with provenance and appends it
 to ``BENCH_history/``.  It checks every run: a run whose ``failed`` is
-not 0 is refused.  ``perf check`` is the CI entry point: it compares a
-candidate profile against a baseline (by default the newest ledger
-entry from a *different* commit) using the statistical detector and
-exits non-zero when any gated label degrades or vanishes.  ``perf
-diff`` renders any two recorded profiles (commit prefixes or file
-paths) side by side with per-label verdicts.
+not 0 is refused.
 
-The ``absolute`` labels (host speed: every end-to-end perfbench metric)
-gate only when both profiles are passed as files — ``--baseline`` and
-``--candidate`` for ``check``, two file refs for ``diff`` — and name the
-same host: that is the same-session A/B, whose alternating runs cancel
-the host's drift.  Against ledger entries, recorded in other sessions,
-they are reported and not gated.
+``perf check`` is the CI gate: it compares two profile files, one
+paired A/B, with the statistical detector at alpha 0.05 and exits 1
+when any ``absolute`` label degrades or vanishes.  Those labels measure
+host speed, so they gate only when both files name the same host: the
+same-session A/B, whose alternating runs cancel the host's drift.
+``perf diff`` only reports, at alpha 0.1: any two recorded profiles
+(commit prefixes or file paths) side by side with per-label verdicts.
+Against ledger entries, recorded in other sessions, its ``absolute``
+labels are reported as not gated.
 """
 
 from __future__ import annotations
@@ -54,32 +51,6 @@ def _add_ledger_arg(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="profile ledger directory (default BENCH_history)",
-    )
-
-
-def _add_detector_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="significance level for the statistical tests (default 0.05)",
-    )
-    parser.add_argument(
-        "--min-effect", type=float, default=0.05,
-        help="minimum relative shift that can fail the gate, so "
-        "tiny-but-significant deltas pass (default 0.05 = 5%%)",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="ratio-fallback threshold for sample-starved labels "
-        "(default 0.30 = 30%%)",
-    )
-    parser.add_argument(
-        "--method", default="auto",
-        choices=("auto", "mannwhitney", "welch", "ratio"),
-        help="force one comparison method (default: auto by sample count)",
-    )
-    parser.add_argument(
-        "--ignore-vanished", action="store_true",
-        help="report labels missing from the candidate without failing",
     )
 
 
@@ -122,29 +93,22 @@ def add_parser(sub) -> None:
 
     check = psub.add_parser(
         "check",
-        help="gate a candidate profile against the ledger baseline "
-        "(the CI entry point; exit 1 on degradation)",
+        help="gate a candidate profile on its baseline from one paired "
+        "A/B (the CI gate; exit 1 on degradation)",
     )
     check.add_argument(
-        "--suite", default="all",
-        help="suite to check, or 'all' recorded suites (default: all)",
+        "--baseline", required=True, metavar="FILE",
+        help="baseline profile document",
     )
     check.add_argument(
-        "--candidate", default=None, metavar="FILE",
-        help="candidate profile document (default: the ledger's newest "
-        "entry); with a --baseline file, absolute labels gate",
-    )
-    check.add_argument(
-        "--baseline", default=None, metavar="REF",
-        help="baseline: commit prefix or profile file (default: the "
-        "newest ledger entry from a different commit than the candidate)",
+        "--candidate", required=True, metavar="FILE",
+        help="candidate profile document, recorded in the same A/B "
+        "session as the baseline",
     )
     check.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="also write the rendered report to this file",
     )
-    _add_detector_args(check)
-    _add_ledger_arg(check)
 
     diff = psub.add_parser(
         "diff",
@@ -165,7 +129,6 @@ def add_parser(sub) -> None:
         "-o", "--output", default=None, metavar="FILE",
         help="also write the rendered diff to this file",
     )
-    _add_detector_args(diff)
     _add_ledger_arg(diff)
 
     log = psub.add_parser("log", help="list recorded profiles, newest first")
@@ -202,18 +165,6 @@ def _open_ledger(args: argparse.Namespace):
     from ..perf.ledger import Ledger
 
     return Ledger() if args.ledger is None else Ledger(args.ledger)
-
-
-def _detector_config(args: argparse.Namespace):
-    from ..perf.detect import DetectorConfig
-
-    return DetectorConfig(
-        alpha=args.alpha,
-        min_effect=args.min_effect,
-        max_regression=args.max_regression,
-        method=args.method,
-        ignore_vanished=args.ignore_vanished,
-    )
 
 
 def _suite_names(ledger, requested: str):
@@ -254,48 +205,25 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_report(text: str, output) -> None:
+    print(text)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {output}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    from ..perf.detect import compare_profiles
-    from ..perf.ledger import is_file_ref, resolve_profile
+    from ..perf.detect import CHECK_ALPHA, compare_profiles
     from ..perf.model import load_profile
     from ..perf.views import render_comparison
 
-    ledger = _open_ledger(args)
-    config = _detector_config(args)
-    if args.candidate:
-        candidates = [load_profile(args.candidate)]
-        suites = [candidates[0].suite]
-        if args.suite != "all" and suites != [args.suite]:
-            raise PerfError(
-                f"--candidate is a {suites[0]!r} profile, "
-                f"not {args.suite!r}"
-            )
-    else:
-        suites = _suite_names(ledger, args.suite)
-        candidates = [ledger.lookup(suite) for suite in suites]
-    failed = 0
-    reports = []
-    for suite, candidate in zip(suites, candidates):
-        if args.baseline:
-            baseline, origin = resolve_profile(ledger, suite, args.baseline)
-        else:
-            baseline = ledger.baseline_for(suite, candidate)
-            if baseline is None:
-                reports.append(
-                    f"{suite}: only {candidate.provenance.describe()} is "
-                    f"recorded — nothing older to compare against"
-                )
-                continue
-        paired = bool(args.candidate) and is_file_ref(args.baseline)
-        comparison = compare_profiles(baseline, candidate, config, paired)
-        reports.append(render_comparison(comparison))
-        failed += len(comparison.failures)
-    text = "\n\n".join(reports)
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output}")
+    comparison = compare_profiles(
+        load_profile(args.baseline), load_profile(args.candidate),
+        CHECK_ALPHA, paired=True,
+    )
+    _print_report(render_comparison(comparison), args.output)
+    failed = len(comparison.failures)
     if failed:
         print(f"\nperf check FAILED: {failed} gated label(s) degraded")
         return 1
@@ -320,7 +248,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         raise PerfError(
             f"perf diff takes at most two refs, got {len(args.refs)}"
         )
-    from ..perf.detect import compare_profiles
+    from ..perf.detect import DIFF_ALPHA, compare_profiles
     from ..perf.ledger import is_file_ref, resolve_profile
     from ..perf.views import render_comparison
 
@@ -345,23 +273,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     else:
         base, base_origin = resolve_profile(ledger, suite, refs[0])
         cand, cand_origin = resolve_profile(ledger, suite, refs[1])
-    if base.suite != cand.suite:
-        raise PerfError(
-            f"cannot diff across suites: {base.suite!r} vs {cand.suite!r}"
-        )
-    comparison = compare_profiles(
-        base, cand, _detector_config(args), paired
-    )
+    comparison = compare_profiles(base, cand, DIFF_ALPHA, paired)
     title = (
         f"{cand.suite}: {base_origin} ({base.provenance.describe()}) -> "
         f"{cand_origin} ({cand.provenance.describe()})"
     )
-    text = render_comparison(comparison, title=title)
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output}")
+    _print_report(render_comparison(comparison, title=title), args.output)
     return 0
 
 

@@ -88,8 +88,8 @@ def operand_presence(dyn: DynInst, machine) -> Tuple[int, int]:
 
     Registers present in both clusters count toward both — the scheme's
     affinity decision is about avoiding copies, and a replicated operand
-    needs none either way.  *machine* may be a processor, a test fake,
-    or a :class:`SteeringContext` (all expose ``presence_mask``).
+    needs none either way.  *machine* is a :class:`SteeringContext` or
+    a test fake (both expose ``presence_mask``).
     """
     counts = [0, 0]
     for reg in dyn.inst.srcs:
@@ -105,8 +105,8 @@ def least_loaded(machine) -> int:
     """Cluster with the lighter instantaneous load.
 
     Ready-instruction counts are the primary signal (the paper's workload
-    measure); window occupancy breaks ties.  Accepts a machine or a
-    :class:`SteeringContext`.
+    measure); window occupancy breaks ties.  Accepts a
+    :class:`SteeringContext` or a test fake.
     """
     r0, r1 = machine.ready_counts
     if r0 != r1:

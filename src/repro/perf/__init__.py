@@ -5,28 +5,30 @@ artifact instead of a single checked-in snapshot:
 
 * :mod:`repro.perf.model` — the versioned profile format
   (``repro-perf-profile/1``): labelled **raw per-run sample vectors**
-  with units, goodness direction and gate policy.
+  (at least 3 each) with units, goodness direction and gate policy
+  (``absolute`` or ``report``).
 * :mod:`repro.perf.perfbench` — one profile per ``perfbench`` workload
   from saved ``perfbench/run.py`` runs, units and directions from
   ``BENCHMARK.json``, every run checked.
 * :mod:`repro.perf.provenance` — commit / dirty-tree / branch / host /
   python stamps on every profile, validated field by field.
 * :mod:`repro.perf.ledger` — ``BENCH_history/``: one profile per
-  (suite, commit) with atomic append, lookup, log, prune.
+  (suite, commit) with atomic append, lookup, history, prune.
 * :mod:`repro.perf.detect` — the degradation detector: Mann-Whitney U /
-  Welch's t on the raw samples with a configurable alpha, a
-  minimum-effect floor, and a ratio fallback for sample-starved labels;
-  verdicts improved / stable / degraded / new / vanished; raw
-  host-speed (``absolute``) labels gate only in a paired same-host A/B.
+  Welch's t on the raw samples and a 5% minimum-effect floor, at alpha
+  0.05 for ``perf check`` and 0.1 for ``perf diff``; verdicts
+  improved / stable / degraded / new / vanished; raw host-speed
+  (``absolute``) labels gate only in a paired same-host A/B, and
+  ``report`` labels never gate.
 * :mod:`repro.perf.views` — ``perf diff`` / ``perf check`` renderings.
 
 The ``repro-sim perf record|check|diff|log|prune`` surface is
-:mod:`repro.cli.perf`; ``perf check`` is the CI entry point.
+:mod:`repro.cli.perf`; ``perf check`` of two profile files, one paired
+A/B, is the CI gate.
 """
 
 from .detect import (
     Comparison,
-    DetectorConfig,
     LabelDelta,
     compare_metric,
     compare_profiles,
@@ -50,7 +52,6 @@ from .views import (
 __all__ = [
     "Benchmark",
     "Comparison",
-    "DetectorConfig",
     "DEFAULT_LEDGER",
     "LabelDelta",
     "Ledger",

@@ -5,10 +5,13 @@
 so perf is a *trajectory* the gate can test against, not a single
 checked-in snapshot.  Operations: :meth:`Ledger.append` (atomic write,
 refuses to silently replace a recorded profile), :meth:`Ledger.lookup`
-(by commit prefix or latest), :meth:`Ledger.log` (newest first),
-:meth:`Ledger.baseline_for` (the newest entry from a *different*
-commit — what a CI check compares a freshly recorded candidate
-against), and :meth:`Ledger.prune` (drop the oldest entries).
+(by commit prefix or latest), :meth:`Ledger.entries` (newest first),
+and :meth:`Ledger.prune` (drop the oldest entries).
+
+Entries are ordered by their ``recorded_at`` stamp.  Two entries
+stamped in the same second with no finer digits (older profiles carry
+whole-second stamps) are ordered by ancestry when the checkout holding
+the ledger knows both commits, and by key otherwise.
 
 Dirty working trees get a ``-dirty`` suffix in their key, so an
 uncommitted re-record never replaces the clean profile of the same
@@ -20,10 +23,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import cmp_to_key
 from typing import List, Optional, Tuple
 
 from ..errors import PerfError
 from .model import Profile, load_profile
+from .provenance import UNKNOWN_COMMIT, is_ancestor
 
 DEFAULT_LEDGER = "BENCH_history"
 
@@ -69,16 +74,25 @@ class Ledger:
                     f"ledger entry {path!r} is unreadable: {error}"
                 ) from error
             profiles.append(Profile.from_document(document))
-        profiles.sort(
-            key=lambda p: (
-                _time_order(p.provenance.recorded_at), p.provenance.key
-            ),
-            reverse=True,
-        )
+        profiles.sort(key=cmp_to_key(self._newer_first))
         return profiles
 
-    # Alias matching the CLI verb.
-    log = entries
+    def _newer_first(self, a: Profile, b: Profile) -> int:
+        """Sort order of two entries, newest first (see the module
+        docstring)."""
+        a_at = _time_order(a.provenance.recorded_at)
+        b_at = _time_order(b.provenance.recorded_at)
+        if a_at != b_at:
+            return -1 if a_at > b_at else 1
+        a_commit, b_commit = a.provenance.commit, b.provenance.commit
+        if a_commit != b_commit and UNKNOWN_COMMIT not in (a_commit, b_commit):
+            checkout = os.path.dirname(os.path.abspath(self.root))
+            if is_ancestor(b_commit, a_commit, checkout):
+                return -1
+            if is_ancestor(a_commit, b_commit, checkout):
+                return 1
+        a_key, b_key = a.provenance.key, b.provenance.key
+        return (a_key < b_key) - (a_key > b_key)
 
     def append(self, profile: Profile, overwrite: bool = False) -> str:
         """Record *profile* under its (suite, commit) key; return the path.
@@ -141,21 +155,6 @@ class Ledger:
                 f"{ref!r} is ambiguous among {suite!r} profiles: {ambiguous}"
             )
         return matches[0]
-
-    def baseline_for(
-        self, suite: str, candidate: Profile
-    ) -> Optional[Profile]:
-        """The newest entry not recorded at the candidate's commit.
-
-        This is what a CI check compares against right after appending
-        the fresh candidate: the candidate's own entry is skipped, the
-        previous commit's profile is the baseline.  ``None`` when the
-        ledger holds nothing older.
-        """
-        for profile in self.entries(suite):
-            if profile.provenance.key != candidate.provenance.key:
-                return profile
-        return None
 
     def prune(self, suite: str, keep: int) -> List[str]:
         """Drop the oldest entries beyond *keep*; return removed paths."""

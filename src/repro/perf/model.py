@@ -1,12 +1,11 @@
 """The perf-profile model: versioned documents of raw measurement samples.
 
 A :class:`Profile` is one recorded benchmark run of one *suite* (a
-``perfbench`` workload, or one of the retired ``core`` / ``campaign``
-suites kept in the ledger's history): an ordered set of labelled
-:class:`Metric` series, each carrying the **raw per-run samples** (not
-just mean/std — the degradation detector runs statistical tests on
-these), its unit, its goodness direction, and how the CI gate should
-treat it.  Every profile is stamped with
+``perfbench`` workload): an ordered set of labelled :class:`Metric`
+series, each carrying the **raw per-run samples** (at least
+:data:`MIN_SAMPLES`, not just mean/std — the degradation detector runs
+statistical tests on these), its unit, its goodness direction, and how
+the CI gate should treat it.  Every profile is stamped with
 :class:`~repro.perf.provenance.Provenance` so the ledger can answer
 "which commit produced these numbers".
 
@@ -27,14 +26,16 @@ from .provenance import Provenance
 PROFILE_FORMAT = "repro-perf-profile/1"
 
 #: How the CI gate treats a metric:
-#: ``gated``    — a degradation fails the gate;
 #: ``absolute`` — raw host-speed numbers: gated only in a paired A/B of
 #:               two profiles from the same named host, reported
 #:               otherwise (see :mod:`repro.perf.detect`);
 #: ``report``   — context only, never gated.
-GATES = ("gated", "absolute", "report")
+GATES = ("absolute", "report")
 
 DIRECTIONS = ("higher", "lower")
+
+#: Samples a metric needs so that Welch's t can test it.
+MIN_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class Metric:
 
     label: str
     samples: Tuple[float, ...]
+    gate: str
     unit: str = ""
     direction: str = "higher"
-    gate: str = "gated"
 
     def __post_init__(self):
         if not self.label or not isinstance(self.label, str):
@@ -62,10 +63,11 @@ class Metric:
                 f"metric {self.label!r}: gate must be one of {GATES}, "
                 f"got {self.gate!r}"
             )
-        if not self.samples:
+        if len(self.samples) < MIN_SAMPLES:
             raise ConfigError(
-                f"metric {self.label!r}: samples must be a non-empty "
-                f"sequence of numbers"
+                f"metric {self.label!r}: {len(self.samples)} sample(s); "
+                f"a metric needs at least {MIN_SAMPLES} so the detector "
+                f"can test it"
             )
         cleaned = []
         for sample in self.samples:
@@ -98,8 +100,8 @@ class Metric:
 
     @classmethod
     def from_document(cls, document) -> "Metric":
-        """Decode one metric; keys this build does not model (the
-        retired campaign suite's ``group``) are ignored."""
+        """Decode one metric; keys this build does not model are
+        ignored."""
         if not isinstance(document, dict):
             raise ConfigError(
                 f"metric must be a mapping, got {type(document).__name__}"
@@ -113,9 +115,9 @@ class Metric:
         return cls(
             label=document.get("label", ""),
             samples=tuple(samples),
+            gate=document.get("gate"),
             unit=document.get("unit", ""),
             direction=document.get("direction", "higher"),
-            gate=document.get("gate", "gated"),
         )
 
 

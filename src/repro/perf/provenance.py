@@ -132,6 +132,14 @@ class Provenance:
         return cls(**known)
 
 
+def is_ancestor(older: str, newer: str, repo_root: str) -> bool:
+    """Whether the checkout at *repo_root* knows commit *older* as an
+    ancestor of commit *newer* (``False`` unless it knows both)."""
+    return _git(
+        ["merge-base", "--is-ancestor", older, newer], repo_root
+    ) is not None
+
+
 def collect(repo_root: Optional[str] = None) -> Provenance:
     """The current checkout's provenance stamp.
 

@@ -2,8 +2,8 @@
 
 One renderer serves both CLI surfaces: ``perf diff`` (any two recorded
 profiles side by side with per-label verdicts) and ``perf check`` (the
-same view for candidate vs baseline, plus the gate summary CI tails
-into its log and uploads as an artifact).  ``perf log --label`` adds
+same view of a paired A/B's two profile files, whose gate summary CI
+tails into its log and uploads as an artifact).  ``perf log --label`` adds
 per-label sparklines over the ledger's history, so a throughput
 trajectory across commits is readable at a glance.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import PerfError
-from .detect import Comparison, LabelDelta, VERDICTS
+from .detect import MIN_EFFECT, Comparison, LabelDelta, VERDICTS
 from .ledger import Ledger
 
 #: Eight-level bar glyphs for sparklines, lowest to highest.
@@ -39,8 +39,7 @@ def _evidence(delta: LabelDelta) -> str:
         parts.append(delta.method)
     if delta.p_value is not None:
         parts.append(f"p={delta.p_value:.3f}")
-    if delta.gate != "gated":
-        parts.append(delta.gate)
+    parts.append(delta.gate)
     return " ".join(parts)
 
 
@@ -71,16 +70,12 @@ def render_comparison(comparison: Comparison, title: str = "") -> str:
         effect = (
             f"{delta.effect:+.1%}" if delta.effect is not None else "-"
         )
-        evidence = _evidence(delta)
-        row = (
+        lines.append(
             f"  {delta.label:<{width}}  "
             f"{_value(delta.base_mean, delta.base_n):>18}  "
             f"{_value(delta.cand_mean, delta.cand_n):>18}  "
-            f"{effect:>8}  {_verdict(delta)}"
+            f"{effect:>8}  {_verdict(delta)}  [{_evidence(delta)}]"
         )
-        if evidence:
-            row += f"  [{evidence}]"
-        lines.append(row)
         if delta.note:
             lines.append(f"  {'':<{width}}  note: {delta.note}")
     counts = comparison.counts()
@@ -91,22 +86,14 @@ def render_comparison(comparison: Comparison, title: str = "") -> str:
     lines.append(f"summary: {summary}")
     if any(delta.gate == "absolute" for delta in comparison.deltas):
         lines.append(f"absolute labels {comparison.absolute_policy}")
+    rule = f"alpha={comparison.alpha:g}, min-effect={MIN_EFFECT:.0%}"
     failures = comparison.failures
     if failures:
-        lines.append(
-            f"GATE: {len(failures)} label(s) fail "
-            f"(alpha={comparison.config.alpha:g}, "
-            f"min-effect={comparison.config.min_effect:.0%}, "
-            f"ratio fallback at {comparison.config.max_regression:.0%}):"
-        )
+        lines.append(f"GATE: {len(failures)} label(s) fail ({rule}):")
         for delta in failures:
             lines.append(f"  {delta.label}: {delta.verdict}")
     else:
-        lines.append(
-            f"GATE: ok (alpha={comparison.config.alpha:g}, "
-            f"min-effect={comparison.config.min_effect:.0%}, "
-            f"ratio fallback at {comparison.config.max_regression:.0%})"
-        )
+        lines.append(f"GATE: ok ({rule})")
     return "\n".join(lines)
 
 

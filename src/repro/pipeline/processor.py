@@ -300,17 +300,6 @@ class Processor:
         )
 
     # ------------------------------------------------------------------
-    # Steering-visible helpers
-    # ------------------------------------------------------------------
-    def presence_mask(self, reg: int) -> int:
-        """Bit mask of clusters where logical register *reg* resides."""
-        return self.map_table.presence_mask(reg)
-
-    def iq_occupancy(self, cluster: int) -> int:
-        """Instructions currently waiting in *cluster*'s window."""
-        return len(self.iqs[cluster])
-
-    # ------------------------------------------------------------------
     # Public driver
     # ------------------------------------------------------------------
     def run(self, n_instructions: int, warmup: int = 0):

@@ -3,7 +3,8 @@
 The acceptance anchors: a synthetic 2x slowdown must be flagged, pure
 noise at 15% std must pass, an improvement must never fail the gate,
 and labels *removed* from the candidate must be reported explicitly
-(the vanished-label regression the legacy gate's callers hit).  The
+(the vanished-label regression the legacy gate's callers hit).  Every
+metric carries at least 3 samples and gate ``absolute`` or ``report``.  The
 statistical kernels are pinned against reference values computed with
 scipy (not available in CI, hence the pure-python implementations).
 """
@@ -19,7 +20,8 @@ import pytest
 
 from repro import perf
 from repro.errors import ConfigError, PerfError
-from repro.perf.detect import DetectorConfig
+from repro.perf.detect import CHECK_ALPHA, DIFF_ALPHA
+from repro.perf.provenance import is_ancestor
 from repro.perf.stats import (
     mann_whitney_u,
     student_t_sf,
@@ -39,8 +41,15 @@ def gauss(seed: int, mean: float, std: float, n: int):
     return tuple(rng.gauss(mean, std) for _ in range(n))
 
 
-def metric(label="ipc", samples=(1.0,), **kwargs):
-    return perf.Metric(label=label, samples=tuple(samples), **kwargs)
+def metric(label="ipc", samples=(1.0, 1.0, 1.0), gate="absolute", **kwargs):
+    return perf.Metric(
+        label=label, samples=tuple(samples), gate=gate, **kwargs
+    )
+
+
+def const(value, n=3):
+    """*n* identical samples."""
+    return (value,) * n
 
 
 def profile(metrics, suite="core", commit=COMMIT_A, when="2026-08-01",
@@ -139,13 +148,17 @@ class TestStats:
 
 
 class TestDetector:
-    def compare(self, base_samples, cand_samples, config=None, **metric_kw):
+    def compare(self, base_samples, cand_samples, alpha=CHECK_ALPHA,
+                **metric_kw):
+        """One label, compared as a paired same-host A/B."""
         baseline = profile([metric(samples=base_samples, **metric_kw)])
         candidate = profile(
             [metric(samples=cand_samples, **metric_kw)],
             commit=COMMIT_B, when="2026-08-02",
         )
-        comparison = perf.compare_profiles(baseline, candidate, config)
+        comparison = perf.compare_profiles(
+            baseline, candidate, alpha, paired=True
+        )
         return comparison, comparison.deltas[0]
 
     def test_2x_regression_is_flagged(self):
@@ -160,8 +173,8 @@ class TestDetector:
         assert not comparison.ok
 
     def test_noise_at_15pct_std_passes(self):
-        # Same distribution, std = 15% of mean — the retired core suite's
-        # noise level the old 30%-ratio gate could trip on.
+        # Same distribution, std = 15% of mean — the noise level a
+        # 30%-ratio gate could trip on.
         comparison, delta = self.compare(
             gauss(3, 1.0, 0.15, 10), gauss(4, 1.0, 0.15, 10)
         )
@@ -185,23 +198,36 @@ class TestDetector:
         assert delta.p_value < 0.01
         assert delta.verdict == "stable"
         assert comparison.ok
+        # A significant shift just past the floor fails.
+        _, delta = self.compare(
+            gauss(7, 1.0, 0.001, 20), gauss(8, 0.94, 0.001, 20)
+        )
+        assert delta.verdict == "degraded"
 
-    def test_welch_used_for_small_repeat_counts(self):
+    def test_welch_below_six_samples_mann_whitney_from_six(self):
         _, delta = self.compare(
             gauss(9, 1.0, 0.02, 3), gauss(10, 0.5, 0.01, 3)
         )
         assert delta.method == "welch"
         assert delta.verdict == "degraded"
+        _, delta = self.compare(
+            gauss(9, 1.0, 0.02, 5), gauss(10, 0.5, 0.01, 6)
+        )
+        assert delta.method == "welch"
+        _, delta = self.compare(
+            gauss(9, 1.0, 0.02, 6), gauss(10, 0.5, 0.01, 6)
+        )
+        assert delta.method == "mannwhitney"
 
-    def test_ratio_fallback_for_sample_starved_labels(self):
-        _, degraded = self.compare((1.0,), (0.5,))
-        assert degraded.method == "ratio"
-        assert degraded.verdict == "degraded"
-        assert degraded.fails
-        _, mild = self.compare((1.0,), (0.9,))
-        assert mild.verdict == "stable"
-        _, improved = self.compare((1.0,), (2.0,))
-        assert improved.verdict == "improved"
+    def test_diff_alpha_names_a_shift_the_check_alpha_passes(self):
+        # 8% slower on 3 runs a side: Welch's p is about 0.07.
+        base, cand = (100.0, 104.0, 96.0), (92.0, 96.0, 88.0)
+        checked, delta = self.compare(base, cand)
+        assert 0.05 < delta.p_value < 0.1
+        assert delta.verdict == "stable" and checked.ok
+        diffed, delta = self.compare(base, cand, alpha=DIFF_ALPHA)
+        assert delta.verdict == "degraded" and not diffed.ok
+        assert "alpha=0.1, min-effect=5%" in perf.render_comparison(diffed)
 
     def test_direction_lower_is_better(self):
         # Wall-clock seconds: a higher candidate mean is the regression.
@@ -217,12 +243,12 @@ class TestDetector:
         assert delta.verdict == "improved"
 
     def test_new_label_reported_never_gated(self):
-        baseline = profile([metric("old", (1.0,))])
+        baseline = profile([metric("old")])
         candidate = profile(
-            [metric("old", (1.0,)), metric("fresh", (5.0,))],
+            [metric("old"), metric("fresh", const(5.0))],
             commit=COMMIT_B,
         )
-        comparison = perf.compare_profiles(baseline, candidate)
+        comparison = perf.compare_profiles(baseline, candidate, paired=True)
         by_label = {d.label: d for d in comparison.deltas}
         assert by_label["fresh"].verdict == "new"
         assert not by_label["fresh"].fails
@@ -232,40 +258,38 @@ class TestDetector:
         # Regression test: the legacy checker reported fresh-only labels
         # but a label *removed* from the candidate must fail explicitly,
         # not read as a pass.
-        baseline = profile([metric("kept", (1.0,)), metric("gone", (1.0,))])
-        candidate = profile([metric("kept", (1.0,))], commit=COMMIT_B)
-        comparison = perf.compare_profiles(baseline, candidate)
+        baseline = profile([metric("kept"), metric("gone")])
+        candidate = profile([metric("kept")], commit=COMMIT_B)
+        comparison = perf.compare_profiles(baseline, candidate, paired=True)
         by_label = {d.label: d for d in comparison.deltas}
         assert by_label["gone"].verdict == "vanished"
         assert by_label["gone"].fails
         assert not comparison.ok
         assert "vanished" in perf.render_comparison(comparison)
 
-    def test_vanished_can_be_ignored_explicitly(self):
-        baseline = profile([metric("kept", (1.0,)), metric("gone", (1.0,))])
-        candidate = profile([metric("kept", (1.0,))], commit=COMMIT_B)
-        comparison = perf.compare_profiles(
-            baseline, candidate, DetectorConfig(ignore_vanished=True)
-        )
-        assert comparison.ok
-
-    def test_vanished_report_metric_never_fails(self):
+    def test_report_labels_never_fail(self):
         baseline = profile([
-            metric("kept", (1.0,)),
-            metric("context", (1.0,), gate="report"),
+            metric("kept"),
+            metric("context", gate="report"),
+            metric("layer", gauss(19, 1.0, 0.01, 6), gate="report"),
         ])
-        candidate = profile([metric("kept", (1.0,))], commit=COMMIT_B)
-        comparison = perf.compare_profiles(baseline, candidate)
+        candidate = profile([
+            metric("kept"),
+            metric("layer", gauss(20, 0.5, 0.01, 6), gate="report"),
+        ], commit=COMMIT_B)
+        comparison = perf.compare_profiles(baseline, candidate, paired=True)
+        by_label = {d.label: d for d in comparison.deltas}
+        assert by_label["context"].verdict == "vanished"
+        assert by_label["layer"].verdict == "degraded"
         assert comparison.ok
 
     def absolute_pair(self, cand_host="test", base_host="test", paired=True):
         baseline = profile(
-            [metric("raw", gauss(15, 100.0, 2.0, 8), gate="absolute"),
-             metric("gone", (1.0,), gate="absolute")],
+            [metric("raw", gauss(15, 100.0, 2.0, 8)), metric("gone")],
             host=base_host,
         )
         candidate = profile(
-            [metric("raw", gauss(16, 50.0, 1.0, 8), gate="absolute")],
+            [metric("raw", gauss(16, 50.0, 1.0, 8))],
             commit=COMMIT_B, host=cand_host,
         )
         comparison = perf.compare_profiles(
@@ -309,28 +333,12 @@ class TestDetector:
             assert comparison.ok
             assert "does not name its host" in by_label["raw"].note
 
-    def test_gated_labels_gate_across_hosts(self):
-        baseline = profile([metric("ratio", gauss(17, 2.0, 0.05, 8))])
-        candidate = profile(
-            [metric("ratio", gauss(18, 1.0, 0.02, 8))],
-            commit=COMMIT_B, host="runner-2",
-        )
-        assert not perf.compare_profiles(baseline, candidate).ok
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigError):
-            DetectorConfig(alpha=1.5)
-        with pytest.raises(ConfigError):
-            DetectorConfig(max_regression=0.0)
-        with pytest.raises(ConfigError):
-            DetectorConfig(method="bayes")
-
 
 class TestProfileModel:
     def test_document_round_trip(self):
         original = profile([
-            metric("a", (1.0, 2.0), unit="ratio"),
-            metric("b", (3.0,), gate="absolute", direction="lower"),
+            metric("a", (1.0, 2.0, 3.0), unit="ratio", gate="report"),
+            metric("b", const(3.0), direction="lower"),
         ])
         decoded = perf.Profile.from_document(
             json.loads(json.dumps(original.to_document()))
@@ -345,29 +353,47 @@ class TestProfileModel:
         with pytest.raises(PerfError):
             perf.Profile.from_document({"benchmark": "mystery"})
 
-    def test_stored_group_key_is_ignored(self):
-        # The retired campaign suite's entries carry compound-group keys.
-        document = profile([metric("a", (1.0,))]).to_document()
+    def test_unknown_metric_keys_are_ignored(self):
+        document = profile([metric("a")]).to_document()
         document["metrics"][0]["group"] = "g"
         decoded = perf.Profile.from_document(document)
-        assert decoded == profile([metric("a", (1.0,))])
+        assert decoded == profile([metric("a")])
         assert "group" not in decoded.to_document()["metrics"][0]
+
+    def test_gated_label_or_too_few_samples_is_refused(self, tmp_path):
+        good = profile([metric("ipc"), metric("setup_s")]).to_document()
+        for broken, reason in (
+            ({"gate": "gated"}, "gate must be one of"),
+            ({"gate": None}, "gate must be one of"),
+            ({"samples": [1.0, 2.0]}, "2 sample"),
+            ({"samples": []}, "0 sample"),
+        ):
+            document = json.loads(json.dumps(good))
+            document["metrics"][1].update(broken)
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(document))
+            with pytest.raises(
+                ConfigError, match=rf"metric 'setup_s': .*{reason}"
+            ):
+                perf.load_profile(str(path))
 
     def test_bad_samples_name_the_metric(self):
         with pytest.raises(ConfigError, match="ipc"):
             metric("ipc", ())
         with pytest.raises(ConfigError, match="ipc"):
-            metric("ipc", (1.0, "fast"))
+            metric("ipc", (1.0, 2.0, "fast"))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            profile([metric("a", (1.0,)), metric("a", (2.0,))])
+            profile([metric("a"), metric("a", const(2.0))])
 
     def test_bad_direction_and_gate_rejected(self):
         with pytest.raises(ConfigError, match="direction"):
-            metric("a", (1.0,), direction="sideways")
+            metric("a", direction="sideways")
         with pytest.raises(ConfigError, match="gate"):
-            metric("a", (1.0,), gate="sometimes")
+            metric("a", gate="sometimes")
+        with pytest.raises(ConfigError, match="gate"):
+            metric("a", gate="gated")
 
 
 class TestPerfbenchImport:
@@ -551,24 +577,32 @@ class TestProvenance:
         dirty = perf.Provenance(commit=COMMIT_A, dirty=True)
         assert clean.key != dirty.key
 
+    def test_is_ancestor_needs_both_commits_known(self, tmp_path):
+        head = perf.collect(ROOT).commit
+        assert is_ancestor(head, head, ROOT)
+        assert not is_ancestor(COMMIT_A, head, ROOT)
+        assert not is_ancestor(head, COMMIT_A, ROOT)
+        assert not is_ancestor(head, head, str(tmp_path))
+
 
 class TestLedger:
     def seed(self, tmp_path):
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
-        first = profile([metric("m", (1.0,))], commit=COMMIT_A,
+        first = profile([metric("m", const(1.0))], commit=COMMIT_A,
                         when="2026-08-01")
-        second = profile([metric("m", (1.1,))], commit=COMMIT_B,
+        second = profile([metric("m", const(1.1))], commit=COMMIT_B,
                          when="2026-08-02")
         ledger.append(first)
         ledger.append(second)
         return ledger, first, second
 
-    def test_append_lookup_log(self, tmp_path):
+    def commits(self, ledger, suite="core"):
+        return [p.provenance.commit for p in ledger.entries(suite)]
+
+    def test_append_lookup_entries(self, tmp_path):
         ledger, first, second = self.seed(tmp_path)
         assert ledger.suites() == ["core"]
-        assert [p.provenance.commit for p in ledger.log("core")] == [
-            COMMIT_B, COMMIT_A
-        ]
+        assert self.commits(ledger) == [COMMIT_B, COMMIT_A]
         assert ledger.lookup("core").provenance.commit == COMMIT_B
         assert ledger.lookup("core", "aaaa").provenance.commit == COMMIT_A
 
@@ -576,30 +610,22 @@ class TestLedger:
         ledger, first, _ = self.seed(tmp_path)
         with pytest.raises(PerfError, match="overwrite"):
             ledger.append(first)
-        replaced = profile([metric("m", (9.0,))], commit=COMMIT_A,
+        replaced = profile([metric("m", const(9.0))], commit=COMMIT_A,
                            when="2026-08-01")
         ledger.append(replaced, overwrite=True)
-        assert ledger.lookup("core", "aaaa").metrics[0].samples == (9.0,)
+        assert ledger.lookup("core", "aaaa").metrics[0].samples == const(9.0)
 
     def test_lookup_errors(self, tmp_path):
         ledger, _, _ = self.seed(tmp_path)
         with pytest.raises(PerfError, match="no 'core' profile"):
             ledger.lookup("core", "dddd")
-        with pytest.raises(PerfError, match="no 'campaign' profiles"):
-            ledger.lookup("campaign")
-        third = profile([metric("m", (1.0,))], commit="ab" + "c" * 38,
+        with pytest.raises(PerfError, match="no 'sweep-cold' profiles"):
+            ledger.lookup("sweep-cold")
+        third = profile([metric("m")], commit="ab" + "c" * 38,
                         when="2026-08-03")
         ledger.append(third)
         with pytest.raises(PerfError, match="ambiguous"):
             ledger.lookup("core", "a")
-
-    def test_baseline_for_skips_the_candidate_commit(self, tmp_path):
-        ledger, first, second = self.seed(tmp_path)
-        baseline = ledger.baseline_for("core", second)
-        assert baseline.provenance.commit == COMMIT_A
-        only = perf.Ledger(str(tmp_path / "solo"))
-        only.append(second)
-        assert only.baseline_for("core", second) is None
 
     def test_change_recorded_in_the_parents_second_lists_first(
         self, tmp_path
@@ -608,41 +634,34 @@ class TestLedger:
         stamp reads as text after any sub-second stamp of that second;
         neither may make it the newest entry."""
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
-        parent = profile([metric("m", (1.0,))]).with_provenance(
+        parent = profile([metric("m", const(1.0))]).with_provenance(
             perf.Provenance(
                 commit=COMMIT_C, recorded_at="2026-10-19T05:04:34Z"
             )
         )
-        change = profile([metric("m", (1.1,))]).with_provenance(
+        change = profile([metric("m", const(1.1))]).with_provenance(
             perf.Provenance(
                 commit=COMMIT_A, recorded_at="2026-10-19T05:04:34.600000Z"
             )
         )
         ledger.append(parent)
         ledger.append(change)
-        assert [p.provenance.commit for p in ledger.log("core")] == [
-            COMMIT_A, COMMIT_C
-        ]
-        assert ledger.baseline_for("core", change).provenance.commit == (
-            COMMIT_C
-        )
+        assert self.commits(ledger) == [COMMIT_A, COMMIT_C]
 
     def test_collected_stamps_order_within_one_second(self, tmp_path):
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
         first, second = perf.collect("."), perf.collect(".")
         assert first.recorded_at[19] == "."
         assert first.recorded_at < second.recorded_at
-        parent = profile([metric("m", (1.0,))]).with_provenance(
+        parent = profile([metric("m", const(1.0))]).with_provenance(
             perf.Provenance(commit=COMMIT_C, recorded_at=first.recorded_at)
         )
-        change = profile([metric("m", (1.1,))]).with_provenance(
+        change = profile([metric("m", const(1.1))]).with_provenance(
             perf.Provenance(commit=COMMIT_A, recorded_at=second.recorded_at)
         )
         ledger.append(parent)
         ledger.append(change)
-        assert ledger.baseline_for("core", change).provenance.commit == (
-            COMMIT_C
-        )
+        assert self.commits(ledger) == [COMMIT_A, COMMIT_C]
 
     def test_stamps_of_every_precision_sort_by_time(self, tmp_path):
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
@@ -655,23 +674,52 @@ class TestLedger:
             "2026-10-16",
         ]
         for index, stamp in enumerate(stamps):
-            ledger.append(profile([metric("m", (1.0,))]).with_provenance(
+            ledger.append(profile([metric("m")]).with_provenance(
                 perf.Provenance(commit=f"{index:x}" * 40, recorded_at=stamp)
             ))
         assert [
-            p.provenance.recorded_at for p in ledger.log("core")
+            p.provenance.recorded_at for p in ledger.entries("core")
         ] == stamps
+
+    def test_equal_stamps_of_unknown_commits_keep_key_order(self, tmp_path):
+        # Outside any checkout that knows the commits, the higher key
+        # lists first, and a dirty re-record before its clean entry.
+        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
+        for commit, dirty in ((COMMIT_A, False), (COMMIT_C, False),
+                              (COMMIT_B, False), (COMMIT_B, True)):
+            ledger.append(profile([metric("m")]).with_provenance(
+                perf.Provenance(commit=commit, dirty=dirty,
+                                recorded_at="2026-10-19T05:04:34Z")
+            ))
+        assert [p.provenance.key for p in ledger.entries("core")] == [
+            "c" * 12, "b" * 12 + "-dirty", "b" * 12, "a" * 12
+        ]
+
+    def test_equal_stamps_order_by_ancestry(self):
+        """``c9657856e497`` and its child ``706161d63ee5`` were recorded
+        in the same whole second in every suite; the key order alone
+        would list the parent as newer."""
+        parent = "c9657856e497"
+        child = "706161d63ee5"
+        if not is_ancestor(parent, child, ROOT):
+            pytest.skip("this checkout does not know both commits")
+        ledger = perf.Ledger(os.path.join(ROOT, "BENCH_history"))
+        for suite in ledger.suites():
+            entries = ledger.entries(suite)
+            keys = [p.provenance.key for p in entries]
+            by_key = dict(zip(keys, entries))
+            assert (by_key[parent].provenance.recorded_at
+                    == by_key[child].provenance.recorded_at)
+            assert keys.index(child) < keys.index(parent), suite
 
     def test_prune_keeps_the_newest(self, tmp_path):
         ledger, _, _ = self.seed(tmp_path)
-        third = profile([metric("m", (1.2,))], commit=COMMIT_C,
+        third = profile([metric("m", const(1.2))], commit=COMMIT_C,
                         when="2026-08-03")
         ledger.append(third)
         removed = ledger.prune("core", keep=2)
         assert len(removed) == 1
-        assert [p.provenance.commit for p in ledger.log("core")] == [
-            COMMIT_C, COMMIT_B
-        ]
+        assert self.commits(ledger) == [COMMIT_C, COMMIT_B]
         with pytest.raises(PerfError):
             ledger.prune("core", keep=0)
 
@@ -698,8 +746,10 @@ class TestPerfCli:
     def ledger_args(self, tmp_path):
         return ("--ledger", str(tmp_path / "BENCH_history"))
 
-    def seed_pair(self, tmp_path, cand_factor=1.0, drop_label=False):
-        """A two-commit ledger: baseline, then a scaled candidate."""
+    def pair(self, tmp_path, cand_factor=1.0, drop_label=False,
+             cand_host="test"):
+        """A baseline and a scaled candidate: two ledger entries, and
+        the same two profiles as files."""
         base = profile(
             [metric("ipc", gauss(1, 1.0, 0.02, 8)),
              metric("extra", gauss(2, 1.0, 0.02, 8))],
@@ -710,11 +760,18 @@ class TestPerfCli:
         )]
         if not drop_label:
             metrics.append(metric("extra", gauss(4, 1.0, 0.02, 8)))
-        cand = profile(metrics, commit=COMMIT_B, when="2026-08-02")
+        cand = profile(metrics, commit=COMMIT_B, when="2026-08-02",
+                       host=cand_host)
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
         ledger.append(base)
         ledger.append(cand)
-        return ledger
+        return (self.write(tmp_path, "base.json", base.to_document()),
+                self.write(tmp_path, "cand.json", cand.to_document()))
+
+    def check(self, base, cand, *extra):
+        return self.run_cli(
+            "perf", "check", "--baseline", base, "--candidate", cand, *extra
+        )
 
     def perfbench_runs(self, tmp_path, n=3):
         """A checkout-like directory: BENCHMARK.json plus n saved runs."""
@@ -786,18 +843,16 @@ class TestPerfCli:
         ) == 1
         assert "BENCHMARK.json" in capsys.readouterr().out
 
-    def test_check_passes_on_stable_history(self, tmp_path, capsys):
-        self.seed_pair(tmp_path, cand_factor=1.0)
-        assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
-        ) == 0
-        assert "perf check ok" in capsys.readouterr().out
+    def test_check_passes_on_a_stable_pair(self, tmp_path, capsys):
+        assert self.check(*self.pair(tmp_path, cand_factor=1.0)) == 0
+        out = capsys.readouterr().out
+        assert "perf check ok" in out
+        assert "GATE: ok (alpha=0.05, min-effect=5%)" in out
 
     def test_check_flags_2x_slowdown(self, tmp_path, capsys):
-        self.seed_pair(tmp_path, cand_factor=0.5)
         report = str(tmp_path / "report.txt")
-        assert self.run_cli(
-            "perf", "check", "-o", report, *self.ledger_args(tmp_path)
+        assert self.check(
+            *self.pair(tmp_path, cand_factor=0.5), "-o", report
         ) == 1
         out = capsys.readouterr().out
         assert "DEGRADED" in out and "perf check FAILED" in out
@@ -805,113 +860,107 @@ class TestPerfCli:
             assert "DEGRADED" in f.read()
 
     def test_check_improvement_passes(self, tmp_path, capsys):
-        self.seed_pair(tmp_path, cand_factor=2.0)
-        assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
-        ) == 0
+        assert self.check(*self.pair(tmp_path, cand_factor=2.0)) == 0
         assert "improved" in capsys.readouterr().out
 
     def test_check_reports_vanished_labels(self, tmp_path, capsys):
         # Regression test: a label dropped from the candidate must fail
         # loudly, not silently disappear from the report.
-        self.seed_pair(tmp_path, drop_label=True)
-        assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
-        ) == 1
-        out = capsys.readouterr().out
-        assert "VANISHED" in out
-        assert self.run_cli(
-            "perf", "check", "--ignore-vanished",
-            *self.ledger_args(tmp_path),
-        ) == 0
+        assert self.check(*self.pair(tmp_path, drop_label=True)) == 1
+        assert "VANISHED" in capsys.readouterr().out
 
-    def test_check_with_explicit_candidate_file(self, tmp_path, capsys):
-        self.seed_pair(tmp_path)
-        cand = profile(
-            [metric("ipc", gauss(5, 0.5, 0.01, 8)),
-             metric("extra", gauss(6, 1.0, 0.02, 8))],
-            commit=COMMIT_C, when="2026-08-03",
-        )
-        path = self.write(tmp_path, "cand.json", cand.to_document())
-        assert self.run_cli(
-            "perf", "check", "--candidate", path,
-            *self.ledger_args(tmp_path),
-        ) == 1
-
-    def absolute_profiles(self, tmp_path):
-        """A ledger entry and a file, each with a halved absolute label."""
-        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
-        base = profile([metric("raw", gauss(1, 100.0, 2.0, 8),
-                               gate="absolute")], suite="core-fifo")
-        cand = profile([metric("raw", gauss(2, 50.0, 1.0, 8),
-                               gate="absolute")],
-                       suite="core-fifo", commit=COMMIT_B, when="2026-08-02")
-        ledger.append(base)
-        ledger.append(cand)
-        return (self.write(tmp_path, "base.json", base.to_document()),
-                self.write(tmp_path, "cand.json", cand.to_document()))
-
-    def test_check_against_the_ledger_reports_absolute_labels(
+    def test_check_across_hosts_reports_absolute_labels(
         self, tmp_path, capsys
     ):
-        self.absolute_profiles(tmp_path)
-        assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
+        assert self.check(
+            *self.pair(tmp_path, cand_factor=0.5, cand_host="runner-2")
         ) == 0
         out = capsys.readouterr().out
         assert "DEGRADED" not in out and "degraded" in out
-        assert "absolute labels not gated: the profiles are not one " \
-            "paired A/B run" in out
+        assert "absolute labels not gated: recorded on different hosts" \
+            in out
 
-    def test_check_of_two_profile_files_gates_absolute_labels(
-        self, tmp_path, capsys
-    ):
-        base, cand = self.absolute_profiles(tmp_path)
-        assert self.run_cli(
-            "perf", "check", "--baseline", base, "--candidate", cand,
-            *self.ledger_args(tmp_path),
+    def test_check_needs_both_profile_files(self, tmp_path, capsys):
+        base, cand = self.pair(tmp_path)
+        for argv in ((), ("--baseline", base), ("--candidate", cand)):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_cli("perf", "check", *argv)
+            assert exit_info.value.code == 2
+        # check reads two files, never the ledger.
+        with pytest.raises(SystemExit):
+            self.check(base, cand, *self.ledger_args(tmp_path))
+        capsys.readouterr()
+        assert self.check(base, str(tmp_path / "missing.json")) == 1
+        assert "cannot read profile" in capsys.readouterr().out
+
+    def test_check_across_suites_rejected(self, tmp_path, capsys):
+        base = profile([metric("m")])
+        other = profile([metric("m")], suite="sweep-cold", commit=COMMIT_B)
+        assert self.check(
+            self.write(tmp_path, "a.json", base.to_document()),
+            self.write(tmp_path, "b.json", other.to_document()),
         ) == 1
-        assert "DEGRADED" in capsys.readouterr().out
-        # A ledger baseline is another session, even with a file
-        # candidate.
-        assert self.run_cli(
-            "perf", "check", "--baseline", "aaaa", "--candidate", cand,
-            *self.ledger_args(tmp_path),
-        ) == 0
+        assert "across suites" in capsys.readouterr().out
+
+    def test_check_refuses_a_gated_label(self, tmp_path, capsys):
+        base, cand = self.pair(tmp_path)
+        with open(cand) as fh:
+            document = json.load(fh)
+        document["metrics"][0]["gate"] = "gated"
+        cand = self.write(tmp_path, "gated.json", document)
+        assert self.check(base, cand) == 2
+        assert "metric 'ipc': gate must be one of" in (
+            capsys.readouterr().out
+        )
 
     def test_diff_of_two_profile_files_gates_absolute_labels(
         self, tmp_path, capsys
     ):
-        base, cand = self.absolute_profiles(tmp_path)
-        self.run_cli("perf", "diff", base, cand, *self.ledger_args(tmp_path))
-        assert "GATE: 1 label(s) fail" in capsys.readouterr().out
-        self.run_cli("perf", "diff", *self.ledger_args(tmp_path))
-        assert "GATE: ok" in capsys.readouterr().out
+        base, cand = self.pair(tmp_path, cand_factor=0.5)
+        assert self.run_cli(
+            "perf", "diff", base, cand, *self.ledger_args(tmp_path)
+        ) == 0
+        out = capsys.readouterr().out
+        assert "GATE: 1 label(s) fail (alpha=0.1, min-effect=5%)" in out
+        assert self.run_cli("perf", "diff", *self.ledger_args(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "GATE: ok" in out
+        assert "absolute labels not gated: the profiles are not one " \
+            "paired A/B run" in out
 
-    def test_check_single_entry_has_nothing_to_compare(
+    def test_diff_of_a_file_and_a_ledger_entry_is_not_paired(
         self, tmp_path, capsys
     ):
-        ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
-        ledger.append(profile([metric("ipc", (1.0,))]))
+        # A ledger entry is another session, even beside a file.
+        base, _ = self.pair(tmp_path, cand_factor=0.5)
         assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
+            "perf", "diff", base, "bbbb", "--suite", "core",
+            *self.ledger_args(tmp_path),
         ) == 0
-        assert "nothing older" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "degraded" in out and "DEGRADED" not in out
+        assert "not one paired A/B run" in out
 
-    def test_check_on_an_empty_ledger_fails(self, tmp_path, capsys):
+    def test_diff_one_ref_against_the_latest_entry(self, tmp_path, capsys):
+        self.pair(tmp_path, cand_factor=0.5)
         assert self.run_cli(
-            "perf", "check", *self.ledger_args(tmp_path)
-        ) == 1
-        assert "no recorded profiles" in capsys.readouterr().out
+            "perf", "diff", "aaaa", "--suite", "core",
+            *self.ledger_args(tmp_path),
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("core: ")
+        assert "aaaaaaaaaaaa.json (aaaaaaaaaaaa" in out
+        assert "-> bbbbbbbbbbbb (bbbbbbbbbbbb" in out
+        assert "degraded" in out
 
     def test_diff_latest_pair_and_refs(self, tmp_path, capsys):
-        self.seed_pair(tmp_path, cand_factor=0.5)
+        self.pair(tmp_path, cand_factor=0.5)
         assert self.run_cli(
             "perf", "diff", *self.ledger_args(tmp_path)
         ) == 0
         out = capsys.readouterr().out
         assert "aaaaaaaaaaaa" in out and "bbbbbbbbbbbb" in out
-        assert "degraded" in out.lower()
+        assert "degraded" in out
         assert self.run_cli(
             "perf", "diff", "bbbb", "aaaa", "--suite", "core",
             *self.ledger_args(tmp_path),
@@ -919,18 +968,17 @@ class TestPerfCli:
         assert "improved" in capsys.readouterr().out
 
     def test_diff_across_suites_rejected(self, tmp_path, capsys):
-        core = profile([metric("m", (1.0,))])
-        campaign = profile([metric("m", (1.0,))], suite="campaign",
-                           commit=COMMIT_B)
+        core = profile([metric("m")])
+        other = profile([metric("m")], suite="sweep-cold", commit=COMMIT_B)
         a = self.write(tmp_path, "a.json", core.to_document())
-        b = self.write(tmp_path, "b.json", campaign.to_document())
+        b = self.write(tmp_path, "b.json", other.to_document())
         assert self.run_cli(
             "perf", "diff", a, b, *self.ledger_args(tmp_path)
         ) == 1
         assert "across suites" in capsys.readouterr().out
 
     def test_prune(self, tmp_path, capsys):
-        self.seed_pair(tmp_path)
+        self.pair(tmp_path)
         assert self.run_cli(
             "perf", "prune", "--keep", "1", *self.ledger_args(tmp_path)
         ) == 0
@@ -939,76 +987,93 @@ class TestPerfCli:
 
 
 class TestCheckedInLedger:
-    """The seeded BENCH_history/ entries must stay readable and gated."""
+    """The committed BENCH_history/ entries stay readable and render."""
 
-    def test_seeded_entries_load(self):
-        ledger = perf.Ledger("BENCH_history")
-        suites = ledger.suites()
-        assert "core" in suites and "campaign" in suites
-        for suite in suites:
-            latest = ledger.lookup(suite)
-            assert latest.metrics
-            assert latest.provenance.commit != "unknown"
+    def ledger(self):
+        return perf.Ledger(os.path.join(ROOT, "BENCH_history"))
 
-    def test_committed_history_logs_and_diffs(self, capsys):
+    def test_committed_entries_load(self):
+        ledger = self.ledger()
+        assert ledger.suites() == ["core-columnar", "core-fifo", "sweep-cold"]
+        for suite in ledger.suites():
+            entries = ledger.entries(suite)
+            assert len(entries) >= 2
+            for entry in entries:
+                assert entry.suite == suite
+                assert entry.metrics
+                assert entry.provenance.commit != "unknown"
+                assert {m.gate for m in entry.metrics} <= {
+                    "absolute", "report"
+                }
+
+    def test_committed_history_logs(self, capsys, monkeypatch):
         from repro.cli import main
 
+        monkeypatch.chdir(ROOT)
+        ledger = self.ledger()
         assert main(["perf", "log"]) == 0
-        assert main(["perf", "log", "--suite", "campaign",
-                     "--label", "serial"]) == 0
-        assert main(["perf", "diff", "--suite", "core"]) == 0
-        assert main(["perf", "diff", "--suite", "campaign",
-                     "8745a1ff", "8745a1ff"]) == 0
         out = capsys.readouterr().out
-        assert "core: 5 recorded profile(s)" in out
-        assert "4ebddc740326" in out and "da44765403c0" in out
+        for suite in ledger.suites():
+            assert f"{suite}: {len(ledger.entries(suite))} recorded " \
+                "profile(s)" in out
+        assert main(["perf", "log", "--label", "sim_instr_per_s"]) == 0
+        out = capsys.readouterr().out
+        for suite in ledger.suites():
+            assert f"{suite}: {len(ledger.entries(suite))} profile(s)" in out
 
-    def test_committed_history_passes_check(self, capsys):
-        # Consecutive entries from one host still differ by more than
-        # the effect floor in instr/s; unpaired, that is reported only.
+    def test_committed_history_diffs_without_gating(
+        self, capsys, monkeypatch
+    ):
         from repro.cli import main
 
-        assert main(["perf", "check"]) == 0
-        assert "not one paired A/B run" in capsys.readouterr().out
+        monkeypatch.chdir(ROOT)
+        newest, previous = self.ledger().entries("core-columnar")[:2]
+        assert main(["perf", "diff", "--suite", "core-columnar"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            f"core-columnar: {previous.provenance.key} "
+        )
+        assert f"-> {newest.provenance.key} " in out
+        assert "sim_instr_per_s" in out
+        # Two ledger entries are two sessions, not a paired A/B.
+        assert "absolute labels not gated: the profiles are not one " \
+            "paired A/B run" in out
+        assert "GATE: ok (alpha=0.1, min-effect=5%)" in out
 
-    def test_retired_dispatch_labels_vanish_against_their_entry(self):
-        # The entry recorded while the object dispatch path existed
-        # still carries its columnar-vs-object labels; a later entry has
-        # none, so they vanish.  Two ledger entries are not a paired
-        # A/B, so only the gated speedup ratios fail.
-        ledger = perf.Ledger("BENCH_history")
-        old = ledger.lookup("core", "6fc644bb90dc")
-        new = ledger.lookup("core", "da44765403c0")
-        retired = {
-            label for label in old.by_label()
-            if "dispatch" in label or "columnar" in label
-        }
-        assert len(retired) == 6
-        comparison = perf.compare_profiles(old, new)
-        vanished = {
-            d.label for d in comparison.deltas if d.verdict == "vanished"
-        }
-        assert vanished == retired
-        ratios = {label for label in retired if "speedup_vs_object" in label}
-        assert len(ratios) == 3
-        assert {d.label for d in comparison.failures} == ratios
-        # Both were recorded on host 'vm': taken as a paired A/B, the
-        # absolute instr/s labels gate too; across hosts they do not.
-        paired = perf.compare_profiles(old, new, paired=True)
-        assert {d.label for d in paired.failures} == retired
-        elsewhere = new.with_provenance(
-            perf.Provenance(commit=new.provenance.commit, host="runner")
-        )
-        assert {
-            d.label
-            for d in perf.compare_profiles(
-                old, elsewhere, paired=True
-            ).failures
-        } == ratios
-        lenient = perf.compare_profiles(
-            old, new, DetectorConfig(ignore_vanished=True)
-        )
-        assert not any(d.verdict == "vanished" for d in lenient.failures)
+    @pytest.mark.parametrize(
+        "suite", ["core-columnar", "core-fifo", "sweep-cold"]
+    )
+    def test_committed_pair_check_names_a_slowdown_and_a_lost_label(
+        self, suite, tmp_path, capsys
+    ):
+        """The committed ``ff46fc6d492e`` -> ``8ed145ed0ebf`` pair was one
+        paired A/B: as recorded it passes; with the change's instr/s cut
+        by a fifth and ``setup_s`` dropped, it fails on exactly those two
+        labels."""
+        from repro.cli import main
+
+        history = os.path.join(ROOT, "BENCH_history", suite)
+        base = os.path.join(history, "ff46fc6d492e.json")
+        cand = os.path.join(history, "8ed145ed0ebf.json")
+        assert main(["perf", "check", "--baseline", base,
+                     "--candidate", cand]) == 0
+        with open(cand, encoding="utf-8") as fh:
+            document = json.load(fh)
+        metrics = []
+        for entry in document["metrics"]:
+            if entry["label"] == "sim_instr_per_s":
+                entry["samples"] = [0.8 * x for x in entry["samples"]]
+            if entry["label"] != "setup_s":
+                metrics.append(entry)
+        document["metrics"] = metrics
+        slower = tmp_path / "slower.json"
+        slower.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["perf", "check", "--baseline", base,
+                     "--candidate", str(slower)]) == 1
+        out = capsys.readouterr().out
+        assert "GATE: 2 label(s) fail (alpha=0.05, min-effect=5%):\n" \
+            "  sim_instr_per_s: degraded\n  setup_s: vanished\n" in out
 
 
 class TestSparkline:
@@ -1016,15 +1081,17 @@ class TestSparkline:
         """Three commits with a rising metric; one entry misses a label."""
         ledger = perf.Ledger(str(tmp_path / "BENCH_history"))
         ledger.append(profile(
-            [metric("ipc", (1.0,)), metric("instr/s", (1000.0,), unit="instr/s")],
+            [metric("ipc", const(1.0)),
+             metric("instr/s", const(1000.0), unit="instr/s")],
             commit=COMMIT_A, when="2026-08-01",
         ))
         ledger.append(profile(
-            [metric("ipc", (1.5,))],
+            [metric("ipc", const(1.5))],
             commit=COMMIT_B, when="2026-08-02",
         ))
         ledger.append(profile(
-            [metric("ipc", (2.0,)), metric("instr/s", (2400.0,), unit="instr/s")],
+            [metric("ipc", const(2.0)),
+             metric("instr/s", const(2400.0), unit="instr/s")],
             commit=COMMIT_C, when="2026-08-03",
         ))
         return ledger

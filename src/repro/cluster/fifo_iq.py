@@ -34,8 +34,9 @@ candidate order among heads is sequence order, matching the age-ordered
 select.
 
 :meth:`placement_for` / :meth:`insert` (a linear scan), :meth:`remove`
-and :meth:`entries_oldest_first` are the reference the scan oracle and
-the unfused dispatch helper use.  The event pipeline's stages read and
+and :meth:`entries_oldest_first` are the reference the oracle
+(:class:`~repro.pipeline.reference.ScanProcessor`) and the unfused
+dispatch helper use.  The event pipeline's stages read and
 write the state directly, as they do an
 :class:`~repro.cluster.iq.IssueQueue`'s: the fused dispatch loop places
 through the ``seq -> FIFO`` index ``_where``, the issue stage pops

@@ -24,8 +24,9 @@ Ready entries are held as ``(iq_rank, entry)`` pairs so the binary
 insertion compares plain integers.
 
 :meth:`IssueQueue.insert`, :meth:`~IssueQueue.remove` and
-:meth:`~IssueQueue.entries_oldest_first` are what the scan oracle and
-the unfused dispatch helper use; the fused dispatch loop inlines
+:meth:`~IssueQueue.entries_oldest_first` are what the reference oracle
+(:class:`~repro.pipeline.reference.ScanProcessor`) and the unfused
+dispatch helper use; the fused dispatch loop inlines
 :meth:`~IssueQueue.insert`.
 """
 from __future__ import annotations

@@ -12,6 +12,13 @@ their effective address is computed (``ea_done_cycle``) and every older
 store in the queue also has a known address, the load either forwards from
 the youngest older same-word store or claims a D-cache port and performs a
 timed access.  Stores stay queued until commit performs their write.
+
+The queue is event-driven: the issue stage announces each load's
+address-ready cycle (:meth:`DisambiguationQueue.queue_address`), and
+:meth:`~DisambiguationQueue.step` walks only address-known loads.  The
+reference oracle's queue,
+:class:`~repro.pipeline.reference.ScanDisambiguationQueue`, polls the
+whole queue instead.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ class DisambiguationQueue:
         max_outstanding_misses: int = 8,
         forward_latency: int = 1,
         on_complete: Optional[Callable[[DynInst, int, int], None]] = None,
-        event_driven: bool = False,
     ) -> None:
         self.hierarchy = hierarchy
         self.forward_latency = forward_latency
@@ -54,7 +60,6 @@ class DisambiguationQueue:
         #: The processor routes this into its wakeup calendar so a load's
         #: consumers are woken by event, not by polling.
         self._complete = on_complete or _assign_complete
-        self.event_driven = event_driven
         self._queue: List[DynInst] = []
         #: Event-driven state.  ``_stores`` is the program-ordered view of
         #: queued stores; ``_waiting_loads`` holds only address-known,
@@ -90,18 +95,16 @@ class DisambiguationQueue:
 
         The processor calls this when the load's effective-address
         computation issues; at *ready_cycle* the wheel promotes the load
-        into the waiting list, in program order.  (No-op for the scan
-        scheduler, which polls ``ea_done_cycle`` instead.)
+        into the waiting list, in program order.
         """
-        if self.event_driven:
-            bucket = self._ea_wheel.get(ready_cycle)
-            if bucket is None:
-                self._ea_wheel[ready_cycle] = [dyn]
-            else:
-                bucket.append(dyn)
+        bucket = self._ea_wheel.get(ready_cycle)
+        if bucket is None:
+            self._ea_wheel[ready_cycle] = [dyn]
+        else:
+            bucket.append(dyn)
 
     # ------------------------------------------------------------------
-    # Per-cycle load scheduling (event-driven)
+    # Per-cycle load scheduling
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Schedule ready loads for this cycle.
@@ -119,14 +122,8 @@ class DisambiguationQueue:
         only when :meth:`commit_store` removes a counted store.  Each
         store is passed once, however long a load waits behind it.
 
-        The event-driven walk requires loads to be announced through
-        :meth:`queue_address`; a standalone queue (``event_driven=False``,
-        the constructor default) instead polls ``ea_done_cycle`` over the
-        whole program-ordered queue, exactly like the original model.
+        Only loads announced through :meth:`queue_address` are walked.
         """
-        if not self.event_driven:
-            self._step_scan(cycle)
-            return
         bucket = self._ea_wheel.pop(cycle, None)
         if bucket is not None:
             waiting = self._waiting_loads
@@ -187,59 +184,6 @@ class DisambiguationQueue:
                 heappush(outstanding, dyn.complete_cycle)
         for index in reversed(scheduled):
             del waiting[index]
-
-    # ------------------------------------------------------------------
-    # Per-cycle load scheduling (reference scan, kept for exactness)
-    # ------------------------------------------------------------------
-    def _step_scan(self, cycle: int) -> None:
-        """Reference implementation: walk the whole queue every cycle."""
-        outstanding = self._outstanding
-        while outstanding and outstanding[0] <= cycle:
-            heappop(outstanding)
-        store_addr_known = True
-        pending_stores: List[DynInst] = []
-        for dyn in self._queue:
-            if dyn.cls is InstrClass.STORE:
-                if dyn.ea_done_cycle < 0 or dyn.ea_done_cycle > cycle:
-                    store_addr_known = False
-                pending_stores.append(dyn)
-                continue
-            # Load.
-            if dyn.complete_cycle >= 0:
-                continue  # already scheduled
-            if dyn.ea_done_cycle < 0 or dyn.ea_done_cycle > cycle:
-                continue  # address not computed yet
-            if not store_addr_known:
-                # An older store has an unknown address: each load checks
-                # the flag valid at its own position.
-                continue
-            forwarder = self._scan_forwarder(dyn, pending_stores)
-            if forwarder is not None:
-                self._complete(dyn, cycle + self.forward_latency, cycle)
-                dyn.mem_latency = self.forward_latency
-                self.loads_forwarded += 1
-                continue
-            if len(outstanding) >= self.max_outstanding_misses:
-                continue
-            if not self.hierarchy.claim_dcache_port(cycle):
-                continue
-            latency = self.hierarchy.load_latency(dyn.mem_addr)
-            self._complete(dyn, cycle + latency, cycle)
-            dyn.mem_latency = latency
-            self.loads_accessed += 1
-            if latency > self.hierarchy.timing.l1_hit:
-                heappush(outstanding, dyn.complete_cycle)
-
-    @staticmethod
-    def _scan_forwarder(
-        load: DynInst, pending_stores: List[DynInst]
-    ) -> Optional[DynInst]:
-        """Youngest older store writing the same word, if any."""
-        target = load.mem_addr & _WORD_MASK
-        for store in reversed(pending_stores):
-            if store.mem_addr & _WORD_MASK == target:
-                return store
-        return None
 
     # ------------------------------------------------------------------
     # Commit-side hooks

@@ -15,49 +15,46 @@ There is one pipeline.  Fetch indexes the trace's columns, commit
 retires from the ROB, and the fused dispatch loop steers and renames in
 one pass.  The fetch stage attribute ``_fetch`` is the fetch unit's
 bound :meth:`FetchUnit.fetch`, which appends each group straight into
-the decode buffer.  Two issue schedulers implement identical timing
-semantics:
+the decode buffer.
 
-* ``event`` (default, production) — event-driven wakeup/select.  Window
-  entries carry pending-operand counters, and a completion calendar
-  (:mod:`repro.pipeline.wakeup`) keeps each producer's consumer list
-  and wakes consumers on the cycle their last operand completes,
-  putting them straight into their queue's ready list; the issue stage
-  walks only the ready lists and removes the issued entry from its
-  window in place.  Work per cycle is proportional to completions and
-  ready instructions, not window size x operands.  Both window
-  organisations, :class:`IssueQueue` and the FIFO collections of §3.9,
-  follow one ready rule: an entry is ready once its pending-operand
-  counter is zero, and the ready list is ordered by ``iq_rank`` (the
-  insertion rank, or the ``seq`` of a FIFO entry).  A FIFO window needs
-  no head test, because every entry behind a head waits on its
-  predecessor (see :mod:`repro.cluster.fifo_iq`).
-* ``scan`` — the reference oracle: re-scan every window entry and
-  re-poll every provider's ``complete_cycle`` each cycle, behind the
-  unfused single-instruction dispatch helper
-  (:meth:`Processor._dispatch_one_slow`).  Retained so the equivalence
-  suite can assert the event path is cycle-for-cycle identical;
-  ``Processor(..., scheduler="scan")`` selects it.
+Issue is event-driven wakeup/select.  Window entries carry
+pending-operand counters, and a completion calendar
+(:mod:`repro.pipeline.wakeup`) keeps each producer's consumer list and
+wakes consumers on the cycle their last operand completes, putting them
+straight into their queue's ready list; the issue stage walks only the
+ready lists and removes the issued entry from its window in place.
+Work per cycle is proportional to completions and ready instructions,
+not window size x operands.  Both window organisations,
+:class:`IssueQueue` and the FIFO collections of §3.9, follow one ready
+rule: an entry is ready once its pending-operand counter is zero, and
+the ready list is ordered by ``iq_rank`` (the insertion rank, or the
+``seq`` of a FIFO entry).  A FIFO window needs no head test, because
+every entry behind a head waits on its predecessor (see
+:mod:`repro.cluster.fifo_iq`).
 
 The fused dispatch loop serves both window organisations: it inlines
 :meth:`IssueQueue.insert`, and FIFO placement over the window's
-``seq -> FIFO`` index.  The scan oracle hands every steered instruction
-to the unfused helper instead.
+``seq -> FIFO`` index.  What it does not inline (FP copies, a
+register-file replan, copies on a machine without bypasses) it hands
+to the unfused helper :meth:`Processor._dispatch_one_slow`.
+
+The reference oracle, :class:`~repro.pipeline.reference.ScanProcessor`,
+subclasses this class: it re-scans every window each cycle and
+dispatches every instruction through the unfused helper.  The
+equivalence tests hold the two cycle-for-cycle identical.
 
 The stages call the small structure helpers (free-list release, window
 insertion and removal, cache set lookup, imbalance properties) only
 where the helper does something the inline code does not; the helpers
-remain the API that the unit tests and the scan oracle use.  A FIFO
-machine therefore pays about as many calls per instruction as a
-conventional one.
+remain the API that the unit tests and the oracle use.  A FIFO machine
+therefore pays about as many calls per instruction as a conventional
+one.
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import insort
 from collections import deque
-from types import MethodType
 from typing import Deque, List, Optional
 
 from ..cluster import BypassNetwork, FifoIssueQueue, FUPool, IssueQueue
@@ -82,7 +79,7 @@ from .wakeup import WakeupCalendar
 #: Cycles without a commit after which the model declares itself wedged.
 _DEADLOCK_LIMIT = 20000
 
-#: Issue-scheduler implementations (see module docstring).
+#: The ``scheduler=`` values :meth:`Processor.__new__` accepts.
 SCHEDULERS = ("event", "scan")
 
 #: Enum-name cache: ``InstrClass.X.name`` resolves through a descriptor
@@ -109,6 +106,21 @@ class Processor:
     fetch unit's bound :meth:`~repro.frontend.FetchUnit.fetch`.
     """
 
+    def __new__(cls, workload, config, steering, scheduler=None):
+        # A bridge for perfbench/run.py, which still selects the oracle
+        # with scheduler="scan".  Once the next benchmark change builds
+        # ScanProcessor by name, this method, SCHEDULERS and the unused
+        # scheduler parameter of __init__ go.
+        if scheduler == "scan":
+            from .reference import ScanProcessor
+
+            cls = ScanProcessor
+        elif scheduler not in (None, "event"):
+            raise SimulationError(
+                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
+            )
+        return super().__new__(cls)
+
     def __init__(
         self,
         workload: Workload,
@@ -120,14 +132,6 @@ class Processor:
         self.config = config
         self.steering = steering
         self.program = workload.program
-        if scheduler is None:
-            scheduler = "event"
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
-        self._event_driven = scheduler == "event"
 
         timing = MemoryTiming(
             l1_hit=1,
@@ -214,17 +218,11 @@ class Processor:
             latency=config.bypass_latency,
         )
         # Loads always write a register and complete in a future cycle,
-        # so on the event scheduler their completions go straight into
-        # the calendar.
+        # so their completions go straight into the calendar.
         self.lsq = DisambiguationQueue(
             self.hierarchy,
             max_outstanding_misses=config.max_outstanding_misses,
-            on_complete=(
-                self._calendar.complete
-                if self._event_driven
-                else _set_complete_cycle
-            ),
-            event_driven=self._event_driven,
+            on_complete=self._calendar.complete,
         )
         self.rob = ReorderBuffer(config.max_in_flight)
         self.stats = SimStats()
@@ -233,16 +231,6 @@ class Processor:
         # holds the same list.
         self.ready_counts: List[int] = [0, 0]
         self._last_commit_cycle = 0
-        if not self._event_driven:
-            # The class binds _issue_stage to _issue_event.  The oracle's
-            # stage is bound to a weak proxy, so the instance does not
-            # reference itself and is freed by reference counting.
-            self._issue_stage = MethodType(
-                Processor._issue_scan, weakref.proxy(self)
-            )
-        # The scan oracle dispatches every instruction through the
-        # unfused reference helper (see module docstring).
-        self._unfused_dispatch = not self._event_driven
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
         self._steer_ctx.batch = self.decode_buffer
@@ -463,20 +451,19 @@ class Processor:
             self._last_commit_cycle = cycle
 
     # ------------------------------------------------------------------
-    # Issue: event-driven wakeup/select (default)
+    # Issue: event-driven wakeup/select
     # ------------------------------------------------------------------
     def _complete(self, dyn: DynInst, complete_cycle: int, cycle: int) -> None:
         """Record *dyn*'s completion, waking its consumers by event.
 
         Only potential providers (register writers and copies) go through
         the calendar; branches and stores can never acquire waiters, so
-        their completion is a plain assignment.  The scan scheduler polls
-        instead of waking and bypasses the calendar entirely.  On the
-        event scheduler the issue stage and the disambiguation queue
-        complete their instructions without this hop (see
-        :meth:`_issue_event` and the ``on_complete`` wiring above).
+        their completion is a plain assignment.  The issue stage and the
+        disambiguation queue complete their instructions without this
+        hop (see :meth:`_issue_event` and the ``on_complete`` wiring
+        above).
         """
-        if self._event_driven and (dyn.is_copy or dyn.inst.dst is not None):
+        if dyn.is_copy or dyn.inst.dst is not None:
             self._calendar.complete(dyn, complete_cycle, cycle)
         else:
             dyn.complete_cycle = complete_cycle
@@ -628,56 +615,6 @@ class Processor:
                 issued += 1
             fu._simple_used = simple_used
 
-    # ------------------------------------------------------------------
-    # Issue: reference full-scan scheduler (kept for exactness testing)
-    # ------------------------------------------------------------------
-    def _issue_scan(self, cycle: int) -> None:
-        ready_counts = self.ready_counts
-        ready_counts[0] = ready_counts[1] = 0
-        bypass = self.bypass
-        for cluster in (0, 1):
-            iq = self.iqs[cluster]
-            width = self.config.clusters[cluster].issue_width
-            fu = self.fus[cluster]
-            issued = 0
-            for dyn in iq.entries_oldest_first():
-                ready = True
-                for p in dyn.providers:
-                    cc = p.complete_cycle
-                    if cc < 0 or cc > cycle:
-                        ready = False
-                        break
-                if not ready:
-                    continue
-                ready_counts[cluster] += 1
-                if issued >= width:
-                    continue
-                if dyn.is_copy:
-                    if not bypass.claim(cycle, cluster):
-                        continue
-                    dyn.issue_cycle = cycle
-                    dyn.complete_cycle = cycle + bypass.latency
-                    self.stats.copies_issued += 1
-                    iq.remove(dyn)
-                    issued += 1
-                    continue
-                if not fu.can_issue(dyn, cycle):
-                    continue
-                fu.issue(dyn, cycle)
-                dyn.issue_cycle = cycle
-                cls = dyn.cls
-                if cls is _LOAD:
-                    dyn.ea_done_cycle = cycle + 1
-                    # complete_cycle is set by the disambiguation queue
-                elif cls is _STORE:
-                    dyn.ea_done_cycle = cycle + 1
-                    dyn.complete_cycle = cycle + 1
-                else:
-                    dyn.complete_cycle = cycle + dyn.inst.latency
-                self._mark_critical_copies(dyn, cycle)
-                iq.remove(dyn)
-                issued += 1
-
     _issue_stage = _issue_event
 
     def _mark_critical_copies(self, dyn: DynInst, cycle: int) -> None:
@@ -719,9 +656,9 @@ class Processor:
         ``masks`` list and writes the rename/window structures directly,
         allocating no :class:`~repro.rename.renamer.RenamePlan` and
         crossing no helper boundaries.  Everything else (FP copies, a
-        register-file hazard needing a replan, and every instruction
-        under the scan oracle) is handed to the unfused reference helper
-        once steered, so the paths are cycle-for-cycle identical.
+        register-file hazard needing a replan, copies on a machine
+        without bypasses) is handed to the unfused reference helper
+        once steered.
 
         FIFO windows take the same loop.  Their reservation is the
         helper's (:meth:`_reserve_window`), read off the empty-FIFO
@@ -761,7 +698,6 @@ class Processor:
         stats = self.stats
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
-        unfused = self._unfused_dispatch
         dispatch_one_slow = self._dispatch_one_slow
         popleft = buffer.popleft
         complex_int = _COMPLEX_INT
@@ -796,13 +732,6 @@ class Processor:
                         f"{dyn!r} steered to cluster {cluster}, which "
                         f"cannot execute it"
                     )
-            if unfused:
-                if not dispatch_one_slow(dyn, cluster, cycle):
-                    break
-                popleft()
-                budget -= 1
-                helper_dispatched += 1
-                continue
             inst = dyn.inst
             srcs = inst.issue_srcs
             # Single pass over the sources: the providers and the flat
@@ -1170,24 +1099,20 @@ class Processor:
         appended to its consumer list and bumps the pending-operand
         counter; a provider completing at or before *cycle* is already
         visible to next cycle's select, exactly as the reference scan
-        would observe it.  Under the scan scheduler the counter is pinned
-        non-zero so the (unused) ready sets stay empty.
+        would observe it.
         """
-        if self._event_driven:
-            waiting = self._calendar.waiting
-            pending = 0
-            for p in dyn.providers:
-                cc = p.complete_cycle
-                if cc < 0 or cc > cycle:
-                    waiters = waiting.get(p.seq)
-                    if waiters is None:
-                        waiting[p.seq] = [dyn]
-                    else:
-                        waiters.append(dyn)
-                    pending += 1
-            dyn.pending_ops = pending
-        else:
-            dyn.pending_ops = 1
+        waiting = self._calendar.waiting
+        pending = 0
+        for p in dyn.providers:
+            cc = p.complete_cycle
+            if cc < 0 or cc > cycle:
+                waiters = waiting.get(p.seq)
+                if waiters is None:
+                    waiting[p.seq] = [dyn]
+                else:
+                    waiters.append(dyn)
+                pending += 1
+        dyn.pending_ops = pending
         if not self.iqs[cluster].insert(dyn):
             # _reserve_window accepted this instruction one call earlier;
             # a refused insert means the reservation logic is broken.
@@ -1195,7 +1120,3 @@ class Processor:
                 f"{self.iqs[cluster].name}: insert into a full queue"
             )
 
-
-def _set_complete_cycle(dyn: DynInst, complete_cycle: int, cycle: int) -> None:
-    """The scan oracle's completion hook: it polls, so nothing is woken."""
-    dyn.complete_cycle = complete_cycle

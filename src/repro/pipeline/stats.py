@@ -16,7 +16,6 @@ import typing
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..isa import DynInst, InstrClass
 
 #: Workload-balance histogram range: differences are clamped to ±10, as in
 #: the paper's Figures 6, 9 and 12.
@@ -63,8 +62,9 @@ class SimStats:
 
         ``ready_counts`` is the per-cluster number of issue candidates
         whose operands were all complete this cycle — maintained by the
-        event-driven scheduler's ready sets (or counted by the reference
-        scan), never recomputed here.
+        production issue stage's ready lists (or counted by the oracle's
+        window scan, :class:`~repro.pipeline.reference.ScanProcessor`),
+        never recomputed here.
         """
         self.cycles += 1
         self.replication_sum += replicated_regs
@@ -78,16 +78,6 @@ class SimStats:
         elif diff < -BALANCE_RANGE:
             diff = -BALANCE_RANGE
         self.balance_hist[diff + BALANCE_RANGE] += 1
-
-    def on_commit(self, dyn: DynInst) -> None:
-        """Record one committed instruction."""
-        self.committed += 1
-        key = dyn.cls.name
-        self.committed_by_class[key] = self.committed_by_class.get(key, 0) + 1
-        if dyn.in_ldst_slice:
-            self.committed_ldst_slice += 1
-        if dyn.in_br_slice:
-            self.committed_br_slice += 1
 
     def snapshot_environment(self, processor) -> None:
         """Capture predictor/cache counters at measurement start."""

@@ -1,12 +1,14 @@
 """Completion calendar: the event wheel behind event-driven wakeup.
 
-The naive issue stage re-scans every window entry and re-polls every
-provider's ``complete_cycle`` each cycle — O(window x operands) per
-cycle, the software analogue of the broadcast wakeup the paper's
-clustered hardware is designed to avoid.  The event-driven scheduler
-inverts the dependence: each window entry carries a pending-operand
-counter (:attr:`~repro.isa.DynInst.pending_ops`), the calendar keeps
-each in-flight producer's consumer list (:attr:`WakeupCalendar.waiting`,
+The reference oracle's issue stage
+(:class:`~repro.pipeline.reference.ScanProcessor`) re-scans every
+window entry and re-polls every provider's ``complete_cycle`` each
+cycle — O(window x operands) per cycle, the software analogue of the
+broadcast wakeup the paper's clustered hardware is designed to avoid.
+The production issue stage inverts the dependence: each window entry
+carries a pending-operand counter
+(:attr:`~repro.isa.DynInst.pending_ops`), the calendar keeps each
+in-flight producer's consumer list (:attr:`WakeupCalendar.waiting`,
 keyed by the producer's ``seq``) and maps completion cycles to the
 producers completing then.  When the issue stage fires a cycle, every
 producer bucketed there walks its waiters, decrements their counters,
@@ -36,7 +38,7 @@ or before the current cycle goes through
 :meth:`WakeupCalendar.complete`.
 
 Exactness invariants (these make the event path cycle-for-cycle
-identical to the reference scan):
+identical to the oracle's scan):
 
 * a producer's event is registered exactly once, when its
   ``complete_cycle`` is assigned; consumers registering *after* that
@@ -44,7 +46,7 @@ identical to the reference scan):
   (simulated time is monotonic, so a fired event is never re-awaited);
 * a completion assigned at or before the current cycle (zero-latency
   bypasses, jumps completing at dispatch) wakes its waiters
-  immediately — mirroring how the reference scan observes
+  immediately — mirroring how the oracle's scan observes
   ``complete_cycle <= cycle`` the moment it is written;
 * waiter lists may hold duplicates (an instruction reading the same
   register twice registers twice) so the counter decrements once per

@@ -1,9 +1,9 @@
 """Rewrite the golden digest files.
 
-``simresults.json`` comes from the event-vs-scan equivalence grid: every
-row of ``GRID`` in ``tests/test_scheduler_equivalence.py`` runs under
-the production (event) scheduler and stores one digest over all
-``SimResult`` fields.  ``traces.json`` (``--traces``) holds one digest
+``simresults.json`` comes from the production-vs-oracle equivalence
+grid: every row of ``GRID`` in ``tests/test_scheduler_equivalence.py``
+runs on the production :class:`Processor` and stores one digest over
+all ``SimResult`` fields.  ``traces.json`` (``--traces``) holds one digest
 per registered workload and seed over the committed path's first
 records (``tests/test_trace_golden.py``).  Only an intended change to
 the model's timing, or to the workload model, should be re-blessed::
@@ -43,7 +43,7 @@ def main() -> None:
         return
     grid = load("test_scheduler_equivalence.py")
     write(grid.GOLDEN, {
-        grid.golden_key(*row): grid.digest(grid.run_with("event", *row))
+        grid.golden_key(*row): grid.digest(grid.run_with(grid.Processor, *row))
         for row in grid.GRID
     })
 

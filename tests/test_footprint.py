@@ -38,6 +38,7 @@ from repro.analysis.campaign import Campaign, expand_grid
 from repro.core.steering import make_steering
 from repro.dist.worker import WorkerState, handle_request
 from repro.pipeline import Processor
+from repro.pipeline.reference import ScanProcessor
 from repro.spec import machine_config
 from repro.workloads import TraceExecutor, TraceRecord, workload
 
@@ -109,19 +110,19 @@ def test_import_loads_neither_networkx_nor_numpy(statement, forbidden):
 
 
 @pytest.mark.parametrize(
-    "scheme, machine, scheduler",
+    "scheme, machine, processor_cls",
     [
-        ("general-balance", "clustered", "event"),
-        ("fifo", "clustered-fifo", "event"),
-        ("general-balance", "clustered", "scan"),
+        ("general-balance", "clustered", Processor),
+        ("fifo", "clustered-fifo", Processor),
+        ("general-balance", "clustered", ScanProcessor),
     ],
 )
-def test_finished_processor_is_freed_by_refcount(scheme, machine, scheduler):
+def test_finished_processor_is_freed_by_refcount(scheme, machine, processor_cls):
     wl = workload("gcc")
     wl.shared_trace().ensure(4000)
     with collector_off():
-        processor = Processor(
-            wl, machine_config(machine), make_steering(scheme), scheduler
+        processor = processor_cls(
+            wl, machine_config(machine), make_steering(scheme)
         )
         processor.run(1500, warmup=500)
         ref = weakref.ref(processor)

@@ -36,8 +36,8 @@ _SPANS_PATH = os.path.join(
     "spans.py",
 )
 
-#: Python-level calls per committed instruction allowed on gcc (event
-#: scheduler), per (scheme, machine).  Measured with the profiler below.
+#: Python-level calls per committed instruction allowed on gcc (the
+#: production :class:`Processor`), per (scheme, machine).  Measured with the profiler below.
 #: general-balance x ``clustered``: 24.7 when every stage still crossed
 #: its small helpers (wakeup callbacks, ready-list accessors, free-list
 #: release, imbalance properties, cache ``_locate``, branch-predictor

@@ -8,12 +8,14 @@ from repro.core.steering import make_steering
 from repro.isa import DynInst, InstrClass, Instruction, Opcode
 from repro.memory import DisambiguationQueue, MemoryHierarchy
 from repro.pipeline import Processor
+from repro.pipeline.reference import ScanDisambiguationQueue
 from repro.spec.machines import machine_config
 from repro.workloads import workload
 
 
 def make_lsq(**kwargs):
-    return DisambiguationQueue(MemoryHierarchy(), **kwargs)
+    """The reference queue, which polls each load's address."""
+    return ScanDisambiguationQueue(MemoryHierarchy(), **kwargs)
 
 
 def load(seq, addr, pc=0x1000):
@@ -122,15 +124,13 @@ class TestLoadScheduling:
 
 
 class TestEventDrivenLoadScheduling:
-    """The event-driven walk (processor mode): loads announce their
+    """The production queue's event-driven walk: loads announce their
     address-ready cycle through ``queue_address`` instead of being
     polled, and must schedule identically to the reference walk."""
 
     @staticmethod
     def make_event_lsq(**kwargs):
-        return DisambiguationQueue(
-            MemoryHierarchy(), event_driven=True, **kwargs
-        )
+        return DisambiguationQueue(MemoryHierarchy(), **kwargs)
 
     def test_load_parked_until_address_ready(self):
         lsq = self.make_event_lsq()
@@ -192,7 +192,6 @@ class TestEventDrivenLoadScheduling:
         seen = []
         lsq = DisambiguationQueue(
             MemoryHierarchy(),
-            event_driven=True,
             on_complete=lambda dyn, cc, cycle: (
                 seen.append((dyn.seq, cc, cycle)),
                 setattr(dyn, "complete_cycle", cc),
@@ -248,15 +247,15 @@ _OPS = st.lists(
 )
 
 
-def _drive(ops, event_driven, width, commit_blocked, ports, misses):
-    """Run *ops* through one queue the way the processor does, cycle by
-    cycle: commit in order, schedule loads, issue address computations
-    (out of order), then dispatch in program order.  Returns the load
-    completion cycles, the commit cycles and the counters."""
-    lsq = DisambiguationQueue(
+def _drive(ops, lsq_cls, width, commit_blocked, ports, misses):
+    """Run *ops* through one *lsq_cls* queue the way the processor does,
+    cycle by cycle: commit in order, schedule loads, issue address
+    computations (out of order), then dispatch in program order.
+    Returns the load completion cycles, the commit cycles and the
+    counters."""
+    lsq = lsq_cls(
         MemoryHierarchy(dcache_ports=ports),
         max_outstanding_misses=misses,
-        event_driven=event_driven,
     )
     program = []
     for seq, (is_store, line, word, delay) in enumerate(ops):
@@ -287,10 +286,7 @@ def _drive(ops, event_driven, width, commit_blocked, ports, misses):
             commits[dyn.seq] = cycle
             head += 1
             retired += 1
-        if event_driven:
-            lsq.step(cycle)
-        else:
-            lsq._step_scan(cycle)
+        lsq.step(cycle)
         # Issue: the address computation finishes next cycle.
         for dyn, _, issue in program:
             if issue == cycle:
@@ -332,8 +328,12 @@ class TestEventMatchesScan:
     def test_same_completions_and_counters(
         self, ops, width, commit_blocked, ports, misses
     ):
-        event = _drive(ops, True, width, commit_blocked, ports, misses)
-        scan = _drive(ops, False, width, commit_blocked, ports, misses)
+        event = _drive(
+            ops, DisambiguationQueue, width, commit_blocked, ports, misses
+        )
+        scan = _drive(
+            ops, ScanDisambiguationQueue, width, commit_blocked, ports, misses
+        )
         assert event == scan
 
 

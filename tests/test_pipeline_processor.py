@@ -15,10 +15,10 @@ from repro.workloads import workload
 def spy_commits(processor, callback):
     """Invoke ``callback(dyn)`` for every instruction commit retires.
 
-    Works in both dispatch modes: the columnar commit loop inlines the
-    ``stats.on_commit`` call away, so patching the stats hook would see
-    nothing — instead the commit *stage* is wrapped and the retired
-    instructions read off the ROB delta (commit pops from the left).
+    The commit stage updates the statistics inline, so there is no
+    per-instruction hook to patch: the stage itself is wrapped and the
+    retired instructions read off the ROB delta (commit pops from the
+    left).
     """
     original = processor._commit_stage
 

@@ -75,16 +75,6 @@ class TestSimStats:
         assert stats.balance_hist[BALANCE_BINS - 1] == 1
         assert stats.balance_hist[0] == 1
 
-    def test_commit_classifies(self):
-        stats = SimStats()
-        load = DynInst(0, Instruction(0x1000, Opcode.LOAD, 5, (1,)))
-        load.in_ldst_slice = True
-        stats.on_commit(load)
-        stats.on_commit(dyn(1))
-        assert stats.committed == 2
-        assert stats.committed_by_class == {"LOAD": 1, "SIMPLE_INT": 1}
-        assert stats.committed_ldst_slice == 1
-
 
 class TestSimResult:
     def test_result_derivations(self, gcc_general_result):

@@ -1,10 +1,12 @@
 """Cycle-exactness of the production pipeline vs the reference scan.
 
-The machine has one production pipeline — event-driven wakeup/select
-(``scheduler="event"``, the default) feeding and fed by the fused
-dispatch, commit and fetch loops — and one reference oracle,
-``scheduler="scan"``: a full window re-scan every cycle behind the
-unfused single-instruction dispatch helper.  The event path is a pure
+The machine has one production pipeline, :class:`Processor` —
+event-driven wakeup/select feeding and fed by the fused dispatch,
+commit and fetch loops — and one reference oracle,
+:class:`~repro.pipeline.reference.ScanProcessor`: a full window re-scan
+every cycle, a plain dispatch loop handing every instruction to the
+unfused single-instruction dispatch helper, and a disambiguation queue
+that polls every memory instruction.  The production path is a pure
 performance rework: it must produce *bit-identical* results to the
 oracle, cycle for cycle, on every scheme and machine.  These tests pin
 that equivalence on the smoke-suite workloads across the full scheme
@@ -19,10 +21,11 @@ balance histogram, replication, ROB/IQ occupancy averages, stall
 tallies and per-class commit counts — so any scheduling divergence,
 even one that leaves IPC unchanged, fails here.
 
-Commit and fetch are shared by both schedulers, so event == scan cannot
-see a change to them.  Every grid row's event result is therefore also
-pinned to a digest in ``golden/simresults.json``; rewrite that file
-with ``golden/regenerate.py`` only for an intended timing change.
+Commit, fetch and the per-cycle statistics are inherited by the
+oracle, so event == scan cannot see a change to them.  Every grid row's
+event result is therefore also pinned to a digest in
+``golden/simresults.json``; rewrite that file with
+``golden/regenerate.py`` only for an intended timing change.
 """
 
 import hashlib
@@ -34,6 +37,7 @@ import pytest
 
 from repro.core.steering import available_schemes, make_steering
 from repro.pipeline.processor import SCHEDULERS, Processor
+from repro.pipeline.reference import ScanProcessor
 from repro.spec import machine_config
 from repro.workloads import workload
 
@@ -126,13 +130,13 @@ def machine_for(machine_name):
     return config
 
 
-def run_with(scheduler, bench, scheme_name, machine_name):
+def run_with(processor_cls, bench, scheme_name, machine_name):
     wl = workload(bench, seed=0)
     config = machine_for(machine_name)
     scheme = make_steering(scheme_name)
     if getattr(scheme, "requires_fifo_issue", False) and not config.fifo_issue:
         config = config.with_fifo_issue()
-    processor = Processor(wl, config, scheme, scheduler=scheduler)
+    processor = processor_cls(wl, config, scheme)
     return processor.run(N_INSTRUCTIONS, warmup=WARMUP)
 
 
@@ -152,8 +156,8 @@ def load_golden() -> dict:
 
 
 def assert_equivalent(bench, scheme_name, machine_name):
-    event = run_with("event", bench, scheme_name, machine_name)
-    scan = run_with("scan", bench, scheme_name, machine_name)
+    event = run_with(Processor, bench, scheme_name, machine_name)
+    scan = run_with(ScanProcessor, bench, scheme_name, machine_name)
     assert event == scan, (
         f"event scheduler diverged from reference scan for "
         f"({bench}, {scheme_name}, {machine_name}): "
@@ -220,17 +224,34 @@ class TestGolden:
 
 
 class TestSchedulerSelection:
-    def test_unknown_scheduler_rejected(self):
-        from repro.errors import SimulationError
+    """``Processor(scheduler=)`` survives only as a bridge to the oracle
+    class for ``perfbench/run.py``."""
+
+    @staticmethod
+    def build(scheduler):
         from repro.pipeline.config import ProcessorConfig
 
-        with pytest.raises(SimulationError):
-            Processor(
-                workload("gcc", seed=0),
-                ProcessorConfig.default(),
-                make_steering("naive"),
-                scheduler="quantum",
-            )
+        return Processor(
+            workload("gcc", seed=0),
+            ProcessorConfig.default(),
+            make_steering("naive"),
+            scheduler=scheduler,
+        )
+
+    def test_scan_builds_the_oracle(self):
+        processor = self.build("scan")
+        assert type(processor) is ScanProcessor
+        assert processor.run(200).cycles > 0
+
+    @pytest.mark.parametrize("scheduler", [None, "event"])
+    def test_default_and_event_build_production(self, scheduler):
+        assert type(self.build(scheduler)) is Processor
+
+    def test_unknown_scheduler_rejected(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError, match="unknown scheduler"):
+            self.build("quantum")
 
     def test_schedulers_registry(self):
         assert SCHEDULERS == ("event", "scan")
@@ -240,13 +261,12 @@ class TestDispatchRouting:
     """One dispatch stage: both window organisations take the fused
     loop, and the scan oracle takes the unfused helper."""
 
-    def run_counting(self, scheduler, scheme_name, machine_name):
+    def run_counting(self, processor_cls, scheme_name, machine_name):
         """Run gcc, recording each instruction the helper dispatched and
         counting every dispatch (fused or helper)."""
         config = machine_config(machine_name)
-        processor = Processor(
-            workload("gcc", seed=0), config, make_steering(scheme_name),
-            scheduler=scheduler,
+        processor = processor_cls(
+            workload("gcc", seed=0), config, make_steering(scheme_name)
         )
         helper = processor._dispatch_one_slow
         # ``None`` when the scheme keeps the base no-op hook (fifo).
@@ -272,7 +292,7 @@ class TestDispatchRouting:
 
     def test_conventional_windows_take_the_fused_loop(self):
         _, dispatched, total = self.run_counting(
-            "event", "general-balance", "clustered"
+            Processor, "general-balance", "clustered"
         )
         assert total >= N_INSTRUCTIONS + WARMUP
         assert dispatched == []
@@ -281,7 +301,7 @@ class TestDispatchRouting:
         # Only the FP-copy and register-hazard fallbacks may reach the
         # helper; on the integer gcc stand-in they are rare.
         _, dispatched, total = self.run_counting(
-            "event", "fifo", "clustered-fifo"
+            Processor, "fifo", "clustered-fifo"
         )
         assert total >= N_INSTRUCTIONS + WARMUP
         assert len(dispatched) < 0.05 * total
@@ -292,7 +312,7 @@ class TestDispatchRouting:
     )
     def test_scan_oracle_takes_the_helper(self, scheme_name, machine_name):
         processor, dispatched, total = self.run_counting(
-            "scan", scheme_name, machine_name
+            ScanProcessor, scheme_name, machine_name
         )
         assert total >= N_INSTRUCTIONS + WARMUP
         assert len(dispatched) == total
@@ -316,7 +336,7 @@ class TestFullWindowEdge:
     """Dispatch must stall cleanly, not raise, when a window fills."""
 
     def test_tiny_window_stalls_and_completes(self):
-        result = run_with("event", "gcc", "general-balance", "iq-2")
+        result = run_with(Processor, "gcc", "general-balance", "iq-2")
         # Commit retires up to retire_width per cycle, so the measured
         # window may overshoot the target by a cycle's worth.
         assert result.instructions >= N_INSTRUCTIONS

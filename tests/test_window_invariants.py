@@ -22,6 +22,7 @@ from repro.cluster import FifoIssueQueue
 from repro.core.steering import make_steering
 from repro.errors import SimulationError
 from repro.pipeline import Processor
+from repro.pipeline.reference import ScanProcessor
 from repro.spec.machines import machine_config
 from repro.workloads import workload
 
@@ -96,11 +97,10 @@ def check_window(iq) -> None:
 
 
 def checked_processor(config, scheme, bench="gcc", seed=0):
-    """An event-scheduler processor that checks both windows after every
+    """A production processor that checks both windows after every
     cycle."""
     processor = Processor(
-        workload(bench, seed=seed), config, make_steering(scheme),
-        scheduler="event",
+        workload(bench, seed=seed), config, make_steering(scheme)
     )
     iqs = processor.iqs
     step = processor.step
@@ -137,21 +137,21 @@ def test_window_invariants_every_cycle(
     assert processor.stats.copies_created > 0
 
 
-def _fifo_outcome(scheduler, bench, seed, n_fifos, fifo_depth, latency):
+def _fifo_outcome(processor_cls, bench, seed, n_fifos, fifo_depth, latency):
     """The ``SimResult`` of a small FIFO-machine run, or the message of
-    the :class:`SimulationError` it raised."""
+    the :class:`SimulationError` it raised (a :class:`Processor` is
+    checked every cycle)."""
     config = replace(
         machine_config("clustered-fifo"),
         n_fifos=n_fifos,
         fifo_depth=fifo_depth,
         bypass_latency=latency,
     )
-    if scheduler == "event":
+    if processor_cls is Processor:
         processor = checked_processor(config, "fifo", bench, seed)
     else:
-        processor = Processor(
-            workload(bench, seed=seed), config, make_steering("fifo"),
-            scheduler="scan",
+        processor = processor_cls(
+            workload(bench, seed=seed), config, make_steering("fifo")
         )
     try:
         return processor.run(300, warmup=100)
@@ -174,6 +174,25 @@ def test_fifo_event_matches_scan(bench, seed, n_fifos, fifo_depth, latency):
     domain: they wedge on the pessimistic empty-FIFO reservation, and
     both schedulers must report the same wedge."""
     args = (bench, seed, n_fifos, fifo_depth, latency)
-    event = _fifo_outcome("event", *args)
-    scan = _fifo_outcome("scan", *args)
+    event = _fifo_outcome(Processor, *args)
+    scan = _fifo_outcome(ScanProcessor, *args)
     assert event == scan, f"event and scan diverge on {args}"
+
+
+def test_one_fifo_machine_wedges_alike():
+    """The known §3.9 wedge (ROADMAP item 2), pinned as a fixed row: with
+    one FIFO per cluster, gcc's decode head needs two copies in one
+    cluster's single FIFO, the empty-FIFO reservation never admits it,
+    and steering picks the same cluster every cycle.  Production and
+    oracle report the same wedge.  Mending the wedge rewrites this row."""
+    config = replace(machine_config("clustered-fifo"), n_fifos=1)
+    messages = []
+    for processor_cls in (Processor, ScanProcessor):
+        processor = processor_cls(
+            workload("gcc", seed=0), config, make_steering("fifo")
+        )
+        with pytest.raises(SimulationError) as caught:
+            processor.run(2000, warmup=500)
+        messages.append(str(caught.value))
+    assert "decode head seq 5" in messages[0]
+    assert messages[0] == messages[1]

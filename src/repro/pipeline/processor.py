@@ -264,9 +264,11 @@ class Processor:
         self._rob_entries = self.rob._entries
         self._rob_capacity = self.rob.capacity
         # The dispatch stage's structures and constants, unpacked once
-        # per cycle: none of them is rebound after construction.  What
-        # is (the stats object, per run) or may be patched on the
-        # instance (the steering and slow-path hooks) is read per call.
+        # per cycle: none of them is rebound after construction (the
+        # scan oracle, which replaces the queue, has its own dispatch
+        # loop and drops this tuple).  What is (the stats object, per
+        # run) or may be patched on the instance (the steering and
+        # slow-path hooks) is read per call.
         self._dispatch_env = (
             config.decode_width,
             self._steer_ctx,

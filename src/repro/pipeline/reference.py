@@ -99,12 +99,15 @@ class ScanProcessor(Processor):
     def __init__(self, workload, config, steering, scheduler=None) -> None:
         super().__init__(workload, config, steering, scheduler)
         # Replaces the production queue before any instruction enters
-        # it; only the production dispatch loop, which this class
-        # overrides, holds the old queue's lists.
+        # it.  The production dispatch loop's unpacked constants hold
+        # the old queue's lists; this class overrides that loop, and
+        # dropping them makes any inherited path that still reads them
+        # fail instead of filling a queue nothing steps.
         self.lsq = ScanDisambiguationQueue(
             self.hierarchy,
             max_outstanding_misses=config.max_outstanding_misses,
         )
+        del self._dispatch_env
 
     def _complete(self, dyn: DynInst, complete_cycle: int, cycle: int) -> None:
         dyn.complete_cycle = complete_cycle

@@ -258,8 +258,9 @@ class TestSchedulerSelection:
 
 
 class TestDispatchRouting:
-    """One dispatch stage: both window organisations take the fused
-    loop, and the scan oracle takes the unfused helper."""
+    """Production's fused loop serves both window organisations;
+    ScanProcessor's own dispatch loop sends every instruction to the
+    helper."""
 
     def run_counting(self, processor_cls, scheme_name, machine_name):
         """Run gcc, recording each instruction the helper dispatched and

@@ -137,7 +137,10 @@ def test_window_invariants_every_cycle(
     assert processor.stats.copies_created > 0
 
 
-def _fifo_outcome(processor_cls, bench, seed, n_fifos, fifo_depth, latency):
+def _fifo_outcome(
+    processor_cls, bench, seed, n_fifos, fifo_depth, latency,
+    n_instructions=300, warmup=100,
+):
     """The ``SimResult`` of a small FIFO-machine run, or the message of
     the :class:`SimulationError` it raised (a :class:`Processor` is
     checked every cycle)."""
@@ -154,7 +157,7 @@ def _fifo_outcome(processor_cls, bench, seed, n_fifos, fifo_depth, latency):
             workload(bench, seed=seed), config, make_steering("fifo")
         )
     try:
-        return processor.run(300, warmup=100)
+        return processor.run(n_instructions, warmup=warmup)
     except SimulationError as exc:
         return str(exc)
 
@@ -185,14 +188,9 @@ def test_one_fifo_machine_wedges_alike():
     cluster's single FIFO, the empty-FIFO reservation never admits it,
     and steering picks the same cluster every cycle.  Production and
     oracle report the same wedge.  Mending the wedge rewrites this row."""
-    config = replace(machine_config("clustered-fifo"), n_fifos=1)
-    messages = []
-    for processor_cls in (Processor, ScanProcessor):
-        processor = processor_cls(
-            workload("gcc", seed=0), config, make_steering("fifo")
-        )
-        with pytest.raises(SimulationError) as caught:
-            processor.run(2000, warmup=500)
-        messages.append(str(caught.value))
-    assert "decode head seq 5" in messages[0]
-    assert messages[0] == messages[1]
+    config = machine_config("clustered-fifo")
+    args = ("gcc", 0, 1, config.fifo_depth, config.bypass_latency)
+    event = _fifo_outcome(Processor, *args, n_instructions=2000, warmup=500)
+    scan = _fifo_outcome(ScanProcessor, *args, n_instructions=2000, warmup=500)
+    assert isinstance(event, str) and "decode head seq 5" in event
+    assert event == scan

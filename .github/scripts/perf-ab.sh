@@ -4,7 +4,8 @@
 #
 #   .github/scripts/perf-ab.sh BASE_DIR
 #
-# For each workload that BENCHMARK.json lists, run 6
+# For each workload that BENCHMARK.json lists, throw away one
+# `--seconds 1` warm-up run per side, then run 6
 # base/change pairs of `perfbench/run.py --trace 0 --seconds 3`, then 3
 # traced pairs; each side runs its own perfbench/run.py against its own
 # src/.  `perf record` turns each
@@ -33,6 +34,12 @@ run() {  # run SIDE_DIR SIDE_NAME WORKLOAD SEED TRACE
     --seconds "$seconds" --trace "$5" > "$out"
   echo "$out"
 }
+# A discarded run: the first run in a fresh checkout compiles the
+# .bench_build/ bytecode cache into its setup_s.
+warm() {  # warm SIDE_DIR WORKLOAD
+  timeout 300 python3 "$1/perfbench/run.py" --workload "$2" --seed 1 \
+    --seconds 1 --trace 0 > /dev/null
+}
 # One base and one change run on the same seed.  The side that runs
 # first alternates with the seed: in runs where the base always went
 # first, the second run of a pair read about 2% faster.
@@ -50,6 +57,8 @@ status=0
 for w in $workloads; do
   base_runs=()
   change_runs=()
+  warm "$base" "$w"
+  warm . "$w"
   for seed in $(seq 1 "$pairs"); do
     pair "$w" "$seed" 0
   done

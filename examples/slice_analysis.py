@@ -41,14 +41,15 @@ def main() -> None:
     # discovered slice size as it converges.
     parents = ParentTable()
     flags = SliceFlagTable("ldst")
-    trace = wl.trace()
     checkpoints = (1000, 5000, 20000, 50000)
+    shared = wl.shared_trace()
+    shared.ensure(checkpoints[-1])
+    insts = shared.columns().insts
     executed = 0
     print("runtime LdSt slice discovery (flag-table hardware, §3.3):")
     for limit in checkpoints:
         while executed < limit:
-            record = next(trace)
-            dyn = DynInst(executed, record.inst)
+            dyn = DynInst(executed, insts[executed])
             flags.observe(dyn, parents)
             parents.note_decode(dyn)
             executed += 1

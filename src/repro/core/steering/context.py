@@ -9,18 +9,14 @@ documented surface passed to :meth:`SteeringScheme.choose_cluster` and
 ``masks``
     Flat per-logical-register presence masks (bit ``c`` set = the value
     has a physical register in cluster ``c``), maintained in place by
-    the rename map table.  ``None`` only for exotic machine stand-ins
-    without a map table; :meth:`presence_mask` falls back gracefully.
+    the rename map table.
 ``ready_counts``
     Per-cluster ready-instruction counts from the last issue stage (the
     paper's instantaneous-workload signal).  The processor updates this
     one list in place every cycle.
 ``iq_occupancy(c)`` / ``iqs``
-    Window occupancy per cluster and, on real processors, the queues
-    themselves (the FIFO scheme inspects tail producers).
-``batch``
-    The current dispatch group (the decode buffer, oldest first); the
-    instruction being steered is ``batch[0]``.  Read-only.
+    Window occupancy per cluster and the queues themselves (the FIFO
+    scheme inspects tail producers).
 ``memo`` / ``memo_hits`` / ``memo_misses``
     A per-processor steering-decision memo dictionary.  Schemes whose
     decision is a pure function of (pc, slice-state version) cache it
@@ -35,8 +31,8 @@ The context holds the machine's structures, never the processor: the
 processor holds the context, so a reference back would make every
 finished processor a reference cycle.
 
-The context wraps any machine-like object (including the lightweight
-fakes unit tests use), so scheme code and the helpers in
+The context wraps any machine-like object with a map table, windows
+and ready counts (the unit tests' fakes have all three); the helpers in
 :mod:`repro.core.steering.base` accept either a context or a bare
 machine.
 """
@@ -57,45 +53,30 @@ class SteeringContext:
         "program",
         "ready_counts",
         "stats",
-        "batch",
         "memo",
         "memo_hits",
         "memo_misses",
-        "_fallback",
     )
 
     def __init__(self, machine) -> None:
         self.config = machine.config
-        map_table = getattr(machine, "map_table", None)
-        self.map_table = map_table
-        self.masks = getattr(map_table, "masks", None)
-        self.iqs = getattr(machine, "iqs", None)
+        self.map_table = machine.map_table
+        self.masks = machine.map_table.masks
+        self.iqs = machine.iqs
         self.program = getattr(machine, "program", None)
         self.ready_counts = machine.ready_counts
         self.stats = getattr(machine, "stats", None)
-        self.batch = ()
         self.memo = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        # Only a machine stand-in without presence masks or windows is
-        # kept, for the method fallbacks below.
-        self._fallback = (
-            machine if self.masks is None or self.iqs is None else None
-        )
 
     def presence_mask(self, reg: int) -> int:
         """Bit mask of clusters where logical register *reg* resides."""
-        masks = self.masks
-        if masks is not None:
-            return masks[reg]
-        return self._fallback.presence_mask(reg)
+        return self.masks[reg]
 
     def iq_occupancy(self, cluster: int) -> int:
         """Instructions currently waiting in *cluster*'s window."""
-        iqs = self.iqs
-        if iqs is not None:
-            return len(iqs[cluster])
-        return self._fallback.iq_occupancy(cluster)
+        return len(self.iqs[cluster])
 
     def least_loaded(self) -> int:
         """Cluster with the lighter instantaneous load.
@@ -108,12 +89,8 @@ class SteeringContext:
         if r0 != r1:
             return 0 if r0 < r1 else 1
         iqs = self.iqs
-        if iqs is not None:
-            o0 = len(iqs[0])
-            o1 = len(iqs[1])
-        else:
-            o0 = self._fallback.iq_occupancy(0)
-            o1 = self._fallback.iq_occupancy(1)
+        o0 = len(iqs[0])
+        o1 = len(iqs[1])
         if o0 != o1:
             return 0 if o0 < o1 else 1
         return FP_CLUSTER

@@ -15,9 +15,9 @@ Protocol (one JSON document per line, UTF-8):
 * request ``{"id": N, "op": "preload", "bench": B, "seed": S,
   "records": R, "rtrace": <base64>}`` — ships one ``(bench, seed)``
   group's exported ``.rtrace`` bytes; the worker pins the decoded
-  :class:`~repro.scenarios.rtrace.FrozenTrace` so every later point of
-  that group replays the recorded committed path with zero
-  regeneration.  A worker pins at most :data:`TRACE_PIN_LIMIT`
+  workload (a fixed-length :class:`~repro.workloads.trace.SharedTrace`)
+  so every later point of that group replays the recorded committed
+  path with zero regeneration.  A worker pins at most :data:`TRACE_PIN_LIMIT`
   traces, least recently used first out, and the reply's ``evicted``
   lists the ``[bench, seed]`` pins this preload displaced.  The usual
   magic/CRC guards apply — corrupt payloads get an error reply and
@@ -40,8 +40,8 @@ Protocol (one JSON document per line, UTF-8):
 
 Execution inside a warm worker is cached at two levels, both justified
 by the determinism contract (every backend point-for-point identical to
-serial): a preloaded :class:`~repro.scenarios.rtrace.FrozenTrace` is
-replayed for any spec its recorded window covers, and a spec the worker
+serial): a preloaded ``.rtrace`` trace is replayed for any spec its
+recorded window covers, and a spec the worker
 has already served is answered from a bounded result memo without
 re-simulating — so re-running a campaign against a warm pool costs one
 JSON round trip per batch, which is the entire point of keeping the

@@ -89,7 +89,7 @@ class FetchUnit:
         The group holds up to ``fetch_width`` instructions and no more
         than the buffer has room for; it is empty while fetch stalls.  A
         full buffer ends the cycle before any stall is counted.  Running
-        past the end of a frozen trace raises
+        past the end of a fixed-length trace raises
         :class:`~repro.errors.ScenarioError` when the next record is
         needed, before its I-cache line is checked.
         """
@@ -122,7 +122,7 @@ class FetchUnit:
         fetched = 0
         while fetched < limit:
             if idx >= n:
-                # Extend in place, or ScenarioError (frozen).
+                # Extend in place, or ScenarioError (fixed length).
                 self.columns.require(idx + 1)
                 n = len(insts)
             line = lines[idx]

@@ -233,7 +233,6 @@ class Processor:
         self._last_commit_cycle = 0
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
-        self._steer_ctx.batch = self.decode_buffer
         self._choose_fn = steering.choose_cluster
         # Schemes that keep the base no-op hooks are skipped entirely
         # (the dispatch, commit and cycle loops would otherwise pay a

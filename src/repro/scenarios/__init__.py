@@ -47,7 +47,6 @@ from .registry import (
 )
 from .rtrace import (
     EXPORT_CUSHION,
-    FrozenTrace,
     TraceMeta,
     export_trace,
     export_trace_bytes,
@@ -78,7 +77,6 @@ __all__ = [
     "register_trace",
     "unregister_trace",
     "EXPORT_CUSHION",
-    "FrozenTrace",
     "TraceMeta",
     "export_trace",
     "export_trace_bytes",

@@ -19,11 +19,12 @@ name, seed, generator profile when known), the full static program
 records in column form (``pc`` / ``taken`` / ``addr`` parallel lists)
 with a CRC-32 over the columns for corruption detection.
 
-Imported traces replay through :class:`FrozenTrace`, a
-:class:`~repro.workloads.trace.SharedTrace` that serves the recorded
-records and refuses to extend past them: a frozen trace has no executor,
-so running a longer window than was exported raises
-:class:`~repro.errors.ScenarioError` instead of silently diverging.
+An imported trace is a plain :class:`~repro.workloads.trace.SharedTrace`
+over fixed-length :class:`~repro.workloads.columns.TraceColumns`: it has
+no executor, so running a longer window than was exported raises
+:class:`~repro.errors.ScenarioError` instead of silently diverging, and
+importing it does not count as a trace build in
+:func:`repro.workloads.trace_build_counts`.
 """
 
 from __future__ import annotations
@@ -58,28 +59,6 @@ VERSION = 1
 #: the fetch unit runs a few hundred instructions ahead of commit, so a
 #: replayed simulation needs slightly more trace than it commits.
 EXPORT_CUSHION = 4096
-
-
-class FrozenTrace(SharedTrace):
-    """A :class:`SharedTrace` replaying recorded records only.
-
-    Behaves exactly like a live shared trace up to its recorded length
-    and raises :class:`ScenarioError` beyond it: its
-    :class:`~repro.workloads.columns.TraceColumns` set has a fixed
-    length (no executor exists to extend it).  Frozen traces do not
-    count as trace *builds* in :func:`repro.workloads.trace_build_counts`
-    — nothing is decoded.
-    """
-
-    def __init__(
-        self, program: StaticProgram, seed: int, columns: TraceColumns
-    ) -> None:
-        # Deliberately no super().__init__(): there is no TraceExecutor
-        # behind a frozen trace, and importing one must not bump the
-        # build counters the campaign tests use to prove "no regeneration".
-        self.program = program
-        self.seed = seed
-        self._columns = columns
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +266,11 @@ def import_trace(path: str, name: Optional[str] = None) -> Workload:
     """Load an ``.rtrace`` file into a replayable :class:`Workload`.
 
     The returned workload carries the reconstructed static program and a
-    :class:`FrozenTrace` over the recorded committed path, whose record
-    columns are decoded straight into a fixed-length
-    :class:`~repro.workloads.columns.TraceColumns` set; simulating it
-    never touches the program generator or the trace executor.  *name*
+    :class:`~repro.workloads.trace.SharedTrace` over the recorded
+    committed path, whose record columns are decoded straight into a
+    fixed-length :class:`~repro.workloads.columns.TraceColumns` set;
+    simulating it never touches the program generator or the trace
+    executor.  *name*
     overrides the recorded workload name (useful when registering several
     traces of the same benchmark).
     """
@@ -306,7 +286,7 @@ def import_trace_bytes(
 
     This is the receiving half of the worker protocol's ``preload`` op:
     the dispatcher ships :func:`export_trace_bytes` output and the worker
-    pins the resulting :class:`FrozenTrace` without touching the
+    pins the resulting workload without touching the
     filesystem.  The same magic/CRC guards apply — corrupt bytes raise
     :class:`~repro.errors.ScenarioError` naming *origin*.
     """
@@ -323,7 +303,7 @@ def _workload_from_doc(
     if doc.get("crc") != _records_crc(pcs, taken, addrs):
         raise ScenarioError(f"{origin}: record checksum mismatch")
     program = _program_from_doc(doc["program"])
-    frozen = FrozenTrace(
+    shared = SharedTrace(
         program,
         doc["seed"],
         TraceColumns.from_arrays(program, pcs, taken, addrs),
@@ -340,5 +320,5 @@ def _workload_from_doc(
         profile=profile,
         program=program,
         seed=doc["seed"],
-        _shared_trace=frozen,
+        _shared_trace=shared,
     )

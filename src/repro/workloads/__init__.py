@@ -1,4 +1,10 @@
-"""Synthetic SpecInt95-like workloads (the paper's Table 1 stand-ins)."""
+"""Synthetic SpecInt95-like workloads (the paper's Table 1 stand-ins).
+
+A :class:`Workload` is a generated program and seed, or an imported
+``.rtrace`` trace; either way its committed path is read through
+:meth:`Workload.shared_trace`: ``ensure(n)`` materialises *n* records
+and ``columns()`` returns the :class:`TraceColumns` that hold them.
+"""
 
 from __future__ import annotations
 
@@ -24,12 +30,10 @@ from .program import (
     MemBehavior,
     StaticProgram,
 )
-from .columns import TraceColumns
+from .columns import TraceColumns, TraceRecord
 from .trace import (
     SharedTrace,
     TraceExecutor,
-    TraceRecord,
-    TraceReplay,
     reset_trace_stats,
     trace_build_counts,
 )
@@ -66,14 +70,6 @@ class Workload:
                 self, "_shared_trace", SharedTrace(self.program, self.seed)
             )
         return self._shared_trace
-
-    def trace(self) -> TraceReplay:
-        """Fresh cursor over the committed path.
-
-        Every call replays the same shared buffer, so running ten steering
-        schemes over one workload decodes the trace once, not ten times.
-        """
-        return self.shared_trace().replay()
 
 
 #: Generated-program cache: building a StaticProgram is by far the most
@@ -191,7 +187,6 @@ __all__ = [
     "TraceColumns",
     "TraceExecutor",
     "TraceRecord",
-    "TraceReplay",
     "Workload",
     "workload",
     "clear_workload_cache",

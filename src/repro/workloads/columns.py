@@ -7,16 +7,17 @@ list of per-record tuples.  The pipeline's fetch unit indexes these
 arrays directly: every simulation fetches from columns, with no
 per-record iterator or method-call chain.
 
-The columns are the only store of a trace's records.  A column set is
+The columns are the only store of a trace's records, and every
+:class:`~repro.workloads.trace.SharedTrace` holds one set.  A set is
 either *live* — it owns a :class:`~repro.workloads.trace.TraceExecutor`,
-which appends whole basic blocks to the lists on demand (the set behind
-every :class:`~repro.workloads.trace.SharedTrace`) — or *fixed-length*:
-:meth:`TraceColumns.from_arrays` builds the lists from an ``.rtrace``
-document's ``pc``/``taken``/``addr`` columns, with one lookup per
-distinct pc, and reading past their end raises
-:class:`~repro.errors.ScenarioError`.  :class:`TraceRecord` tuples are
-built on demand (:meth:`TraceColumns.record`) for the analysis helpers
-and tests that consume the record form.
+which appends whole basic blocks to the lists on demand — or
+*fixed-length*: :meth:`TraceColumns.from_arrays` builds the lists from
+an ``.rtrace`` document's ``pc``/``taken``/``addr`` columns, with one
+lookup per distinct pc, and reading past their end raises
+:class:`~repro.errors.ScenarioError`.  :class:`TraceRecord` tuples, the
+one record view, are built on demand (:meth:`TraceColumns.record`,
+:meth:`TraceColumns.to_records`) for the analysis code and tests that
+read records.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ class TraceColumns:
     # ------------------------------------------------------------------
     # Length / extension protocol
     # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Records held in the columns so far."""
-        return len(self.pcs)
-
     def fill(self, n: int) -> None:
         """Have the source append whole blocks until at least *n*
         records are held.

@@ -15,25 +15,22 @@ terminator's branch behaviour.  A visit extends the
 :class:`~repro.workloads.columns.TraceColumns` lists from the template,
 draws one address per memory instruction in program order, then draws
 the terminator's outcome, marks the last record ``TAKEN`` when it is
-taken and follows that edge.  Iteration is deterministic for a fixed
+taken and follows that edge.  The path is deterministic for a fixed
 seed.
 
-:class:`SharedTrace` materialises that committed path once and replays it
-to any number of simulations: a figure campaign running ten steering
+:class:`SharedTrace` materialises that committed path once, as columns,
+for any number of simulations: a figure campaign running ten steering
 schemes over one benchmark generates the trace a single time instead of
-ten.  Replays are exact — a :class:`TraceReplay` yields the records the
-underlying executor produced, lazily extending the shared columns when a
-consumer runs past the materialised prefix.
+ten.  Every reader indexes the same append-only columns, extending them
+when it runs past the materialised prefix.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..isa import Instruction
-from .columns import TAKEN, TraceColumns, TraceRecord, base_flags
+from .columns import TAKEN, TraceColumns, base_flags
 from .program import StaticProgram
 
 #: Terminator kinds of a block template: fall through (no control
@@ -111,11 +108,8 @@ class TraceExecutor:
     """Generator of the committed path of a program, block by block.
 
     :meth:`fill` appends whole blocks onto a column set; that is how a
-    :class:`SharedTrace` grows.  The record iterator (:meth:`emit`,
-    ``next()``, :meth:`skip`, :meth:`take`) drains the same block path
-    one record at a time.  An executor serves one consumer: its state
-    is the position in the path, so mixing the two forms would split
-    one path between them.
+    :class:`SharedTrace` grows.  The executor's state is its position in
+    the path, so it serves the one column set it fills.
     """
 
     def __init__(self, program: StaticProgram, seed: int = 0) -> None:
@@ -130,11 +124,6 @@ class TraceExecutor:
             program.mem_behaviors, 0
         )
         self._block = program.entry
-        #: The iterator form's records of the current block, and the
-        #: index of the next one to hand out.
-        self._pending = TraceColumns(program)
-        self._pos = 0
-        self._emitted = 0
 
     def fill(self, columns: TraceColumns, n: int) -> None:
         """Append whole blocks onto *columns* until they hold at least
@@ -185,48 +174,6 @@ class TraceExecutor:
                 block = fall_succ
         self._block = block
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self
-
-    def __next__(self) -> TraceRecord:
-        return TraceRecord(*self.emit())
-
-    def emit(self) -> Tuple[Instruction, bool, int]:
-        """The next committed record as a plain ``(inst, taken,
-        mem_addr)`` tuple."""
-        pending = self._pending
-        pos = self._pos
-        if pos == len(pending.pcs):
-            pending = self._pending = TraceColumns(self.program)
-            self.fill(pending, 1)
-            pos = 0
-        self._pos = pos + 1
-        self._emitted += 1
-        return (
-            pending.insts[pos],
-            (pending.flags[pos] & TAKEN) != 0,
-            pending.mem_addrs[pos],
-        )
-
-    @property
-    def emitted(self) -> int:
-        """Number of records produced so far."""
-        return self._emitted
-
-    def skip(self, n: int) -> None:
-        """Advance the trace by *n* instructions without yielding them.
-
-        Mirrors the paper's methodology of skipping the first part of each
-        benchmark before measuring.
-        """
-        emit = self.emit
-        for _ in range(n):
-            emit()
-
-    def take(self, n: int) -> List[TraceRecord]:
-        """Materialise the next *n* records (mainly for tests/analysis)."""
-        return list(itertools.islice(self, n))
-
 
 #: Builds per (program name, seed) since the last reset — the campaign
 #: tests use this to prove a trace is generated exactly once per
@@ -247,13 +194,15 @@ def reset_trace_stats() -> None:
 class SharedTrace:
     """A lazily materialised committed path, shared across simulations.
 
-    Owns one :class:`~repro.workloads.columns.TraceColumns` set, which
-    its :class:`TraceExecutor` fills on demand and which is the only
-    store of the records.  :meth:`replay` hands out independent cursors over
-    it, so many processors can consume the same dynamic stream without
-    re-sampling branch outcomes or memory addresses.  The columns grow
-    on demand and are append-only, which keeps replays exact and
-    deterministic.
+    Owns one :class:`~repro.workloads.columns.TraceColumns` set, the
+    only store of the records, which many processors read without
+    re-sampling branch outcomes or memory addresses.  By default the
+    set is live: the trace builds a :class:`TraceExecutor` that fills
+    it on demand, append-only, and counts as one build in
+    :func:`trace_build_counts`.  Given *columns* (a fixed-length set
+    decoded from an ``.rtrace`` document) nothing is generated or
+    counted, and reading past the recorded end raises
+    :class:`~repro.errors.ScenarioError`.
 
     The columns retain every record any consumer has reached
     (O(warmup + n) per (bench, seed)) for as long as the owning
@@ -261,14 +210,16 @@ class SharedTrace:
     not keep it alive on its own.
     """
 
-    def __init__(self, program, seed: int = 0) -> None:
+    def __init__(
+        self, program, seed: int = 0, columns: Optional[TraceColumns] = None
+    ) -> None:
         self.program = program
         self.seed = seed
-        self._columns = TraceColumns(
-            program, TraceExecutor(program, seed=seed)
-        )
-        key = (program.name, seed)
-        _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
+        if columns is None:
+            columns = TraceColumns(program, TraceExecutor(program, seed=seed))
+            key = (program.name, seed)
+            _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
+        self._columns = columns
 
     def __len__(self) -> int:
         """Records materialised so far."""
@@ -279,53 +230,7 @@ class SharedTrace:
         (whole blocks, so up to one block more)."""
         self._columns.fill(n)
 
-    def record(self, index: int) -> TraceRecord:
-        """The *index*-th committed record (materialising as needed)."""
-        columns = self._columns
-        columns.require(index + 1)
-        return columns.record(index)
-
-    def replay(self) -> "TraceReplay":
-        """A fresh cursor over the shared stream (starts at record 0)."""
-        return TraceReplay(self)
-
     def columns(self) -> TraceColumns:
         """The structure-of-arrays store every simulation fetches from."""
         return self._columns
 
-
-class TraceReplay:
-    """Iterator replaying a :class:`SharedTrace` from the beginning.
-
-    Implements the same surface as :class:`TraceExecutor` (iteration,
-    ``skip``, ``take``, ``emitted``) so the fetch unit and the analysis
-    helpers cannot tell a replay from a live executor.
-    """
-
-    __slots__ = ("_shared", "_pos")
-
-    def __init__(self, shared: SharedTrace) -> None:
-        self._shared = shared
-        self._pos = 0
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self
-
-    def __next__(self) -> TraceRecord:
-        record = self._shared.record(self._pos)
-        self._pos += 1
-        return record
-
-    @property
-    def emitted(self) -> int:
-        """Number of records produced so far."""
-        return self._pos
-
-    def skip(self, n: int) -> None:
-        """Advance the replay by *n* records without yielding them."""
-        self._shared.ensure(self._pos + n)
-        self._pos += n
-
-    def take(self, n: int) -> List[TraceRecord]:
-        """Materialise the next *n* records."""
-        return list(itertools.islice(self, n))

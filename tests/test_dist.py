@@ -458,7 +458,7 @@ class TestProtocolV2:
         for point, item in zip(pts, batch["results"]):
             assert item["ok"]
             assert SimResult.from_dict(item["result"]) == repro.run(point)
-        # Both points executed against the pinned FrozenTrace.
+        # Both points executed against the pinned imported trace.
         assert stats["preloaded_traces"] == 1
         assert stats["trace_cache_hits"] == 2
         assert stats["trace_cache_misses"] == 0

@@ -40,7 +40,7 @@ from repro.dist.worker import WorkerState, handle_request
 from repro.pipeline import Processor
 from repro.pipeline.reference import ScanProcessor
 from repro.spec import machine_config
-from repro.workloads import TraceExecutor, TraceRecord, workload
+from repro.workloads import TraceColumns, TraceExecutor, TraceRecord, workload
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -146,11 +146,14 @@ def test_dropped_workload_trace_is_freed_by_refcount():
 def test_records_are_built_on_demand_from_the_columns():
     wl = workload("go", seed=3, fresh=True)
     n = 2500
-    expected = TraceExecutor(wl.program, 3).take(n)
+    independent = TraceColumns(wl.program, TraceExecutor(wl.program, 3))
+    independent.fill(n)
+    expected = independent.to_records()[:n]
     shared = wl.shared_trace()
-    assert [shared.record(i) for i in range(n)] == expected
-    assert wl.trace().take(n) == expected
-    assert len(shared.columns().pcs) >= n
+    shared.ensure(n)
+    columns = shared.columns()
+    assert [columns.record(i) for i in range(n)] == expected
+    assert len(columns.pcs) >= n
     assert retained(shared, TraceRecord) == 0
 
 

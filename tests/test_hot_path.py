@@ -14,6 +14,12 @@ Two contracts that no timing result can show:
   instruction is a deterministic proxy for that cost, so a helper call
   that slips back into a per-instruction loop fails here rather than as
   a few percent of noisy benchmark time.
+
+A third contract covers the sweep's dispatcher side: the wrappers
+``dispatcher_spans`` installs around program generation, trace
+materialisation, ``.rtrace`` export, the pool's payload cache and the
+worker preload must all be reached by a pool campaign, and the pool
+counters the sweep's cold guard reads must exist.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import sys
 
 import pytest
 
+from repro import dist
+from repro.analysis.campaign import Campaign, expand_grid
 from repro.core.steering import make_steering
 from repro.isa import InstrClass
 from repro.pipeline import Processor
@@ -149,3 +157,30 @@ def test_calls_per_committed_instruction_within_budget(scheme, machine):
         f"{per_instr:.2f} Python calls per committed instruction "
         f"(budget {budget})"
     )
+
+
+def test_dispatcher_spans_cover_a_pool_campaign():
+    spans_mod = _load_spans()
+    # Seeds no other test uses: the programs and traces are built here.
+    points = expand_grid(
+        ["gcc", "li"], ["general-balance"], seeds=[271],
+        n_instructions=400, warmup=100,
+    )
+    pool = dist.WorkerPool()
+    try:
+        backend = dist.backend("worker", pool=pool)
+        spans = spans_mod.Spans(threaded=True)
+        with spans_mod.dispatcher_spans(spans):
+            runs = Campaign(points, workers=1, backend=backend).run()
+        stats = pool.stats()
+    finally:
+        pool.shutdown()
+    assert len(list(runs)) == len(points)
+    for name in ("generate", "ensure", "export", "trace_payload", "preload"):
+        assert spans.ns[name] > 0, name
+    assert spans.counts["trace_records"] > 0
+    for key in ("result_cache_hits", "trace_cache_misses", "batches",
+                "trace_payloads"):
+        assert key in stats, key
+    assert len(stats["workers"]) == 1
+    assert all("pid" in worker for worker in stats["workers"])

@@ -25,7 +25,7 @@ from repro.scenarios import (
     unregister_trace,
 )
 from repro.scenarios.registry import _FAMILIES
-from repro.scenarios.rtrace import MAGIC, FrozenTrace
+from repro.scenarios.rtrace import MAGIC
 from repro.scenarios.suites import _SUITES
 from repro.spec import SuiteSpec
 from repro.workloads import (
@@ -53,8 +53,8 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "li.rtrace")
         export_trace(wl, path, 1500, cushion=0)
         imported = import_trace(path)
-        originals = [wl.shared_trace().record(i) for i in range(1500)]
-        replayed = [imported.shared_trace().record(i) for i in range(1500)]
+        originals = wl.shared_trace().columns().to_records()[:1500]
+        replayed = imported.shared_trace().columns().to_records()
         assert [
             (r.inst.pc, r.taken, r.mem_addr) for r in originals
         ] == [(r.inst.pc, r.taken, r.mem_addr) for r in replayed]
@@ -101,11 +101,10 @@ class TestTraceRoundTrip:
         export_trace(workload("li"), path, 200, cushion=0)
         imported = import_trace(path)
         trace = imported.shared_trace()
-        assert isinstance(trace, FrozenTrace)
         assert len(trace) == 200
-        trace.record(199)  # in range
+        trace.ensure(200)  # in range
         with pytest.raises(ScenarioError, match="re-export"):
-            trace.record(200)
+            trace.ensure(201)
 
     def test_import_rename(self, tmp_path):
         path = str(tmp_path / "li.rtrace")

@@ -50,12 +50,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "simresults.json")
 
 BENCHES = ("gcc", "pchase-heavy")
 
-#: Each registered machine under a compatible scheme.
+#: Each registered machine under a compatible scheme (``clustered``
+#: runs every scheme in the first rows of :data:`GRID`).
 MACHINE_ROWS = (
     ("naive", "baseline"),
     ("naive", "upper-bound"),
     ("fifo", "clustered-fifo"),
-    ("general-balance", "clustered"),
 )
 
 #: Parametric families under general-balance, including the
@@ -220,6 +220,7 @@ class TestAblationFamilies:
 
 class TestGolden:
     def test_golden_covers_exactly_the_grid(self):
+        assert len(set(GRID)) == len(GRID)
         assert set(load_golden()) == {golden_key(*row) for row in GRID}
 
 
@@ -342,6 +343,3 @@ class TestFullWindowEdge:
         # window may overshoot the target by a cycle's worth.
         assert result.instructions >= N_INSTRUCTIONS
         assert result.stalls["iq"] > 0
-
-    def test_tiny_window_stalls_identically_in_both_schedulers(self):
-        assert_equivalent("gcc", "general-balance", "iq-2")

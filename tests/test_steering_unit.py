@@ -29,14 +29,15 @@ class FakeMachine:
         self.config = ProcessorConfig.default()
         self.map_table = MapTable()
         self.ready_counts = [0, 0]
-        self._occupancy = [0, 0]
+        #: The two windows; only their lengths (occupancy) are read.
+        self.iqs = [[], []]
         self.cycle = 0
 
     def presence_mask(self, reg):
         return self.map_table.presence_mask(reg)
 
     def iq_occupancy(self, cluster):
-        return self._occupancy[cluster]
+        return len(self.iqs[cluster])
 
 
 def choose(scheme, machine, d):
@@ -68,7 +69,7 @@ class TestHelpers:
 
     def test_least_loaded_tiebreak_by_occupancy(self):
         machine = FakeMachine()
-        machine._occupancy = [10, 3]
+        machine.iqs = [[None] * 10, [None] * 3]
         assert least_loaded(machine) == 1
 
     def test_affinity_follows_majority(self):

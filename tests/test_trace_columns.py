@@ -15,7 +15,13 @@ from repro.core.steering import make_steering
 from repro.errors import ScenarioError
 from repro.pipeline import Processor, ProcessorConfig
 from repro.workloads import TraceColumns, TraceExecutor, workload
-from repro.workloads.columns import CONDITIONAL, CONTROL, MEMORY, TAKEN
+from repro.workloads.columns import (
+    CONDITIONAL,
+    CONTROL,
+    EXTEND_CHUNK,
+    MEMORY,
+    TAKEN,
+)
 
 N_RECORDS = 600
 
@@ -23,7 +29,7 @@ N_RECORDS = 600
 @pytest.fixture(scope="module")
 def shared():
     trace = workload("gcc", seed=0).shared_trace()
-    trace.record(N_RECORDS - 1)  # materialise at least N_RECORDS
+    trace.ensure(N_RECORDS)
     return trace
 
 
@@ -33,8 +39,11 @@ class TestRoundTrip:
         from them must reproduce an independent executor's stream."""
         back = shared.columns().to_records()
         assert len(back) >= N_RECORDS
-        independent = TraceExecutor(shared.program, shared.seed)
-        assert back == independent.take(len(back))
+        independent = TraceColumns(
+            shared.program, TraceExecutor(shared.program, shared.seed)
+        )
+        independent.fill(len(back))
+        assert back == independent.to_records()[:len(back)]
 
     def test_from_arrays_rebuilds_identical_columns(self, shared):
         cols = shared.columns()
@@ -72,6 +81,28 @@ class TestRoundTrip:
         fixed.require(n)  # exactly what is there: fine
         with pytest.raises(ScenarioError):
             fixed.require(n + 1)
+
+
+    def test_live_require_generates_a_chunk_ahead(self, shared):
+        cols = TraceColumns(
+            shared.program, TraceExecutor(shared.program, shared.seed)
+        )
+        cols.require(10)
+        assert len(cols) >= 10 + EXTEND_CHUNK - 1
+        held = len(cols)
+        cols.require(held)  # already held: nothing generated
+        assert len(cols) == held
+
+    def test_cached_line_ids_follow_fill(self, shared):
+        """A line-id list handed out before an extension stays valid."""
+        cols = TraceColumns(
+            shared.program, TraceExecutor(shared.program, shared.seed)
+        )
+        cols.fill(50)
+        ids = cols.line_ids(64)
+        cols.fill(3000)
+        assert cols.line_ids(64) is ids
+        assert ids == [pc // 64 for pc in cols.pcs]
 
 
 class TestSteeringMemo:

@@ -78,8 +78,9 @@ def test_branch_targets_match_successors(bench):
 
 def test_instruction_mix_tracks_profile():
     """Dynamic mix should be within sane bounds of the profile's intent."""
-    wl = workload("gcc")
-    records = wl.trace().take(30000)
+    shared = workload("gcc").shared_trace()
+    shared.ensure(30000)
+    records = shared.columns().to_records()[:30000]
     counts = Counter(r.inst.cls for r in records)
     total = len(records)
     mem_frac = (counts[InstrClass.LOAD] + counts[InstrClass.STORE]) / total
@@ -93,7 +94,9 @@ def test_cold_blocks_rarely_execute():
     """Cold-path pollution blocks must be dynamically rare."""
     wl = workload("gcc")
     program = wl.program
-    records = wl.trace().take(40000)
+    shared = wl.shared_trace()
+    shared.ensure(40000)
+    records = shared.columns().to_records()[:40000]
     executed = Counter(program.block_of(r.inst.pc).block_id for r in records)
     # Identify cold blocks structurally: blocks whose *only* predecessors
     # are fall-through edges of branches biased 0.97 taken.

@@ -9,6 +9,7 @@ from repro.workloads import (
     BranchBehavior,
     MemBehavior,
     StaticProgram,
+    TraceColumns,
     TraceExecutor,
 )
 
@@ -37,6 +38,13 @@ def _mini_program():
     )
 
 
+def _executor_records(program, seed, n):
+    """The first *n* records the trace executor generates."""
+    columns = TraceColumns(program, TraceExecutor(program, seed))
+    columns.fill(n)
+    return columns.to_records()[:n]
+
+
 def _branch_outcomes(behavior, n, seed=0):
     """The first *n* outcomes of a one-block loop closed by a branch
     with *behavior*, as the trace executor draws them."""
@@ -49,7 +57,7 @@ def _branch_outcomes(behavior, n, seed=0):
         [BasicBlock(0, block, taken_succ=0, fall_succ=0)],
         branch_behaviors={0x2004: behavior},
     )
-    records = TraceExecutor(program, seed).take(2 * n)
+    records = _executor_records(program, seed, 2 * n)
     return [r.taken for r in records if r.inst.is_conditional]
 
 
@@ -65,7 +73,7 @@ def _addresses(behavior, n, seed=0):
         [BasicBlock(0, block, taken_succ=0)],
         mem_behaviors={0x3000: behavior},
     )
-    records = TraceExecutor(program, seed).take(2 * n)
+    records = _executor_records(program, seed, 2 * n)
     return [r.mem_addr for r in records if r.inst.is_memory]
 
 
